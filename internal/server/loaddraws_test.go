@@ -1,0 +1,348 @@
+package server
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"net"
+	"sort"
+	"testing"
+	"time"
+
+	"detmt/internal/ids"
+	"detmt/internal/lang"
+	"detmt/internal/replica"
+	"detmt/internal/shard"
+	"detmt/internal/workload"
+)
+
+// This file characterises the load drivers' random draws: which
+// (client, method, args) a seed produces, in which order, and which
+// arrival schedule the open-loop pump walks. A seeded pipelined run
+// reaches the replicas' deterministic schedule through exactly these
+// draws, so the reconnect-determinism, group-commit-transparency and
+// transport-equivalence tests keep their hashes only while the table
+// holds. The goldens were recorded at commit 76c8ed4, before the nine
+// load drivers became one engine, and are never regenerated:
+// TestLoadDrawGoldens checks the generator side without sockets,
+// TestLoadDrawsOnTheWire reads the same draws back from the sequenced log
+// of a real server after a real run.
+
+// draw is one generated request.
+type draw struct {
+	client int // 1-based generator client
+	method string
+	args   []lang.Value
+}
+
+func digestDraws(ds []draw) uint64 {
+	h := fnv.New64a()
+	for _, d := range ds {
+		fmt.Fprintf(h, "%d %s %v\n", d.client, d.method, d.args)
+	}
+	return h.Sum64()
+}
+
+func digestIntents(its []time.Duration) uint64 {
+	h := fnv.New64a()
+	for _, it := range its {
+		fmt.Fprintf(h, "%d\n", int64(it))
+	}
+	return h.Sum64()
+}
+
+const (
+	drawClients   = 4 // closed loop: 4 clients x 8 requests = the first 32 draws
+	drawPerClient = 8
+	drawN         = drawClients * drawPerClient
+	drawRate      = 1000.0 // open loop: first 32 arrivals at 1000 req/s
+)
+
+var drawSeeds = []uint64{1, 7}
+
+// drawGen is one request generator: routing key, method, arguments.
+type drawGen func(*ids.RNG) (uint64, string, []lang.Value)
+
+func drawFamilies() workload.FamilyConfig { return testFamilies(0.25) }
+
+const drawKVKeys, drawKVPGet = 64, 0.5
+
+// drawGens are the generators the drivers ship: Fig. 1 (single group: no
+// routing-key draw), the family workload, Fig. 1 behind a ring (the key is
+// drawn BEFORE the arguments) and the KV facade's gets and tokenized puts.
+func drawGens() map[string]drawGen {
+	wl, fam := testWorkload(), drawFamilies()
+	return map[string]drawGen{
+		"fig1": func(r *ids.RNG) (uint64, string, []lang.Value) {
+			return 0, workload.MethodName, workload.Fig1Args(wl, r)
+		},
+		// As the drivers drew it at 76c8ed4: one Fig. 1 argument list was
+		// drawn and dropped before every family request (load.go:223-226).
+		"families": func(r *ids.RNG) (uint64, string, []lang.Value) {
+			workload.Fig1Args(wl, r)
+			m, a := workload.FamilyArgs(fam, r)
+			return 0, m, a
+		},
+		"fig1-keyed": func(r *ids.RNG) (uint64, string, []lang.Value) {
+			return r.Uint64(), workload.MethodName, workload.Fig1Args(wl, r)
+		},
+		"kv": func(r *ids.RNG) (uint64, string, []lang.Value) {
+			return workload.KVRequest(r, drawKVKeys, drawKVPGet)
+		},
+	}
+}
+
+// closedDraws returns the closed loop's draws for a seed, client-major:
+// one RNG forked off the root per client, in client order, each client
+// drawing its requests in sequence (load.go:213-226, sharded.go:317-325 at
+// 76c8ed4).
+func closedDraws(seed uint64, clients, perClient int, gen drawGen) []draw {
+	var out []draw
+	root := ids.NewRNG(seed)
+	for ci := 0; ci < clients; ci++ {
+		rng := root.Fork()
+		for k := 0; k < perClient; k++ {
+			_, m, a := gen(rng)
+			out = append(out, draw{ci + 1, m, a})
+		}
+	}
+	return out
+}
+
+// openDraws returns the open-loop pump's first drawN intents (relative to
+// the run's start) and calls: the arrival RNG is forked off the seed's RNG
+// first, calls are drawn from the parent in arrival order, and a Poisson
+// gap is -ln(u) x the mean interval (openload.go:189-241 at 76c8ed4).
+func openDraws(seed uint64, poisson bool, gen drawGen) ([]time.Duration, []draw) {
+	rng := ids.NewRNG(seed)
+	arr := rng.Fork()
+	interval := time.Duration(float64(time.Second) / drawRate)
+	var intents []time.Duration
+	var calls []draw
+	var intent time.Duration
+	for i := 0; i < drawN; i++ {
+		intents = append(intents, intent)
+		_, m, a := gen(rng)
+		calls = append(calls, draw{1, m, a})
+		gap := interval
+		if poisson {
+			u := arr.Float64()
+			if u <= 0 {
+				u = math.SmallestNonzeroFloat64
+			}
+			gap = time.Duration(-math.Log(u) * float64(interval))
+		}
+		intent += gap
+	}
+	return intents, calls
+}
+
+// drawGoldens are FNV-1a digests of the draws above, recorded at 76c8ed4.
+var drawGoldens = map[string]uint64{
+	"closed/fig1/1":          0x3c2bb55cd13cada7,
+	"closed/fig1/7":          0xebbc55cb573c32c1,
+	"closed/families/1":      0x61d7d97da65d01e4,
+	"closed/families/7":      0x0213a4215c832997,
+	"closed/fig1-keyed/1":    0x96f979c052c47727,
+	"closed/fig1-keyed/7":    0xe96c1f179d2b8ab8,
+	"closed/kv/1":            0xf771d669b508baa7,
+	"closed/kv/7":            0x1d980df2d88aa469,
+	"closed/pipelined/1":     0xe2926b067ab7d088,
+	"closed/pipelined/7":     0x87fc69d995e56851,
+	"open/fixed/calls/1":     0xe91ecfa82107cb0d,
+	"open/fixed/calls/7":     0x8f63e6254e86f677,
+	"open/fixed/intents/1":   0x321b6d51a83baf89,
+	"open/fixed/intents/7":   0x321b6d51a83baf89,
+	"open/poisson/calls/1":   0xe91ecfa82107cb0d,
+	"open/poisson/calls/7":   0x8f63e6254e86f677,
+	"open/poisson/intents/1": 0x80fc64eb2536777c,
+	"open/poisson/intents/7": 0x2023d3e1dfd0d0d4,
+}
+
+func checkGolden(t *testing.T, key string, got uint64) {
+	t.Helper()
+	want, ok := drawGoldens[key]
+	if !ok {
+		t.Errorf("no golden for %q (got %#016x)", key, got)
+	} else if got != want {
+		t.Errorf("%s: digest %#016x, golden %#016x — the seeded request stream changed", key, got, want)
+	}
+}
+
+// TestLoadDrawGoldens pins the generator side, without sockets.
+func TestLoadDrawGoldens(t *testing.T) {
+	gens := drawGens()
+	for _, seed := range drawSeeds {
+		for name, gen := range gens {
+			checkGolden(t, fmt.Sprintf("closed/%s/%d", name, seed),
+				digestDraws(closedDraws(seed, drawClients, drawPerClient, gen)))
+		}
+		// One client submitting everything as one batch: the seeded-hash path.
+		checkGolden(t, fmt.Sprintf("closed/pipelined/%d", seed),
+			digestDraws(closedDraws(seed, 1, drawN, gens["fig1"])))
+		for _, poisson := range []bool{false, true} {
+			kind := map[bool]string{false: "fixed", true: "poisson"}[poisson]
+			intents, calls := openDraws(seed, poisson, gens["fig1"])
+			checkGolden(t, fmt.Sprintf("open/%s/intents/%d", kind, seed), digestIntents(intents))
+			checkGolden(t, fmt.Sprintf("open/%s/calls/%d", kind, seed), digestDraws(calls))
+		}
+	}
+	// The first draws in the clear, so a digest mismatch can be read.
+	first := closedDraws(1, drawClients, drawPerClient, gens["fig1"])[0]
+	if got := fmt.Sprint(first); got != "{1 work [2 20 29 17]}" {
+		t.Errorf("seed 1, client 1, first Fig. 1 draw: %s", got)
+	}
+}
+
+// sequencedDraws reads the requests of clients base+1.. back from the
+// server's sequenced log, ordered by client and per-client sequence
+// number — the order each client drew them in.
+func sequencedDraws(t *testing.T, s *Server, base, clients int) []draw {
+	t.Helper()
+	envs, _, ok := s.serveCatchUp(0, 0)
+	if !ok {
+		envs, _, ok = s.serveCatchUp(1, 0)
+	}
+	if !ok {
+		t.Fatal("sequenced log not retained")
+	}
+	var reqs []replica.Request
+	for _, e := range envs {
+		if r, isReq := e.Payload.(replica.Request); isReq {
+			if c := int(r.Req.Client()) - base; c >= 1 && c <= clients {
+				reqs = append(reqs, r)
+			}
+		}
+	}
+	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Req < reqs[j].Req })
+	out := make([]draw, len(reqs))
+	for i, r := range reqs {
+		out[i] = draw{int(r.Req.Client()) - base, r.Method, r.Args}
+	}
+	return out
+}
+
+// startTagged boots one group-tagged replica (a one-shard deployment) and
+// returns it with the ring that routes everything to it.
+func startTagged(t *testing.T, mod func(*Options)) (*Server, shard.RingConfig) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{
+		ID: 1, Listener: ln, Group: "g0", Scheduler: replica.KindMAT,
+		Workload: testWorkload(), NestedLatency: 2 * time.Millisecond,
+		Tick: 2 * time.Millisecond, Budget: 5 * time.Millisecond,
+	}
+	if mod != nil {
+		mod(&o)
+	}
+	srv, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv, shard.RingConfig{Version: 1, Seed: 1, Groups: []shard.GroupConfig{
+		{ID: 0, Members: map[ids.ReplicaID]string{1: ln.Addr().String()}},
+	}}
+}
+
+// TestLoadDrawsOnTheWire runs the real drivers against one-replica servers
+// and reads what they submitted back from the sequenced log: the same
+// goldens as TestLoadDrawGoldens, observed after the sockets.
+func TestLoadDrawsOnTheWire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket cluster test")
+	}
+	fam := drawFamilies()
+	kv := workload.DefaultKV()
+	plain, plainAddrs := startCluster(t, 1, replica.KindMAT)
+	early, earlyAddrs := startEarlyCluster(t, 1, replica.KindMAT, fam)
+	keyed, keyedRing := startTagged(t, nil)
+	kvSrv, kvRing := startTagged(t, func(o *Options) { o.KV = &kv })
+	open, openAddrs := startCluster(t, 1, replica.KindMAT)
+
+	for _, seed := range drawSeeds {
+		base := int(seed) * 100 // disjoint client ids: both seeds share the servers
+		closed := func(name string, srv *Server, run func() error) {
+			t.Helper()
+			if err := run(); err != nil {
+				t.Fatalf("closed/%s/%d: %v", name, seed, err)
+			}
+			got := sequencedDraws(t, srv, base, drawClients)
+			if name == "pipelined" {
+				got = sequencedDraws(t, srv, base+50, 1)
+			}
+			if len(got) != drawN {
+				t.Fatalf("closed/%s/%d: %d requests in the log, want %d", name, seed, len(got), drawN)
+			}
+			checkGolden(t, fmt.Sprintf("closed/%s/%d", name, seed), digestDraws(got))
+		}
+		lo := LoadOptions{
+			Clients: drawClients, RequestsPerClient: drawPerClient, Seed: seed,
+			Workload: testWorkload(), ClientBase: base, EpochDir: t.TempDir(),
+			Timeout: 60 * time.Second,
+		}
+		closed("fig1", plain[0], func() error {
+			o := lo
+			o.Servers = plainAddrs
+			_, err := RunLoad(o)
+			return err
+		})
+		closed("families", early[0], func() error {
+			o := lo
+			o.Servers, o.Families = earlyAddrs, &fam
+			_, err := RunLoad(o)
+			return err
+		})
+		closed("pipelined", plain[0], func() error {
+			o := lo
+			o.Servers, o.Clients, o.RequestsPerClient = plainAddrs, 1, drawN
+			o.Pipelined, o.ClientBase = true, base+50
+			_, err := RunLoad(o)
+			return err
+		})
+		so := ShardedLoadOptions{
+			Clients: drawClients, RequestsPerClient: drawPerClient, Seed: seed,
+			Workload: testWorkload(), ClientBase: base, EpochDir: t.TempDir(),
+			Timeout: 60 * time.Second,
+		}
+		closed("fig1-keyed", keyed, func() error {
+			o := so
+			o.Ring = keyedRing
+			_, err := RunShardedLoad(o)
+			return err
+		})
+		closed("kv", kvSrv, func() error {
+			o := so
+			o.Ring = kvRing
+			o.Gen = func(r *ids.RNG) (uint64, string, []lang.Value) {
+				return workload.KVRequest(r, drawKVKeys, drawKVPGet)
+			}
+			_, err := RunShardedLoad(o)
+			return err
+		})
+
+		// Open loop, one pooled client: its sequence numbers are the
+		// arrival order, so the log's first drawN requests are the pump's
+		// first drawN calls.
+		for i, poisson := range []bool{false, true} {
+			kind := map[bool]string{false: "fixed", true: "poisson"}[poisson]
+			obase := base + 10*(i+1)
+			_, err := RunOpenLoad(OpenLoadOptions{
+				Servers: openAddrs, Rate: drawRate, Duration: 60 * time.Millisecond,
+				Warmup: -1, Poisson: poisson, Clients: 1, Seed: seed,
+				Workload: testWorkload(), ClientBase: obase, EpochDir: t.TempDir(),
+			})
+			if err != nil {
+				t.Fatalf("open/%s/%d: %v", kind, seed, err)
+			}
+			got := sequencedDraws(t, open[0], obase, 1)
+			if len(got) < drawN {
+				t.Fatalf("open/%s/%d: only %d requests in the log", kind, seed, len(got))
+			}
+			checkGolden(t, fmt.Sprintf("open/%s/calls/%d", kind, seed), digestDraws(got[:drawN]))
+		}
+	}
+}
