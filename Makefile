@@ -8,6 +8,7 @@ check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
+	$(GO) build -C bench -o /dev/null ./... && $(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
 build:
 	$(GO) build ./...

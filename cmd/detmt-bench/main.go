@@ -29,9 +29,9 @@ func main() {
 	requests := flag.Int("requests", 4, "requests per client")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	duration := flag.Duration("duration", 0,
-		"openloop/ceiling: measured window per run (0: experiment default 1.5s)")
+		"openloop/ceiling/sharded/kvfacade: measured window per run (0: experiment default 1.5s)")
 	warmup := flag.Duration("warmup", 0,
-		"openloop/ceiling: warmup before each measured window (0: experiment default 300ms)")
+		"openloop/ceiling/sharded/kvfacade: warmup before each measured window (0: experiment default 300ms)")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of text")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -135,22 +135,19 @@ func runExperiment(name string, opts harness.Fig1Options, duration, warmup time.
 		return []harness.Result{harness.EarlySched(harness.DefaultEarlySchedOptions())}
 	case "recovery":
 		return []harness.Result{harness.Recovery()}
-	case "openloop":
+	case "openloop", "ceiling", "sharded", "kvfacade":
 		oo := harness.DefaultOpenLoopOptions()
-		oo.Duration, oo.Warmup = duration, warmup
-		return []harness.Result{harness.OpenLoop(oo)}
-	case "ceiling":
-		oo := harness.DefaultOpenLoopOptions()
-		oo.Duration, oo.Warmup = duration, warmup
-		return []harness.Result{harness.Ceiling(oo)}
-	case "sharded":
-		so := harness.DefaultShardedOptions()
-		so.Duration, so.Warmup = duration, warmup
-		return []harness.Result{harness.Sharded(so)}
-	case "kvfacade":
-		ko := harness.DefaultKVFacadeOptions()
-		ko.Duration, ko.Warmup = duration, warmup
-		return []harness.Result{harness.KVFacade(ko)}
+		if duration > 0 {
+			oo.Duration = duration
+		}
+		if warmup > 0 {
+			oo.Warmup = warmup
+		}
+		run := map[string]func(harness.OpenLoopOptions) harness.Result{
+			"openloop": harness.OpenLoop, "ceiling": harness.Ceiling,
+			"sharded": harness.Sharded, "kvfacade": harness.KVFacade,
+		}[name]
+		return []harness.Result{run(oo)}
 	case "all":
 		return harness.All()
 	default:

@@ -81,7 +81,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	serverMap, err := parseServers(*servers)
+	serverMap, err := ids.ParseReplicaAddrs(*servers)
+	if err == nil && len(serverMap) == 0 {
+		err = fmt.Errorf("empty server list")
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "detmt-chaos: bad -servers: %v\n", err)
 		os.Exit(2)
@@ -333,30 +336,4 @@ func resolveSequencer(tr *wire.TCP, serverMap map[ids.ReplicaID]string, timeout 
 		return 0, fmt.Errorf("reported sequencer %v is not in -servers", best)
 	}
 	return best, nil
-}
-
-func parseServers(s string) (map[ids.ReplicaID]string, error) {
-	out := map[ids.ReplicaID]string{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("%q is not id=addr", part)
-		}
-		n, err := strconv.Atoi(kv[0])
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("%q is not a positive replica id", kv[0])
-		}
-		if _, dup := out[ids.ReplicaID(n)]; dup {
-			return nil, fmt.Errorf("replica id %d listed twice", n)
-		}
-		out[ids.ReplicaID(n)] = kv[1]
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty server list")
-	}
-	return out, nil
 }

@@ -1,9 +1,11 @@
-// Command detmt-load is the closed-loop load generator for a running
-// detmt-server cluster: N concurrent clients issue Fig. 1 requests over
-// TCP, wait for the first replica reply, and report the client-perceived
-// latency distribution (the paper's Fig. 1 measurement protocol, over
-// real sockets). It exits non-zero if the replicas' schedule consistency
-// hashes diverge.
+// Command detmt-load is the load generator for a running detmt-server
+// cluster: the paper's Fig. 1 measurement protocol over real sockets. N
+// closed-loop clients issue requests, wait for the first replica reply
+// and report the client-perceived latency distribution; with -rate the
+// arrivals follow an open-loop schedule instead. -shards routes every
+// request through the cluster's consistent-hash ring, -http drives a
+// detmt-gateway facade, -kv draws KV gets and puts instead of Fig. 1. It
+// exits non-zero if the replicas' schedule consistency hashes diverge.
 //
 // Usage:
 //
@@ -16,16 +18,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"detmt/internal/chaos"
 	"detmt/internal/ids"
 	"detmt/internal/kvapi"
-	"detmt/internal/lang"
 	"detmt/internal/metrics"
 	"detmt/internal/server"
 	"detmt/internal/workload"
@@ -33,13 +31,13 @@ import (
 
 func main() {
 	servers := flag.String("servers", "", "cluster members as id=addr,id=addr,... (all of them)")
-	clients := flag.Int("clients", 4, "number of concurrent closed-loop clients")
+	clients := flag.Int("clients", 4, "number of concurrent closed-loop clients; with -rate, the size of the submit pool")
 	requests := flag.Int("requests", 8, "requests per client")
 	seed := flag.Uint64("seed", 1, "client-side decision seed")
 	pipelined := flag.Bool("pipelined", false, "submit each client's requests as one atomic batch")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall run timeout")
 	rate := flag.Float64("rate", 0,
-		"open-loop mode: offered arrival rate in req/s decoupled from responses (0: closed loop); -clients sizes the submit pool")
+		"open-loop mode: offered arrival rate in req/s decoupled from responses (0: closed loop)")
 	duration := flag.Duration("duration", 5*time.Second, "open loop: measured window")
 	warmup := flag.Duration("warmup", time.Second, "open loop: warmup before the measured window (completions discarded)")
 	poisson := flag.Bool("poisson", false, "open loop: Poisson (exponential) inter-arrival times instead of fixed")
@@ -57,7 +55,7 @@ func main() {
 	shardsOn := flag.Bool("shards", false,
 		"sharded mode: fetch the ring from -servers (any tenant port of each member), route every request by key, and report per-shard counts and the imbalance ratio")
 	httpURL := flag.String("http", "",
-		"httpload mode: drive a detmt-gateway facade at this base URL (e.g. http://127.0.0.1:8080) instead of the TCP protocol; closed loop, or open loop with -rate")
+		"drive a detmt-gateway facade at this base URL (e.g. http://127.0.0.1:8080) instead of the TCP protocol; implies -kv")
 	kvOn := flag.Bool("kv", false,
 		"sharded mode: drive the replicated KV object (servers started with -kv) instead of Fig. 1")
 	keys := flag.Int("keys", 1024, "KV key-space size (-http and -kv modes)")
@@ -66,672 +64,220 @@ func main() {
 	verbose := flag.Bool("v", false, "log transport diagnostics")
 	chaosOn := flag.Bool("chaos", false, "run a seeded fault-injection plan against this generator's own connections")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "chaos plan seed (reproducible fault schedule)")
-	chaosStep := flag.Duration("chaos-step", 100*time.Millisecond, "interval between chaos fault decisions")
-	chaosSever := flag.Float64("chaos-sever", 0.1, "per-step probability of severing every connection")
-	chaosPartition := flag.Float64("chaos-partition", 0.05, "per-step probability of partitioning one random server")
-	chaosPartitionFor := flag.Duration("chaos-partition-for", 500*time.Millisecond, "how long an injected partition lasts")
-	chaosDelay := flag.Float64("chaos-delay", 0.2, "per-step probability of delaying reads for one step")
-	chaosDelayBy := flag.Duration("chaos-delay-by", 5*time.Millisecond, "read delay applied when the delay fault fires")
 	flag.Parse()
 
-	logfEarly := func(string, ...interface{}) {}
-	if *verbose {
-		logfEarly = log.Printf
-	}
-	if *httpURL != "" {
-		runHTTP(*httpURL, httpParams{
-			clients:     *clients,
-			requests:    *requests,
-			seed:        *seed,
-			keys:        *keys,
-			pGet:        *pGet,
-			rate:        *rate,
-			duration:    *duration,
-			warmup:      *warmup,
-			poisson:     *poisson,
-			slo:         *slo,
-			maxInFlight: *maxInFlight,
-			jsonOut:     *jsonOut,
-			logf:        logfEarly,
-		})
-		return
-	}
-
-	serverMap, err := parseServers(*servers)
-	if err != nil || len(serverMap) == 0 {
-		fmt.Fprintf(os.Stderr, "detmt-load: bad -servers: %v\n", err)
+	usage := func(format string, args ...interface{}) {
+		fmt.Fprintf(os.Stderr, "detmt-load: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if *kvOn && !*shardsOn {
-		fmt.Fprintln(os.Stderr, "detmt-load: -kv requires -shards (or use -http against a gateway)")
-		os.Exit(2)
+	fatal := func(err error) {
+		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
+		os.Exit(1)
 	}
-	wl := workload.DefaultFig1()
-	wl.Iterations = *iterations
-	wl.Mutexes = *mutexes
-	var fam *workload.FamilyConfig
-	if *families > 0 {
-		f := workload.DefaultFamilies()
-		f.Families = *families
-		f.PGlobal = *conflict
-		f.HotSkew = *hotSkew
-		fam = &f
-	}
-
-	logf := func(string, ...interface{}) {}
+	var logf func(string, ...interface{})
 	if *verbose {
 		logf = log.Printf
 	}
-	opts := server.LoadOptions{
-		Servers:           serverMap,
-		Clients:           *clients,
-		RequestsPerClient: *requests,
-		Seed:              *seed,
-		Workload:          wl,
-		Families:          fam,
-		ClientBase:        *clientBase,
-		Pipelined:         *pipelined,
-		Timeout:           *timeout,
-		Logf:              logf,
+
+	// What to send.
+	wl := workload.DefaultFig1()
+	wl.Iterations, wl.Mutexes = *iterations, *mutexes
+	gen := workload.Fig1Gen(wl, *shardsOn)
+	switch {
+	case *kvOn || *httpURL != "":
+		if *httpURL == "" && !*shardsOn {
+			usage("-kv requires -shards (or use -http against a gateway)")
+		}
+		gen = workload.KVGen(*keys, *pGet)
+	case *families > 0:
+		if *shardsOn {
+			usage("-families is not supported in sharded mode")
+		}
+		fam := workload.DefaultFamilies()
+		fam.Families, fam.PGlobal, fam.HotSkew = *families, *conflict, *hotSkew
+		gen = workload.FamilyGen(fam)
 	}
+
+	// Whom to send it through.
+	var inv server.Invoker
 	var inj *chaos.Injector
-	if *chaosOn {
-		inj = chaos.New()
-		opts.Dial = inj.Dial(nil)
+	if *httpURL != "" {
+		h := kvapi.DialHTTP(*httpURL, 0)
+		defer h.Close()
+		inv = h
+	} else {
+		serverMap, err := ids.ParseReplicaAddrs(*servers)
+		if err == nil && len(serverMap) == 0 {
+			err = fmt.Errorf("empty server list")
+		}
+		if err != nil {
+			usage("bad -servers: %v", err)
+		}
 		addrs := make([]string, 0, len(serverMap))
 		for _, a := range serverMap {
 			addrs = append(addrs, a)
 		}
-		stop := make(chan struct{})
-		defer close(stop)
-		go inj.Run(chaos.Plan{
-			Seed:         *chaosSeed,
-			Step:         *chaosStep,
-			PSever:       *chaosSever,
-			PPartition:   *chaosPartition,
-			PartitionFor: *chaosPartitionFor,
-			PDelay:       *chaosDelay,
-			DelayBy:      *chaosDelayBy,
-			Addrs:        addrs,
-		}, stop)
-	}
-	if *shardsOn {
-		if fam != nil {
-			fmt.Fprintln(os.Stderr, "detmt-load: -families is not supported in sharded mode")
-			os.Exit(2)
+		d := server.ShardClientOptions{Clients: *clients, ClientBase: *clientBase, Logf: logf}
+		if *chaosOn {
+			inj = chaos.New()
+			d.Dial = inj.Dial(nil)
+			stop := make(chan struct{})
+			defer close(stop)
+			go inj.Run(chaos.Plan{
+				Seed: *chaosSeed, Step: 100 * time.Millisecond, Addrs: addrs,
+				PSever: 0.1, PPartition: 0.05, PartitionFor: 500 * time.Millisecond,
+				PDelay: 0.2, DelayBy: 5 * time.Millisecond,
+			}, stop)
 		}
-		var gen func(*ids.RNG) (uint64, string, []lang.Value)
-		if *kvOn {
-			nkeys, frac := *keys, *pGet
-			gen = func(rng *ids.RNG) (uint64, string, []lang.Value) {
-				return workload.KVRequest(rng, nkeys, frac)
+		var sc *server.ShardClients
+		if *shardsOn {
+			ring, err := server.FetchRing(addrs, 10*time.Second, d.Dial, logf)
+			if err != nil {
+				fatal(err)
 			}
+			ringHash, _ := ring.Hash()
+			log.Printf("detmt-load: ring %016x with %d shard(s), verified across %d member(s)",
+				ringHash, len(ring.Groups), len(addrs))
+			sc, err = server.DialShards(ring, d)
+			if err != nil {
+				fatal(err)
+			}
+		} else if sc, err = server.DialGroup(serverMap, d); err != nil {
+			fatal(err)
 		}
-		runSharded(serverMap, shardedParams{
-			clients:     *clients,
-			requests:    *requests,
-			seed:        *seed,
-			workload:    wl,
-			gen:         gen,
-			clientBase:  *clientBase,
-			timeout:     *timeout,
-			rate:        *rate,
-			duration:    *duration,
-			warmup:      *warmup,
-			poisson:     *poisson,
-			slo:         *slo,
-			batchSubmit: *batchSubmit,
-			maxInFlight: *maxInFlight,
-			jsonOut:     *jsonOut,
-			dial:        opts.Dial,
-			logf:        logf,
-		})
-		return
-	}
-	if *rate > 0 {
-		runOpenLoop(server.OpenLoadOptions{
-			Servers:     serverMap,
-			Rate:        *rate,
-			Duration:    *duration,
-			Warmup:      *warmup,
-			Poisson:     *poisson,
-			Clients:     *clients,
-			MaxInFlight: *maxInFlight,
-			BatchSubmit: *batchSubmit,
-			SLO:         *slo,
-			Seed:        *seed,
-			Workload:    wl,
-			Families:    fam,
-			ClientBase:  *clientBase,
-			Dial:        opts.Dial,
-			Logf:        logf,
-		}, *jsonOut, inj)
-		return
+		defer sc.Close()
+		inv = sc
 	}
 
-	res, err := server.RunLoad(opts)
-	if inj != nil {
-		sev, blocked := inj.Stats()
-		log.Printf("detmt-load: chaos totals: severed=%d dials-blocked=%d", sev, blocked)
+	o := server.RunOptions{
+		Invoker:           inv,
+		Clients:           *clients,
+		RequestsPerClient: *requests,
+		Rate:              *rate,
+		Duration:          *duration,
+		Warmup:            *warmup,
+		Poisson:           *poisson,
+		MaxInFlight:       *maxInFlight,
+		Batch:             *pipelined || *batchSubmit,
+		SLO:               *slo,
+		Seed:              *seed,
+		Gen:               gen,
+		Timeout:           *timeout,
+		Logf:              logf,
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-
-	qs := res.Latency.Quantiles(50, 95)
-	if *jsonOut {
-		out := struct {
-			Requests  int             `json:"requests"`
-			Errors    int             `json:"errors"`
-			Retries   int             `json:"retries"`
-			Timeouts  int             `json:"timeouts"`
-			ElapsedMs float64         `json:"elapsed_ms"`
-			MeanMs    float64         `json:"latency_mean_ms"`
-			P50Ms     float64         `json:"latency_p50_ms"`
-			P95Ms     float64         `json:"latency_p95_ms"`
-			MaxMs     float64         `json:"latency_max_ms"`
-			Converged bool            `json:"converged"`
-			Hashes    []uint64        `json:"hashes"`
-			Statuses  []server.Status `json:"statuses"`
-		}{
-			Requests:  res.Requests,
-			Errors:    res.Errors,
-			Retries:   res.Retries,
-			Timeouts:  res.Timeouts,
-			ElapsedMs: ms(res.Elapsed),
-			MeanMs:    ms(res.Latency.Mean()),
-			P50Ms:     ms(qs[0]),
-			P95Ms:     ms(qs[1]),
-			MaxMs:     ms(res.Latency.Max()),
-			Converged: res.Converged,
-			Hashes:    res.Hashes,
-			Statuses:  res.Statuses,
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Printf("requests  %d (%d errors) in %s wall\n", res.Requests, res.Errors, res.Elapsed.Round(time.Millisecond))
-		fmt.Printf("errors    no-sequencer retries %d, timeouts %d\n", res.Retries, res.Timeouts)
-		fmt.Printf("latency   mean %s ms  p50 %s ms  p95 %s ms  max %s ms\n",
-			metrics.Ms(res.Latency.Mean()), metrics.Ms(qs[0]),
-			metrics.Ms(qs[1]), metrics.Ms(res.Latency.Max()))
-		for _, st := range res.Statuses {
-			fmt.Printf("replica %v  scheduler=%s completed=%d state=%d hash=%016x\n",
-				st.ID, st.Scheduler, st.Completed, st.State, st.Hash)
-		}
-	}
-	if !res.Converged {
-		fmt.Fprintln(os.Stderr, "detmt-load: DIVERGED — replica consistency hashes differ")
-		os.Exit(1)
-	}
-}
-
-// runOpenLoop drives the open-loop mode and prints its summary. Fatal
-// conditions (divergence, run error) exit non-zero; a missed SLO alone
-// does not — the ceiling search treads over the SLO on purpose.
-func runOpenLoop(o server.OpenLoadOptions, jsonOut bool, inj *chaos.Injector) {
-	res, err := server.RunOpenLoad(o)
+	res, err := server.Run(o)
 	if inj != nil {
 		sev, blocked := inj.Stats()
 		log.Printf("detmt-load: chaos totals: severed=%d dials-blocked=%d", sev, blocked)
 	}
 	if res == nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	iq := res.Intent.Quantiles(50, 99, 99.9)
-	sq := res.Service.Quantiles(50, 99)
-	if jsonOut {
-		out := struct {
-			OfferedRPS  float64         `json:"offered_rps"`
-			AchievedRPS float64         `json:"achieved_rps"`
-			Sent        int             `json:"sent"`
-			Measured    int             `json:"measured"`
-			Shed        int             `json:"shed"`
-			Timeouts    int             `json:"timeouts"`
-			NoSeqErr    int             `json:"no_sequencer_errors"`
-			Errors      int             `json:"errors"`
-			IntentP50Ms float64         `json:"intent_p50_ms"`
-			IntentP99Ms float64         `json:"intent_p99_ms"`
-			IntentP999  float64         `json:"intent_p999_ms"`
-			IntentMaxMs float64         `json:"intent_max_ms"`
-			SvcP50Ms    float64         `json:"service_p50_ms"`
-			SvcP99Ms    float64         `json:"service_p99_ms"`
-			SLOMet      bool            `json:"slo_met"`
-			Converged   bool            `json:"converged"`
-			Hashes      []uint64        `json:"hashes"`
-			Statuses    []server.Status `json:"statuses"`
-		}{
-			OfferedRPS:  res.Offered,
-			AchievedRPS: res.Achieved,
-			Sent:        res.Sent,
-			Measured:    res.Measured,
-			Shed:        res.Shed,
-			Timeouts:    res.Timeouts,
-			NoSeqErr:    res.NoSeqErr,
-			Errors:      res.Errors,
-			IntentP50Ms: ms(iq[0]),
-			IntentP99Ms: ms(iq[1]),
-			IntentP999:  ms(iq[2]),
-			IntentMaxMs: ms(res.Intent.Max()),
-			SvcP50Ms:    ms(sq[0]),
-			SvcP99Ms:    ms(sq[1]),
-			SLOMet:      res.SLOMet,
-			Converged:   res.Converged,
-			Hashes:      res.Hashes,
-			Statuses:    res.Statuses,
-		}
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-			os.Exit(1)
+		if eerr := enc.Encode(summarize(res)); eerr != nil {
+			fatal(eerr)
 		}
 	} else {
-		fmt.Printf("offered   %.0f req/s  achieved %.0f req/s  (%d sent, %d measured)\n",
-			res.Offered, res.Achieved, res.Sent, res.Measured)
-		fmt.Printf("errors    shed %d, timeouts %d, no-sequencer %d, other %d\n",
-			res.Shed, res.Timeouts, res.NoSeqErr, res.Errors)
-		fmt.Printf("intent    p50 %s ms  p99 %s ms  p99.9 %s ms  max %s ms  (coordinated-omission corrected)\n",
-			metrics.Ms(iq[0]), metrics.Ms(iq[1]), metrics.Ms(iq[2]), metrics.Ms(res.Intent.Max()))
-		fmt.Printf("service   p50 %s ms  p99 %s ms\n", metrics.Ms(sq[0]), metrics.Ms(sq[1]))
-		if o.SLO > 0 {
-			verdict := "MET"
-			if !res.SLOMet {
-				verdict = "MISSED"
-			}
-			fmt.Printf("slo       p99 budget %v: %s\n", o.SLO, verdict)
-		}
-		for _, st := range res.Statuses {
-			fmt.Printf("replica %v  scheduler=%s completed=%d state=%d hash=%016x\n",
-				st.ID, st.Scheduler, st.Completed, st.State, st.Hash)
-		}
+		printText(res, o)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-	if !res.Converged {
-		fmt.Fprintln(os.Stderr, "detmt-load: DIVERGED — replica consistency hashes differ")
+	// A missed SLO alone does not fail the run — the ceiling search treads
+	// over the SLO on purpose; divergence and a run error do. Behind a
+	// facade there are no replicas to compare, so failed requests do.
+	switch {
+	case err != nil:
+		fatal(err)
+	case !res.Converged:
+		fatal(fmt.Errorf("DIVERGED — replica consistency hashes differ"))
+	case inv.Shards() == 0 && res.Errors > 0:
 		os.Exit(1)
 	}
 }
 
-// shardedParams carries the flag values the sharded mode consumes.
-type shardedParams struct {
-	clients     int
-	requests    int
-	seed        uint64
-	workload    workload.Fig1Config
-	gen         func(*ids.RNG) (uint64, string, []lang.Value)
-	clientBase  int
-	timeout     time.Duration
-	rate        float64
-	duration    time.Duration
-	warmup      time.Duration
-	poisson     bool
-	slo         time.Duration
-	batchSubmit bool
-	maxInFlight int
-	jsonOut     bool
-	dial        func(addr string) (net.Conn, error)
-	logf        func(format string, args ...interface{})
+// summary is the -json document. latency_ms is send-to-reply (what a
+// closed-loop client perceives), intent_ms is measured from the scheduled
+// arrival (coordinated-omission corrected; it differs in the open loop).
+type summary struct {
+	OfferedRPS  float64            `json:"offered_rps"`
+	AchievedRPS float64            `json:"achieved_rps"`
+	Sent        int                `json:"sent"`
+	Measured    int                `json:"measured"`
+	Shed        int                `json:"shed"`
+	Timeouts    int                `json:"timeouts"`
+	NoSequencer int                `json:"no_sequencer"`
+	Errors      int                `json:"errors"`
+	ElapsedMs   float64            `json:"elapsed_ms"`
+	LatencyMs   map[string]float64 `json:"latency_ms"`
+	IntentMs    map[string]float64 `json:"intent_ms"`
+	SLOMet      bool               `json:"slo_met"`
+	Imbalance   float64            `json:"imbalance"`
+	Converged   bool               `json:"converged"`
+	// PerShard has one entry per replica group: one for an unsharded
+	// cluster, none behind a facade.
+	PerShard []shardLine `json:"per_shard"`
 }
 
-// shardLine is the per-shard slice of the sharded JSON summary.
 type shardLine struct {
 	Shard       int             `json:"shard"`
 	Routed      uint64          `json:"routed"`
-	AchievedRPS float64         `json:"achieved_rps,omitempty"`
+	AchievedRPS float64         `json:"achieved_rps"`
 	Converged   bool            `json:"converged"`
 	Hashes      []uint64        `json:"hashes"`
 	Statuses    []server.Status `json:"statuses"`
 }
 
-func shardLines(sums []server.ShardSummary) []shardLine {
-	out := make([]shardLine, 0, len(sums))
-	for _, s := range sums {
-		out = append(out, shardLine{
-			Shard:       s.Shard,
-			Routed:      s.Routed,
-			AchievedRPS: s.Achieved,
-			Converged:   s.Converged,
-			Hashes:      s.Hashes,
-			Statuses:    s.Statuses,
-		})
-	}
-	return out
-}
-
-func printShardSummaries(sums []server.ShardSummary, imbalance float64) {
-	for _, s := range sums {
-		extra := ""
-		if s.Achieved > 0 {
-			extra = fmt.Sprintf("  achieved %.0f req/s", s.Achieved)
-		}
-		fmt.Printf("shard g%d  routed %d%s  converged=%v\n", s.Shard, s.Routed, extra, s.Converged)
-		for _, st := range s.Statuses {
-			fmt.Printf("  replica %v  completed=%d state=%d hash=%016x\n",
-				st.ID, st.Completed, st.State, st.Hash)
-		}
-	}
-	fmt.Printf("imbalance %.3f (max/mean routed per shard; 1.000 = perfectly even)\n", imbalance)
-}
-
-// runSharded fetches and verifies the ring, then drives the closed- or
-// open-loop sharded driver against it.
-func runSharded(serverMap map[ids.ReplicaID]string, p shardedParams) {
-	addrs := make([]string, 0, len(serverMap))
-	for _, a := range serverMap {
-		addrs = append(addrs, a)
-	}
-	ring, err := server.FetchRing(addrs, 10*time.Second, p.dial, p.logf)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-	ringHash, _ := ring.Hash()
-	log.Printf("detmt-load: ring %016x with %d shard(s), verified across %d member(s)",
-		ringHash, len(ring.Groups), len(addrs))
-
-	if p.rate > 0 {
-		res, err := server.RunShardedOpenLoad(server.ShardedOpenLoadOptions{
-			Ring:        ring,
-			Rate:        p.rate,
-			Duration:    p.duration,
-			Warmup:      p.warmup,
-			Poisson:     p.poisson,
-			Clients:     p.clients,
-			MaxInFlight: p.maxInFlight,
-			BatchSubmit: p.batchSubmit,
-			SLO:         p.slo,
-			Seed:        p.seed,
-			Workload:    p.workload,
-			Gen:         p.gen,
-			ClientBase:  p.clientBase,
-			Dial:        p.dial,
-			Logf:        p.logf,
-		})
-		if res == nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-			os.Exit(1)
-		}
-		iq := res.Intent.Quantiles(50, 99)
-		if p.jsonOut {
-			out := struct {
-				OfferedRPS  float64     `json:"offered_rps"`
-				AchievedRPS float64     `json:"achieved_rps"`
-				Sent        int         `json:"sent"`
-				Measured    int         `json:"measured"`
-				Shed        int         `json:"shed"`
-				Timeouts    int         `json:"timeouts"`
-				Errors      int         `json:"errors"`
-				IntentP50Ms float64     `json:"intent_p50_ms"`
-				IntentP99Ms float64     `json:"intent_p99_ms"`
-				SLOMet      bool        `json:"slo_met"`
-				Imbalance   float64     `json:"imbalance"`
-				Converged   bool        `json:"converged"`
-				PerShard    []shardLine `json:"per_shard"`
-			}{
-				OfferedRPS:  res.Offered,
-				AchievedRPS: res.Achieved,
-				Sent:        res.Sent,
-				Measured:    res.Measured,
-				Shed:        res.Shed,
-				Timeouts:    res.Timeouts,
-				Errors:      res.Errors + res.NoSeqErr,
-				IntentP50Ms: ms(iq[0]),
-				IntentP99Ms: ms(iq[1]),
-				SLOMet:      res.SLOMet,
-				Imbalance:   res.Imbalance,
-				Converged:   res.Converged,
-				PerShard:    shardLines(res.PerShard),
-			}
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if eerr := enc.Encode(out); eerr != nil {
-				fmt.Fprintf(os.Stderr, "detmt-load: %v\n", eerr)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Printf("offered   %.0f req/s aggregate  achieved %.0f req/s  (%d sent, %d measured)\n",
-				res.Offered, res.Achieved, res.Sent, res.Measured)
-			fmt.Printf("errors    shed %d, timeouts %d, no-sequencer %d, other %d\n",
-				res.Shed, res.Timeouts, res.NoSeqErr, res.Errors)
-			fmt.Printf("intent    p50 %s ms  p99 %s ms  (coordinated-omission corrected)\n",
-				metrics.Ms(iq[0]), metrics.Ms(iq[1]))
-			if p.slo > 0 {
-				verdict := "MET"
-				if !res.SLOMet {
-					verdict = "MISSED"
-				}
-				fmt.Printf("slo       p99 budget %v: %s\n", p.slo, verdict)
-			}
-			printShardSummaries(res.PerShard, res.Imbalance)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-			os.Exit(1)
-		}
-		if !res.Converged {
-			fmt.Fprintln(os.Stderr, "detmt-load: DIVERGED — a shard's replica hashes differ")
-			os.Exit(1)
-		}
-		return
-	}
-
-	res, err := server.RunShardedLoad(server.ShardedLoadOptions{
-		Ring:              ring,
-		Clients:           p.clients,
-		RequestsPerClient: p.requests,
-		Seed:              p.seed,
-		Workload:          p.workload,
-		Gen:               p.gen,
-		ClientBase:        p.clientBase,
-		Timeout:           p.timeout,
-		Dial:              p.dial,
-		Logf:              p.logf,
-	})
-	if res == nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-	qs := res.Latency.Quantiles(50, 95)
-	if p.jsonOut {
-		out := struct {
-			Requests  int         `json:"requests"`
-			Errors    int         `json:"errors"`
-			Retries   int         `json:"retries"`
-			ElapsedMs float64     `json:"elapsed_ms"`
-			MeanMs    float64     `json:"latency_mean_ms"`
-			P50Ms     float64     `json:"latency_p50_ms"`
-			P95Ms     float64     `json:"latency_p95_ms"`
-			Imbalance float64     `json:"imbalance"`
-			Converged bool        `json:"converged"`
-			PerShard  []shardLine `json:"per_shard"`
-		}{
-			Requests:  res.Requests,
-			Errors:    res.Errors,
-			Retries:   res.Retries,
-			ElapsedMs: ms(res.Elapsed),
-			MeanMs:    ms(res.Latency.Mean()),
-			P50Ms:     ms(qs[0]),
-			P95Ms:     ms(qs[1]),
-			Imbalance: res.Imbalance,
-			Converged: res.Converged,
-			PerShard:  shardLines(res.PerShard),
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if eerr := enc.Encode(out); eerr != nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", eerr)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Printf("requests  %d (%d errors) in %s wall\n",
-			res.Requests, res.Errors, res.Elapsed.Round(time.Millisecond))
-		fmt.Printf("latency   mean %s ms  p50 %s ms  p95 %s ms\n",
-			metrics.Ms(res.Latency.Mean()), metrics.Ms(qs[0]), metrics.Ms(qs[1]))
-		printShardSummaries(res.PerShard, res.Imbalance)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-	if !res.Converged {
-		fmt.Fprintln(os.Stderr, "detmt-load: DIVERGED — a shard's replica hashes differ")
-		os.Exit(1)
-	}
-}
-
-// httpParams carries the flag values the httpload mode consumes.
-type httpParams struct {
-	clients     int
-	requests    int
-	seed        uint64
-	keys        int
-	pGet        float64
-	rate        float64
-	duration    time.Duration
-	warmup      time.Duration
-	poisson     bool
-	slo         time.Duration
-	maxInFlight int
-	jsonOut     bool
-	logf        func(format string, args ...interface{})
-}
-
-// runHTTP drives a detmt-gateway facade: closed-loop by default, open
-// loop when -rate is set.
-func runHTTP(url string, p httpParams) {
-	if p.rate > 0 {
-		res, err := kvapi.RunHTTPOpenLoad(kvapi.HTTPOpenLoadOptions{
-			URL:         url,
-			Rate:        p.rate,
-			Duration:    p.duration,
-			Warmup:      p.warmup,
-			Poisson:     p.poisson,
-			MaxInFlight: p.maxInFlight,
-			SLO:         p.slo,
-			Keys:        p.keys,
-			PGet:        p.pGet,
-			Seed:        p.seed,
-			Logf:        p.logf,
-		})
-		if res == nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-			os.Exit(1)
-		}
-		iq := res.Intent.Quantiles(50, 99)
-		if p.jsonOut {
-			out := struct {
-				OfferedRPS  float64 `json:"offered_rps"`
-				AchievedRPS float64 `json:"achieved_rps"`
-				Sent        int     `json:"sent"`
-				Measured    int     `json:"measured"`
-				Shed        int     `json:"shed"`
-				Errors      int     `json:"errors"`
-				IntentP50Ms float64 `json:"intent_p50_ms"`
-				IntentP99Ms float64 `json:"intent_p99_ms"`
-				SLOMet      bool    `json:"slo_met"`
-			}{res.Offered, res.Achieved, res.Sent, res.Measured, res.Shed,
-				res.Errors, ms(iq[0]), ms(iq[1]), res.SLOMet}
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if eerr := enc.Encode(out); eerr != nil {
-				fmt.Fprintf(os.Stderr, "detmt-load: %v\n", eerr)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Printf("offered   %.0f req/s  achieved %.0f req/s  (%d sent, %d measured)\n",
-				res.Offered, res.Achieved, res.Sent, res.Measured)
-			fmt.Printf("errors    shed %d, other %d\n", res.Shed, res.Errors)
-			fmt.Printf("intent    p50 %s ms  p99 %s ms  (coordinated-omission corrected)\n",
-				metrics.Ms(iq[0]), metrics.Ms(iq[1]))
-			if p.slo > 0 {
-				verdict := "MET"
-				if !res.SLOMet {
-					verdict = "MISSED"
-				}
-				fmt.Printf("slo       p99 budget %v: %s\n", p.slo, verdict)
-			}
-		}
-		if res.Errors > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	res, err := kvapi.RunHTTPLoad(kvapi.HTTPLoadOptions{
-		URL:               url,
-		Clients:           p.clients,
-		RequestsPerClient: p.requests,
-		Keys:              p.keys,
-		PGet:              p.pGet,
-		Seed:              p.seed,
-		Logf:              p.logf,
-	})
-	if res == nil {
-		fmt.Fprintf(os.Stderr, "detmt-load: %v\n", err)
-		os.Exit(1)
-	}
-	qs := res.Latency.Quantiles(50, 95)
-	if p.jsonOut {
-		out := struct {
-			Requests  int     `json:"requests"`
-			Errors    int     `json:"errors"`
-			ElapsedMs float64 `json:"elapsed_ms"`
-			MeanMs    float64 `json:"latency_mean_ms"`
-			P50Ms     float64 `json:"latency_p50_ms"`
-			P95Ms     float64 `json:"latency_p95_ms"`
-		}{res.Requests, res.Errors, ms(res.Elapsed),
-			ms(res.Latency.Mean()), ms(qs[0]), ms(qs[1])}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if eerr := enc.Encode(out); eerr != nil {
-			fmt.Fprintf(os.Stderr, "detmt-load: %v\n", eerr)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Printf("requests  %d (%d errors) in %s wall\n",
-			res.Requests, res.Errors, res.Elapsed.Round(time.Millisecond))
-		fmt.Printf("latency   mean %s ms  p50 %s ms  p95 %s ms\n",
-			metrics.Ms(res.Latency.Mean()), metrics.Ms(qs[0]), metrics.Ms(qs[1]))
-	}
-	if res.Errors > 0 {
-		os.Exit(1)
-	}
-}
-
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-func parseServers(s string) (map[ids.ReplicaID]string, error) {
-	out := map[ids.ReplicaID]string{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("%q is not id=addr", part)
-		}
-		n, err := strconv.Atoi(kv[0])
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("%q is not a positive replica id", kv[0])
-		}
-		if _, dup := out[ids.ReplicaID(n)]; dup {
-			return nil, fmt.Errorf("replica id %d listed twice", n)
-		}
-		out[ids.ReplicaID(n)] = kv[1]
+func quantilesMs(h *metrics.Histogram) map[string]float64 {
+	q := h.Quantiles(50, 95, 99, 99.9)
+	return map[string]float64{
+		"mean": ms(h.Mean()), "p50": ms(q[0]), "p95": ms(q[1]), "p99": ms(q[2]), "p999": ms(q[3]), "max": ms(h.Max()),
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty server list")
+}
+
+func summarize(res *server.RunResult) summary {
+	s := summary{
+		OfferedRPS: res.Offered, AchievedRPS: res.Achieved,
+		Sent: res.Sent, Measured: res.Measured, Shed: res.Shed, Timeouts: res.Timeouts,
+		NoSequencer: res.NoSequencer, Errors: res.Errors, ElapsedMs: ms(res.Elapsed),
+		LatencyMs: quantilesMs(res.Service), IntentMs: quantilesMs(res.Intent),
+		SLOMet: res.SLOMet, Imbalance: res.Imbalance, Converged: res.Converged,
 	}
-	return out, nil
+	for _, p := range res.PerShard {
+		s.PerShard = append(s.PerShard, shardLine{p.Shard, p.Routed, p.Achieved, p.Converged, p.Hashes, p.Statuses})
+	}
+	return s
+}
+
+func printText(res *server.RunResult, o server.RunOptions) {
+	lq := res.Service.Quantiles(50, 95, 99)
+	fmt.Printf("requests  %d sent, %d answered in %s wall\n", res.Sent, res.Measured, res.Elapsed.Round(time.Millisecond))
+	fmt.Printf("errors    shed %d, timeouts %d, no-sequencer %d, other %d\n",
+		res.Shed, res.Timeouts, res.NoSequencer, res.Errors)
+	if o.Rate > 0 {
+		iq := res.Intent.Quantiles(50, 99, 99.9)
+		fmt.Printf("offered   %.0f req/s  achieved %.0f req/s\n", res.Offered, res.Achieved)
+		fmt.Printf("intent    p50 %s ms  p99 %s ms  p99.9 %s ms  max %s ms  (coordinated-omission corrected)\n",
+			metrics.Ms(iq[0]), metrics.Ms(iq[1]), metrics.Ms(iq[2]), metrics.Ms(res.Intent.Max()))
+	}
+	fmt.Printf("latency   mean %s ms  p50 %s ms  p95 %s ms  p99 %s ms  max %s ms\n",
+		metrics.Ms(res.Service.Mean()), metrics.Ms(lq[0]), metrics.Ms(lq[1]), metrics.Ms(lq[2]), metrics.Ms(res.Service.Max()))
+	if o.SLO > 0 {
+		verdict := "MET"
+		if !res.SLOMet {
+			verdict = "MISSED"
+		}
+		fmt.Printf("slo       p99 budget %v: %s\n", o.SLO, verdict)
+	}
+	for _, p := range res.PerShard {
+		fmt.Printf("shard %d   routed %d  achieved %.0f req/s  converged=%v\n", p.Shard, p.Routed, p.Achieved, p.Converged)
+		for _, st := range p.Statuses {
+			fmt.Printf("  replica %v  scheduler=%s completed=%d state=%d hash=%016x\n",
+				st.ID, st.Scheduler, st.Completed, st.State, st.Hash)
+		}
+	}
+	if len(res.PerShard) > 1 {
+		fmt.Printf("imbalance %.3f (max/mean routed per shard; 1.000 = perfectly even)\n", res.Imbalance)
+	}
 }

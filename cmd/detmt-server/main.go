@@ -38,7 +38,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -124,7 +123,7 @@ func main() {
 		}()
 	}
 
-	peerMap, err := parsePeers(*peers)
+	peerMap, err := ids.ParseReplicaAddrs(*peers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "detmt-server: bad -peers: %v\n", err)
 		os.Exit(2)
@@ -323,27 +322,4 @@ func main() {
 		log.Printf("detmt-server: chaos totals: severed=%d dials-blocked=%d", sev, blocked)
 	}
 	srv.Close()
-}
-
-func parsePeers(s string) (map[ids.ReplicaID]string, error) {
-	out := map[ids.ReplicaID]string{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("%q is not id=addr", part)
-		}
-		n, err := strconv.Atoi(kv[0])
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("%q is not a positive replica id", kv[0])
-		}
-		if _, dup := out[ids.ReplicaID(n)]; dup {
-			return nil, fmt.Errorf("replica id %d listed twice", n)
-		}
-		out[ids.ReplicaID(n)] = kv[1]
-	}
-	return out, nil
 }

@@ -127,9 +127,14 @@ func recoverOnce(checkpointEvery, missedPerClient int) (*recoverOutcome, error) 
 	}
 
 	load := func(targets map[ids.ReplicaID]string, base, perClient int, seed uint64, needConverged bool) error {
-		res, err := server.RunLoad(server.LoadOptions{
-			Servers: targets, Clients: 2, RequestsPerClient: perClient,
-			ClientBase: base, Seed: seed, Workload: wl,
+		sc, err := server.DialGroup(targets, server.ShardClientOptions{Clients: 2, ClientBase: base})
+		if err != nil {
+			return err
+		}
+		defer sc.Close()
+		res, err := server.Run(server.RunOptions{
+			Invoker: sc, Clients: 2, RequestsPerClient: perClient,
+			Seed: seed, Gen: workload.Fig1Gen(wl, false),
 			Timeout: 60 * time.Second,
 		})
 		if err != nil {

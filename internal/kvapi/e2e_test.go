@@ -236,18 +236,19 @@ func TestGatewayE2E(t *testing.T) {
 
 	// --- Concurrent load across a sequencer kill. ---
 	type loadOut struct {
-		res *HTTPLoadResult
+		res *server.RunResult
 		err error
 	}
 	ch := make(chan loadOut, 1)
 	go func() {
-		res, err := RunHTTPLoad(HTTPLoadOptions{
-			URL:               ts.URL,
+		inv := DialHTTP(ts.URL, 70*time.Second)
+		defer inv.Close()
+		res, err := server.Run(server.RunOptions{
+			Invoker:           inv,
 			Clients:           8,
 			RequestsPerClient: 25,
-			Keys:              256,
+			Gen:               workload.KVGen(256, 0.5),
 			Seed:              3,
-			Timeout:           70 * time.Second,
 			Logf:              debugLogf,
 		})
 		ch <- loadOut{res, err}
@@ -278,10 +279,10 @@ func TestGatewayE2E(t *testing.T) {
 		t.Fatalf("HTTP load across sequencer kill: %v", out.err)
 	}
 	if out.res.Errors > 0 {
-		t.Fatalf("%d HTTP errors across sequencer kill (of %d)", out.res.Errors, out.res.Requests)
+		t.Fatalf("%d HTTP errors across sequencer kill (of %d)", out.res.Errors, out.res.Sent)
 	}
-	if out.res.Requests != 8*25 {
-		t.Fatalf("load performed %d requests, want %d", out.res.Requests, 8*25)
+	if out.res.Measured != 8*25 {
+		t.Fatalf("load performed %d requests, want %d", out.res.Measured, 8*25)
 	}
 
 	// --- Survivors: new view, new sequencer, bit-identical hashes. ---

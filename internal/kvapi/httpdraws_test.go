@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"detmt/internal/ids"
+	"detmt/internal/server"
 	"detmt/internal/workload"
 )
 
@@ -40,9 +41,11 @@ func TestHTTPDrawGoldens(t *testing.T) {
 			mu.Unlock()
 			w.Write([]byte("{}"))
 		}))
-		res, err := RunHTTPLoad(HTTPLoadOptions{
-			URL: ts.URL, Clients: 1, RequestsPerClient: 32, Keys: 64, PGet: 0.5, Seed: seed,
+		inv := DialHTTP(ts.URL, 0)
+		res, err := server.Run(server.RunOptions{
+			Invoker: inv, Clients: 1, RequestsPerClient: 32, Gen: workload.KVGen(64, 0.5), Seed: seed,
 		})
+		inv.Close()
 		ts.Close()
 		if err != nil || res.Errors > 0 {
 			t.Fatalf("seed %d: err=%v errors=%d", seed, err, res.Errors)

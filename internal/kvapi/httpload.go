@@ -4,63 +4,115 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"detmt/internal/ids"
-	"detmt/internal/metrics"
+	"detmt/internal/lang"
 	"detmt/internal/server"
-	"detmt/internal/vclock"
+	"detmt/internal/workload"
 )
 
-// httpOp is one generated facade operation.
-type httpOp struct {
-	method string // http verb
-	url    string
-	body   []byte
-}
-
-// opGen draws facade operations: GETs with probability pGet, otherwise
-// tokenized PUTs, over `keys` keys. Tokens are unique per draw (the
-// generator measures throughput, not dedup hit rate).
-type opGen struct {
+// HTTPInvoker is the load engine's path through a facade gateway: it
+// turns the KV object's calls (workload.KVGen) into the HTTP requests a
+// web client would send, so a run through the gateway and a run straight
+// at the shards draw the very same operations. Nothing behind the gateway
+// is visible from here: it reports no shards, and a run through it checks
+// replies only.
+type HTTPInvoker struct {
 	base string
-	keys int
-	pGet float64
-	seq  uint64
+	cl   *http.Client
+	seq  atomic.Uint64
 }
 
-func (g *opGen) draw(rng *ids.RNG) httpOp {
-	k := rng.Intn(g.keys)
-	if rng.Bool(g.pGet) {
-		return httpOp{method: http.MethodGet, url: fmt.Sprintf("%s/kv/%d", g.base, k)}
+// DialHTTP returns an invoker for the gateway at base, e.g.
+// "http://127.0.0.1:8080". timeout bounds one HTTP request (0: 35s —
+// above the gateway's own default retry deadline, so ITS verdict wins).
+func DialHTTP(base string, timeout time.Duration) *HTTPInvoker {
+	if timeout <= 0 {
+		timeout = 35 * time.Second
 	}
-	g.seq++
-	return httpOp{
-		method: http.MethodPut,
-		url:    fmt.Sprintf("%s/kv/%d?token=load-%d-%d", g.base, k, rng.Uint64(), g.seq),
-		body:   []byte(fmt.Sprintf(`{"value":%d}`, rng.Intn(1<<30))),
-	}
+	const conns = 256
+	return &HTTPInvoker{base: base, cl: &http.Client{
+		Timeout: timeout,
+		Transport: &http.Transport{
+			MaxIdleConns:        conns,
+			MaxIdleConnsPerHost: conns,
+			IdleConnTimeout:     time.Minute,
+		},
+	}}
 }
 
-// doOp performs one facade request. 2xx and 404 (GET on an absent key)
-// are successes; anything else is an error.
-func doOp(cl *http.Client, op httpOp) error {
-	var rd io.Reader
-	if op.body != nil {
-		rd = bytes.NewReader(op.body)
+// Shards implements server.Invoker: none are visible behind the facade.
+func (h *HTTPInvoker) Shards() int { return 0 }
+
+// Statuses implements server.Invoker.
+func (h *HTTPInvoker) Statuses(int) ([]server.Status, error) {
+	return nil, fmt.Errorf("kvapi: replica statuses are not visible through the facade")
+}
+
+// Close drops the idle connections.
+func (h *HTTPInvoker) Close() { h.cl.CloseIdleConnections() }
+
+// httpPending is one request in flight.
+type httpPending struct {
+	done    chan struct{}
+	latency time.Duration
+	err     error
+}
+
+func (p *httpPending) Wait() (lang.Value, time.Duration, error) {
+	<-p.done
+	return nil, p.latency, p.err
+}
+
+// Submit implements server.Invoker: one HTTP request per call (the slot is
+// the gateway's business, and HTTP has no atomic batch).
+func (h *HTTPInvoker) Submit(_ int, calls []server.Call) []server.Pending {
+	out := make([]server.Pending, len(calls))
+	for i, c := range calls {
+		p := &httpPending{done: make(chan struct{})}
+		out[i].Waiter = p
+		go func(c server.Call) {
+			begin := time.Now()
+			p.err = h.do(c)
+			p.latency = time.Since(begin)
+			close(p.done)
+		}(c)
 	}
-	req, err := http.NewRequest(op.method, op.url, rd)
+	return out
+}
+
+// do performs one facade request. 2xx and 404 (GET on an absent key) are
+// successes; anything else is an error. Write tokens are unique per call
+// (the generator measures throughput, not dedup hit rate).
+func (h *HTTPInvoker) do(c server.Call) error {
+	var verb string
+	var token lang.Value
+	var body io.Reader
+	switch {
+	case c.Method == workload.KVGet && len(c.Args) == 1:
+		verb = http.MethodGet
+	case c.Method == workload.KVPut && len(c.Args) == 3:
+		verb, token = http.MethodPut, c.Args[2]
+		body = bytes.NewReader([]byte(fmt.Sprintf(`{"value":%v}`, c.Args[1])))
+	case c.Method == workload.KVDel && len(c.Args) == 2:
+		verb, token = http.MethodDelete, c.Args[1]
+	default:
+		return fmt.Errorf("kvapi: the facade has no verb for %s/%d", c.Method, len(c.Args))
+	}
+	url := fmt.Sprintf("%s/kv/%v", h.base, c.Args[0])
+	if token != nil {
+		url += fmt.Sprintf("?token=load-%v-%d", token, h.seq.Add(1))
+	}
+	req, err := http.NewRequest(verb, url, body)
 	if err != nil {
 		return err
 	}
-	if op.body != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := cl.Do(req)
+	resp, err := h.cl.Do(req)
 	if err != nil {
 		return err
 	}
@@ -69,275 +121,5 @@ func doOp(cl *http.Client, op httpOp) error {
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 || resp.StatusCode == http.StatusNotFound {
 		return nil
 	}
-	return fmt.Errorf("%s %s: HTTP %d", op.method, op.url, resp.StatusCode)
-}
-
-func httpClient(conns int, timeout time.Duration) *http.Client {
-	return &http.Client{
-		Timeout: timeout,
-		Transport: &http.Transport{
-			MaxIdleConns:        conns,
-			MaxIdleConnsPerHost: conns,
-			IdleConnTimeout:     time.Minute,
-		},
-	}
-}
-
-// HTTPLoadOptions parameterises a closed-loop run against a facade.
-type HTTPLoadOptions struct {
-	// URL is the gateway base, e.g. "http://127.0.0.1:8080".
-	URL               string
-	Clients           int
-	RequestsPerClient int
-	// Keys is the key-space size (default 1024); PGet the read fraction
-	// (default 0.5).
-	Keys int
-	PGet float64
-	Seed uint64
-	// Timeout bounds one HTTP request (default 35s — above the
-	// gateway's own retry deadline, so ITS verdict wins).
-	Timeout time.Duration
-	Logf    func(format string, args ...interface{})
-}
-
-// HTTPLoadResult is the closed-loop outcome.
-type HTTPLoadResult struct {
-	Requests int
-	Errors   int
-	Latency  *metrics.Histogram
-	Elapsed  time.Duration
-}
-
-// RunHTTPLoad drives a closed-loop run through the facade.
-func RunHTTPLoad(o HTTPLoadOptions) (*HTTPLoadResult, error) {
-	if o.Clients <= 0 {
-		o.Clients = 1
-	}
-	if o.RequestsPerClient <= 0 {
-		o.RequestsPerClient = 1
-	}
-	if o.Keys <= 0 {
-		o.Keys = 1024
-	}
-	if o.PGet == 0 {
-		o.PGet = 0.5
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 35 * time.Second
-	}
-	cl := httpClient(o.Clients, o.Timeout)
-	defer cl.CloseIdleConnections()
-	res := &HTTPLoadResult{Latency: &metrics.Histogram{}}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	root := ids.NewRNG(o.Seed)
-	start := time.Now()
-	for ci := 0; ci < o.Clients; ci++ {
-		rng := root.Fork()
-		gen := &opGen{base: o.URL, keys: o.Keys, pGet: o.PGet}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < o.RequestsPerClient; r++ {
-				op := gen.draw(rng)
-				begin := time.Now()
-				err := doOp(cl, op)
-				mu.Lock()
-				res.Requests++
-				if err != nil {
-					res.Errors++
-					if o.Logf != nil {
-						o.Logf("httpload: %v", err)
-					}
-				} else {
-					res.Latency.Add(time.Since(begin))
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// HTTPOpenLoadOptions parameterises an open-loop, rate-targeted run.
-type HTTPOpenLoadOptions struct {
-	URL      string
-	Rate     float64 // offered arrival rate (req/s)
-	Duration time.Duration
-	Warmup   time.Duration
-	Poisson  bool
-	// MaxInFlight sheds arrivals beyond this concurrency (default 4096).
-	MaxInFlight int
-	SLO         time.Duration
-	Keys        int
-	PGet        float64
-	Seed        uint64
-	Logf        func(format string, args ...interface{})
-}
-
-// HTTPOpenLoadResult is the open-loop outcome; Intent is the
-// intent-to-reply latency (queueing included), the open-loop truth.
-type HTTPOpenLoadResult struct {
-	Offered  float64
-	Achieved float64
-	Sent     int
-	Measured int
-	Shed     int
-	Errors   int
-	Intent   *metrics.Histogram
-	Elapsed  time.Duration
-	SLOMet   bool
-}
-
-// RunHTTPOpenLoad drives one offered-rate run against the facade.
-func RunHTTPOpenLoad(o HTTPOpenLoadOptions) (*HTTPOpenLoadResult, error) {
-	if o.Rate <= 0 {
-		return nil, fmt.Errorf("httpload: rate must be positive")
-	}
-	if o.Duration <= 0 {
-		o.Duration = 5 * time.Second
-	}
-	if o.Warmup < 0 {
-		o.Warmup = 0
-	} else if o.Warmup == 0 {
-		o.Warmup = time.Second
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 4096
-	}
-	if o.Keys <= 0 {
-		o.Keys = 1024
-	}
-	if o.PGet == 0 {
-		o.PGet = 0.5
-	}
-	cl := httpClient(256, 35*time.Second)
-	defer cl.CloseIdleConnections()
-
-	res := &HTTPOpenLoadResult{Offered: o.Rate, Intent: &metrics.Histogram{}}
-	var (
-		mu       sync.Mutex
-		inFlight atomic.Int64
-		wg       sync.WaitGroup
-	)
-	rng := ids.NewRNG(o.Seed)
-	arrRNG := rng.Fork()
-	gen := &opGen{base: o.URL, keys: o.Keys, pGet: o.PGet}
-	clock := vclock.NewReal()
-	start := clock.Now()
-	measureStart := start + o.Warmup
-	end := measureStart + o.Duration
-
-	interval := time.Duration(float64(time.Second) / o.Rate)
-	nextGap := func() time.Duration {
-		if !o.Poisson {
-			return interval
-		}
-		u := arrRNG.Float64()
-		if u <= 0 {
-			u = math.SmallestNonzeroFloat64
-		}
-		return time.Duration(-math.Log(u) * float64(interval))
-	}
-
-	intent := start
-	for intent < end {
-		if gap := intent - clock.Now(); gap > 0 {
-			time.Sleep(gap)
-		}
-		it := intent
-		intent += nextGap()
-		if int(inFlight.Load()) >= o.MaxInFlight {
-			mu.Lock()
-			res.Shed++
-			mu.Unlock()
-			continue
-		}
-		op := gen.draw(rng)
-		inFlight.Add(1)
-		res.Sent++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := doOp(cl, op)
-			replyAt := clock.Now()
-			inFlight.Add(-1)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				res.Errors++
-				if o.Logf != nil {
-					o.Logf("httpload: %v", err)
-				}
-				return
-			}
-			if it >= measureStart && it < end {
-				res.Measured++
-				res.Intent.Add(replyAt - it)
-			}
-		}()
-	}
-	wg.Wait()
-	res.Elapsed = clock.Now() - start
-	res.Achieved = float64(res.Measured) / o.Duration.Seconds()
-	res.SLOMet = o.SLO <= 0 || res.Intent.Percentile(99) <= o.SLO
-	return res, nil
-}
-
-// HTTPCeilingResult is the outcome of FindHTTPCeiling.
-type HTTPCeilingResult struct {
-	Steps   []server.CeilingStep
-	Ceiling float64 // highest sustained offered rate (req/s)
-}
-
-// FindHTTPCeiling walks the offered rate geometrically until the
-// gateway-fronted deployment stops keeping up — the facade analogue of
-// server.FindAggregateCeiling, so E17 compares like against like.
-func FindHTTPCeiling(o HTTPOpenLoadOptions, startRate, growth float64, maxSteps int) (*HTTPCeilingResult, error) {
-	if startRate <= 0 {
-		startRate = 400
-	}
-	if growth <= 1 {
-		growth = 2
-	}
-	if maxSteps <= 0 {
-		maxSteps = 8
-	}
-	if o.SLO <= 0 {
-		o.SLO = 100 * time.Millisecond
-	}
-	res := &HTTPCeilingResult{}
-	rate := startRate
-	for step := 0; step < maxSteps; step++ {
-		ro := o
-		ro.Rate = rate
-		if o.Logf != nil {
-			o.Logf("http-ceiling: step %d offered %.0f req/s", step, rate)
-		}
-		r, err := RunHTTPOpenLoad(ro)
-		if r == nil {
-			return res, err
-		}
-		st := server.CeilingStep{
-			Offered:  r.Offered,
-			Achieved: r.Achieved,
-			P50:      r.Intent.Percentile(50),
-			P99:      r.Intent.Percentile(99),
-			Shed:     r.Shed,
-		}
-		st.Sustained = err == nil && r.SLOMet && r.Achieved >= 0.9*r.Offered && r.Errors == 0
-		res.Steps = append(res.Steps, st)
-		if o.Logf != nil {
-			o.Logf("http-ceiling: step %d achieved %.0f req/s p99=%v sustained=%v",
-				step, st.Achieved, st.P99, st.Sustained)
-		}
-		if !st.Sustained {
-			break
-		}
-		res.Ceiling = st.Achieved
-		rate *= growth
-	}
-	return res, nil
+	return fmt.Errorf("%s %s: HTTP %d", verb, url, resp.StatusCode)
 }

@@ -85,53 +85,12 @@ func (c *Client) onReply(from ids.ReplicaID, p gcs.Payload) {
 	ca.parker.Unpark()
 }
 
-// Pending is an in-flight invocation started by Pipeline.
+// Pending is an in-flight invocation started by InvokeBatch.
 type Pending struct {
 	c     *Client
 	req   ids.RequestID
 	ca    *call
 	start time.Duration
-}
-
-// Pipeline broadcasts a batch of invocations of the same method as one
-// atomic unit (a single wire frame on batching transports, so the
-// sequencer observes the burst contiguously) and returns handles to
-// collect the replies. Distributed determinism tests use it to make the
-// total order a burst receives reproducible across runs.
-func (c *Client) Pipeline(method string, argsList [][]lang.Value) []*Pending {
-	ps := make([]*Pending, len(argsList))
-	payloads := make([]gcs.Payload, len(argsList))
-	c.mu.Lock()
-	for i, args := range argsList {
-		c.seq++
-		req := ids.MakeRequestID(c.id, c.seq)
-		ca := &call{parker: c.clock.NewParker()}
-		c.pending[req] = ca
-		ps[i] = &Pending{c: c, req: req, ca: ca}
-		payloads[i] = Request{Req: req, Method: method, Args: args}
-	}
-	c.mu.Unlock()
-	start := c.clock.Now()
-	uids, err := c.ep.BroadcastBatch(payloads)
-	c.mu.Lock()
-	for i, p := range ps {
-		p.ca.uid = uids[i]
-		p.start = start
-		if err != nil {
-			// Every member is crash-detected: the batch will never be
-			// ordered, so fail the calls instead of parking forever.
-			p.ca.done = true
-			p.ca.err = err.Error()
-		}
-	}
-	c.mu.Unlock()
-	if err != nil {
-		for _, p := range ps {
-			c.ep.Ack(p.ca.uid)
-			p.ca.parker.Unpark()
-		}
-	}
-	return ps
 }
 
 // Call names one invocation for InvokeBatch.
@@ -141,10 +100,12 @@ type Call struct {
 }
 
 // InvokeBatch broadcasts several (possibly heterogeneous) invocations
-// as one atomic unit — a single wire frame on batching transports — and
-// returns handles to collect the replies. It is Pipeline with per-call
-// methods: the open-loop load generator's submit pump uses it to
-// coalesce a flush window's arrivals into one client→sequencer frame.
+// as one atomic unit — a single wire frame on batching transports, so the
+// sequencer observes the burst contiguously — and returns handles to
+// collect the replies. Distributed determinism tests use it to make the
+// total order a burst receives reproducible across runs; the open-loop
+// load generator's submit pump uses it to coalesce a flush window's
+// arrivals into one client→sequencer frame.
 func (c *Client) InvokeBatch(calls []Call) []*Pending {
 	ps := make([]*Pending, len(calls))
 	payloads := make([]gcs.Payload, len(calls))

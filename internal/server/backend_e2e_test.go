@@ -66,12 +66,11 @@ func backendFaultConvergence(t *testing.T, kind replica.SchedulerKind, mut func(
 			mut(i, o)
 		}
 	})
-	res, err := RunLoad(LoadOptions{
-		Servers:           addrs,
+	res, err := loadGroup(addrs, ShardClientOptions{Logf: debugLogf}, RunOptions{
 		Clients:           2,
 		RequestsPerClient: 4,
 		Seed:              11,
-		Workload:          catchWorkload(),
+		Gen:               workload.Fig1Gen(catchWorkload(), false),
 		Timeout:           120 * time.Second,
 		Logf:              debugLogf,
 	})
@@ -82,11 +81,11 @@ func backendFaultConvergence(t *testing.T, kind replica.SchedulerKind, mut func(
 		t.Fatalf("%s: %d request errors despite the catching workload", kind, res.Errors)
 	}
 	if !res.Converged {
-		t.Fatalf("%s: replicas diverged under backend faults: %+v", kind, res.Statuses)
+		t.Fatalf("%s: replicas diverged under backend faults: %+v", kind, res.PerShard[0].Statuses)
 	}
 	wantState := int64(2 * 4 * catchWorkload().Iterations)
 	var performed, appErrs uint64
-	for _, st := range res.Statuses {
+	for _, st := range res.PerShard[0].Statuses {
 		if st.State != wantState {
 			t.Fatalf("%s: replica %v state %d, want %d", kind, st.ID, st.State, wantState)
 		}
@@ -154,17 +153,15 @@ func performerKillMidCall(t *testing.T, kind replica.SchedulerKind, mut func(i i
 	})
 
 	type loadOut struct {
-		res *LoadResult
+		res *RunResult
 		err error
 	}
 	ch := make(chan loadOut, 1)
 	go func() {
-		res, err := RunLoad(LoadOptions{
-			Servers:           addrs,
+		res, err := loadGroup(addrs, ShardClientOptions{Logf: debugLogf}, RunOptions{
 			Clients:           2,
 			RequestsPerClient: 8,
 			Seed:              5,
-			Workload:          testWorkload(),
 			Timeout:           180 * time.Second,
 			Logf:              debugLogf,
 		})
@@ -222,11 +219,11 @@ func performerKillMidCall(t *testing.T, kind replica.SchedulerKind, mut func(i i
 		t.Fatalf("%s: %d request errors", kind, out.res.Errors)
 	}
 	if !out.res.Converged {
-		t.Fatalf("%s: cluster did not converge after performer kill: %+v", kind, out.res.Statuses)
+		t.Fatalf("%s: cluster did not converge after performer kill: %+v", kind, out.res.PerShard[0].Statuses)
 	}
-	for _, st := range out.res.Statuses {
-		if st.Hash != out.res.Statuses[0].Hash {
-			t.Fatalf("%s: hash fork after performer kill: %+v", kind, out.res.Statuses)
+	for _, st := range out.res.PerShard[0].Statuses {
+		if st.Hash != out.res.PerShard[0].Statuses[0].Hash {
+			t.Fatalf("%s: hash fork after performer kill: %+v", kind, out.res.PerShard[0].Statuses)
 		}
 	}
 	st2 := servers[1].Status()
@@ -281,12 +278,11 @@ func TestBackendDownBreakerFastFail(t *testing.T) {
 		o.BreakerCooldown = time.Hour
 		o.Logf = debugLogf
 	})
-	res, err := RunLoad(LoadOptions{
-		Servers:           addrs,
+	res, err := loadGroup(addrs, ShardClientOptions{Logf: debugLogf}, RunOptions{
 		Clients:           2,
 		RequestsPerClient: 4,
 		Seed:              9,
-		Workload:          catchWorkload(),
+		Gen:               workload.Fig1Gen(catchWorkload(), false),
 		Timeout:           120 * time.Second,
 		Logf:              debugLogf,
 	})
@@ -297,10 +293,10 @@ func TestBackendDownBreakerFastFail(t *testing.T) {
 		t.Fatalf("%d request errors: a dead backend must degrade, not fail requests", res.Errors)
 	}
 	if !res.Converged {
-		t.Fatalf("replicas diverged with the backend down: %+v", res.Statuses)
+		t.Fatalf("replicas diverged with the backend down: %+v", res.PerShard[0].Statuses)
 	}
 	var fastFails, timeouts, trips uint64
-	for _, st := range res.Statuses {
+	for _, st := range res.PerShard[0].Statuses {
 		fastFails += st.Nested.FastFails
 		timeouts += st.Nested.Timeouts
 		trips += st.Nested.BreakerTrips
@@ -338,12 +334,11 @@ func TestChaosBackendErrorRate(t *testing.T) {
 	if _, err := backend.Control(be.Addr(), "chaos error-rate 0.5", 5*time.Second); err != nil {
 		t.Fatalf("injecting error rate over the control channel: %v", err)
 	}
-	res, err := RunLoad(LoadOptions{
-		Servers:           addrs,
+	res, err := loadGroup(addrs, ShardClientOptions{Logf: debugLogf}, RunOptions{
 		Clients:           2,
 		RequestsPerClient: 4,
 		Seed:              13,
-		Workload:          catchWorkload(),
+		Gen:               workload.Fig1Gen(catchWorkload(), false),
 		Timeout:           120 * time.Second,
 		Logf:              debugLogf,
 	})
@@ -357,7 +352,7 @@ func TestChaosBackendErrorRate(t *testing.T) {
 		t.Fatalf("healing over the control channel: %v", err)
 	}
 	var appErrs uint64
-	for _, st := range res.Statuses {
+	for _, st := range res.PerShard[0].Statuses {
 		appErrs += st.Nested.AppErrors
 	}
 	if appErrs == 0 {

@@ -65,18 +65,35 @@ func startCluster(t *testing.T, n int, kind replica.SchedulerKind) ([]*Server, m
 	return servers, addrs
 }
 
+// loadGroup dials an unsharded cluster and drives one run through it: the
+// scaled-down Fig. 1 workload unless o.Gen says otherwise, on a pool as
+// large as the closed loop's client count unless d.Clients says otherwise.
+func loadGroup(servers map[ids.ReplicaID]string, d ShardClientOptions, o RunOptions) (*RunResult, error) {
+	if d.Clients == 0 {
+		d.Clients = o.Clients
+	}
+	sc, err := DialGroup(servers, d)
+	if err != nil {
+		return nil, err
+	}
+	defer sc.Close()
+	o.Invoker = sc
+	if o.Gen == nil {
+		o.Gen = workload.Fig1Gen(testWorkload(), false)
+	}
+	return Run(o)
+}
+
 // runCluster drives one load run against a fresh cluster and asserts the
 // basic Fig. 1 invariants: no errors, all replicas converge on the same
 // consistency hash and the expected final state.
-func runCluster(t *testing.T, kind replica.SchedulerKind, o LoadOptions) *LoadResult {
+func runCluster(t *testing.T, kind replica.SchedulerKind, o RunOptions) *RunResult {
 	t.Helper()
 	_, addrs := startCluster(t, 3, kind)
-	o.Servers = addrs
-	o.Workload = testWorkload()
 	if o.Timeout == 0 {
 		o.Timeout = 90 * time.Second
 	}
-	res, err := RunLoad(o)
+	res, err := loadGroup(addrs, ShardClientOptions{}, o)
 	if err != nil {
 		t.Fatalf("%s load run: %v", kind, err)
 	}
@@ -84,19 +101,19 @@ func runCluster(t *testing.T, kind replica.SchedulerKind, o LoadOptions) *LoadRe
 		t.Fatalf("%s: %d request errors", kind, res.Errors)
 	}
 	if !res.Converged {
-		t.Fatalf("%s: cluster did not converge: %+v", kind, res.Statuses)
+		t.Fatalf("%s: cluster did not converge: %+v", kind, res.PerShard)
 	}
 	total := o.Clients * o.RequestsPerClient
 	wantState := int64(total * testWorkload().Iterations)
-	for _, st := range res.Statuses {
+	for _, st := range res.PerShard[0].Statuses {
 		if st.State != wantState {
 			t.Fatalf("%s: replica %v state %d, want %d", kind, st.ID, st.State, wantState)
 		}
 	}
-	if res.Latency.N() != total {
-		t.Fatalf("%s: recorded %d latencies, want %d", kind, res.Latency.N(), total)
+	if res.Service.N() != uint64(total) {
+		t.Fatalf("%s: recorded %d latencies, want %d", kind, res.Service.N(), total)
 	}
-	if res.Latency.Mean() <= 0 {
+	if res.Service.Mean() <= 0 {
 		t.Fatalf("%s: non-positive mean latency", kind)
 	}
 	return res
@@ -108,7 +125,7 @@ func TestClusterMAT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	runCluster(t, replica.KindMAT, LoadOptions{Clients: 2, RequestsPerClient: 3, Seed: 1})
+	runCluster(t, replica.KindMAT, RunOptions{Clients: 2, RequestsPerClient: 3, Seed: 1})
 }
 
 // TestClusterLSA does the same under LSA: the leader's decision stream
@@ -117,7 +134,7 @@ func TestClusterLSA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	runCluster(t, replica.KindLSA, LoadOptions{Clients: 2, RequestsPerClient: 3, Seed: 1})
+	runCluster(t, replica.KindLSA, RunOptions{Clients: 2, RequestsPerClient: 3, Seed: 1})
 }
 
 // TestClusterSEQ covers the strictest strategy for good measure.
@@ -125,7 +142,7 @@ func TestClusterSEQ(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	runCluster(t, replica.KindSEQ, LoadOptions{Clients: 2, RequestsPerClient: 2, Seed: 3})
+	runCluster(t, replica.KindSEQ, RunOptions{Clients: 2, RequestsPerClient: 2, Seed: 3})
 }
 
 // TestReconnectDeterminism runs the same single-client pipelined burst
@@ -139,7 +156,7 @@ func TestReconnectDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	run := func(faulty bool) *LoadResult {
+	run := func(faulty bool) *RunResult {
 		servers, addrs := startCluster(t, 3, replica.KindMAT)
 		stop := make(chan struct{})
 		defer close(stop)
@@ -155,13 +172,11 @@ func TestReconnectDeterminism(t *testing.T) {
 				}
 			}()
 		}
-		res, err := RunLoad(LoadOptions{
-			Servers:           addrs,
+		res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{
 			Clients:           1,
 			RequestsPerClient: 8,
 			Seed:              7,
-			Workload:          testWorkload(),
-			Pipelined:         true,
+			Batch:             true,
 			Timeout:           90 * time.Second,
 		})
 		if err != nil {
@@ -171,14 +186,13 @@ func TestReconnectDeterminism(t *testing.T) {
 			t.Fatalf("faulty=%v: %d request errors", faulty, res.Errors)
 		}
 		if !res.Converged {
-			t.Fatalf("faulty=%v: cluster did not converge: %+v", faulty, res.Statuses)
+			t.Fatalf("faulty=%v: cluster did not converge: %+v", faulty, res.PerShard)
 		}
 		return res
 	}
 	clean := run(false)
 	faulty := run(true)
-	if clean.Hashes[0] != faulty.Hashes[0] {
-		t.Fatalf("link failure changed the deterministic schedule: clean hash %x, faulty hash %x",
-			clean.Hashes[0], faulty.Hashes[0])
+	if c, f := clean.PerShard[0].Hashes[0], faulty.PerShard[0].Hashes[0]; c != f {
+		t.Fatalf("link failure changed the deterministic schedule: clean hash %x, faulty hash %x", c, f)
 	}
 }

@@ -74,16 +74,15 @@ func startEarlyCluster(t *testing.T, n int, kind replica.SchedulerKind, fam work
 // accounted to exactly one lane discipline, and the summed family state
 // equals requests × iterations (each request increments its family's
 // field — or gstate — once per iteration).
-func runEarlyCluster(t *testing.T, kind replica.SchedulerKind, conflict float64, o LoadOptions) *LoadResult {
+func runEarlyCluster(t *testing.T, kind replica.SchedulerKind, conflict float64, o RunOptions) *RunResult {
 	t.Helper()
 	fam := testFamilies(conflict)
 	_, addrs := startEarlyCluster(t, 3, kind, fam)
-	o.Servers = addrs
-	o.Families = &fam
+	o.Gen = workload.FamilyGen(fam)
 	if o.Timeout == 0 {
 		o.Timeout = 90 * time.Second
 	}
-	res, err := RunLoad(o)
+	res, err := loadGroup(addrs, ShardClientOptions{}, o)
 	if err != nil {
 		t.Fatalf("%s early-sched load run: %v", kind, err)
 	}
@@ -91,11 +90,11 @@ func runEarlyCluster(t *testing.T, kind replica.SchedulerKind, conflict float64,
 		t.Fatalf("%s: %d request errors", kind, res.Errors)
 	}
 	if !res.Converged {
-		t.Fatalf("%s: cluster did not converge: %+v", kind, res.Statuses)
+		t.Fatalf("%s: cluster did not converge: %+v", kind, res.PerShard[0].Statuses)
 	}
 	total := o.Clients * o.RequestsPerClient
 	wantState := int64(total * fam.Iterations)
-	for _, st := range res.Statuses {
+	for _, st := range res.PerShard[0].Statuses {
 		if st.State != wantState {
 			t.Fatalf("%s: replica %v state %d, want %d", kind, st.ID, st.State, wantState)
 		}
@@ -119,10 +118,10 @@ func TestClusterEarlySchedMAT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	res := runEarlyCluster(t, replica.KindMAT, 0, LoadOptions{Clients: 2, RequestsPerClient: 3, Seed: 1})
+	res := runEarlyCluster(t, replica.KindMAT, 0, RunOptions{Clients: 2, RequestsPerClient: 3, Seed: 1})
 	// At 0% conflict every request is classifiable, so nothing may
 	// escalate to the serial (global) discipline.
-	for _, st := range res.Statuses {
+	for _, st := range res.PerShard[0].Statuses {
 		if st.Classes.Escalations != 0 {
 			t.Fatalf("replica %v: %d escalations at 0%% conflict", st.ID, st.Classes.Escalations)
 		}
@@ -139,7 +138,7 @@ func TestClusterEarlySchedPDS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	runEarlyCluster(t, replica.KindPDS, 0.25, LoadOptions{Clients: 2, RequestsPerClient: 3, Seed: 2})
+	runEarlyCluster(t, replica.KindPDS, 0.25, RunOptions{Clients: 2, RequestsPerClient: 3, Seed: 2})
 }
 
 // TestClusterEarlySchedChaos is the class-parallel chaos soak of the
@@ -167,12 +166,11 @@ func TestClusterEarlySchedChaos(t *testing.T) {
 		}
 	}()
 	fam2 := fam
-	res, err := RunLoad(LoadOptions{
-		Servers:           addrs,
+	res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{
 		Clients:           2,
 		RequestsPerClient: 4,
 		Seed:              5,
-		Families:          &fam2,
+		Gen:               workload.FamilyGen(fam2),
 		Timeout:           90 * time.Second,
 	})
 	if err != nil {
@@ -182,9 +180,9 @@ func TestClusterEarlySchedChaos(t *testing.T) {
 		t.Fatalf("chaos run: %d request errors", res.Errors)
 	}
 	if !res.Converged {
-		t.Fatalf("chaos run did not converge: %+v", res.Statuses)
+		t.Fatalf("chaos run did not converge: %+v", res.PerShard[0].Statuses)
 	}
-	for _, st := range res.Statuses {
+	for _, st := range res.PerShard[0].Statuses {
 		if st.Classes == nil {
 			t.Fatalf("replica %v lost its class metrics under chaos", st.ID)
 		}

@@ -76,17 +76,15 @@ func TestSequencerFailoverRejoin(t *testing.T) {
 	})
 
 	type loadOut struct {
-		res *LoadResult
+		res *RunResult
 		err error
 	}
 	ch := make(chan loadOut, 1)
 	go func() {
-		res, err := RunLoad(LoadOptions{
-			Servers:           addrs,
+		res, err := loadGroup(addrs, ShardClientOptions{Logf: debugLogf}, RunOptions{
 			Clients:           2,
 			RequestsPerClient: 30,
 			Seed:              5,
-			Workload:          testWorkload(),
 			Timeout:           120 * time.Second,
 			Logf:              debugLogf,
 		})
@@ -121,11 +119,11 @@ func TestSequencerFailoverRejoin(t *testing.T) {
 		t.Fatalf("%d request errors", out.res.Errors)
 	}
 	if !out.res.Converged {
-		t.Fatalf("cluster did not converge after sequencer failover: %+v", out.res.Statuses)
+		t.Fatalf("cluster did not converge after sequencer failover: %+v", out.res.PerShard[0].Statuses)
 	}
-	for _, st := range out.res.Statuses {
-		if st.Hash != out.res.Statuses[0].Hash {
-			t.Fatalf("hash fork after sequencer failover: %+v", out.res.Statuses)
+	for _, st := range out.res.PerShard[0].Statuses {
+		if st.Hash != out.res.PerShard[0].Statuses[0].Hash {
+			t.Fatalf("hash fork after sequencer failover: %+v", out.res.PerShard[0].Statuses)
 		}
 	}
 	st := restarted.Status()
@@ -163,19 +161,12 @@ func TestLSAFollowerKillRejoin(t *testing.T) {
 	})
 
 	type loadOut struct {
-		res *LoadResult
+		res *RunResult
 		err error
 	}
 	ch := make(chan loadOut, 1)
 	go func() {
-		res, err := RunLoad(LoadOptions{
-			Servers:           addrs,
-			Clients:           2,
-			RequestsPerClient: 30,
-			Seed:              8,
-			Workload:          testWorkload(),
-			Timeout:           120 * time.Second,
-		})
+		res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{Clients: 2, RequestsPerClient: 30, Seed: 8, Timeout: 120 * time.Second})
 		ch <- loadOut{res, err}
 	}()
 
@@ -196,11 +187,11 @@ func TestLSAFollowerKillRejoin(t *testing.T) {
 		t.Fatalf("%d request errors", out.res.Errors)
 	}
 	if !out.res.Converged {
-		t.Fatalf("LSA follower did not converge after rejoin: %+v", out.res.Statuses)
+		t.Fatalf("LSA follower did not converge after rejoin: %+v", out.res.PerShard[0].Statuses)
 	}
-	for _, st := range out.res.Statuses {
-		if st.Hash != out.res.Statuses[0].Hash {
-			t.Fatalf("hash mismatch after LSA follower rejoin: %+v", out.res.Statuses)
+	for _, st := range out.res.PerShard[0].Statuses {
+		if st.Hash != out.res.PerShard[0].Statuses[0].Hash {
+			t.Fatalf("hash mismatch after LSA follower rejoin: %+v", out.res.PerShard[0].Statuses)
 		}
 	}
 	if st := restarted.Status(); st.Recovery != "caught_up" {

@@ -1,21 +1,15 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"net"
-	"strings"
 	"time"
 
 	"detmt/internal/backend"
 	"detmt/internal/chaos"
-	"detmt/internal/gcs"
 	"detmt/internal/ids"
 	"detmt/internal/lang"
-	"detmt/internal/replica"
-	"detmt/internal/vclock"
-	"detmt/internal/wire"
 	"detmt/internal/workload"
 )
 
@@ -53,7 +47,7 @@ type GatewayOptions struct {
 	// Faults optionally wires chaos injection into the gateway.
 	Faults *chaos.Faults
 	// EpochDir persists the gateway's wire-epoch counter (see
-	// LoadOptions.EpochDir).
+	// ShardClientOptions.EpochDir).
 	EpochDir string
 	// RetryDeadline bounds the handler's ErrNoSequencer retry loop while
 	// the target shard elects a sequencer (default 30s).
@@ -82,12 +76,9 @@ type GatewayOptions struct {
 // NestedTimeout outcomes — deterministic, but unavailable — until the
 // host returns.
 type ShardGateway struct {
-	o        GatewayOptions
-	bs       *backend.Server
-	tr       *wire.TCP
-	group    *gcs.Group
-	cl       *replica.Client
-	stopPoll func()
+	o  GatewayOptions
+	bs *backend.Server
+	st *shardStack // the loopback client stack into the target shard
 }
 
 // NewShardGateway builds the loopback client into the target shard and
@@ -114,42 +105,16 @@ func NewShardGateway(o GatewayOptions) (*ShardGateway, error) {
 		}
 	}
 
-	name := "xsg-" + o.Group
-	epoch := nextLoadEpoch(o.EpochDir, name)
-	tr, err := wire.NewTCP(wire.Options{
-		Name:  name,
-		Group: o.Group,
-		Epoch: epoch,
-		Peers: o.Members,
-		Dial:  o.Dial,
-		Logf:  o.Logf,
+	// Like any client-only process, the gateway sees no stamped
+	// heartbeats: the stack's view poller keeps in-flight cross-shard calls
+	// alive across a target-shard sequencer failover.
+	st, err := newShardStack("xsg-"+o.Group, o.Group, o.Members, ShardClientOptions{
+		Clients: 1, ClientBase: int(o.ClientID) - 1, EpochDir: o.EpochDir, Dial: o.Dial, Logf: o.Logf,
 	})
 	if err != nil {
 		return nil, err
 	}
-	members := make([]ids.ReplicaID, 0, len(o.Members))
-	for id := range o.Members {
-		members = append(members, id)
-	}
-	clock := vclock.NewReal()
-	g := gcs.NewGroup(gcs.Config{
-		Clock:     clock,
-		Group:     o.Group,
-		Members:   members,
-		Transport: tr,
-		Local:     []ids.ReplicaID{}, // client-only: the gateway hosts no replica
-		Logf:      o.Logf,
-	})
-	gw := &ShardGateway{
-		o:     o,
-		tr:    tr,
-		group: g,
-		cl:    replica.NewClient(clock, g, o.ClientID),
-	}
-	// Like any client-only process, the gateway sees no stamped
-	// heartbeats: poll the target members for view changes so in-flight
-	// cross-shard calls survive a target-shard sequencer failover.
-	gw.stopPoll = startViewPoller(tr, g, o.Members, o.Logf)
+	gw := &ShardGateway{o: o, st: st}
 
 	bs, err := backend.NewServer(backend.ServerOptions{
 		Listen:    o.Listen,
@@ -160,8 +125,7 @@ func NewShardGateway(o GatewayOptions) (*ShardGateway, error) {
 		Logf:      o.Logf,
 	})
 	if err != nil {
-		gw.stopPoll()
-		g.Close()
+		st.close()
 		return nil, err
 	}
 	gw.bs = bs
@@ -186,29 +150,14 @@ func (gw *ShardGateway) handle(key string, arg lang.Value) (lang.Value, error) {
 	rng := ids.NewRNG(seed.Sum64())
 	args := workload.Fig1Args(gw.o.Workload, rng)
 
-	deadline := time.Now().Add(gw.o.RetryDeadline)
-	backoff := 25 * time.Millisecond
-	for {
-		v, _, err := gw.cl.Invoke(workload.MethodName, args...)
-		if err == nil {
-			if v == nil {
-				v = arg // the fig1 method returns nothing; echo, like the stub backend
-			}
-			return v, nil
-		}
-		if !isNoSequencer(err) || time.Now().After(deadline) {
-			return nil, fmt.Errorf("gateway %s: %v", gw.o.Group, err)
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > time.Second {
-			backoff = time.Second
-		}
+	v, _, _, err := invokeWithRetry(gw.st.pool[0], gw.o.Logf, time.Now().Add(gw.o.RetryDeadline), workload.MethodName, args)
+	if err != nil {
+		return nil, fmt.Errorf("gateway %s: %v", gw.o.Group, err)
 	}
-}
-
-func isNoSequencer(err error) bool {
-	return err != nil && (errors.Is(err, gcs.ErrNoSequencer) ||
-		strings.Contains(err.Error(), gcs.ErrNoSequencer.Error()))
+	if v == nil {
+		v = arg // the fig1 method returns nothing; echo, like the stub backend
+	}
+	return v, nil
 }
 
 // Addr is the backend-protocol address source shards dial.
@@ -221,8 +170,7 @@ func (gw *ShardGateway) Backend() *backend.Server { return gw.bs }
 // Close stops the listener and the loopback client.
 func (gw *ShardGateway) Close() error {
 	err := gw.bs.Close()
-	gw.stopPoll()
-	if cerr := gw.group.Close(); err == nil {
+	if cerr := gw.st.close(); err == nil {
 		err = cerr
 	}
 	return err

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -16,90 +17,19 @@ import (
 	"detmt/internal/gcs"
 	"detmt/internal/ids"
 	"detmt/internal/lang"
-	"detmt/internal/metrics"
+	"detmt/internal/member"
 	"detmt/internal/replica"
-	"detmt/internal/vclock"
+	"detmt/internal/shard"
 	"detmt/internal/wire"
-	"detmt/internal/workload"
 )
 
-// LoadOptions parameterises one closed-loop load-generator run against a
-// running cluster (the Fig. 1 measurement protocol over real sockets).
-type LoadOptions struct {
-	// Servers maps every cluster member's replica id to its address. The
-	// load generator dials all of them: requests go to the sequencer,
-	// replies come back from every replica (first reply wins).
-	Servers map[ids.ReplicaID]string
-	// Clients is the number of concurrent closed-loop clients.
-	Clients int
-	// RequestsPerClient is how many requests each client issues.
-	RequestsPerClient int
-	// Seed drives the client-side random decisions (paper Fig. 1: the
-	// clients make all random choices and pass them as parameters).
-	Seed uint64
-	// Workload must match the cluster's configuration.
-	Workload workload.Fig1Config
-	// Families switches the generated requests to the family-partitioned
-	// workload (must match the servers' Options.Families). Incompatible
-	// with Pipelined, which batches one method.
-	Families *workload.FamilyConfig
-	// ClientBase offsets the generated client ids: clients are
-	// ClientBase+1 .. ClientBase+Clients. Distinct load runs against the
-	// SAME cluster must use disjoint ranges — request identity (client id
-	// + per-client counter) reaches the deterministic schedule and the
-	// replicas' duplicate suppression, so a new generator incarnation is
-	// a new set of clients, not a resumption of the old ones. Runs
-	// against different clusters that should produce comparable hashes
-	// must use the SAME base (default 0).
-	ClientBase int
-	// Pipelined makes each client submit all its requests as ONE atomic
-	// batch before collecting replies. A single pipelined client gives
-	// the whole run a reproducible total order — the property the
-	// reconnect-determinism test asserts.
-	Pipelined bool
-	// EpochDir persists the generator's wire-epoch counter. Every run
-	// shares the transport name "load", so each one must present a
-	// strictly higher restart epoch than any other run against the same
-	// cluster — a wall-clock epoch alone lets two runs started within
-	// the same clock tick collide (one gets swallowed as a stale
-	// incarnation). "" uses a shared directory under the OS temp dir.
-	EpochDir string
-	// Timeout bounds the whole run in wall time (default 2 minutes).
-	Timeout time.Duration
-	// SettleTimeout bounds the post-run wait for every replica to report
-	// the expected completion count (default: remaining Timeout).
-	SettleTimeout time.Duration
-	// Dial overrides the transport dialer (nil: plain TCP). The chaos
-	// injector hooks in here to fault the generator's own connections.
-	Dial func(addr string) (net.Conn, error)
-
-	Logf func(format string, args ...interface{})
-}
-
-// LoadResult is the outcome of one load run.
-type LoadResult struct {
-	Latency  *metrics.Sample // client-perceived per-request wall latency
-	Requests int
-	Errors   int
-	// Retries counts fast-fail ErrNoSequencer submissions that were
-	// retried during an election window — invisible in the latency
-	// sample (the retry's latency restarts), so reported explicitly.
-	Retries int
-	// Timeouts counts requests still unanswered when the run deadline
-	// expired (only non-zero on a timed-out run).
-	Timeouts int
-	Elapsed  time.Duration // wall time from first request to last reply
-	// Statuses are the final per-replica control snapshots, ascending id.
-	Statuses []Status
-	// Hashes are the per-replica schedule consistency hashes, ascending
-	// id; Converged reports whether they are all equal (the determinism
-	// criterion) and every replica completed all requests.
-	Hashes    []uint64
-	Converged bool
-}
+// Client-side plumbing shared by everything that talks to a cluster from
+// outside it (ShardClients, the cross-shard ShardGateway, FetchRing):
+// wire epochs, the no-sequencer retry, status polling and the view
+// poller.
 
 // loadEpochLast floors the epoch within one process: even if the
-// persisted counter is unavailable, two RunLoad calls from the same
+// persisted counter is unavailable, two dialers in the same
 // process never reuse an epoch.
 var loadEpochLast atomic.Uint64
 
@@ -155,204 +85,39 @@ func nextLoadEpoch(dir, name string) uint64 {
 	return next
 }
 
-// RunLoad drives one closed-loop measurement run and waits for the
-// cluster to converge (every replica reporting all requests completed).
-func RunLoad(o LoadOptions) (*LoadResult, error) {
-	if len(o.Servers) == 0 {
-		return nil, fmt.Errorf("load: no servers given")
-	}
-	if o.Clients <= 0 {
-		o.Clients = 1
-	}
-	if o.RequestsPerClient <= 0 {
-		o.RequestsPerClient = 1
-	}
-	if o.Workload.Iterations == 0 {
-		o.Workload = workload.DefaultFig1()
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 2 * time.Minute
-	}
-	if o.Families != nil && o.Pipelined {
-		return nil, fmt.Errorf("load: -pipelined batches a single method and cannot drive the family workload")
-	}
-	deadline := time.Now().Add(o.Timeout)
-
-	epoch := nextLoadEpoch(o.EpochDir, "load")
-	tr, err := wire.NewTCP(wire.Options{Name: "load", Epoch: epoch, Peers: o.Servers, Dial: o.Dial, Logf: o.Logf})
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Close()
-
-	members := make([]ids.ReplicaID, 0, len(o.Servers))
-	for id := range o.Servers {
-		members = append(members, id)
-	}
-	clock := vclock.NewReal()
-	g := gcs.NewGroup(gcs.Config{
-		Clock:     clock,
-		Members:   members,
-		Transport: tr,
-		Local:     []ids.ReplicaID{}, // client-only process: no replicas here
-		Logf:      o.Logf,
-	})
-
-	// The generator process hosts no replicas, so it receives no stamped
-	// heartbeats and cannot detect a sequencer takeover on its own. Poll
-	// the members' status instead and install any newer view — AdoptView
-	// re-routes and retransmits every pending request to the new
-	// sequencer, so in-flight invocations survive the failover.
-	stopPoll := startViewPoller(tr, g, o.Servers, o.Logf)
-	defer stopPoll()
-
-	res := &LoadResult{Latency: &metrics.Sample{}}
-	var mu sync.Mutex
-	start := time.Now()
-	grp := vclock.NewGroup(clock)
-	rootRNG := ids.NewRNG(o.Seed)
-	for ci := 0; ci < o.Clients; ci++ {
-		cl := replica.NewClient(clock, g, ids.ClientID(o.ClientBase+ci+1))
-		rng := rootRNG.Fork()
-		grp.Go(func() {
-			if o.Pipelined {
-				runPipelined(cl, o, rng, res, &mu)
-				return
-			}
-			for k := 0; k < o.RequestsPerClient; k++ {
-				method, args := workload.MethodName, workload.Fig1Args(o.Workload, rng)
-				if o.Families != nil {
-					method, args = workload.FamilyArgs(*o.Families, rng)
-				}
-				_, lat, retries, err := invokeWithRetry(cl, o, deadline, method, args)
-				mu.Lock()
-				res.Requests++
-				res.Retries += retries
-				if err != nil {
-					res.Errors++
-				} else {
-					res.Latency.Add(lat)
-				}
-				mu.Unlock()
-			}
-		})
-	}
-	invoked := make(chan struct{})
-	go func() {
-		grp.Wait()
-		close(invoked)
-	}()
-	select {
-	case <-invoked:
-	case <-time.After(time.Until(deadline)):
-		// Clients are still parked waiting for replies that will never
-		// arrive (e.g. every server unreachable). Snapshot the counters —
-		// the stuck goroutines keep the shared result until process exit.
-		mu.Lock()
-		lat := &metrics.Sample{}
-		lat.Merge(res.Latency)
-		out := &LoadResult{
-			Latency: lat, Requests: res.Requests, Errors: res.Errors,
-			Retries:  res.Retries,
-			Timeouts: o.Clients*o.RequestsPerClient - res.Requests,
-			Elapsed:  time.Since(start),
-		}
-		mu.Unlock()
-		return out, fmt.Errorf("load: requests did not complete within %v (servers unreachable or stalled)", o.Timeout)
-	}
-	res.Elapsed = time.Since(start)
-
-	// Wait for every replica to converge on the full request count, then
-	// compare their schedule hashes.
-	expected := o.Clients * o.RequestsPerClient
-	settleBy := deadline
-	if o.SettleTimeout > 0 {
-		settleBy = time.Now().Add(o.SettleTimeout)
-	}
-	for {
-		statuses, err := pollStatuses(tr, o.Servers)
-		if err == nil {
-			// Every replica must reach the expected count AND agree on it:
-			// against a warm cluster the counters are cumulative, so a
-			// replica still applying the tail can satisfy the lower bound
-			// while lagging its peers.
-			done := true
-			for _, st := range statuses {
-				if st.Completed < expected || st.Completed != statuses[0].Completed {
-					done = false
-				}
-			}
-			if done {
-				res.Statuses = statuses
-				break
-			}
-		}
-		if time.Now().After(settleBy) {
-			if err != nil {
-				return res, fmt.Errorf("load: cluster did not converge: %v", err)
-			}
-			res.Statuses, _ = pollStatuses(tr, o.Servers)
-			return res, fmt.Errorf("load: cluster did not reach %d completed requests within the timeout", expected)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	res.Converged = true
-	for _, st := range res.Statuses {
-		res.Hashes = append(res.Hashes, st.Hash)
-		if st.Hash != res.Statuses[0].Hash || st.Completed != res.Statuses[0].Completed {
-			res.Converged = false
-		}
-	}
-	return res, nil
+// electionBackoff is the pause before retry number attempt (from 0) of a
+// submission that failed fast on gcs.ErrNoSequencer — a sequencer election
+// in flight: 25 ms, doubling, capped at one second. The failed request
+// never entered the total order (the client acks and forgets it), so a
+// retry is a brand-new request, not a duplicate; counting the election
+// window as a client-visible error would make every failover smear errors
+// over a run that actually survived it.
+func electionBackoff(attempt int) time.Duration {
+	return min(25*time.Millisecond<<min(attempt, 6), time.Second)
 }
 
-// invokeWithRetry retries an invocation that failed fast on
-// gcs.ErrNoSequencer — a sequencer election in flight. The failed
-// request never entered the total order (Invoke acks and forgets it),
-// so the retry is a brand-new request, not a duplicate; counting the
-// election window as a client-visible error would make every failover
-// smear errors over a load run that actually survived it. Backoff is
-// capped, and the run deadline bounds the whole loop. The retry count
-// is returned so the summary can report how often the election window
-// was hit instead of folding it silently into the latency sample.
-func invokeWithRetry(cl *replica.Client, o LoadOptions, deadline time.Time,
+// isNoSequencer reports whether err is gcs.ErrNoSequencer, by identity or
+// — once it crossed a reply or a batch handle as text — by message.
+func isNoSequencer(err error) bool {
+	return err != nil && (errors.Is(err, gcs.ErrNoSequencer) ||
+		strings.Contains(err.Error(), gcs.ErrNoSequencer.Error()))
+}
+
+// invokeWithRetry performs one invocation, retrying no-sequencer windows
+// until deadline. The retry count is returned so a summary can report how
+// often the election window was hit instead of folding it silently into
+// the latency sample (the retry's latency restarts).
+func invokeWithRetry(cl *replica.Client, logf func(string, ...interface{}), deadline time.Time,
 	method string, args []lang.Value) (lang.Value, time.Duration, int, error) {
-	backoff := 25 * time.Millisecond
-	retries := 0
-	for {
+	for retries := 0; ; retries++ {
 		v, lat, err := cl.Invoke(method, args...)
-		if err == nil || !errors.Is(err, gcs.ErrNoSequencer) || time.Now().After(deadline) {
+		if !isNoSequencer(err) || time.Now().After(deadline) {
 			return v, lat, retries, err
 		}
-		retries++
-		if o.Logf != nil {
-			o.Logf("load: no sequencer (election in flight), retrying in %v", backoff)
+		if logf != nil {
+			logf("load: no sequencer (election in flight), retrying")
 		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > time.Second {
-			backoff = time.Second
-		}
-	}
-}
-
-// runPipelined issues one client's requests as a single atomic batch.
-func runPipelined(cl *replica.Client, o LoadOptions, rng *ids.RNG, res *LoadResult, mu *sync.Mutex) {
-	argsList := make([][]lang.Value, o.RequestsPerClient)
-	for k := range argsList {
-		argsList[k] = workload.Fig1Args(o.Workload, rng)
-	}
-	pend := cl.Pipeline(workload.MethodName, argsList)
-	for _, p := range pend {
-		_, lat, err := p.Wait()
-		mu.Lock()
-		res.Requests++
-		if err != nil {
-			res.Errors++
-		} else {
-			res.Latency.Add(lat)
-		}
-		mu.Unlock()
+		time.Sleep(electionBackoff(retries))
 	}
 }
 
@@ -384,4 +149,178 @@ func sortReplicaIDs(s []ids.ReplicaID) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
+}
+
+// startViewPoller watches the members' status endpoints and installs any
+// newer view — and any newer membership epoch — into the client-only
+// group (a process hosting no replicas receives no stamped heartbeats,
+// so it cannot observe a takeover or a reconfiguration on its own). The
+// boot server list is just the first hop: reported joiners get transport
+// links and enter the polled set, so a client survives every original
+// member being replaced. Returns a stop function.
+func startViewPoller(tr *wire.TCP, g *gcs.Group, servers map[ids.ReplicaID]string,
+	logf func(string, ...interface{})) func() {
+	// Private copy: callers keep using their map for result polling; the
+	// poller's grows with the cluster.
+	known := make(map[ids.ReplicaID]string, len(servers))
+	for id, a := range servers {
+		known[id] = a
+	}
+	stop := make(chan struct{})
+	go func() {
+		ticker := time.NewTicker(100 * time.Millisecond)
+		defer ticker.Stop()
+		var mu sync.Mutex // guards known across the per-member goroutines
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+			}
+			mu.Lock()
+			polled := make([]ids.ReplicaID, 0, len(known))
+			for id := range known {
+				polled = append(polled, id)
+			}
+			mu.Unlock()
+			var wg sync.WaitGroup
+			for _, id := range polled {
+				wg.Add(1)
+				go func(id ids.ReplicaID) {
+					defer wg.Done()
+					b, err := tr.Control(id, []byte("status"), time.Second)
+					if err != nil {
+						return
+					}
+					var st Status
+					if json.Unmarshal(b, &st) != nil {
+						return
+					}
+					if v, _ := g.CurrentView(); st.View > v {
+						if logf != nil {
+							logf("openload: adopting view %d (sequencer %v) from %v", st.View, st.Sequencer, id)
+						}
+						g.AdoptView(st.View, st.Sequencer)
+					}
+					mu.Lock()
+					adoptClusterShape(tr, g, known, st.Membership, logf)
+					mu.Unlock()
+				}(id)
+			}
+			wg.Wait()
+		}
+	}()
+	return func() { close(stop) }
+}
+
+// adoptClusterShape folds one member's reported membership snapshot into
+// a client-side stack: newly reported voters and pending joiners get
+// transport links and join the known set, and the client-only group's
+// voter set advances to the reported epoch — so Broadcast keeps
+// forwarding to a sequencer that actually exists after the member the
+// client booted against is removed. Epoch gating makes stale and
+// duplicate reports no-ops, so polling many members is safe.
+func adoptClusterShape(tr *wire.TCP, g *gcs.Group, known map[ids.ReplicaID]string,
+	snap *member.Snapshot, logf func(string, ...interface{})) {
+	if snap == nil || len(snap.Voters) == 0 {
+		return
+	}
+	for _, m := range snap.Learners {
+		if _, ok := known[m.ID]; !ok && m.Addr != "" {
+			tr.AddPeer(m.ID, m.Addr)
+			known[m.ID] = m.Addr
+		}
+	}
+	if snap.Epoch <= g.MembershipEpoch() {
+		return
+	}
+	voters := make([]ids.ReplicaID, 0, len(snap.Voters))
+	for _, m := range snap.Voters {
+		voters = append(voters, m.ID)
+		if _, ok := known[m.ID]; !ok && m.Addr != "" {
+			tr.AddPeer(m.ID, m.Addr)
+			known[m.ID] = m.Addr
+		}
+	}
+	if g.ApplyMembership(snap.Epoch, voters, false) && logf != nil {
+		logf("client: adopted membership epoch %d: voters %v", snap.Epoch, voters)
+	}
+}
+
+// FetchRing fetches the serialized ring config from every given member
+// address (any shard's port of each process works — every tenant serves
+// the same blob), verifies the reachable ones agree, and returns the
+// decoded config. This is how a router joins a sharded deployment: ask,
+// verify, route — never assume. Unreachable members are tolerated (a
+// process mid-restart must not block a gateway from starting): the fetch
+// fails only when NO member answers, or when two answering members serve
+// different rings — disagreement means the deployment itself is
+// inconsistent and no routing decision is safe.
+func FetchRing(addrs []string, timeout time.Duration,
+	dial func(addr string) (net.Conn, error),
+	logf func(string, ...interface{})) (shard.RingConfig, error) {
+	if len(addrs) == 0 {
+		return shard.RingConfig{}, fmt.Errorf("ring: no addresses")
+	}
+	if timeout <= 0 {
+		timeout = 5 * time.Second
+	}
+	// One throwaway client transport per address: the blobs come over
+	// the control channel, so we only need connectivity, not identity.
+	// Fetches run concurrently so a dead member costs one timeout, not
+	// one timeout per dead member.
+	epoch := nextLoadEpoch("", "ringfetch")
+	type fetched struct {
+		blob []byte
+		err  error
+	}
+	results := make([]fetched, len(addrs))
+	var wg sync.WaitGroup
+	for i, addr := range addrs {
+		i, addr := i, addr
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := wire.NewTCP(wire.Options{
+				Name:  fmt.Sprintf("ringfetch-%d", i),
+				Epoch: epoch,
+				Peers: map[ids.ReplicaID]string{1: addr},
+				Dial:  dial,
+				Logf:  logf,
+			})
+			if err != nil {
+				results[i].err = fmt.Errorf("fetch from %s: %v", addr, err)
+				return
+			}
+			b, err := tr.Control(1, []byte("ring"), timeout)
+			tr.Close()
+			if err != nil {
+				results[i].err = fmt.Errorf("fetch from %s: %v", addr, err)
+				return
+			}
+			if len(b) > 0 && b[0] == '{' {
+				results[i].err = fmt.Errorf("%s answered %s (not a sharded server?)", addr, b)
+				return
+			}
+			results[i].blob = b
+		}()
+	}
+	wg.Wait()
+	blobs := make(map[string][]byte, len(addrs))
+	var unreachable []string
+	for i, addr := range addrs {
+		if results[i].err != nil {
+			unreachable = append(unreachable, results[i].err.Error())
+			if logf != nil {
+				logf("ring: tolerating unreachable member: %v", results[i].err)
+			}
+			continue
+		}
+		blobs[addr] = results[i].blob
+	}
+	if len(blobs) == 0 {
+		return shard.RingConfig{}, fmt.Errorf("ring: no member reachable: %s",
+			strings.Join(unreachable, "; "))
+	}
+	return shard.VerifyAgreement(blobs)
 }

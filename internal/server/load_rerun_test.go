@@ -64,16 +64,17 @@ func TestSequentialLoadRuns(t *testing.T) {
 		o.Epoch = 1
 	})
 	for phase := 1; phase <= 2; phase++ {
-		res, err := RunLoad(LoadOptions{
-			Servers: addrs, Clients: 1, RequestsPerClient: 4,
-			ClientBase: phase * 10, Seed: uint64(phase),
-			Workload: testWorkload(), Timeout: 30 * time.Second,
+		res, err := loadGroup(addrs, ShardClientOptions{ClientBase: phase * 10}, RunOptions{
+			Clients:           1,
+			RequestsPerClient: 4,
+			Seed:              uint64(phase),
+			Timeout:           30 * time.Second,
 		})
 		if err != nil {
 			t.Fatalf("load run %d: %v", phase, err)
 		}
 		if !res.Converged {
-			t.Fatalf("load run %d did not converge: %+v", phase, res.Statuses)
+			t.Fatalf("load run %d did not converge: %+v", phase, res.PerShard[0].Statuses)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"net"
 	"sort"
 	"testing"
@@ -61,7 +60,7 @@ const (
 var drawSeeds = []uint64{1, 7}
 
 // drawGen is one request generator: routing key, method, arguments.
-type drawGen func(*ids.RNG) (uint64, string, []lang.Value)
+type drawGen = workload.Gen
 
 func drawFamilies() workload.FamilyConfig { return testFamilies(0.25) }
 
@@ -90,51 +89,6 @@ func drawGens() map[string]drawGen {
 			return workload.KVRequest(r, drawKVKeys, drawKVPGet)
 		},
 	}
-}
-
-// closedDraws returns the closed loop's draws for a seed, client-major:
-// one RNG forked off the root per client, in client order, each client
-// drawing its requests in sequence (load.go:213-226, sharded.go:317-325 at
-// 76c8ed4).
-func closedDraws(seed uint64, clients, perClient int, gen drawGen) []draw {
-	var out []draw
-	root := ids.NewRNG(seed)
-	for ci := 0; ci < clients; ci++ {
-		rng := root.Fork()
-		for k := 0; k < perClient; k++ {
-			_, m, a := gen(rng)
-			out = append(out, draw{ci + 1, m, a})
-		}
-	}
-	return out
-}
-
-// openDraws returns the open-loop pump's first drawN intents (relative to
-// the run's start) and calls: the arrival RNG is forked off the seed's RNG
-// first, calls are drawn from the parent in arrival order, and a Poisson
-// gap is -ln(u) x the mean interval (openload.go:189-241 at 76c8ed4).
-func openDraws(seed uint64, poisson bool, gen drawGen) ([]time.Duration, []draw) {
-	rng := ids.NewRNG(seed)
-	arr := rng.Fork()
-	interval := time.Duration(float64(time.Second) / drawRate)
-	var intents []time.Duration
-	var calls []draw
-	var intent time.Duration
-	for i := 0; i < drawN; i++ {
-		intents = append(intents, intent)
-		_, m, a := gen(rng)
-		calls = append(calls, draw{1, m, a})
-		gap := interval
-		if poisson {
-			u := arr.Float64()
-			if u <= 0 {
-				u = math.SmallestNonzeroFloat64
-			}
-			gap = time.Duration(-math.Log(u) * float64(interval))
-		}
-		intent += gap
-	}
-	return intents, calls
 }
 
 // drawGoldens are FNV-1a digests of the draws above, recorded at 76c8ed4.
@@ -175,20 +129,20 @@ func TestLoadDrawGoldens(t *testing.T) {
 	for _, seed := range drawSeeds {
 		for name, gen := range gens {
 			checkGolden(t, fmt.Sprintf("closed/%s/%d", name, seed),
-				digestDraws(closedDraws(seed, drawClients, drawPerClient, gen)))
+				digestDraws(closedDraws(t, seed, drawClients, drawPerClient, false, gen)))
 		}
 		// One client submitting everything as one batch: the seeded-hash path.
 		checkGolden(t, fmt.Sprintf("closed/pipelined/%d", seed),
-			digestDraws(closedDraws(seed, 1, drawN, gens["fig1"])))
+			digestDraws(closedDraws(t, seed, 1, drawN, true, gens["fig1"])))
 		for _, poisson := range []bool{false, true} {
 			kind := map[bool]string{false: "fixed", true: "poisson"}[poisson]
-			intents, calls := openDraws(seed, poisson, gens["fig1"])
+			intents, calls := openDraws(t, seed, poisson, gens["fig1"])
 			checkGolden(t, fmt.Sprintf("open/%s/intents/%d", kind, seed), digestIntents(intents))
 			checkGolden(t, fmt.Sprintf("open/%s/calls/%d", kind, seed), digestDraws(calls))
 		}
 	}
 	// The first draws in the clear, so a digest mismatch can be read.
-	first := closedDraws(1, drawClients, drawPerClient, gens["fig1"])[0]
+	first := closedDraws(t, 1, drawClients, drawPerClient, false, gens["fig1"])[0]
 	if got := fmt.Sprint(first); got != "{1 work [2 20 29 17]}" {
 		t.Errorf("seed 1, client 1, first Fig. 1 draw: %s", got)
 	}
@@ -263,11 +217,17 @@ func TestLoadDrawsOnTheWire(t *testing.T) {
 	kvSrv, kvRing := startTagged(t, func(o *Options) { o.KV = &kv })
 	open, openAddrs := startCluster(t, 1, replica.KindMAT)
 
+	gens := drawGens()
 	for _, seed := range drawSeeds {
 		base := int(seed) * 100 // disjoint client ids: both seeds share the servers
-		closed := func(name string, srv *Server, run func() error) {
+		closed := func(name string, srv *Server, sc *ShardClients, err error, o RunOptions) {
 			t.Helper()
-			if err := run(); err != nil {
+			if err == nil {
+				defer sc.Close()
+				o.Invoker, o.Seed, o.Timeout = sc, seed, 60*time.Second
+				_, err = Run(o)
+			}
+			if err != nil {
 				t.Fatalf("closed/%s/%d: %v", name, seed, err)
 			}
 			got := sequencedDraws(t, srv, base, drawClients)
@@ -279,49 +239,27 @@ func TestLoadDrawsOnTheWire(t *testing.T) {
 			}
 			checkGolden(t, fmt.Sprintf("closed/%s/%d", name, seed), digestDraws(got))
 		}
-		lo := LoadOptions{
-			Clients: drawClients, RequestsPerClient: drawPerClient, Seed: seed,
-			Workload: testWorkload(), ClientBase: base, EpochDir: t.TempDir(),
-			Timeout: 60 * time.Second,
+		d := ShardClientOptions{Clients: drawClients, ClientBase: base, EpochDir: t.TempDir()}
+		o := RunOptions{Clients: drawClients, RequestsPerClient: drawPerClient}
+		for name, c := range map[string]struct {
+			srv   *Server
+			addrs map[ids.ReplicaID]string
+		}{"fig1": {plain[0], plainAddrs}, "families": {early[0], earlyAddrs}} {
+			sc, err := DialGroup(c.addrs, d)
+			o.Gen = gens[name]
+			closed(name, c.srv, sc, err, o)
 		}
-		closed("fig1", plain[0], func() error {
-			o := lo
-			o.Servers = plainAddrs
-			_, err := RunLoad(o)
-			return err
-		})
-		closed("families", early[0], func() error {
-			o := lo
-			o.Servers, o.Families = earlyAddrs, &fam
-			_, err := RunLoad(o)
-			return err
-		})
-		closed("pipelined", plain[0], func() error {
-			o := lo
-			o.Servers, o.Clients, o.RequestsPerClient = plainAddrs, 1, drawN
-			o.Pipelined, o.ClientBase = true, base+50
-			_, err := RunLoad(o)
-			return err
-		})
-		so := ShardedLoadOptions{
-			Clients: drawClients, RequestsPerClient: drawPerClient, Seed: seed,
-			Workload: testWorkload(), ClientBase: base, EpochDir: t.TempDir(),
-			Timeout: 60 * time.Second,
+		for name, c := range map[string]struct {
+			srv  *Server
+			ring shard.RingConfig
+		}{"fig1-keyed": {keyed, keyedRing}, "kv": {kvSrv, kvRing}} {
+			sc, err := DialShards(c.ring, d)
+			o.Gen = gens[name]
+			closed(name, c.srv, sc, err, o)
 		}
-		closed("fig1-keyed", keyed, func() error {
-			o := so
-			o.Ring = keyedRing
-			_, err := RunShardedLoad(o)
-			return err
-		})
-		closed("kv", kvSrv, func() error {
-			o := so
-			o.Ring = kvRing
-			o.Gen = func(r *ids.RNG) (uint64, string, []lang.Value) {
-				return workload.KVRequest(r, drawKVKeys, drawKVPGet)
-			}
-			_, err := RunShardedLoad(o)
-			return err
+		sc, err := DialGroup(plainAddrs, ShardClientOptions{Clients: 1, ClientBase: base + 50, EpochDir: t.TempDir()})
+		closed("pipelined", plain[0], sc, err, RunOptions{
+			Clients: 1, RequestsPerClient: drawN, Batch: true, Gen: gens["fig1"],
 		})
 
 		// Open loop, one pooled client: its sequence numbers are the
@@ -330,11 +268,11 @@ func TestLoadDrawsOnTheWire(t *testing.T) {
 		for i, poisson := range []bool{false, true} {
 			kind := map[bool]string{false: "fixed", true: "poisson"}[poisson]
 			obase := base + 10*(i+1)
-			_, err := RunOpenLoad(OpenLoadOptions{
-				Servers: openAddrs, Rate: drawRate, Duration: 60 * time.Millisecond,
-				Warmup: -1, Poisson: poisson, Clients: 1, Seed: seed,
-				Workload: testWorkload(), ClientBase: obase, EpochDir: t.TempDir(),
-			})
+			_, err := loadGroup(openAddrs, ShardClientOptions{Clients: 1, ClientBase: obase, EpochDir: t.TempDir()},
+				RunOptions{
+					Rate: drawRate, Duration: 60 * time.Millisecond, Warmup: -1,
+					Poisson: poisson, Seed: seed,
+				})
 			if err != nil {
 				t.Fatalf("open/%s/%d: %v", kind, seed, err)
 			}

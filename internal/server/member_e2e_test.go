@@ -112,7 +112,7 @@ func startKVLoad(t *testing.T, servers map[ids.ReplicaID]string, seed uint64) *b
 			default:
 			}
 			_, method, args := workload.KVRequest(rng, 32, 0.4)
-			_, _, _, err := invokeWithRetry(cl, LoadOptions{Logf: debugLogf}, deadline, method, args)
+			_, _, _, err := invokeWithRetry(cl, debugLogf, deadline, method, args)
 			l.mu.Lock()
 			l.sent++
 			if err != nil {
@@ -474,7 +474,7 @@ func startKVLoadFig1(t *testing.T, servers map[ids.ReplicaID]string, seed uint64
 			default:
 			}
 			args := workload.Fig1Args(wl, rng)
-			_, _, _, err := invokeWithRetry(cl, LoadOptions{Logf: debugLogf}, deadline, workload.MethodName, args)
+			_, _, _, err := invokeWithRetry(cl, debugLogf, deadline, workload.MethodName, args)
 			l.mu.Lock()
 			l.sent++
 			if err != nil {

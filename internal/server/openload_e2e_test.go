@@ -59,23 +59,21 @@ func startClusterOpts(t *testing.T, n int, kind replica.SchedulerKind, mod func(
 // runOpenLoad drives one open-loop run against a fresh cluster and
 // asserts the shared invariants: no request errors, full convergence,
 // and a non-empty measured window.
-func runOpenLoad(t *testing.T, mod func(*Options), o OpenLoadOptions) *OpenLoadResult {
+func runOpenLoad(t *testing.T, mod func(*Options), o RunOptions) *RunResult {
 	t.Helper()
 	_, addrs := startClusterOpts(t, 3, replica.KindMAT, mod)
-	o.Servers = addrs
-	o.Workload = testWorkload()
-	res, err := RunOpenLoad(o)
+	res, err := loadGroup(addrs, ShardClientOptions{}, o)
 	if err != nil {
 		t.Fatalf("open-loop run: %v", err)
 	}
-	if res.Errors > 0 || res.NoSeqErr > 0 {
-		t.Fatalf("request errors: %d other, %d no-sequencer", res.Errors, res.NoSeqErr)
+	if res.Errors > 0 || res.NoSequencer > 0 {
+		t.Fatalf("request errors: %d other, %d no-sequencer", res.Errors, res.NoSequencer)
 	}
 	if res.Timeouts > 0 {
 		t.Fatalf("%d requests timed out", res.Timeouts)
 	}
 	if !res.Converged {
-		t.Fatalf("cluster did not converge: %+v", res.Statuses)
+		t.Fatalf("cluster did not converge: %+v", res.PerShard)
 	}
 	if res.Measured == 0 {
 		t.Fatal("measured window recorded no completions")
@@ -97,7 +95,7 @@ func TestOpenLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	res := runOpenLoad(t, nil, OpenLoadOptions{
+	res := runOpenLoad(t, nil, RunOptions{
 		Rate:     150,
 		Duration: 2 * time.Second,
 		Warmup:   500 * time.Millisecond,
@@ -122,13 +120,13 @@ func TestOpenLoadAdaptiveTickPoissonBatch(t *testing.T) {
 	runOpenLoad(t, func(o *Options) {
 		o.AdaptiveTick = true
 		o.BatchThreshold = 8
-	}, OpenLoadOptions{
-		Rate:        300,
-		Duration:    2 * time.Second,
-		Warmup:      500 * time.Millisecond,
-		Poisson:     true,
-		BatchSubmit: true,
-		Seed:        13,
+	}, RunOptions{
+		Rate:     300,
+		Duration: 2 * time.Second,
+		Warmup:   500 * time.Millisecond,
+		Poisson:  true,
+		Batch:    true,
+		Seed:     13,
 	})
 }
 
@@ -142,15 +140,13 @@ func TestGroupCommitScheduleTransparency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	run := func(mod func(*Options)) *LoadResult {
+	run := func(mod func(*Options)) *RunResult {
 		_, addrs := startClusterOpts(t, 3, replica.KindMAT, mod)
-		res, err := RunLoad(LoadOptions{
-			Servers:           addrs,
+		res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{
 			Clients:           1,
 			RequestsPerClient: 8,
 			Seed:              7,
-			Workload:          testWorkload(),
-			Pipelined:         true,
+			Batch:             true,
 			Timeout:           90 * time.Second,
 		})
 		if err != nil {
@@ -166,8 +162,7 @@ func TestGroupCommitScheduleTransparency(t *testing.T) {
 		o.NoGroupCommit = true
 		o.PipelineDepth = -1 // inline decode path
 	})
-	if grouped.Hashes[0] != plain.Hashes[0] {
-		t.Fatalf("group commit changed the deterministic schedule: grouped hash %x, plain hash %x",
-			grouped.Hashes[0], plain.Hashes[0])
+	if g, p := grouped.PerShard[0].Hashes[0], plain.PerShard[0].Hashes[0]; g != p {
+		t.Fatalf("group commit changed the deterministic schedule: grouped hash %x, plain hash %x", g, p)
 	}
 }

@@ -64,7 +64,7 @@ func startClusterWith(t *testing.T, n int, kind replica.SchedulerKind,
 // same address. The restarted replica must fetch a checkpoint and the
 // sequenced tail from a donor, replay at the original virtual stamps,
 // and end the run with a ConsistencyHash bit-identical to the
-// survivors' — RunLoad's convergence check asserts exactly that.
+// survivors' — the load run's convergence check asserts exactly that.
 func TestKillRestartRejoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
@@ -76,19 +76,12 @@ func TestKillRestartRejoin(t *testing.T) {
 	})
 
 	type loadOut struct {
-		res *LoadResult
+		res *RunResult
 		err error
 	}
 	ch := make(chan loadOut, 1)
 	go func() {
-		res, err := RunLoad(LoadOptions{
-			Servers:           addrs,
-			Clients:           2,
-			RequestsPerClient: 10,
-			Seed:              5,
-			Workload:          testWorkload(),
-			Timeout:           120 * time.Second,
-		})
+		res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{Clients: 2, RequestsPerClient: 10, Seed: 5, Timeout: 120 * time.Second})
 		ch <- loadOut{res, err}
 	}()
 
@@ -128,11 +121,11 @@ func TestKillRestartRejoin(t *testing.T) {
 		t.Fatalf("%d request errors", out.res.Errors)
 	}
 	if !out.res.Converged {
-		t.Fatalf("restarted replica did not converge to an identical hash: %+v", out.res.Statuses)
+		t.Fatalf("restarted replica did not converge to an identical hash: %+v", out.res.PerShard[0].Statuses)
 	}
-	for _, st := range out.res.Statuses {
-		if st.Hash != out.res.Statuses[0].Hash {
-			t.Fatalf("hash mismatch after rejoin: %+v", out.res.Statuses)
+	for _, st := range out.res.PerShard[0].Statuses {
+		if st.Hash != out.res.PerShard[0].Statuses[0].Hash {
+			t.Fatalf("hash mismatch after rejoin: %+v", out.res.PerShard[0].Statuses)
 		}
 	}
 	st := restarted.Status()
@@ -195,14 +188,7 @@ func chaosSoak(t *testing.T, kind replica.SchedulerKind, seed uint64, mut func(i
 		}
 	}()
 
-	res, err := RunLoad(LoadOptions{
-		Servers:           addrs,
-		Clients:           2,
-		RequestsPerClient: 6,
-		Seed:              seed,
-		Workload:          testWorkload(),
-		Timeout:           120 * time.Second,
-	})
+	res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{Clients: 2, RequestsPerClient: 6, Seed: seed, Timeout: 120 * time.Second})
 	if err != nil {
 		t.Fatalf("%s chaos soak: %v", kind, err)
 	}
@@ -210,7 +196,7 @@ func chaosSoak(t *testing.T, kind replica.SchedulerKind, seed uint64, mut func(i
 		t.Fatalf("%s chaos soak: %d request errors", kind, res.Errors)
 	}
 	if !res.Converged {
-		t.Fatalf("%s chaos soak did not converge: %+v", kind, res.Statuses)
+		t.Fatalf("%s chaos soak did not converge: %+v", kind, res.PerShard[0].Statuses)
 	}
 	var severed int
 	for _, inj := range injs {
@@ -271,10 +257,7 @@ func TestDivergenceHalts(t *testing.T) {
 	})
 
 	// Phase 1: a clean prefix so every ring has agreeing points.
-	res, err := RunLoad(LoadOptions{
-		Servers: addrs, Clients: 1, RequestsPerClient: 4,
-		Seed: 9, Workload: testWorkload(), Timeout: 60 * time.Second,
-	})
+	res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{Clients: 1, RequestsPerClient: 4, Seed: 9, Timeout: 60 * time.Second})
 	if err != nil || !res.Converged {
 		t.Fatalf("clean phase: err=%v converged=%v", err, res != nil && res.Converged)
 	}
@@ -289,10 +272,7 @@ func TestDivergenceHalts(t *testing.T) {
 	// Phase 2: more load (as a fresh client incarnation — disjoint
 	// ClientBase), so fresh checkpoints gossip the divergence. R3 halts
 	// mid-phase, so this run cannot converge — ignore its error.
-	go RunLoad(LoadOptions{
-		Servers: addrs, Clients: 1, RequestsPerClient: 8, ClientBase: 10,
-		Seed: 10, Workload: testWorkload(), Timeout: 30 * time.Second,
-	})
+	go loadGroup(addrs, ShardClientOptions{ClientBase: 10}, RunOptions{Clients: 1, RequestsPerClient: 8, Seed: 10, Timeout: 30 * time.Second})
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {

@@ -12,6 +12,7 @@ import (
 	"detmt/internal/replica"
 	"detmt/internal/shard"
 	"detmt/internal/wire"
+	"detmt/internal/workload"
 )
 
 // reserveBasePorts finds a base port P such that P..P+n-1 were all
@@ -47,6 +48,19 @@ func reserveBasePorts(t *testing.T, n int) int {
 	}
 	t.Fatal("could not reserve a contiguous loopback port range")
 	return 0
+}
+
+// loadShards dials every shard of the ring and drives one run through it,
+// on pools as large as the closed loop's client count.
+func loadShards(ring shard.RingConfig, d ShardClientOptions, o RunOptions) (*RunResult, error) {
+	d.Clients = o.Clients
+	sc, err := DialShards(ring, d)
+	if err != nil {
+		return nil, err
+	}
+	defer sc.Close()
+	o.Invoker = sc
+	return Run(o)
 }
 
 // controlQuery sends one control command to a server address over a
@@ -125,13 +139,11 @@ func TestShardedMultiSmoke(t *testing.T) {
 		t.Fatalf("fetched ring hash %016x != server ring hash %016x", fh, mh)
 	}
 
-	res, err := RunShardedLoad(ShardedLoadOptions{
-		Ring:              fetched,
+	res, err := loadShards(fetched, ShardClientOptions{EpochDir: t.TempDir(), Logf: debugLogf}, RunOptions{
 		Clients:           2,
 		RequestsPerClient: 6,
 		Seed:              17,
-		Workload:          testWorkload(),
-		EpochDir:          t.TempDir(),
+		Gen:               workload.Fig1Gen(testWorkload(), true),
 		Timeout:           120 * time.Second,
 		Logf:              debugLogf,
 	})
@@ -157,8 +169,8 @@ func TestShardedMultiSmoke(t *testing.T) {
 			}
 		}
 	}
-	if routed != uint64(res.Requests) {
-		t.Fatalf("routed %d != issued %d", routed, res.Requests)
+	if routed != uint64(res.Sent) {
+		t.Fatalf("routed %d != issued %d", routed, res.Sent)
 	}
 	if res.Imbalance < 1 {
 		t.Fatalf("imbalance ratio %f < 1 (max/mean cannot be)", res.Imbalance)
@@ -248,13 +260,11 @@ func TestShardedClusterHashIdentity(t *testing.T) {
 		t.Fatalf("members disagree on the ring: %v", err)
 	}
 
-	res, err := RunShardedLoad(ShardedLoadOptions{
-		Ring:              m1.Ring(),
+	res, err := loadShards(m1.Ring(), ShardClientOptions{EpochDir: t.TempDir(), Logf: debugLogf}, RunOptions{
 		Clients:           2,
 		RequestsPerClient: 5,
 		Seed:              23,
-		Workload:          testWorkload(),
-		EpochDir:          t.TempDir(),
+		Gen:               workload.Fig1Gen(testWorkload(), true),
 		Timeout:           120 * time.Second,
 		Logf:              debugLogf,
 	})
@@ -345,17 +355,15 @@ func TestCrossShardPerformerKillExactlyOnce(t *testing.T) {
 	})
 
 	type loadOut struct {
-		res *LoadResult
+		res *RunResult
 		err error
 	}
 	ch := make(chan loadOut, 1)
 	go func() {
-		res, err := RunLoad(LoadOptions{
-			Servers:           addrs,
+		res, err := loadGroup(addrs, ShardClientOptions{Logf: debugLogf}, RunOptions{
 			Clients:           2,
 			RequestsPerClient: 8,
 			Seed:              5,
-			Workload:          testWorkload(),
 			Timeout:           180 * time.Second,
 			Logf:              debugLogf,
 		})
@@ -409,11 +417,11 @@ func TestCrossShardPerformerKillExactlyOnce(t *testing.T) {
 		t.Fatalf("%d request errors", out.res.Errors)
 	}
 	if !out.res.Converged {
-		t.Fatalf("source shard did not converge: %+v", out.res.Statuses)
+		t.Fatalf("source shard did not converge: %+v", out.res.PerShard[0].Statuses)
 	}
-	for _, st := range out.res.Statuses {
-		if st.Hash != out.res.Statuses[0].Hash {
-			t.Fatalf("source-shard hash fork after performer kill: %+v", out.res.Statuses)
+	for _, st := range out.res.PerShard[0].Statuses {
+		if st.Hash != out.res.PerShard[0].Statuses[0].Hash {
+			t.Fatalf("source-shard hash fork after performer kill: %+v", out.res.PerShard[0].Statuses)
 		}
 	}
 

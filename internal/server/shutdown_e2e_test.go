@@ -56,15 +56,12 @@ func TestCleanShutdownNoBreakerTrips(t *testing.T) {
 	loadDone := make(chan struct{})
 	go func() {
 		defer close(loadDone)
-		RunShardedLoad(ShardedLoadOptions{
-			Ring:              m.Ring(),
+		loadShards(m.Ring(), ShardClientOptions{EpochDir: t.TempDir(), Logf: debugLogf}, RunOptions{
 			Clients:           4,
 			RequestsPerClient: 200,
 			Seed:              99,
-			Workload:          wl,
-			EpochDir:          t.TempDir(),
+			Gen:               workload.Fig1Gen(wl, true),
 			Timeout:           20 * time.Second,
-			SettleTimeout:     time.Second,
 			Logf:              debugLogf,
 		})
 	}()

@@ -149,8 +149,7 @@ func KVRouteKey(k int64) uint64 {
 // KVRequest draws one random facade operation: a GET with probability
 // pGet, otherwise a tokenized PUT, over a key space of `keys` keys. It
 // returns the routing key (what the consistent-hash ring routes on) plus
-// the method and argument list — the shape server.ShardedOpenLoadOptions
-// expects from a request generator.
+// the method and argument list — the shape of a Gen (see KVGen).
 func KVRequest(rng *ids.RNG, keys int, pGet float64) (route uint64, method string, args []lang.Value) {
 	if keys <= 0 {
 		keys = 1024

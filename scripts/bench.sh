@@ -13,7 +13,7 @@
 #                                      sharded aggregate ceiling and the facade
 #                                      ceilings; fail on a >10% drop vs the
 #                                      committed baseline (default
-#                                      BENCH_PR9.json; metrics the baseline
+#                                      BENCH_PR13.json; metrics the baseline
 #                                      does not carry are not gated)
 #   scripts/bench.sh -micro            also run the Benchmark* microbenchmarks
 #   scripts/bench.sh -compare A B      diff the Metrics of two JSON outputs
@@ -38,7 +38,7 @@ if [ "${1:-}" = "-earlysched" ]; then
 fi
 
 if [ "${1:-}" = "-openloop" ]; then
-    # The committed BENCH_PR9.json snapshot is this plus the sharded
+    # The committed BENCH_PR13.json snapshot is this plus the sharded
     # ladder and the HTTP facade comparison:
     # detmt-bench -experiment openloop,ceiling,sharded,kvfacade.
     out="${2:-BENCH_OPENLOOP.json}"
@@ -69,7 +69,7 @@ if [ "${1:-}" = "-http" ]; then
 fi
 
 if [ "${1:-}" = "-gate" ]; then
-    baseline="${2:-BENCH_PR9.json}"
+    baseline="${2:-BENCH_PR13.json}"
     [ -f "$baseline" ] || { echo "bench.sh: baseline $baseline not found" >&2; exit 1; }
     tmp="$(mktemp)"
     trap 'rm -f "$tmp"' EXIT

@@ -10,7 +10,7 @@
 #                             (reruns the single-group ceiling search, the
 #                             sharded aggregate ceiling and the HTTP facade
 #                             ceilings and fails on a >10% drop vs the
-#                             committed BENCH_PR9.json; wall timing-sensitive,
+#                             committed BENCH_PR13.json; wall timing-sensitive,
 #                             so not part of the default run)
 #   scripts/check.sh -soak    the long mixed-chaos soak only: seeded
 #                             transport partitions + a replica kill/rejoin +
@@ -48,6 +48,10 @@ fi
 # harness TestEarlySchedChaosSoak and the real-socket
 # TestClusterEarlySchedChaos in internal/server.
 go test -race -shuffle=on $short ./...
+# bench/ is a module of its own (replace detmt => ../): build, vet and test
+# it too (a couple of seconds, no sockets without DETMT_BENCH_SMOKE), so a
+# change that breaks the benchmark's frozen surface fails here.
+go build -C bench -o /dev/null ./... && go vet -C bench ./... && go test -C bench ./...
 if [ -z "$short" ]; then
 	# Sharded binary smoke: the Go tests exercise the library; this drives
 	# the shipped binaries end to end the way the README walkthrough does —
@@ -107,5 +111,5 @@ if [ -z "$short" ]; then
 	trap - EXIT
 fi
 if [ -n "$bench" ]; then
-	scripts/bench.sh -gate BENCH_PR9.json
+	scripts/bench.sh -gate BENCH_PR13.json
 fi

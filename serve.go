@@ -24,22 +24,32 @@ type Server = server.Server
 // virtual schedule identical.
 func NewServer(o ServerOptions) (*Server, error) { return server.New(o) }
 
-// LoadOptions configures a closed-loop load run against a server
-// cluster.
-type LoadOptions = server.LoadOptions
+// LoadOptions configures a load run — closed loop, or open loop at
+// Rate — through an invoker dialed with DialGroup (see
+// internal/server.RunOptions for field documentation).
+type LoadOptions = server.RunOptions
 
 // LoadResult is the outcome of one load run, including the per-replica
 // schedule consistency hashes and whether they converged.
-type LoadResult = server.LoadResult
+type LoadResult = server.RunResult
 
 // ServerStatus is the control-protocol snapshot a server reports.
 type ServerStatus = server.Status
 
+// DialOptions sizes and names a load run's pool of client identities.
+type DialOptions = server.ShardClientOptions
+
+// DialGroup connects to every member of a cluster (servers maps replica
+// id to address). The result is LoadOptions.Invoker; Close it after use.
+func DialGroup(servers map[ReplicaID]string, o DialOptions) (*server.ShardClients, error) {
+	return server.DialGroup(servers, o)
+}
+
 // RunLoad drives the Fig. 1 measurement protocol over real sockets:
-// closed-loop clients, first-reply-wins latency, and a final
-// convergence check across all replicas.
-func RunLoad(o LoadOptions) (*LoadResult, error) { return server.RunLoad(o) }
+// first-reply-wins latency, and a final convergence check across all
+// replicas.
+func RunLoad(o LoadOptions) (*LoadResult, error) { return server.Run(o) }
 
 // ReplicaID is a group member identity (used in ServerOptions.Peers and
-// LoadOptions.Servers maps).
+// DialGroup's server map).
 type ReplicaID = ids.ReplicaID

@@ -49,15 +49,20 @@ func TestServeFacade(t *testing.T) {
 		}
 		t.Cleanup(func() { srv.Close() })
 	}
+	inv, err := detmt.DialGroup(addrs, detmt.DialOptions{Clients: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inv.Close()
 	res, err := detmt.RunLoad(detmt.LoadOptions{
-		Servers: addrs, Clients: 1, RequestsPerClient: 2,
-		Seed: 5, Workload: wl, Timeout: 60 * time.Second,
+		Invoker: inv, Clients: 1, RequestsPerClient: 2,
+		Seed: 5, Gen: workload.Fig1Gen(wl, false), Timeout: 60 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged || res.Errors > 0 {
-		t.Fatalf("facade run: converged=%v errors=%d statuses=%+v",
-			res.Converged, res.Errors, res.Statuses)
+		t.Fatalf("facade run: converged=%v errors=%d shards=%+v",
+			res.Converged, res.Errors, res.PerShard)
 	}
 }
