@@ -49,200 +49,159 @@ import (
 	"detmt/internal/workload"
 )
 
-func main() {
-	id := flag.Int("id", 1, "this replica's id (must appear in the membership)")
-	listen := flag.String("listen", "127.0.0.1:7101", "TCP address to accept peer and client connections on")
-	peers := flag.String("peers", "", "other members as id=addr,id=addr,... (static membership)")
-	scheduler := flag.String("scheduler", "MAT", "scheduler kind: SEQ, SAT, LSA, PDS, MAT, MAT+LLA, or PMAT")
-	nested := flag.Duration("nested", 12*time.Millisecond, "virtual duration of the nested external call")
-	backendAddr := flag.String("backend", "", "address of a detmt-backend process serving nested invocations (empty: in-process echo)")
-	nestedTimeout := flag.Duration("nested-timeout", 0, "per-attempt deadline against the backend (0: 2s)")
-	nestedRetries := flag.Int("nested-retries", 0, "backend retries after a failed attempt (0: 2, negative: none)")
-	nestedBackoff := flag.Duration("nested-backoff", 0, "initial retry backoff, doubling capped at 500ms (0: 25ms)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive backend failures that trip the circuit breaker (0: 5, negative: never)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before probing the backend again (0: 2s)")
-	catchNested := flag.Bool("catch-nested", false, "workload catches failed nested calls (iserr) instead of aborting the request")
-	tick := flag.Duration("tick", 2*time.Millisecond, "sequencing tick interval (virtual = wall)")
-	budget := flag.Duration("budget", 5*time.Millisecond, "delivery-deadline budget per sequenced message")
-	adaptiveTick := flag.Bool("adaptive-tick", false,
-		"load-responsive tick sizing: drain early when the forward queue crosses -batch-threshold, stretch toward -max-tick when idle")
-	minTick := flag.Duration("min-tick", 0, "adaptive tick floor (0: tick/4)")
-	maxTick := flag.Duration("max-tick", 0, "adaptive idle-tick ceiling (0: 4*tick)")
-	batchThreshold := flag.Int("batch-threshold", 0, "queued forwards that trigger an early adaptive drain (0: 64)")
-	noGroupCommit := flag.Bool("no-group-commit", false,
-		"disable group commit: one wire frame per sequenced envelope instead of one per tick (measurement baseline)")
-	pipelineDepth := flag.Int("pipeline-depth", 0,
-		"per-sender decode pipeline depth decoupling frame decode from apply (0: default 512, negative: inline decode)")
-	pdsWindow := flag.Int("pds-window", 4, "PDS pool size")
-	pdsRelaxed := flag.Bool("pds-relaxed", false, "relax the PDS full-pool barrier")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "broadcast a state checkpoint every N requests (0: never)")
-	iterations := flag.Int("iterations", 10, "Fig. 1 loop iterations per request")
-	mutexes := flag.Int("mutexes", 100, "Fig. 1 mutex set size")
-	earlySched := flag.Bool("early-sched", false,
-		"conflict-class early scheduling: sequencer stamps conflict classes, replica runs class-parallel lanes (MAT, MAT+LLA or PDS)")
-	lanes := flag.Int("lanes", 4, "early-scheduling classifier lane count")
-	families := flag.Int("families", 0,
-		"host the family-partitioned low-conflict workload with this many disjoint families instead of Fig. 1 (0: Fig. 1; all members and detmt-load must agree)")
-	kvFlag := flag.Bool("kv", false,
-		"host the replicated key-value object instead of Fig. 1 (serve it with detmt-gateway; excludes -families and -xshard)")
-	kvBuckets := flag.Int("kv-buckets", 0, "KV lock-bucket count (0: default; all members must agree)")
-	conflict := flag.Float64("conflict", 0,
-		"family workload: probability a request crosses all families (escalates to the global class)")
-	hotSkew := flag.Float64("hot-skew", 0,
-		"family workload: hot-key skew towards each family's first monitor (0: uniform)")
-	traceRetention := flag.Int("trace-retention", 0,
-		"max trace events kept in memory (0: default bound, negative: unlimited); hashes stay exact over full history")
-	dataDir := flag.String("data", "", "directory for checkpoints and the restart-epoch counter (empty: in-memory only)")
-	recoverFlag := flag.Bool("recover", false, "rejoin the running cluster via checkpoint + tail transfer (any role, including a deposed sequencer)")
-	join := flag.String("join", "",
-		"join a LIVE cluster as a NEW member: fetch the membership from this address, start as a catch-up learner, and propose our own AddReplica through the total order (excludes -peers and -shards)")
-	epoch := flag.Uint64("epoch", 0, "restart epoch override (0: derive from -data, or legacy epoch-less mode without it)")
-	seqRetention := flag.Int("seq-retention", 0,
-		"sequenced envelopes retained to serve rejoiners (0: default, negative: unlimited)")
-	gossip := flag.Duration("gossip", 0, "divergence-gossip interval (0: default 250ms, negative: disabled)")
-	detectTimeout := flag.Duration("detect-timeout", 0,
-		"sequencer-silence window of the failure detector (0: default 50ms); raise on flaky links so short partitions never depose a live sequencer")
-	shards := flag.Int("shards", 0,
-		"host one tenant replica per shard in this process (-listen is the BASE address: shard k listens at base port + k; 0: single-group mode)")
-	xshard := flag.Bool("xshard", false,
-		"route nested calls into the NEXT shard through per-shard gateways on the lowest member (requires -shards; excludes -backend)")
-	ringSeed := flag.Uint64("ring-seed", 0, "consistent-hash ring seed (must agree across members)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the ring (0: default)")
-	chaosOn := flag.Bool("chaos", false, "expose the chaos fault-injection control channel (see detmt-chaos)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty: off)")
-	verbose := flag.Bool("v", false, "log transport diagnostics")
-	flag.Parse()
+// cli is what the command line configures: Options for the flags that map
+// one-to-one onto a field, plus what main has to interpret first.
+type cli struct {
+	opts                   server.Options
+	id, families, shards   int
+	peers, join, pprofAddr string
+	conflict, hotSkew      float64
+	ringSeed               uint64
+	kv, xshard, chaos, v   bool
+}
 
-	if *pprofAddr != "" {
+// flags registers every detmt-server flag on fs. The rule for what is a
+// flag: a test, script, README/DESIGN/EXPERIMENTS walkthrough, harness
+// experiment or bench/ passes it (flags_test.go audits both directions);
+// -tick and -budget are the two link-dependent sequencing parameters
+// everything else on the sequencing path is derived from.
+func flags(fs *flag.FlagSet) *cli {
+	c := &cli{opts: server.Options{Workload: workload.DefaultFig1()}}
+	o := &c.opts
+	fs.IntVar(&c.id, "id", 1, "this replica's id (must appear in the membership)")
+	fs.StringVar(&o.Listen, "listen", "127.0.0.1:7101", "TCP address to accept peer and client connections on")
+	fs.StringVar(&c.peers, "peers", "", "other members as id=addr,id=addr,... (static membership)")
+	fs.StringVar((*string)(&o.Scheduler), "scheduler", "MAT", "scheduler kind: SEQ, SAT, LSA, PDS, MAT, MAT+LLA, or PMAT")
+	fs.DurationVar(&o.NestedLatency, "nested", 12*time.Millisecond, "virtual duration of the nested external call")
+	fs.StringVar(&o.Backend, "backend", "", "address of a detmt-backend process serving nested invocations (empty: in-process echo)")
+	fs.DurationVar(&o.NestedTimeout, "nested-timeout", 0, "per-attempt deadline against the backend (0: 2s)")
+	fs.IntVar(&o.BreakerThreshold, "breaker-threshold", 0, "consecutive backend failures that trip the circuit breaker (0: 5, negative: never)")
+	fs.DurationVar(&o.BreakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before probing the backend again (0: 2s)")
+	fs.BoolVar(&o.Workload.CatchNested, "catch-nested", false, "workload catches failed nested calls (iserr) instead of aborting the request")
+	fs.DurationVar(&o.Tick, "tick", 2*time.Millisecond,
+		"base sequencing tick (virtual = wall): saturated the sequencer drains every tick/4, idle it stretches to 4*tick")
+	fs.DurationVar(&o.Budget, "budget", 5*time.Millisecond, "delivery-deadline budget per sequenced message")
+	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", 0, "broadcast a state checkpoint every N requests (0: never)")
+	fs.IntVar(&o.Workload.Iterations, "iterations", 10, "Fig. 1 loop iterations per request")
+	fs.IntVar(&o.Workload.Mutexes, "mutexes", 100, "Fig. 1 mutex set size")
+	fs.BoolVar(&o.EarlySched, "early-sched", false,
+		"conflict-class early scheduling: sequencer stamps conflict classes, replica runs class-parallel lanes (MAT, MAT+LLA or PDS)")
+	fs.IntVar(&o.Lanes, "lanes", 4, "early-scheduling classifier lane count")
+	fs.IntVar(&c.families, "families", 0,
+		"host the family-partitioned low-conflict workload with this many disjoint families instead of Fig. 1 (0: Fig. 1; all members and detmt-load must agree)")
+	fs.BoolVar(&c.kv, "kv", false,
+		"host the replicated key-value object instead of Fig. 1 (serve it with detmt-gateway; excludes -families and -xshard)")
+	fs.Float64Var(&c.conflict, "conflict", 0,
+		"family workload: probability a request crosses all families (escalates to the global class)")
+	fs.Float64Var(&c.hotSkew, "hot-skew", 0,
+		"family workload: hot-key skew towards each family's first monitor (0: uniform)")
+	fs.IntVar(&o.TraceRetention, "trace-retention", 0,
+		"max trace events kept in memory (0: default bound, negative: unlimited); hashes stay exact over full history")
+	fs.StringVar(&o.DataDir, "data", "", "directory for checkpoints and the restart-epoch counter (empty: in-memory only)")
+	fs.BoolVar(&o.Recover, "recover", false, "rejoin the running cluster via checkpoint + tail transfer (any role, including a deposed sequencer)")
+	fs.StringVar(&c.join, "join", "",
+		"join a LIVE cluster as a NEW member: fetch the membership from this address, start as a catch-up learner, and propose our own AddReplica through the total order (excludes -peers and -shards)")
+	fs.DurationVar(&o.DetectTimeout, "detect-timeout", 0,
+		"sequencer-silence window of the failure detector (0: default 50ms); raise on flaky links so short partitions never depose a live sequencer")
+	fs.IntVar(&c.shards, "shards", 0,
+		"host one tenant replica per shard in this process (-listen is the BASE address: shard k listens at base port + k; 0: single-group mode)")
+	fs.BoolVar(&c.xshard, "xshard", false,
+		"route nested calls into the NEXT shard through per-shard gateways on the lowest member (requires -shards; excludes -backend)")
+	fs.Uint64Var(&c.ringSeed, "ring-seed", 0, "consistent-hash ring seed (must agree across members)")
+	fs.BoolVar(&c.chaos, "chaos", false, "expose the chaos fault-injection control channel (see detmt-chaos)")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty: off)")
+	fs.BoolVar(&c.v, "v", false, "log transport diagnostics")
+	return c
+}
+
+func main() {
+	c := flags(flag.CommandLine)
+	flag.Parse() // an unregistered (or retired) flag is a usage error: exit 2
+	opts := c.opts
+
+	if c.pprofAddr != "" {
 		go func() {
 			// DefaultServeMux carries the /debug/pprof handlers via the
 			// net/http/pprof import.
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(c.pprofAddr, nil); err != nil {
 				log.Printf("detmt-server: pprof server: %v", err)
 			}
 		}()
 	}
 
-	peerMap, err := ids.ParseReplicaAddrs(*peers)
+	peerMap, err := ids.ParseReplicaAddrs(c.peers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "detmt-server: bad -peers: %v\n", err)
 		os.Exit(2)
 	}
-	if *join != "" {
-		if *peers != "" || *shards > 0 {
+	if c.join != "" {
+		if c.peers != "" || c.shards > 0 {
 			fmt.Fprintln(os.Stderr, "detmt-server: -join excludes -peers and -shards (the live cluster IS the membership)")
 			os.Exit(2)
 		}
 		// Discover the current voters from the live cluster; they become
 		// this learner's boot peer set.
-		snap, err := server.FetchMembership(*join, 5*time.Second, nil, nil)
+		snap, err := server.FetchMembership(c.join, 5*time.Second, nil, nil)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-server: -join %s: %v\n", *join, err)
+			fmt.Fprintf(os.Stderr, "detmt-server: -join %s: %v\n", c.join, err)
 			os.Exit(1)
 		}
 		for _, m := range snap.Voters {
-			if m.ID == ids.ReplicaID(*id) {
-				fmt.Fprintf(os.Stderr, "detmt-server: -join: id %d is already a voter at %s (use -recover to rejoin)\n", *id, *join)
+			if m.ID == ids.ReplicaID(c.id) {
+				fmt.Fprintf(os.Stderr, "detmt-server: -join: id %d is already a voter at %s (use -recover to rejoin)\n", c.id, c.join)
 				os.Exit(2)
 			}
 			peerMap[m.ID] = m.Addr
 		}
 	}
-	kind := replica.SchedulerKind(*scheduler)
 	known := false
 	for _, k := range replica.AllKinds() {
-		if k == kind {
+		if k == opts.Scheduler {
 			known = true
 		}
 	}
 	if !known {
-		fmt.Fprintf(os.Stderr, "detmt-server: unknown scheduler %q (want one of %v)\n", *scheduler, replica.AllKinds())
+		fmt.Fprintf(os.Stderr, "detmt-server: unknown scheduler %q (want one of %v)\n", opts.Scheduler, replica.AllKinds())
 		os.Exit(2)
 	}
-	wl := workload.DefaultFig1()
-	wl.Iterations = *iterations
-	wl.Mutexes = *mutexes
-	wl.CatchNested = *catchNested
-	var fam *workload.FamilyConfig
-	if *families > 0 {
+	if c.families > 0 {
 		f := workload.DefaultFamilies()
-		f.Families = *families
-		f.PGlobal = *conflict
-		f.HotSkew = *hotSkew
-		fam = &f
+		f.Families = c.families
+		f.PGlobal = c.conflict
+		f.HotSkew = c.hotSkew
+		opts.Families = &f
 	}
-	var kv *workload.KVConfig
-	if *kvFlag {
+	if c.kv {
 		k := workload.DefaultKV()
-		if *kvBuckets > 0 {
-			k.Buckets = *kvBuckets
-		}
-		kv = &k
+		opts.KV = &k
 	}
-
-	logf := func(string, ...interface{}) {}
-	if *verbose {
-		logf = log.Printf
+	opts.ID = ids.ReplicaID(c.id)
+	opts.Peers = peerMap
+	opts.Learner = c.join != ""
+	opts.Logf = func(string, ...interface{}) {}
+	if c.v {
+		opts.Logf = log.Printf
 	}
 	var inj *chaos.Injector
-	opts := server.Options{
-		ID:               ids.ReplicaID(*id),
-		Listen:           *listen,
-		Peers:            peerMap,
-		Scheduler:        kind,
-		Workload:         wl,
-		NestedLatency:    *nested,
-		Backend:          *backendAddr,
-		NestedTimeout:    *nestedTimeout,
-		NestedRetries:    *nestedRetries,
-		NestedBackoff:    *nestedBackoff,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		Tick:             *tick,
-		Budget:           *budget,
-		AdaptiveTick:     *adaptiveTick,
-		MinTick:          *minTick,
-		MaxTick:          *maxTick,
-		BatchThreshold:   *batchThreshold,
-		NoGroupCommit:    *noGroupCommit,
-		PipelineDepth:    *pipelineDepth,
-		PDSWindow:        *pdsWindow,
-		PDSRelaxed:       *pdsRelaxed,
-		CheckpointEvery:  *checkpointEvery,
-		Families:         fam,
-		KV:               kv,
-		EarlySched:       *earlySched,
-		Lanes:            *lanes,
-		TraceRetention:   *traceRetention,
-		DataDir:          *dataDir,
-		Recover:          *recoverFlag,
-		Learner:          *join != "",
-		Epoch:            *epoch,
-		SeqRetention:     *seqRetention,
-		DetectTimeout:    *detectTimeout,
-		GossipInterval:   *gossip,
-		Logf:             logf,
-	}
-	if *chaosOn {
+	if c.chaos {
 		inj = chaos.New()
 		opts.Dial = inj.Dial(nil)
 		opts.OnChaos = func(cmd string) []byte { return chaos.Handle(inj, cmd) }
 	}
 	mode := "fresh"
-	if *recoverFlag {
+	if opts.Recover {
 		mode = "recovering"
 	}
 
 	// Sharded mode: one tenant replica per shard in this process, ports
 	// derived from the base address (see server.MultiOptions).
-	if *shards > 0 {
+	if c.shards > 0 {
 		multi, err := server.NewMulti(server.MultiOptions{
 			Template: opts,
-			Shards:   *shards,
-			RingSeed: *ringSeed,
-			VNodes:   *vnodes,
-			XShard:   *xshard,
-			EpochDir: *dataDir,
+			Shards:   c.shards,
+			RingSeed: c.ringSeed,
+			XShard:   c.xshard,
+			EpochDir: opts.DataDir,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "detmt-server: %v\n", err)
@@ -250,7 +209,7 @@ func main() {
 		}
 		ringHash, _ := multi.Ring().Hash()
 		log.Printf("detmt-server: member %d (%s, %s) hosting %d shard(s) from base %s, ring %016x, xshard=%v",
-			*id, *scheduler, mode, multi.Tenants(), *listen, ringHash, *xshard)
+			c.id, opts.Scheduler, mode, multi.Tenants(), opts.Listen, ringHash, c.xshard)
 
 		sigc := make(chan os.Signal, 1)
 		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -273,7 +232,7 @@ func main() {
 		multi.Close()
 		return
 	}
-	if *xshard {
+	if c.xshard {
 		fmt.Fprintln(os.Stderr, "detmt-server: -xshard requires -shards")
 		os.Exit(2)
 	}
@@ -283,20 +242,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "detmt-server: %v\n", err)
 		os.Exit(1)
 	}
-	if *join != "" {
+	if c.join != "" {
 		mode = "joining"
 		// Propose our own AddReplica through a live member: it rides the
 		// total order, every voter starts fanning out to us as a learner,
 		// and we flip to voter at the activation slot. A rejected proposal
 		// (e.g. a restart racing its own earlier Add) is not fatal —
 		// recovery adopts whatever membership the cluster agreed on.
-		ch := member.Change{Kind: member.Add, ID: ids.ReplicaID(*id), Addr: srv.Addr()}
-		if err := server.ProposeChangeAt(*join, ch, 10*time.Second, nil, nil); err != nil {
+		ch := member.Change{Kind: member.Add, ID: ids.ReplicaID(c.id), Addr: srv.Addr()}
+		if err := server.ProposeChangeAt(c.join, ch, 10*time.Second, nil, nil); err != nil {
 			log.Printf("detmt-server: join proposal: %v (continuing as learner)", err)
 		}
 	}
 	log.Printf("detmt-server: replica %d (%s, %s) listening on %s, %d peer(s)",
-		*id, *scheduler, mode, srv.Addr(), len(peerMap))
+		c.id, opts.Scheduler, mode, srv.Addr(), len(peerMap))
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -312,7 +271,7 @@ func main() {
 		log.Printf("detmt-server: earlysched totals: active_classes=%d escalations=%d merge_stalls=%d parallel=%d serial=%d parallel_ratio=%.2f",
 			c.ActiveClasses, c.Escalations, c.MergeStalls, c.ParallelCommits, c.SerialCommits, c.ParallelRatio)
 	}
-	if *backendAddr != "" {
+	if opts.Backend != "" {
 		n := st.Nested
 		log.Printf("detmt-server: backend totals: performed=%d retries=%d app-errors=%d timeouts=%d fast-fails=%d re-performed=%d breaker=%s trips=%d",
 			n.Performed, n.Retries, n.AppErrors, n.Timeouts, n.FastFails, n.RePerformed, n.BreakerState, n.BreakerTrips)

@@ -74,10 +74,10 @@ func (c *ClientEndpoint) send(env Envelope) error {
 	return nil
 }
 
-// BroadcastBatch submits several payloads as one atomic wire batch: on a
-// batching transport the sequencer observes them contiguously, within a
-// single sequencing tick, which distributed-mode determinism tests rely
-// on. It returns the uids assigned to the payloads, in order.
+// BroadcastBatch submits several payloads as one atomic wire batch: the
+// sequencer observes them contiguously, within a single sequencing tick,
+// which distributed-mode determinism tests rely on. It returns the uids
+// assigned to the payloads, in order.
 func (c *ClientEndpoint) BroadcastBatch(ps []Payload) ([]uint64, error) {
 	if len(ps) == 0 {
 		return nil, nil
@@ -98,7 +98,7 @@ func (c *ClientEndpoint) BroadcastBatch(ps []Payload) ([]uint64, error) {
 	if seq < 0 {
 		return uids, ErrNoSequencer
 	}
-	c.g.transferBatch(fmt.Sprintf("%v>%v", origin, seq), Origin{Replica: seq}, envs)
+	c.g.transfer(fmt.Sprintf("%v>%v", origin, seq), Origin{Replica: seq}, envs...)
 	return uids, nil
 }
 

@@ -107,7 +107,8 @@ type Config struct {
 	Learners []ids.ReplicaID
 	// Tick and Budget configure stamped sequencing, active when a
 	// non-nil Transport is combined with a Virtual clock: the sequencer
-	// drains forwarded broadcasts every Tick and stamps each sequenced
+	// drains forwarded broadcasts about every Tick (see nextTick for the
+	// load-responsive policy around that base) and stamps each sequenced
 	// message with a virtual delivery deadline Budget in the future.
 	// Every member injects the message into its own virtual timeline at
 	// exactly that instant and treats the stamps as its clock horizon,
@@ -117,38 +118,6 @@ type Config struct {
 	// before NewGroup is called.
 	Tick   time.Duration
 	Budget time.Duration
-
-	// AdaptiveTick replaces the fixed Tick drain with a load-responsive
-	// policy: the sequencer drains immediately when the forward queue
-	// reaches BatchThreshold (bounding queueing delay under burst load),
-	// shrinks the tick to MinTick while saturated (amortising stamping
-	// over large batches), and stretches it toward MaxTick when idle
-	// (fewer empty heartbeat multicasts; the first arrival into an empty
-	// queue wakes a stretched tick immediately, so idle stretching never
-	// taxes latency). Stamps stay monotone and only
-	// the sequencer runs the policy — followers obey the stamps — so the
-	// schedule every replica executes is unchanged for a given arrival
-	// order; what changes is how arrivals map to ticks, which is already
-	// timing-dependent under the fixed tick. Off by default: fixed ticks
-	// keep stamp instants at exact Tick multiples, which some
-	// reproducibility harnesses rely on.
-	AdaptiveTick bool
-	// MinTick is the smallest adaptive tick (default Tick/4, floored at
-	// 100µs). MaxTick is the largest (default 4*Tick, capped at
-	// DetectTimeout/4 so horizon heartbeats keep the failure detector
-	// quiet). BatchThreshold is the queue depth that triggers an
-	// immediate drain (default 64).
-	MinTick        time.Duration
-	MaxTick        time.Duration
-	BatchThreshold int
-
-	// NoGroupCommit disables coalescing a tick's sequenced multicasts
-	// (and the trailing horizon) into one multi-envelope frame per
-	// member, reverting to one frame per envelope. Group commit is
-	// order- and stamp-transparent — a tick's envelopes already share
-	// one stamp and deliver in slot order — so this exists only for
-	// before/after measurement and debugging.
-	NoGroupCommit bool
 
 	// FetchGap, when set (stamped mode), fetches up to max sequenced
 	// slots starting at from that this process missed, from the donor
@@ -266,9 +235,9 @@ type Group struct {
 
 	fwdMu      sync.Mutex
 	fwdQ       []Envelope    // forwards awaiting the next sequencing tick
-	tickParker vclock.Parker // wakes runTicks early (adaptive mode); set once by runTicks
+	tickParker vclock.Parker // wakes runTicks early (see kicksTick); set once by runTicks
 	tickKick   atomic.Bool   // an early wake is pending (dedupes Unpark calls per tick)
-	tickCur    atomic.Int64  // current adaptive park duration (ns); runTicks writes, forwards read
+	tickCur    atomic.Int64  // current park duration (ns); runTicks writes, forwards read
 
 	recMu      sync.Mutex
 	recovering bool
@@ -300,29 +269,6 @@ func NewGroup(cfg Config) *Group {
 	}
 	if cfg.Budget <= 0 {
 		cfg.Budget = 5 * time.Millisecond
-	}
-	if cfg.BatchThreshold <= 0 {
-		cfg.BatchThreshold = 64
-	}
-	if cfg.AdaptiveTick {
-		if cfg.MinTick <= 0 {
-			cfg.MinTick = cfg.Tick / 4
-		}
-		if cfg.MinTick < 100*time.Microsecond {
-			cfg.MinTick = 100 * time.Microsecond
-		}
-		if cfg.MinTick > cfg.Tick {
-			cfg.MinTick = cfg.Tick
-		}
-		if cfg.MaxTick <= 0 {
-			cfg.MaxTick = 4 * cfg.Tick
-		}
-		if cfg.MaxTick > cfg.DetectTimeout/4 {
-			cfg.MaxTick = cfg.DetectTimeout / 4
-		}
-		if cfg.MaxTick < cfg.Tick {
-			cfg.MaxTick = cfg.Tick
-		}
 	}
 	members := append([]ids.ReplicaID(nil), cfg.Members...)
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
@@ -684,13 +630,8 @@ func (g *Group) Crash(id ids.ReplicaID) bool {
 	g.crashed[id] = true
 	g.crashedAt[id] = g.cfg.Clock.Now()
 	newSeq := g.actualSequencerLocked()
-	clients := make([]*ClientEndpoint, 0, len(g.clients))
-	for _, c := range g.clients {
-		clients = append(clients, c)
-	}
 	g.mu.Unlock()
 
-	_ = clients
 	if !wasSequencer || newSeq < 0 {
 		return true
 	}
@@ -1289,26 +1230,34 @@ type Envelope struct {
 	Payload Payload
 }
 
-// transfer puts env on the named FIFO link toward to, counting it.
-func (g *Group) transfer(key string, to Origin, env Envelope) {
-	g.stats.add(1, 0, 0)
-	env.To = to
-	g.tr.Send(key, to, env)
-}
-
-// transferBatch sends envs as one atomic unit when the transport
-// supports batching (falling back to individual sends otherwise).
-func (g *Group) transferBatch(key string, to Origin, envs []Envelope) {
+// transfer puts envs on the named FIFO link toward to as one atomic
+// unit, counting them. To is stamped in place, so a caller fanning the
+// same envelopes out to several members passes each its own copy.
+func (g *Group) transfer(key string, to Origin, envs ...Envelope) {
 	g.stats.add(len(envs), 0, 0)
 	for i := range envs {
 		envs[i].To = to
 	}
-	if bs, ok := g.tr.(BatchSender); ok {
-		bs.SendBatch(key, to, envs)
-		return
-	}
-	for _, e := range envs {
-		g.tr.Send(key, to, e)
+	g.tr.Send(key, to, envs...)
+}
+
+// multicast fans sequenced envelopes out to every live recipient, one
+// atomic unit per member. hz, when non-nil, is the tick's horizon
+// heartbeat: it rides behind the envelopes toward every remote member
+// (a local one needs none — the sequenced stamps raise its horizon on
+// injection) and travels alone when the tick sequenced nothing.
+func (g *Group) multicast(from ids.ReplicaID, envs []Envelope, hz *Envelope) {
+	for _, id := range g.Recipients() {
+		if !g.alive(id) {
+			continue
+		}
+		msgs := append(make([]Envelope, 0, len(envs)+1), envs...)
+		if hz != nil && !g.isLocal(id) {
+			msgs = append(msgs, *hz)
+		}
+		if len(msgs) > 0 {
+			g.transfer(fmt.Sprintf("seq%v>%v", from, id), Origin{Replica: id}, msgs...)
+		}
 	}
 }
 
@@ -1331,6 +1280,13 @@ func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 		return
 	}
 	var fwds []Envelope
+	// The clock horizon rises once, after the whole batch is scheduled, to
+	// the highest stamp in it. A tick batch shares one stamp: raised after
+	// the first envelope, the horizon lets the pump deliver that envelope —
+	// a nested outcome, say, resuming its thread — before this goroutine
+	// has scheduled the same-instant request behind it, and the replica
+	// grants a shared mutex in an order no other replica sees.
+	var horizon time.Duration
 	for _, e := range envs {
 		// View-sync runs outside both the virtual clock (which may be
 		// stalled at the dead sequencer's last horizon) and recovery
@@ -1357,49 +1313,42 @@ func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 		}
 		g.recMu.Unlock()
 		switch {
-		case e.Kind == EnvHorizon:
-			if !g.observeView(e) {
-				continue // deposed sequencer's zombie heartbeat
-			}
-			g.noteStamp(e.Stamp)
-			g.vclk.SetHorizon(e.Stamp)
 		case e.Kind == EnvForward:
 			fwds = append(fwds, e)
-		case e.Kind == EnvSequenced && e.Stamp > 0:
+		case e.Kind == EnvHorizon || (e.Kind == EnvSequenced && e.Stamp > 0):
 			if !g.observeView(e) {
-				continue // stale view: the order moved on without this slot
+				// Stale view: a deposed sequencer's zombie heartbeat, or a
+				// slot the order moved on without.
+				continue
 			}
-			env := e
-			g.noteStamp(env.Stamp)
-			// Rank same-stamp injections by slot: a tick batch shares one
-			// stamp, and ScheduleAt's goroutines park in racy real-time
-			// order — without the slot rank, same-instant delivery order
-			// (and with it admission-order-sensitive schedulers like PDS)
-			// would differ across replicas.
-			g.vclk.ScheduleAt(env.Stamp, injectOrder+env.Seq, "gcs inject", func() { enqueue(env) })
-			g.vclk.SetHorizon(env.Stamp)
+			g.noteStamp(e.Stamp)
+			if e.Stamp > horizon {
+				horizon = e.Stamp
+			}
+			if e.Kind == EnvSequenced {
+				env := e
+				// Rank same-stamp injections by slot: a tick batch shares one
+				// stamp, and ScheduleAt's goroutines park in racy real-time
+				// order — without the slot rank, same-instant delivery order
+				// (and with it admission-order-sensitive schedulers like PDS)
+				// would differ across replicas.
+				g.vclk.ScheduleAt(env.Stamp, injectOrder+env.Seq, "gcs inject", func() { enqueue(env) })
+			}
 		default:
 			enqueue(e)
 		}
 	}
+	g.vclk.SetHorizon(horizon) // a no-op at zero: the horizon is monotone
 	if len(fwds) > 0 {
 		g.fwdMu.Lock()
 		g.fwdQ = append(g.fwdQ, fwds...)
 		qlen := len(g.fwdQ)
 		parker := g.tickParker
 		g.fwdMu.Unlock()
-		// Adaptive mode: a queue that crossed the batch threshold drains
-		// now instead of waiting out the tick, and an arrival into an
-		// EMPTY queue while the tick is idle-stretched past the base Tick
-		// drains immediately too — otherwise a lone low-rate request
-		// would sit out a stretched park and adaptive would be slower
-		// than the fixed tick exactly where it should be faster. The CAS
-		// dedupes wakeups (one per tick; runTicks re-arms it), and the
-		// hosting check runs only on a crossing so the per-forward hot
-		// path stays a queue append.
-		kick := qlen >= g.cfg.BatchThreshold ||
-			(qlen == len(fwds) && time.Duration(g.tickCur.Load()) > g.cfg.Tick)
-		if g.cfg.AdaptiveTick && parker != nil && kick &&
+		// The CAS dedupes wakeups (one per tick; runTicks re-arms it), and
+		// the hosting check runs only on a kick, so the per-forward hot path
+		// stays a queue append.
+		if parker != nil && kicksTick(g.cfg.Tick, time.Duration(g.tickCur.Load()), qlen, len(fwds)) &&
 			g.tickKick.CompareAndSwap(false, true) && g.hostsSequencer() {
 			parker.Unpark()
 		}
@@ -1550,25 +1499,24 @@ func (g *Group) ResumeLive(next uint64, tail []Envelope) {
 // accumulated since the previous tick, stamping them with a shared
 // virtual delivery deadline, and multicasts a horizon heartbeat (with
 // the current view) so follower clocks keep flowing through idle
-// periods. With the fixed tick (AdaptiveTick off) tick instants are
-// exact virtual multiples of Config.Tick, so the stamps a given forward
-// sequence receives are reproducible; adaptive mode trades that for a
-// load-responsive drain (see Config.AdaptiveTick) without touching the
-// slot order or stamp monotonicity. After a takeover the stamp floor
-// keeps new deadlines above every horizon the previous sequencer
-// published.
+// periods. How long the loop parks between ticks is nextTick's
+// load-responsive policy; stamps rise strictly from tick to tick and
+// only the sequencer runs the policy — followers obey the stamps — so
+// the schedule every replica executes is unchanged for a given arrival
+// order. After a takeover the stamp floor keeps new deadlines above
+// every horizon the previous sequencer published.
 //
-// Group commit (the default): a tick's sequenced envelopes — which all
-// share one stamp and deliver in slot order — travel as a single
-// multi-envelope frame per member, with the horizon heartbeat riding in
-// the same frame, so one syscall and one frame header carry the whole
-// tick's decisions. Config.NoGroupCommit reverts to per-envelope frames.
+// Group commit: a tick's sequenced envelopes — which all share one stamp
+// and deliver in slot order — travel as a single multi-envelope frame
+// per member, with the horizon heartbeat riding in the same frame, so
+// one syscall and one frame header carry the whole tick's decisions.
 func (g *Group) runTicks() {
 	parker := g.vclk.NewOrderedParker("gcs tick", tickOrder)
 	g.fwdMu.Lock()
 	g.tickParker = parker
 	g.fwdMu.Unlock()
 	tick := g.cfg.Tick
+	var last time.Duration // previous tick's stamp
 	for {
 		g.tickCur.Store(int64(tick))
 		parker.ParkTimeout(tick)
@@ -1593,79 +1541,55 @@ func (g *Group) runTicks() {
 		}
 		g.mu.Unlock()
 		if n == nil {
-			tick = g.nextTick(tick, 0)
+			tick = nextTick(g.cfg.Tick, g.cfg.DetectTimeout, tick, 0)
 			continue // not hosting the sequencer (yet)
 		}
 		g.fwdMu.Lock()
 		batch := g.fwdQ
 		g.fwdQ = nil
 		g.fwdMu.Unlock()
-		deadline := g.cfg.Clock.Now() + g.cfg.Budget
-		if deadline < floor {
-			deadline = floor
-		}
-		if g.cfg.NoGroupCommit {
-			for _, env := range batch {
-				n.sequence(env, deadline)
-			}
-			for _, id := range g.Recipients() {
-				if g.isLocal(id) || !g.alive(id) {
-					continue
-				}
-				g.transfer(fmt.Sprintf("hz%v>%v", seqID, id), Origin{Replica: id},
-					Envelope{Kind: EnvHorizon, View: view, From: Origin{Replica: seqID}, Stamp: deadline})
-			}
-			tick = g.nextTick(tick, len(batch))
-			continue
-		}
-		seqEnvs := n.sequenceBatch(batch, deadline, view)
-		hz := Envelope{Kind: EnvHorizon, View: view, From: Origin{Replica: seqID}, Stamp: deadline}
-		for _, id := range g.Recipients() {
-			if !g.alive(id) {
-				continue
-			}
-			if g.isLocal(id) {
-				// Self-delivery: no horizon needed (the sequenced stamps
-				// raise the local horizon on injection, matching the
-				// per-envelope path).
-				if len(seqEnvs) > 0 {
-					g.transferBatch(fmt.Sprintf("seq%v>%v", seqID, id), Origin{Replica: id},
-						append([]Envelope(nil), seqEnvs...))
-				}
-				continue
-			}
-			// transferBatch stamps To in place, so each member gets its own
-			// copy of the envelope slice.
-			msgs := make([]Envelope, 0, len(seqEnvs)+1)
-			msgs = append(msgs, seqEnvs...)
-			msgs = append(msgs, hz)
-			g.transferBatch(fmt.Sprintf("seq%v>%v", seqID, id), Origin{Replica: id}, msgs)
-		}
-		tick = g.nextTick(tick, len(batch))
+		// Strictly above the previous tick's stamp: a kick drains at the
+		// instant the clock shows, two drains can share that instant, and a
+		// follower already executing the first batch at now+Budget would
+		// admit a second batch of the same stamp behind work this process —
+		// which schedules both before the instant arrives — runs after it.
+		deadline := max(g.cfg.Clock.Now()+g.cfg.Budget, floor, last+1)
+		last = deadline
+		g.multicast(seqID, n.sequence(batch, deadline, view),
+			&Envelope{Kind: EnvHorizon, View: view, From: Origin{Replica: seqID}, Stamp: deadline})
+		tick = nextTick(g.cfg.Tick, g.cfg.DetectTimeout, tick, len(batch))
 	}
 }
 
-// nextTick applies the adaptive sizing policy given how many forwards
-// the finished tick drained: a threshold-sized batch means saturation
-// (drain fast), a non-empty drain holds the nominal tick, and idle
-// ticks stretch geometrically toward MaxTick.
-func (g *Group) nextTick(cur time.Duration, drained int) time.Duration {
-	if !g.cfg.AdaptiveTick {
-		return g.cfg.Tick
-	}
+// drainThreshold is the forward-queue depth that counts as saturation:
+// reaching it drains the queue now instead of waiting out the tick.
+const drainThreshold = 64
+
+// nextTick is the load-responsive tick policy: how long the sequencer
+// parks before its next drain, given the base tick, the failure
+// detector's window, the park that just ended and how many forwards it
+// drained. A threshold-sized drain means saturation: park base/4
+// (floored at 100µs), amortising stamping over large batches. Any other
+// non-empty drain holds the base tick. Idle ticks stretch geometrically
+// to 4·base — fewer empty heartbeat multicasts — but never past
+// detect/4, so horizon heartbeats keep the failure detector quiet.
+func nextTick(base, detect, cur time.Duration, drained int) time.Duration {
 	switch {
-	case drained >= g.cfg.BatchThreshold:
-		return g.cfg.MinTick
+	case drained >= drainThreshold:
+		return min(base, max(base/4, 100*time.Microsecond))
 	case drained > 0:
-		return g.cfg.Tick
+		return base
 	default:
-		next := cur * 2
-		if next > g.cfg.MaxTick {
-			next = g.cfg.MaxTick
-		}
-		if next < g.cfg.Tick {
-			next = g.cfg.Tick
-		}
-		return next
+		return max(base, min(2*cur, 4*base, detect/4))
 	}
+}
+
+// kicksTick reports whether forwards arriving into the sequencer's queue
+// (arrived of them, queued in total now) should wake the tick loop out
+// of a park of cur: a queue at the saturation threshold drains now,
+// bounding queueing delay under burst load, and so does the first
+// arrival into an EMPTY queue while the park is idle-stretched past the
+// base tick — a lone low-rate request must not sit out a stretched park.
+func kicksTick(base, cur time.Duration, queued, arrived int) bool {
+	return queued >= drainThreshold || (queued == arrived && cur > base)
 }

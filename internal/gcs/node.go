@@ -276,59 +276,19 @@ func (n *Node) handleForward(env Envelope) {
 		n.sendToSequencer(env)
 		return
 	}
-	n.sequence(env, 0)
-}
-
-// sequence assigns the next total-order slot to env and multicasts it to
-// every live member. A non-zero stamp (stamped mode) becomes the shared
-// virtual delivery deadline carried by the sequenced envelope.
-func (n *Node) sequence(env Envelope, stamp time.Duration) {
-	key := origKey(env.Origin, env.UID)
-	n.mu.Lock()
-	if n.assigned[key] || n.sequencedSeen[key] {
-		n.mu.Unlock()
-		return // duplicate (retransmission)
-	}
-	n.assigned[key] = true
-	if n.nextAssign <= n.highestSeen {
-		n.nextAssign = n.highestSeen + 1
-	}
-	if n.nextAssign == 0 {
-		n.nextAssign = 1
-	}
-	seq := n.nextAssign
-	n.nextAssign++
-	n.mu.Unlock()
-
 	n.g.mu.Lock()
 	view := n.g.view
 	n.g.mu.Unlock()
-	out := env
-	out.Kind = EnvSequenced
-	out.Seq = seq
-	out.View = view
-	out.From = Origin{Replica: n.id}
-	out.Stamp = stamp
-	if n.g.cfg.Classify != nil {
-		// Conflict-class early scheduling: classify once, at sequencing
-		// time, so every member admits the request under the same class.
-		out.Class = n.g.cfg.Classify(env.Payload)
-	}
-	for _, id := range n.g.Recipients() {
-		if !n.g.alive(id) {
-			continue
-		}
-		n.g.transfer(fmt.Sprintf("seq%v>%v", n.id, id), Origin{Replica: id}, out)
-	}
+	n.g.multicast(n.id, n.sequence([]Envelope{env}, 0, view), nil)
 }
 
-// sequenceBatch is the group-commit form of sequence: it assigns
-// consecutive total-order slots to every non-duplicate envelope in envs
-// under one lock acquisition and returns the sequenced envelopes (slot
-// order, shared stamp, To unset) for the caller to fan out — one
-// multi-envelope frame per member instead of members×envelopes frames.
-// The slot assignment, dedup, and classification are exactly sequence's.
-func (n *Node) sequenceBatch(envs []Envelope, stamp time.Duration, view uint64) []Envelope {
+// sequence assigns consecutive total-order slots to every non-duplicate
+// envelope in envs under one lock acquisition and returns the sequenced
+// envelopes (slot order, To unset) for the caller to multicast. A
+// non-zero stamp (stamped mode) becomes the shared virtual delivery
+// deadline they carry. The simulator sequences each forward as it
+// arrives; the stamped tick loop a whole tick's forwards at once.
+func (n *Node) sequence(envs []Envelope, stamp time.Duration, view uint64) []Envelope {
 	if len(envs) == 0 {
 		return nil
 	}
@@ -357,6 +317,8 @@ func (n *Node) sequenceBatch(envs []Envelope, stamp time.Duration, view uint64) 
 	}
 	n.mu.Unlock()
 	if n.g.cfg.Classify != nil {
+		// Conflict-class early scheduling: classify once, at sequencing
+		// time, so every member admits the request under the same class.
 		for i := range out {
 			out[i].Class = n.g.cfg.Classify(out[i].Payload)
 		}

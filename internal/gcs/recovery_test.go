@@ -117,8 +117,8 @@ func (n *nullTransport) Bind(at Origin, deliver func(...Envelope)) {
 	n.binds[at] = deliver
 	n.mu.Unlock()
 }
-func (n *nullTransport) Send(string, Origin, Envelope) {}
-func (n *nullTransport) Close() error                  { return nil }
+func (n *nullTransport) Send(string, Origin, ...Envelope) {}
+func (n *nullTransport) Close() error                     { return nil }
 
 func (n *nullTransport) deliverTo(at Origin, envs ...Envelope) {
 	n.mu.Lock()

@@ -17,27 +17,18 @@ type Transport interface {
 	// for every envelope — or contiguous batch of envelopes — addressed
 	// to it; it must be safe to call from any goroutine.
 	Bind(at Origin, deliver func(envs ...Envelope))
-	// Send places env on the FIFO link named key toward to. Envelopes
-	// sent with the same key never overtake each other.
-	Send(key string, to Origin, env Envelope)
+	// Send places envs on the FIFO link named key toward to as one atomic
+	// unit, handed to the receiver's deliver callback in a single call —
+	// a burst of forwards sent together stays within one sequencing tick.
+	// Envelopes sent with the same key never overtake each other.
+	Send(key string, to Origin, envs ...Envelope)
 	// Close releases the transport's resources.
 	Close() error
 }
 
-// BatchSender is an optional Transport extension: SendBatch places envs
-// on a link as one atomic unit, handed to the receiver's deliver
-// callback in a single call. Distributed-mode determinism tests rely on
-// this to keep a burst of forwards within one sequencing tick.
-type BatchSender interface {
-	SendBatch(key string, to Origin, envs []Envelope)
-}
-
-// Compile-time assertions: the in-memory transport implements the
+// Compile-time assertion: the in-memory transport implements the
 // interface (internal/wire carries the matching assertion for TCP).
-var (
-	_ Transport   = (*memTransport)(nil)
-	_ BatchSender = (*memTransport)(nil)
-)
+var _ Transport = (*memTransport)(nil)
 
 // memTransport models point-to-point links with a fixed one-way latency
 // and FIFO ordering: messages sent on the same link never overtake each
@@ -67,17 +58,11 @@ func (t *memTransport) Bind(at Origin, deliver func(...Envelope)) {
 	t.mu.Unlock()
 }
 
-func (t *memTransport) Send(key string, to Origin, env Envelope) {
-	t.SendBatch(key, to, []Envelope{env})
-}
-
-func (t *memTransport) SendBatch(key string, to Origin, envs []Envelope) {
+func (t *memTransport) Send(key string, to Origin, envs ...Envelope) {
 	lk := t.linkTo(key, to)
 	lk.mu.Lock()
-	now := t.g.cfg.Clock.Now()
-	for _, e := range envs {
-		lk.queue = append(lk.queue, timedEnv{sentAt: now, env: e})
-	}
+	// The link keeps the caller's slice: transfer hands every send its own.
+	lk.queue = append(lk.queue, timedEnvs{sentAt: t.g.cfg.Clock.Now(), envs: envs})
 	start := !lk.running
 	lk.running = true
 	lk.mu.Unlock()
@@ -88,9 +73,9 @@ func (t *memTransport) SendBatch(key string, to Origin, envs []Envelope) {
 
 func (t *memTransport) Close() error { return nil }
 
-type timedEnv struct {
+type timedEnvs struct {
 	sentAt time.Duration
-	env    Envelope
+	envs   []Envelope
 }
 
 type link struct {
@@ -104,7 +89,7 @@ type link struct {
 	order uint64
 
 	mu      sync.Mutex
-	queue   []timedEnv
+	queue   []timedEnvs
 	running bool
 }
 
@@ -153,7 +138,7 @@ func (lk *link) drain() {
 		deliver := t.binds[lk.to]
 		t.mu.Unlock()
 		if deliver != nil {
-			deliver(te.env)
+			deliver(te.envs...)
 		}
 	}
 }

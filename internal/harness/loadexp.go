@@ -19,7 +19,7 @@ import (
 	"detmt/internal/workload"
 )
 
-// The throughput experiments E15 (tick x group-commit matrix and ceiling),
+// The throughput experiments E15 (offered-rate grid and ceiling),
 // E16 (sharded aggregate ceiling) and E17 (HTTP facade against the wire
 // protocol) are three tables over the same call: boot a deployment of real
 // detmt-server processes with spawnCluster, drive it with server.Run or
@@ -37,8 +37,9 @@ type OpenLoopOptions struct {
 	Duration time.Duration
 	// Warmup precedes each measured window.
 	Warmup time.Duration
-	// Rates is the offered-rate grid of the E15 matrix (the tick policies
-	// differ at its low end).
+	// Rates is E15's offered-rate grid. Its low end is where the tick
+	// policy shows: a lone request is drained on arrival instead of
+	// waiting for a tick boundary.
 	Rates []float64
 }
 
@@ -285,10 +286,8 @@ func ladder(b *strings.Builder, o OpenLoopOptions, spec clusterSpec, gen workloa
 // OpenLoop is experiment E15: the sequencer throughput ceiling. It
 // first measures the closed-loop baseline (clients wait for replies, so
 // concurrency — not the sequencer — bounds the rate), then walks an
-// offered-rate grid through the four hot-path configurations (fixed vs
-// adaptive tick x group commit on/off) under open-loop, coordinated-
-// omission-corrected load. The sustained-rate search is the companion
-// 'ceiling' experiment.
+// offered-rate grid under open-loop, coordinated-omission-corrected
+// load. The sustained-rate search is the companion 'ceiling' experiment.
 func OpenLoop(o OpenLoopOptions) Result {
 	var b strings.Builder
 	metricsOut := map[string]float64{}
@@ -296,8 +295,8 @@ func OpenLoop(o OpenLoopOptions) Result {
 	// Every run gets a fresh cluster: residual backlog from a saturating
 	// rate would otherwise bleed into the next cell's warmup and delay its
 	// convergence check.
-	run := func(ro server.RunOptions, flags ...string) (*server.RunResult, error) {
-		c, err := spawnCluster(clusterSpec{members: 3, flags: flags})
+	run := func(ro server.RunOptions) (*server.RunResult, error) {
+		c, err := spawnCluster(clusterSpec{members: 3})
 		if err != nil {
 			return nil, err
 		}
@@ -331,45 +330,33 @@ func OpenLoop(o OpenLoopOptions) Result {
 		metricsOut[cl.key] = res.Achieved
 	}
 
-	// The matrix: offered vs achieved vs p99 intent latency.
-	fmt.Fprintf(&b, "\n%-16s %10s %12s %10s %10s %8s\n", "config", "offered", "achieved", "p50-ms", "p99-ms", "shed")
-	for _, cfg := range []struct {
-		key   string
-		flags []string
-	}{
-		{"fixed+plain", []string{"-no-group-commit"}},
-		{"fixed+group", nil},
-		{"adaptive+plain", []string{"-adaptive-tick", "-no-group-commit"}},
-		{"adaptive+group", []string{"-adaptive-tick"}},
-	} {
-		for _, rate := range o.Rates {
-			ro := o.run(nil, gen)
-			ro.Rate, ro.SLO = rate, 0
-			res, err := run(ro, cfg.flags...)
-			if res == nil {
-				fmt.Fprintf(&b, "%-16s %10.0f FAILED: %v\n", cfg.key, rate, err)
-				continue
-			}
-			q := res.Intent.Quantiles(50, 99)
-			note := ""
-			if err != nil {
-				note = "  (did not settle)"
-			}
-			fmt.Fprintf(&b, "%-16s %10.0f %12.0f %10.2f %10.2f %8d%s\n",
-				cfg.key, rate, res.Achieved, msf(q[0]), msf(q[1]), res.Shed, note)
-			mkey := strings.ReplaceAll(cfg.key, "+", "_")
-			metricsOut[fmt.Sprintf("%s_%.0f_achieved_rps", mkey, rate)] = res.Achieved
-			metricsOut[fmt.Sprintf("%s_%.0f_p99_ms", mkey, rate)] = msf(q[1])
-			if rate == o.Rates[0] {
-				metricsOut[fmt.Sprintf("%s_lowrate_p50_ms", mkey)] = msf(q[0])
-			}
+	// The grid: offered vs achieved vs p99 intent latency.
+	fmt.Fprintf(&b, "\n%10s %12s %10s %10s %8s\n", "offered", "achieved", "p50-ms", "p99-ms", "shed")
+	for _, rate := range o.Rates {
+		ro := o.run(nil, gen)
+		ro.Rate, ro.SLO = rate, 0
+		res, err := run(ro)
+		if res == nil {
+			fmt.Fprintf(&b, "%10.0f FAILED: %v\n", rate, err)
+			continue
+		}
+		q := res.Intent.Quantiles(50, 99)
+		note := ""
+		if err != nil {
+			note = "  (did not settle)"
+		}
+		fmt.Fprintf(&b, "%10.0f %12.0f %10.2f %10.2f %8d%s\n", rate, res.Achieved, msf(q[0]), msf(q[1]), res.Shed, note)
+		metricsOut[fmt.Sprintf("rate_%.0f_achieved_rps", rate)] = res.Achieved
+		metricsOut[fmt.Sprintf("rate_%.0f_p99_ms", rate)] = msf(q[1])
+		if rate == o.Rates[0] {
+			metricsOut["lowrate_p50_ms"] = msf(q[0])
 		}
 	}
 
-	b.WriteString("\nThe closed-loop baseline is concurrency-bound: each client waits a\nfull round-trip per request. Open-loop arrivals pipeline through the\nsequencing window, so the ceiling is set by sequencer drain + wire\ncost (see the 'ceiling' experiment for the sustained-rate search).\nThe tick policies differ at the low end of the grid, where a fixed\ntick makes a lone request wait for the next boundary.\n")
+	b.WriteString("\nThe closed-loop baseline is concurrency-bound: each client waits a\nfull round-trip per request. Open-loop arrivals pipeline through the\nsequencing window, so the ceiling is set by sequencer drain + wire\ncost (see the 'ceiling' experiment for the sustained-rate search).\n")
 	return Result{
 		ID:      "openloop",
-		Title:   "E15: open-loop sequencer throughput ceiling (fixed/adaptive tick x group commit, real detmt-server processes)",
+		Title:   "E15: open-loop sequencer throughput (offered-rate grid, real detmt-server processes)",
 		Text:    b.String(),
 		Metrics: metricsOut,
 	}
@@ -380,8 +367,8 @@ func OpenLoop(o OpenLoopOptions) Result {
 func Ceiling(o OpenLoopOptions) Result {
 	var b strings.Builder
 	metricsOut := map[string]float64{}
-	b.WriteString("Ceiling search (adaptive tick + group commit + pipelined apply, SLO p99 <= 100ms):\n")
-	res, err := ladder(&b, o, clusterSpec{members: 3, flags: []string{"-adaptive-tick"}},
+	b.WriteString("Ceiling search (SLO p99 <= 100ms):\n")
+	res, err := ladder(&b, o, clusterSpec{members: 3},
 		workload.Fig1Gen(openLoopWorkload(), false), 1000, nil)
 	if res == nil {
 		fmt.Fprintf(&b, "FAILED: %v\n", err)
@@ -414,11 +401,11 @@ func Ceiling(o OpenLoopOptions) Result {
 func Sharded(o OpenLoopOptions) Result {
 	var b strings.Builder
 	metricsOut := map[string]float64{}
-	b.WriteString("Aggregate ceiling vs shard count (one process, one replica per\nshard, adaptive tick + group commit, SLO p99 <= 100ms):\n\n")
+	b.WriteString("Aggregate ceiling vs shard count (one process, one replica per\nshard, SLO p99 <= 100ms):\n\n")
 	var last float64
 	for _, n := range []int{1, 2, 4} {
 		fmt.Fprintf(&b, "-- %d shard(s) --\n", n)
-		res, err := ladder(&b, o, clusterSpec{members: 1, shards: n, flags: []string{"-adaptive-tick", "-ring-seed", "42"}},
+		res, err := ladder(&b, o, clusterSpec{members: 1, shards: n, flags: []string{"-ring-seed", "42"}},
 			workload.Fig1Gen(openLoopWorkload(), true), 1000*float64(n), nil)
 		if res == nil {
 			fmt.Fprintf(&b, "FAILED: %v\n", err)
@@ -460,7 +447,7 @@ func KVFacade(o OpenLoopOptions) Result {
 	metricsOut := map[string]float64{}
 	fmt.Fprintf(&b, "HTTP facade overhead, 2 shards, one replica per shard, KV object\n(%.0f%% reads over %d keys), SLO p99 <= 100ms:\n\n",
 		facadePGet*100, facadeKeys)
-	spec := clusterSpec{members: 1, shards: 2, flags: []string{"-kv", "-adaptive-tick", "-ring-seed", "42"}}
+	spec := clusterSpec{members: 1, shards: 2, flags: []string{"-kv", "-ring-seed", "42"}}
 	gateway := func(c *cluster) (server.Invoker, func(), error) {
 		gw, err := kvapi.New(kvapi.Options{Ring: c.Ring(), Clients: 32})
 		if err != nil {

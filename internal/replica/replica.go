@@ -87,9 +87,6 @@ type Config struct {
 	// NestedRetries is how many retries follow a failed attempt
 	// (0: 2; negative disables retries).
 	NestedRetries int
-	// NestedBackoff is the initial retry backoff (0: 25ms, doubling,
-	// capped at 500ms).
-	NestedBackoff time.Duration
 	// BreakerThreshold is how many consecutive transport failures trip
 	// the nested-call circuit breaker (0: 5; negative: never trips).
 	BreakerThreshold int
@@ -221,7 +218,6 @@ func New(cfg Config) *Replica {
 	r.policy = backend.Policy{
 		Timeout: cfg.NestedTimeout,
 		Retries: cfg.NestedRetries,
-		Backoff: cfg.NestedBackoff,
 	}
 	sched := r.buildScheduler()
 	r.sched = sched

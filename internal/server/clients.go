@@ -29,9 +29,9 @@ type ShardClientOptions struct {
 	// different clusters that should produce comparable hashes must use
 	// the SAME base (default 0).
 	ClientBase int
-	// EpochDir persists the wire-epoch counters. Every dialer shares a
-	// transport name per group, so each one must present a strictly higher
-	// restart epoch than any other against the same cluster — a wall-clock
+	// EpochDir persists the wire-epoch counters. Dialers with the same
+	// ClientBase share a transport name per group, so each one must present
+	// a strictly higher restart epoch than the one before it — a wall-clock
 	// epoch alone lets two dialers started within the same clock tick
 	// collide (one gets swallowed as a stale incarnation). "" uses a
 	// shared directory under the OS temp dir.
@@ -108,11 +108,19 @@ func dial(ring shard.RingConfig, tagged bool, o ShardClientOptions) (*ShardClien
 		clients: o.Clients,
 		logf:    o.Logf,
 	}
+	// The transport name is the dialer's identity toward the servers (a
+	// later session under the same name supersedes the earlier one), so it
+	// follows the client-id base: dialers with disjoint pools — a gateway
+	// and a load generator — coexist on one cluster.
+	base := "load"
+	if o.ClientBase != 0 {
+		base = fmt.Sprintf("load+%d", o.ClientBase)
+	}
 	for k, g := range cfg.Groups {
-		name, tag := "load", ""
+		name, tag := base, ""
 		if tagged {
 			tag = fmt.Sprintf("g%d", g.ID)
-			name = "load-" + tag
+			name += "-" + tag
 		}
 		st, err := newShardStack(name, tag, g.Members, o)
 		if err != nil {

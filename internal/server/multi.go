@@ -31,8 +31,6 @@ type MultiOptions struct {
 	// RingSeed drives virtual-node placement (must agree across
 	// members; 0 is a valid seed).
 	RingSeed uint64
-	// VNodes per group (0: shard.DefaultVNodes).
-	VNodes int
 	// RingVersion is the config generation (0: 1).
 	RingVersion uint64
 	// XShard wires cross-shard nested invocations: the lowest member
@@ -94,7 +92,7 @@ func NewMulti(o MultiOptions) (*MultiServer, error) {
 	for id, addr := range t.Peers {
 		bases[id] = addr
 	}
-	cfg, err := shard.SymmetricConfig(version, o.RingSeed, o.VNodes, o.Shards, bases, o.XShard)
+	cfg, err := shard.SymmetricConfig(version, o.RingSeed, 0, o.Shards, bases, o.XShard)
 	if err != nil {
 		return nil, err
 	}

@@ -10,8 +10,7 @@ import (
 )
 
 // startClusterOpts boots n replica servers like startCluster but lets the
-// caller adjust each server's Options before New — the knob the sequencer
-// throughput tests need (adaptive tick, group commit, pipeline depth).
+// caller adjust each server's Options before New.
 func startClusterOpts(t *testing.T, n int, kind replica.SchedulerKind, mod func(*Options)) ([]*Server, map[ids.ReplicaID]string) {
 	t.Helper()
 	lns := make([]net.Listener, n)
@@ -58,10 +57,22 @@ func startClusterOpts(t *testing.T, n int, kind replica.SchedulerKind, mod func(
 
 // runOpenLoad drives one open-loop run against a fresh cluster and
 // asserts the shared invariants: no request errors, full convergence,
-// and a non-empty measured window.
-func runOpenLoad(t *testing.T, mod func(*Options), o RunOptions) *RunResult {
+// and a non-empty measured window. burst, when positive, first sends one
+// closed-loop batch of that many calls through the same cluster.
+func runOpenLoad(t *testing.T, burst int, o RunOptions) *RunResult {
 	t.Helper()
-	_, addrs := startClusterOpts(t, 3, replica.KindMAT, mod)
+	_, addrs := startClusterOpts(t, 3, replica.KindMAT, nil)
+	if burst > 0 {
+		res, err := loadGroup(addrs, ShardClientOptions{ClientBase: 1000}, RunOptions{
+			Clients: 1, RequestsPerClient: burst, Batch: true, Seed: o.Seed, Timeout: 90 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("burst: %v", err)
+		}
+		if res.Errors > 0 || !res.Converged {
+			t.Fatalf("burst: errors=%d converged=%v", res.Errors, res.Converged)
+		}
+	}
 	res, err := loadGroup(addrs, ShardClientOptions{}, o)
 	if err != nil {
 		t.Fatalf("open-loop run: %v", err)
@@ -88,14 +99,14 @@ func runOpenLoad(t *testing.T, mod func(*Options), o RunOptions) *RunResult {
 	return res
 }
 
-// TestOpenLoadSmoke drives a modest open-loop rate through the default
-// configuration (group commit + pipelined decode on, fixed tick) and
-// checks rate accounting: offered ≈ achieved when far below the ceiling.
+// TestOpenLoadSmoke drives a modest open-loop rate through the cluster
+// and checks rate accounting: offered ≈ achieved when far below the
+// ceiling.
 func TestOpenLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	res := runOpenLoad(t, nil, RunOptions{
+	res := runOpenLoad(t, 0, RunOptions{
 		Rate:     150,
 		Duration: 2 * time.Second,
 		Warmup:   500 * time.Millisecond,
@@ -109,18 +120,17 @@ func TestOpenLoadSmoke(t *testing.T) {
 	}
 }
 
-// TestOpenLoadAdaptiveTickPoissonBatch exercises every new hot-path knob
-// at once: adaptive tick sizing, Poisson arrivals, and batched submits
-// riding the group-commit path. Determinism criterion: all replicas
-// converge on one schedule hash.
+// TestOpenLoadAdaptiveTickPoissonBatch exercises the whole tick policy on
+// one cluster: a 96-call batch arrives as one frame, crosses the
+// saturation threshold (64) and is drained on the spot; Poisson arrivals
+// then leave idle-stretched parks for lone requests to cut short, with
+// batched submits riding the group-commit path. Determinism criterion:
+// all replicas converge on one schedule hash.
 func TestOpenLoadAdaptiveTickPoissonBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	runOpenLoad(t, func(o *Options) {
-		o.AdaptiveTick = true
-		o.BatchThreshold = 8
-	}, RunOptions{
+	runOpenLoad(t, 96, RunOptions{
 		Rate:     300,
 		Duration: 2 * time.Second,
 		Warmup:   500 * time.Millisecond,
@@ -130,39 +140,36 @@ func TestOpenLoadAdaptiveTickPoissonBatch(t *testing.T) {
 	})
 }
 
-// TestGroupCommitScheduleTransparency runs the same single-client
-// pipelined burst against a default cluster (group commit + pipelined
-// decision apply) and against a cluster with both disabled, and asserts
-// bit-identical consistency hashes. Group commit must be a wire-level
-// coalescing only: same slots, same stamps relative to the schedule,
-// same deterministic execution.
+// groupCommitBurstHash is the ConsistencyHash every replica reaches on the
+// burst below. It was read off the commit that still had a one-frame-per-
+// envelope, inline-decode sequencer to compare against: both arms produced
+// it there.
+const groupCommitBurstHash = 0xee81398f879ebf09
+
+// TestGroupCommitScheduleTransparency pins the schedule of a single-client
+// 8-call batch burst: the sequencer packs a tick's decisions into one
+// multi-envelope frame per member and the receivers decode it on a
+// pipeline, and neither may reach the schedule — same slots, same
+// deterministic execution as one frame per envelope decoded inline.
 func TestGroupCommitScheduleTransparency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	run := func(mod func(*Options)) *RunResult {
-		_, addrs := startClusterOpts(t, 3, replica.KindMAT, mod)
-		res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{
-			Clients:           1,
-			RequestsPerClient: 8,
-			Seed:              7,
-			Batch:             true,
-			Timeout:           90 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Errors > 0 || !res.Converged {
-			t.Fatalf("errors=%d converged=%v", res.Errors, res.Converged)
-		}
-		return res
-	}
-	grouped := run(nil) // defaults: group commit on, pipelined apply on
-	plain := run(func(o *Options) {
-		o.NoGroupCommit = true
-		o.PipelineDepth = -1 // inline decode path
+	_, addrs := startClusterOpts(t, 3, replica.KindMAT, nil)
+	res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{
+		Clients:           1,
+		RequestsPerClient: 8,
+		Seed:              7,
+		Batch:             true,
+		Timeout:           90 * time.Second,
 	})
-	if g, p := grouped.PerShard[0].Hashes[0], plain.PerShard[0].Hashes[0]; g != p {
-		t.Fatalf("group commit changed the deterministic schedule: grouped hash %x, plain hash %x", g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors > 0 || !res.Converged {
+		t.Fatalf("errors=%d converged=%v", res.Errors, res.Converged)
+	}
+	if got := res.PerShard[0].Hashes[0]; got != groupCommitBurstHash {
+		t.Fatalf("framing reached the deterministic schedule: hash %x, want %x", got, uint64(groupCommitBurstHash))
 	}
 }

@@ -1,7 +1,7 @@
 // Package server hosts one detmt replica behind the TCP transport — the
 // deployment mode that takes the system out of the simulator. Each
 // process runs its replica inside a *paced* virtual clock: the sequencer
-// process drains forwarded requests on a fixed virtual tick, stamps
+// process drains forwarded requests on a virtual tick, stamps
 // every sequenced message with a virtual delivery deadline, and all
 // members inject messages at exactly their stamped instants. Replicas
 // therefore execute identical virtual schedules — the determinism the
@@ -90,12 +90,11 @@ type Options struct {
 	// the performer dials it; its failures surface as deterministic
 	// nested-call outcomes, never as divergence.
 	Backend string
-	// NestedTimeout/NestedRetries/NestedBackoff tune the per-call
-	// deadline and retry policy against the backend (zero values apply
-	// the replica defaults: 2s, 2 retries, 25ms doubling backoff).
+	// NestedTimeout/NestedRetries tune the per-call deadline and retry
+	// budget against the backend (zero values apply the replica defaults:
+	// 2s, 2 retries).
 	NestedTimeout time.Duration
 	NestedRetries int
-	NestedBackoff time.Duration
 	// BreakerThreshold/BreakerCooldown tune the nested-call circuit
 	// breaker (defaults: 5 consecutive transport failures, 2s cooldown).
 	BreakerThreshold int
@@ -103,22 +102,6 @@ type Options struct {
 	// Tick and Budget configure stamped sequencing (see gcs.Config).
 	Tick   time.Duration
 	Budget time.Duration
-
-	// AdaptiveTick enables the load-responsive sequencing drain (see
-	// gcs.Config.AdaptiveTick): immediate drain past BatchThreshold
-	// queued forwards, MinTick while saturated, stretch toward MaxTick
-	// when idle. Zero-valued MinTick/MaxTick/BatchThreshold take the gcs
-	// defaults.
-	AdaptiveTick   bool
-	MinTick        time.Duration
-	MaxTick        time.Duration
-	BatchThreshold int
-	// NoGroupCommit reverts the sequencer's tick fan-out to one frame
-	// per envelope (see gcs.Config.NoGroupCommit; measurement only).
-	NoGroupCommit bool
-	// PipelineDepth bounds the transport's per-sender decode pipeline
-	// (see wire.Options.PipelineDepth; negative disables pipelining).
-	PipelineDepth int
 
 	PDSWindow       int
 	PDSRelaxed      bool
@@ -148,10 +131,6 @@ type Options struct {
 	// schedule itself, only how much history a status/replay query can
 	// see, so members need not agree on it.
 	TraceRetention int
-
-	// SeqRetention bounds the sequenced-log tail retained for serving a
-	// rejoining peer's catch-up (see gcs.Config.SeqRetention).
-	SeqRetention int
 
 	// DetectTimeout is the sequencer-silence window of the failure
 	// detector (0 applies the gcs default, 50ms). Deployments on flaky
@@ -443,7 +422,6 @@ func New(o Options) (*Server, error) {
 			}
 		},
 		OriginIdleExpiry: expiry,
-		PipelineDepth:    o.PipelineDepth,
 		Dial:             o.Dial,
 		Logf:             o.Logf,
 	})
@@ -460,23 +438,17 @@ func New(o Options) (*Server, error) {
 		learners = []ids.ReplicaID{o.ID}
 	}
 	gcfg := gcs.Config{
-		Clock:          s.clock,
-		Group:          o.Group,
-		Members:        members,
-		Transport:      tr,
-		Local:          []ids.ReplicaID{o.ID},
-		Tick:           o.Tick,
-		Budget:         o.Budget,
-		AdaptiveTick:   o.AdaptiveTick,
-		MinTick:        o.MinTick,
-		MaxTick:        o.MaxTick,
-		BatchThreshold: o.BatchThreshold,
-		NoGroupCommit:  o.NoGroupCommit,
-		Recovering:     o.Recover,
-		SeqRetention:   o.SeqRetention,
-		DetectTimeout:  o.DetectTimeout,
-		Learners:       learners,
-		Logf:           o.Logf,
+		Clock:         s.clock,
+		Group:         o.Group,
+		Members:       members,
+		Transport:     tr,
+		Local:         []ids.ReplicaID{o.ID},
+		Tick:          o.Tick,
+		Budget:        o.Budget,
+		Recovering:    o.Recover,
+		DetectTimeout: o.DetectTimeout,
+		Learners:      learners,
+		Logf:          o.Logf,
 		FetchGap: func(donor ids.ReplicaID, from uint64, max int) []gcs.Envelope {
 			envs, _, _, err := tr.FetchTail(donor, from, max, fetchTimeout)
 			if err != nil {
@@ -528,7 +500,6 @@ func New(o Options) (*Server, error) {
 		Backend:          s.backend, // nil keeps the in-process echo
 		NestedTimeout:    o.NestedTimeout,
 		NestedRetries:    o.NestedRetries,
-		NestedBackoff:    o.NestedBackoff,
 		BreakerThreshold: o.BreakerThreshold,
 		BreakerCooldown:  o.BreakerCooldown,
 		Logf:             o.Logf,

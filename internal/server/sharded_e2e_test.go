@@ -451,3 +451,70 @@ func TestCrossShardPerformerKillExactlyOnce(t *testing.T) {
 		t.Fatalf("promoted performer never performed: %+v", st2.Nested)
 	}
 }
+
+// TestDialersWithDistinctBasesCoexist holds two client stacks open on one
+// 2-shard cluster the way detmt-gateway (ClientBase 1<<21) and
+// `detmt-load -shards` (base 0) do. Under one shared transport name the
+// later dialer superseded the earlier one's session and the earlier
+// one's requests stalled; both must complete their calls.
+func TestDialersWithDistinctBasesCoexist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket sharded test")
+	}
+	const shards = 2
+	m, err := NewMulti(MultiOptions{
+		Template: Options{
+			ID:            1,
+			Listen:        fmt.Sprintf("127.0.0.1:%d", reserveBasePorts(t, shards)),
+			Scheduler:     replica.KindMAT,
+			Workload:      testWorkload(),
+			NestedLatency: 2 * time.Millisecond,
+			Logf:          debugLogf,
+		},
+		Shards:   shards,
+		RingSeed: 42,
+	})
+	if err != nil {
+		t.Fatalf("starting multi-tenant server: %v", err)
+	}
+	defer m.Close()
+	epochs := t.TempDir()
+	dial := func(base int) *ShardClients {
+		sc, err := DialShards(m.Ring(), ShardClientOptions{Clients: 2, ClientBase: base, EpochDir: epochs, Logf: debugLogf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sc.Close)
+		return sc
+	}
+	dialers := []struct {
+		name string
+		sc   *ShardClients
+	}{{"gateway-style", dial(1 << 21)}, {"base-0", dial(0)}}
+	gen, rng := workload.Fig1Gen(testWorkload(), true), ids.NewRNG(5)
+	for i := 0; i < 8; i++ {
+		for _, d := range dialers {
+			key, method, args := gen(rng)
+			done := make(chan error, 1)
+			go func() {
+				_, _, _, err := d.sc.Invoke(i, key, time.Now().Add(10*time.Second), method, args)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%s dialer, call %d: %v", d.name, i, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s dialer, call %d: no reply (session superseded)", d.name, i)
+			}
+		}
+	}
+	for _, d := range dialers {
+		for k, n := range d.sc.Counts() {
+			if n == 0 {
+				t.Fatalf("%s dialer routed nothing to shard %d (seed 5 reaches both)", d.name, k)
+			}
+		}
+	}
+}

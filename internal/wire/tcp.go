@@ -14,10 +14,7 @@ import (
 
 // Compile-time assertion: the TCP transport is interchangeable with the
 // in-memory one (whose assertion lives in internal/gcs).
-var (
-	_ gcs.Transport   = (*TCP)(nil)
-	_ gcs.BatchSender = (*TCP)(nil)
-)
+var _ gcs.Transport = (*TCP)(nil)
 
 // Options configures a TCP transport endpoint.
 type Options struct {
@@ -85,16 +82,6 @@ type Options struct {
 	// (e.g. a chaos-killed load generator) would otherwise leak their
 	// rings until an epoch bump, which may never come.
 	OriginIdleExpiry time.Duration
-	// PipelineDepth bounds the per-sender decode pipeline: received
-	// envelope/batch frames are handed to a single per-sender worker
-	// that dedups, decodes and delivers them in arrival order, so the
-	// socket reader is already pulling the next frame off the wire while
-	// the previous one is being applied. Acks are still sent only after
-	// delivery, preserving the acked-implies-delivered replay invariant
-	// across reconnects. 0 applies DefaultPipelineDepth; negative
-	// disables pipelining (frames decode inline on the reader goroutine,
-	// the pre-pipelining behavior, kept for before/after measurement).
-	PipelineDepth int
 	// MaxUnacked bounds the per-peer retransmission queue: frames not yet
 	// acknowledged by a down peer accumulate until this many are queued,
 	// then the oldest are dropped (counted, logged once per outage). A
@@ -180,12 +167,11 @@ const DefaultMaxUnacked = 32768
 // that a long-lived server's memory stays flat.
 const clientReplayBuf = 256
 
-// DefaultPipelineDepth is the per-sender decode-pipeline bound applied
-// when Options leaves PipelineDepth at zero: deep enough that a tick's
-// worth of group-committed frames never stalls the socket reader,
-// bounded so a slow replica exerts backpressure instead of buffering
-// without limit.
-const DefaultPipelineDepth = 512
+// pipelineDepth bounds each per-sender decode pipeline: deep enough that
+// a tick's worth of group-committed frames never stalls the socket
+// reader, bounded so a slow replica exerts backpressure instead of
+// buffering without limit.
+const pipelineDepth = 512
 
 // NewTCP creates the endpoint, starts its listener (if any) and begins
 // dialing every configured peer.
@@ -206,9 +192,6 @@ func NewTCP(o Options) (*TCP, error) {
 	}
 	if o.MaxUnacked == 0 {
 		o.MaxUnacked = DefaultMaxUnacked
-	}
-	if o.PipelineDepth == 0 {
-		o.PipelineDepth = DefaultPipelineDepth
 	}
 	t := &TCP{
 		o:        o,
@@ -237,11 +220,10 @@ func NewTCP(o Options) (*TCP, error) {
 		t.wg.Add(1)
 		go t.acceptLoop()
 	}
+	// The accept loop is already running and its readers range over
+	// t.peers under t.mu, so every link goes in the way a late one does.
 	for id, addr := range o.Peers {
-		pl := newPeerLink(t, id, addr)
-		t.peers[id] = pl
-		t.wg.Add(1)
-		go pl.run()
+		t.AddPeer(id, addr)
 	}
 	if o.OriginIdleExpiry > 0 {
 		t.wg.Add(1)
@@ -338,19 +320,10 @@ func (t *TCP) helloFrameLocked() frame {
 	return frame{kind: frameHello, body: helloBody(t.o.Name, t.o.Epoch, origins, t.o.Group)}
 }
 
-// Send implements gcs.Transport. The link key is unused: per-peer
-// connection FIFO subsumes per-link FIFO.
-func (t *TCP) Send(_ string, to gcs.Origin, env gcs.Envelope) {
-	t.sendEnvs(to, []gcs.Envelope{env})
-}
-
-// SendBatch implements gcs.BatchSender: envs travel in one frame and are
-// handed to the receiver's deliver callback in a single call.
-func (t *TCP) SendBatch(_ string, to gcs.Origin, envs []gcs.Envelope) {
-	t.sendEnvs(to, envs)
-}
-
-func (t *TCP) sendEnvs(to gcs.Origin, envs []gcs.Envelope) {
+// Send implements gcs.Transport: envs travel in one frame and are handed
+// to the receiver's deliver callback in a single call. The link key is
+// unused: per-peer connection FIFO subsumes per-link FIFO.
+func (t *TCP) Send(_ string, to gcs.Origin, envs ...gcs.Envelope) {
 	t.mu.Lock()
 	if deliver := t.binds[to]; deliver != nil {
 		t.mu.Unlock()
@@ -781,9 +754,6 @@ type decodePipe struct {
 	closed  bool
 }
 
-// pipelined reports whether the decode pipeline is enabled.
-func (t *TCP) pipelined() bool { return t.o.PipelineDepth > 0 }
-
 // pipe returns (creating on first use) the sender's decode pipeline.
 func (t *TCP) pipe(name string) *decodePipe {
 	t.mu.Lock()
@@ -801,10 +771,10 @@ func (t *TCP) pipe(name string) *decodePipe {
 }
 
 // push queues a frame for the pipeline worker, blocking (backpressure
-// on the socket reader) while the pipe is at PipelineDepth.
+// on the socket reader) while the pipe is at pipelineDepth.
 func (p *decodePipe) push(pf pipedFrame) {
 	p.mu.Lock()
-	for len(p.queue) >= p.t.o.PipelineDepth && !p.closed {
+	for len(p.queue) >= pipelineDepth && !p.closed {
 		p.cond.Wait()
 	}
 	if p.closed {
@@ -1184,11 +1154,7 @@ func (pl *peerLink) serveConn(conn net.Conn) bool {
 				t.dispatchFetch(f)
 			case frameEnvelope, frameBatch:
 				name := pl.id.String()
-				if t.pipelined() {
-					t.pipe(name).push(pipedFrame{f: f, name: name})
-				} else {
-					t.deliverFrame(name, 0, f)
-				}
+				t.pipe(name).push(pipedFrame{f: f, name: name})
 			}
 		}
 	}()
@@ -1440,20 +1406,9 @@ func (ic *inboundConn) readLoop() {
 			ic.mu.Lock()
 			name, epoch := ic.name, ic.epoch
 			ic.mu.Unlock()
-			if t.pipelined() {
-				// Hand off to the per-sender decode worker and go read the
-				// next frame; the worker acks after delivery.
-				t.pipe(name).push(pipedFrame{f: f, name: name, epoch: epoch, ic: ic})
-				continue
-			}
-			if !t.deliverFrame(name, epoch, f) {
-				return // stale incarnation: drop the connection
-			}
-			if f.seq != 0 {
-				eb := pooledBody()
-				body := appendU64(eb.b, f.seq)
-				ic.enqueue(frame{kind: frameAck, body: body, buf: eb})
-			}
+			// Hand off to the per-sender decode worker and go read the next
+			// frame; the worker acks after delivery.
+			t.pipe(name).push(pipedFrame{f: f, name: name, epoch: epoch, ic: ic})
 		case frameControl:
 			t.handleControl(ic, f)
 		case frameCkptReq:

@@ -164,10 +164,10 @@ func TestTCPClientReplyRouting(t *testing.T) {
 
 	// Client → server: one batch, delivered in a single call.
 	to := gcs.Origin{Replica: 1}
-	cli.SendBatch("k", to, []gcs.Envelope{
-		{UID: 1, To: to, Payload: "a"},
-		{UID: 2, To: to, Payload: "b"},
-	})
+	cli.Send("k", to,
+		gcs.Envelope{UID: 1, To: to, Payload: "a"},
+		gcs.Envelope{UID: 2, To: to, Payload: "b"},
+	)
 	waitFor(t, "server batch", func() bool { return len(reqs.snapshot()) == 2 })
 
 	// Server → client: routed via the hello-announced origin.

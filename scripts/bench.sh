@@ -3,7 +3,7 @@
 #
 #   scripts/bench.sh [out.json]        run the hotpath experiment, write JSON
 #   scripts/bench.sh -earlysched [out] run the earlysched experiment instead
-#   scripts/bench.sh -openloop [out]   open-loop throughput matrix (E15, real sockets)
+#   scripts/bench.sh -openloop [out]   open-loop rate grid + ceiling (E15, real sockets)
 #   scripts/bench.sh -ceiling [out]    sequencer ceiling search only (real sockets)
 #   scripts/bench.sh -shards [out]     sharded aggregate-ceiling ladder (E16,
 #                                      1/2/4-shard multi-tenant processes)
@@ -13,7 +13,7 @@
 #                                      sharded aggregate ceiling and the facade
 #                                      ceilings; fail on a >10% drop vs the
 #                                      committed baseline (default
-#                                      BENCH_PR13.json; metrics the baseline
+#                                      BENCH_PR14.json; metrics the baseline
 #                                      does not carry are not gated)
 #   scripts/bench.sh -micro            also run the Benchmark* microbenchmarks
 #   scripts/bench.sh -compare A B      diff the Metrics of two JSON outputs
@@ -38,7 +38,7 @@ if [ "${1:-}" = "-earlysched" ]; then
 fi
 
 if [ "${1:-}" = "-openloop" ]; then
-    # The committed BENCH_PR13.json snapshot is this plus the sharded
+    # The committed BENCH_PR14.json snapshot is this plus the sharded
     # ladder and the HTTP facade comparison:
     # detmt-bench -experiment openloop,ceiling,sharded,kvfacade.
     out="${2:-BENCH_OPENLOOP.json}"
@@ -69,7 +69,7 @@ if [ "${1:-}" = "-http" ]; then
 fi
 
 if [ "${1:-}" = "-gate" ]; then
-    baseline="${2:-BENCH_PR13.json}"
+    baseline="${2:-BENCH_PR14.json}"
     [ -f "$baseline" ] || { echo "bench.sh: baseline $baseline not found" >&2; exit 1; }
     tmp="$(mktemp)"
     trap 'rm -f "$tmp"' EXIT

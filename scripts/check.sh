@@ -10,7 +10,7 @@
 #                             (reruns the single-group ceiling search, the
 #                             sharded aggregate ceiling and the HTTP facade
 #                             ceilings and fails on a >10% drop vs the
-#                             committed BENCH_PR13.json; wall timing-sensitive,
+#                             committed BENCH_PR14.json; wall timing-sensitive,
 #                             so not part of the default run)
 #   scripts/check.sh -soak    the long mixed-chaos soak only: seeded
 #                             transport partitions + a replica kill/rejoin +
@@ -111,5 +111,5 @@ if [ -z "$short" ]; then
 	trap - EXIT
 fi
 if [ -n "$bench" ]; then
-	scripts/bench.sh -gate BENCH_PR13.json
+	scripts/bench.sh -gate BENCH_PR14.json
 fi
