@@ -73,12 +73,21 @@ func genProgram(seed uint64, nThreads, nMutexes int) ([]randThread, *lockpred.St
 	return threads, si
 }
 
-func runProgram(t *testing.T, mk func() Scheduler, threads []randThread, si *lockpred.StaticInfo) uint64 {
+// runProgram runs one generated program and returns its consistency hash
+// and makespan. Every thread body opens with a start gate — one
+// microsecond of computation — so all admissions precede every arrival:
+// the spawner goroutine otherwise races the threads it already started,
+// and a relaxed PDS round's membership depends on whether a younger
+// thread was admitted before or after its elders reached the barrier at
+// the same virtual instant (see PDS.RequireFullPool). The replica path
+// has no such race: admissions come from the one delivery goroutine.
+func runProgram(t *testing.T, mk func() Scheduler, threads []randThread, si *lockpred.StaticInfo) (uint64, time.Duration) {
 	t.Helper()
-	tr, _ := scenarioFull(t, mk(), si, 3*ms, func(e *env) {
+	tr, makespan := scenarioFull(t, mk(), si, 3*ms, func(e *env) {
 		for _, rth := range threads {
 			rth := rth
 			e.spawn(rth.method, func(th *Thread) {
+				th.Compute(time.Microsecond)
 				for _, op := range rth.ops {
 					switch op.kind {
 					case 0:
@@ -99,7 +108,15 @@ func runProgram(t *testing.T, mk func() Scheduler, threads []randThread, si *loc
 		}
 	})
 	checkMutualExclusion(t, tr)
-	return tr.ConsistencyHash()
+	return tr.ConsistencyHash(), makespan
+}
+
+// programGridSeeds and gridProgram are the seed grid of the determinism properties: 400
+// programs covering 3–8 threads over 1–4 mutexes.
+const programGridSeeds = 400
+
+func gridProgram(seed uint64) ([]randThread, *lockpred.StaticInfo) {
+	return genProgram(seed, 3+int(seed%6), 1+int(seed/6%4))
 }
 
 func deterministicSchedulers() map[string]func() Scheduler {
@@ -120,12 +137,13 @@ func TestSchedulersAreDeterministic(t *testing.T) {
 	for name, mk := range deterministicSchedulers() {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 12; seed++ {
-				threads, si := genProgram(seed, 4, 3)
-				first := runProgram(t, mk, threads, si)
+			t.Parallel() // every scenario owns its clock and runtime
+			for seed := uint64(1); seed <= programGridSeeds; seed++ {
+				threads, si := gridProgram(seed)
+				first, span := runProgram(t, mk, threads, si)
 				for rep := 0; rep < 3; rep++ {
-					if got := runProgram(t, mk, threads, si); got != first {
-						t.Fatalf("seed %d rep %d: hash %x != %x", seed, rep, got, first)
+					if got, gotSpan := runProgram(t, mk, threads, si); got != first || gotSpan != span {
+						t.Fatalf("seed %d rep %d: hash %x makespan %v != %x %v", seed, rep, got, gotSpan, first, span)
 					}
 				}
 			}
@@ -140,6 +158,7 @@ func TestSchedulersCompleteAllThreads(t *testing.T) {
 	for name, mk := range deterministicSchedulers() {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
+			t.Parallel() // every scenario owns its clock and runtime
 			for seed := uint64(100); seed < 110; seed++ {
 				threads, si := genProgram(seed, 6, 2)
 				tr, _ := scenarioFull(t, mk(), si, 2*ms, func(e *env) {

@@ -33,8 +33,25 @@ type PDS struct {
 	W int
 	// RequireFullPool makes barriers wait until the pool has W members,
 	// as the published algorithm does (needing dummy requests to avoid
-	// starvation). When false, a barrier fires as soon as every *current*
-	// member has arrived — a pragmatic fallback for unit tests.
+	// starvation). When false (relaxed), a barrier fires as soon as every
+	// *current* member has arrived.
+	//
+	// Relaxed round membership therefore depends on the order in which
+	// pool joins and arrivals are processed, also when they carry the
+	// same virtual instant: an arrival that closes the round before a
+	// same-instant admission, nested resume or wait wake-up has joined
+	// leaves the joiner to the next round; the other order holds the
+	// round open for it (admission and nested resume join as running
+	// members) or adds it as an ineligible arrival (wake-up). The
+	// schedule is deterministic only if that order is. On the replica
+	// path it is: the virtual clock fires same-instant timers by rank —
+	// thread computations in thread-id order, then group-communication
+	// deliveries (admissions), then the event pump (nested replies and
+	// wait timeouts, in thread-id order) — and each runs its cascade to
+	// completion before the next fires. A driver that admits from a
+	// goroutine racing the threads it already started (a unit-test
+	// spawner) has no such order and must gate the thread bodies behind
+	// the last admission.
 	RequireFullPool bool
 
 	members      []*Thread // started, alive, unsuspended; admission order
