@@ -1,9 +1,11 @@
 package core
 
-// ClassStats are the admission counters of a class-aware scheduler
-// (ClassMAT, ClassPDS). Snapshots must be taken under the decision lock
-// (Runtime.External); the replication layer surfaces them in the server
-// Status and shutdown logs.
+import "sort"
+
+// ClassStats are the admission counters of a lane scheduler (MAT, PDS).
+// Snapshots must be taken under the decision lock (Runtime.External);
+// the replication layer surfaces them in the server Status and shutdown
+// logs of replicas that honour stamped classes.
 type ClassStats struct {
 	// ActiveClasses is the number of distinct conflict classes among the
 	// currently live threads (the instantaneous lane occupancy).
@@ -35,7 +37,7 @@ func (s ClassStats) ParallelRatio() float64 {
 }
 
 // ClassScheduler is implemented by schedulers that admit per conflict
-// class and expose admission counters.
+// class and expose admission counters (MAT, PDS).
 type ClassScheduler interface {
 	Scheduler
 	// ClassStats snapshots the admission counters. Decision lock held
@@ -43,12 +45,61 @@ type ClassScheduler interface {
 	ClassStats() ClassStats
 }
 
-// activeClasses counts distinct classes among live threads. Decision
-// lock held.
-func activeClasses(rt *Runtime) int {
+// classCounters is the counting half of a ClassScheduler, embedded by
+// the lane schedulers. Decision lock held throughout.
+type classCounters struct {
+	escalations     uint64
+	mergeStalls     uint64
+	parallelCommits uint64
+	serialCommits   uint64
+}
+
+func (c *classCounters) admitted(t *Thread) {
+	if t.Class() == 0 {
+		c.escalations++
+	}
+}
+
+func (c *classCounters) exited(t *Thread) {
+	if t.Class() == 0 {
+		c.serialCommits++
+	} else {
+		c.parallelCommits++
+	}
+}
+
+func (c *classCounters) snapshot(rt *Runtime) ClassStats {
 	seen := map[uint32]bool{}
 	for _, t := range rt.ThreadsByAdmission() {
 		seen[t.Class()] = true
 	}
-	return len(seen)
+	return ClassStats{
+		ActiveClasses:   len(seen),
+		Escalations:     c.escalations,
+		MergeStalls:     c.mergeStalls,
+		ParallelCommits: c.parallelCommits,
+		SerialCommits:   c.serialCommits,
+	}
+}
+
+// laneSet holds a scheduler's per-class lanes. Lanes materialise on
+// first use and are always swept in sorted class order (keys), so the
+// sweep is a function of the classes seen, not of map iteration.
+type laneSet[L any] struct {
+	byClass map[uint32]*L
+	keys    []uint32
+}
+
+func (ls *laneSet[L]) of(c uint32) *L {
+	l := ls.byClass[c]
+	if l == nil {
+		if ls.byClass == nil {
+			ls.byClass = map[uint32]*L{}
+		}
+		l = new(L)
+		ls.byClass[c] = l
+		ls.keys = append(ls.keys, c)
+		sort.Slice(ls.keys, func(i, j int) bool { return ls.keys[i] < ls.keys[j] })
+	}
+	return l
 }

@@ -24,17 +24,35 @@ import "sort"
 // without it) and rejoins when it resumes — as a running member after a
 // nested reply, or as a new ineligible arrival for its monitor
 // reacquisition after a notify.
+//
+// Conflict classes (package earlysched) generalise the one pool to one
+// per class: every class runs its own PDS *lane* — window, barrier
+// rounds, eligibility, admission-order grants — so non-conflicting
+// classes close rounds and execute critical sections concurrently. The
+// paper's PDS is the case where every thread is in the global class 0
+// (what Runtime.Submit admits): one lane, and a gate that never bars.
+//
+// The merge barrier is a *grant gate* over the stamped admission order:
+// a non-global thread is never granted a lock while an older global-
+// class thread is live, and a global thread is never granted one while
+// an older non-global thread is live (gateAdmits). Round structure is
+// per lane, so a multi-lane run is *not* promised to replay the one-lane
+// round timing for W > 1; with W = 1 (one request per lane at a time) the
+// per-mutex grant order provably equals serial admission order, which the
+// hash-equivalence tests in package replica pin down.
 type PDS struct {
 	NopScheduler
 	rt *Runtime
 
-	// W is the pool size: the number of simultaneously processed
-	// requests a barrier waits for.
+	// W is the pool size of every lane: the number of simultaneously
+	// processed requests a barrier waits for.
 	W int
-	// RequireFullPool makes barriers wait until the pool has W members,
-	// as the published algorithm does (needing dummy requests to avoid
-	// starvation). When false (relaxed), a barrier fires as soon as every
-	// *current* member has arrived.
+	// RequireFullPool makes a lane's barriers wait until its pool has W
+	// members, as the published algorithm does (needing dummy requests to
+	// avoid starvation). When false (relaxed), a barrier fires as soon as
+	// every *current* member has arrived. A replica that spreads requests
+	// over several lanes runs relaxed: a lane sees only its own class's
+	// requests, and the dummies drain through a lane of their own.
 	//
 	// Relaxed round membership therefore depends on the order in which
 	// pool joins and arrivals are processed, also when they carry the
@@ -54,12 +72,17 @@ type PDS struct {
 	// the last admission.
 	RequireFullPool bool
 
+	lanes laneSet[pdsLane]
+	classCounters
+}
+
+type pdsLane struct {
 	members      []*Thread // started, alive, unsuspended; admission order
 	waitingStart []*Thread // admitted beyond W, waiting for a pool slot
 	round        int64
 }
 
-// NewPDS returns a PDS scheduler with pool size w.
+// NewPDS returns a PDS scheduler with per-lane pool size w.
 func NewPDS(w int, requireFullPool bool) *PDS {
 	if w < 1 {
 		w = 1
@@ -79,9 +102,9 @@ type pdsState struct {
 	phase    pdsPhase
 	need     *Mutex
 	eligible bool // arrival belongs to the currently open round
-	// started marks that the thread has begun executing (joined a lane
-	// pool at least once). Only ClassPDS sets it: threads still queued in
-	// waitingStart must not bar the merge-barrier gate — see gateAdmits.
+	// started marks that the thread has begun executing (joined its lane's
+	// pool at least once): threads still queued in waitingStart must not
+	// bar the merge-barrier gate — see gateAdmits.
 	started bool
 }
 
@@ -98,60 +121,94 @@ func (s *PDS) Name() string { return "PDS" }
 // Attach implements Scheduler.
 func (s *PDS) Attach(rt *Runtime) { s.rt = rt }
 
-func (s *PDS) joinPool(t *Thread) {
-	s.members = append(s.members, t)
-	sort.SliceStable(s.members, func(i, j int) bool {
-		return s.members[i].admitIdx < s.members[j].admitIdx
+// ClassStats implements ClassScheduler. Decision lock held.
+func (s *PDS) ClassStats() ClassStats { return s.snapshot(s.rt) }
+
+func (s *PDS) laneOf(t *Thread) *pdsLane { return s.lanes.of(t.Class()) }
+
+func (l *pdsLane) join(t *Thread) {
+	l.members = append(l.members, t)
+	sort.SliceStable(l.members, func(i, j int) bool {
+		return l.members[i].admitIdx < l.members[j].admitIdx
 	})
 }
 
-func (s *PDS) leavePool(t *Thread) {
-	for i, u := range s.members {
+func (l *pdsLane) leave(t *Thread) {
+	for i, u := range l.members {
 		if u == t {
-			s.members = append(s.members[:i], s.members[i+1:]...)
+			l.members = append(l.members[:i], l.members[i+1:]...)
 			return
 		}
 	}
 }
 
-// Admit starts the thread if a pool slot is free, else queues it.
-func (s *PDS) Admit(t *Thread) {
-	if len(s.members) < s.W {
-		pdsOf(t).phase = pdsRunning
-		s.joinPool(t)
-		s.rt.StartThread(t)
-		return
+// gateAdmits reports whether the merge barrier lets t commit scheduler
+// grants: no older *started* live thread on the other side of the
+// global/non-global divide. Decision lock held; the admission-order
+// scan stops at t itself.
+//
+// Threads still queued in waitingStart do not bar the gate: they have
+// executed nothing, and within a lane the pool is joined strictly in
+// admission order, so every blocking edge left — waiter on older
+// members, gate-barred on older started threads — points younger to
+// older and the wait graph stays acyclic. Barring on unstarted threads
+// would close a cross-lane cycle: a gate-barred global waiting on an
+// older queued thread whose full lane is itself gate-barred behind the
+// global. Lane-join instants are a deterministic function of the
+// delivery schedule, so the gate stays deterministic.
+func (s *PDS) gateAdmits(t *Thread) bool {
+	global := t.Class() == 0
+	for _, u := range s.rt.ThreadsByAdmission() {
+		if u.admitIdx >= t.admitIdx {
+			return true
+		}
+		if !pdsOf(u).started {
+			continue
+		}
+		if (u.Class() == 0) != global {
+			return false
+		}
 	}
-	s.waitingStart = append(s.waitingStart, t)
+	return true
 }
 
-// Acquire blocks the thread at the barrier.
+// Admit starts the thread if its lane has a free pool slot, else leaves
+// it queued in the lane.
+func (s *PDS) Admit(t *Thread) {
+	s.admitted(t)
+	l := s.laneOf(t)
+	l.waitingStart = append(l.waitingStart, t)
+	s.refill(l)
+}
+
+// Acquire blocks the thread at its lane's barrier.
 func (s *PDS) Acquire(t *Thread, m *Mutex) {
 	st := pdsOf(t)
 	st.phase = pdsArrived
 	st.need = m
 	st.eligible = false
-	s.tryBarrier()
+	s.tryBarrier(s.laneOf(t))
 }
 
 // Release ends the critical section; the mutex goes to the next eligible
-// arrival of this round, and the barrier is re-examined.
+// arrival of the round, and every lane is re-examined: the released
+// mutex (or the releaser's progress) may unblock this lane or the other
+// side of the merge barrier.
 func (s *PDS) Release(t *Thread, m *Mutex) {
 	st := pdsOf(t)
 	if st.phase == pdsInCS {
 		st.phase = pdsRunning
 	}
-	s.grantEligible()
-	s.tryBarrier()
+	s.sweep()
 }
 
-// WaitPark removes the waiting thread from the pool; its monitor was
-// released, which may unblock an eligible arrival.
+// WaitPark removes the waiting thread from its lane's pool; its monitor
+// was released, which may unblock an eligible arrival anywhere.
 func (s *PDS) WaitPark(t *Thread, m *Mutex) {
-	s.leavePool(t)
-	s.refill()
-	s.grantEligible()
-	s.tryBarrier()
+	l := s.laneOf(t)
+	l.leave(t)
+	s.refill(l)
+	s.sweep()
 }
 
 // WaitWake rejoins the pool as an ineligible arrival that needs its
@@ -164,89 +221,130 @@ func (s *PDS) WaitWake(t *Thread, m *Mutex) {
 	if !mutexHasWaiter(m, t) {
 		m.waiters = append(m.waiters, t)
 	}
-	s.joinPool(t)
-	s.tryBarrier()
+	l := s.laneOf(t)
+	l.join(t)
+	s.tryBarrier(l)
 }
 
-// NestedBegin removes the suspending thread from the pool for the
+// NestedBegin removes the suspending thread from its lane's pool for the
 // duration of the call.
 func (s *PDS) NestedBegin(t *Thread) {
-	s.leavePool(t)
-	s.refill()
-	s.tryBarrier()
+	l := s.laneOf(t)
+	l.leave(t)
+	s.refill(l)
+	s.tryBarrier(l)
 }
 
 // NestedResume rejoins the pool as a running member.
 func (s *PDS) NestedResume(t *Thread) {
 	pdsOf(t).phase = pdsRunning
-	s.joinPool(t)
+	s.laneOf(t).join(t)
 	s.rt.ResumeNested(t)
 }
 
-// Exit frees the pool slot and admits the next queued request.
+// Exit frees the pool slot, admits the lane's next queued request, and
+// re-examines every lane — an exit is what clears the merge barrier.
 func (s *PDS) Exit(t *Thread) {
-	s.leavePool(t)
-	s.refill()
-	s.grantEligible()
-	s.tryBarrier()
+	l := s.laneOf(t)
+	l.leave(t)
+	s.refill(l)
+	s.exited(t)
+	s.sweep()
 }
 
-// refill starts queued requests while pool slots are free.
-func (s *PDS) refill() {
-	for len(s.members) < s.W && len(s.waitingStart) > 0 {
-		t := s.waitingStart[0]
-		s.waitingStart = s.waitingStart[1:]
-		pdsOf(t).phase = pdsRunning
-		s.joinPool(t)
+// refill starts queued requests of one lane while pool slots are free.
+func (s *PDS) refill(l *pdsLane) {
+	for len(l.members) < s.W && len(l.waitingStart) > 0 {
+		t := l.waitingStart[0]
+		l.waitingStart = l.waitingStart[1:]
+		st := pdsOf(t)
+		st.phase = pdsRunning
+		st.started = true
+		l.join(t)
 		s.rt.StartThread(t)
 	}
 }
 
-// tryBarrier closes the round when every member has arrived, no critical
-// section is open, and no eligible arrival is still waiting. All current
-// arrivals become eligible and are granted in admission order.
-func (s *PDS) tryBarrier() {
-	if len(s.members) == 0 {
+// sweep re-runs grants and barriers on every lane, in sorted class
+// order. Grant decisions across lanes are independent (disjoint
+// footprints; the gate serialises the global class), so the sweep order
+// cannot change a grant, only make it.
+func (s *PDS) sweep() {
+	for _, c := range s.lanes.keys {
+		l := s.lanes.of(c)
+		s.grantEligible(l)
+		s.tryBarrier(l)
+	}
+}
+
+// tryBarrier closes a lane's round when every member has arrived, no
+// critical section is open, and no eligible arrival is still stuck on a
+// held mutex. All current arrivals become eligible and are granted in
+// admission order.
+//
+// An eligible arrival stuck only on the merge-barrier *gate* does not
+// keep the round closed: its wait is owned by the gate (an older
+// opposite-polarity thread must exit), not by this lane, and blocking
+// the round on it closes a cycle — an older lane-mate waiting for the
+// next round, while the global thread barring the younger gate-stuck
+// member is itself gate-barred behind that older lane-mate. Letting the
+// round open lets the older member go eligible, pass the gate (older
+// threads have smaller bar-sets; the oldest's is empty) and exit, which
+// is exactly what clears the gate. With W = 1 a lane has no other
+// members, so the serial-equivalent configuration is unaffected.
+func (s *PDS) tryBarrier(l *pdsLane) {
+	if len(l.members) == 0 {
 		return
 	}
-	if s.RequireFullPool && len(s.members) < s.W {
+	if s.RequireFullPool && len(l.members) < s.W {
 		return
 	}
-	for _, t := range s.members {
+	for _, t := range l.members {
 		st := pdsOf(t)
 		if st.phase != pdsArrived {
 			return // someone still running or in a critical section
 		}
 		if st.eligible {
-			return // an eligible arrival is stuck on a held mutex
+			if st.need.Free() && !s.gateAdmits(t) {
+				continue // gate-stuck: the merge barrier owns this wait
+			}
+			return // stuck on a held mutex
 		}
 	}
-	s.round++
-	s.rt.RecordBarrier(s.members[0], s.round)
-	for _, t := range s.members {
-		st := pdsOf(t)
-		st.eligible = true
+	l.round++
+	s.rt.RecordBarrier(l.members[0], l.round)
+	for _, t := range l.members {
+		pdsOf(t).eligible = true
 	}
-	s.grantEligible()
+	s.grantEligible(l)
 }
 
-// grantEligible grants free mutexes to eligible arrivals in admission
-// order.
-func (s *PDS) grantEligible() {
-	for _, t := range s.members {
+// grantEligible grants free mutexes to the lane's gate-admissible
+// eligible arrivals in admission order.
+func (s *PDS) grantEligible(l *pdsLane) {
+	for _, t := range l.members {
 		st := pdsOf(t)
-		if st.phase != pdsArrived || !st.eligible {
+		if st.phase != pdsArrived || !st.eligible || !st.need.Free() {
 			continue
 		}
-		if st.need.Free() {
-			m := st.need
-			st.phase = pdsInCS
-			st.need = nil
-			st.eligible = false
-			s.rt.Grant(t, m)
+		if !s.gateAdmits(t) {
+			s.mergeStalls++
+			continue
 		}
+		m := st.need
+		st.phase = pdsInCS
+		st.need = nil
+		st.eligible = false
+		s.rt.Grant(t, m)
 	}
 }
 
-// Round returns the number of completed barrier rounds (diagnostics).
-func (s *PDS) Round() int64 { return s.round }
+// Rounds returns the completed barrier rounds of every lane, keyed by
+// class (diagnostics).
+func (s *PDS) Rounds() map[uint32]int64 {
+	out := make(map[uint32]int64, len(s.lanes.keys))
+	for _, c := range s.lanes.keys {
+		out[c] = s.lanes.of(c).round
+	}
+	return out
+}

@@ -100,8 +100,8 @@ func TestPDSSecondRoundAfterAllCSComplete(t *testing.T) {
 			})
 		}
 	})
-	if pds.Round() != 2 {
-		t.Errorf("rounds %d, want 2", pds.Round())
+	if r := pds.Rounds()[0]; r != 2 {
+		t.Errorf("rounds %d, want 2", r)
 	}
 	gs := grants(tr)
 	if len(gs) != 4 {

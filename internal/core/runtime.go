@@ -168,9 +168,9 @@ func (rt *Runtime) Submit(tid ids.ThreadID, method ids.MethodID, body func(*Thre
 }
 
 // SubmitClassed is Submit with an explicit conflict class (package
-// earlysched): class-aware schedulers dispatch threads of distinct
-// non-zero classes to concurrent lanes, class 0 is the global class that
-// serialises against everything. Class-oblivious schedulers ignore it.
+// earlysched): MAT and PDS dispatch threads of distinct non-zero classes
+// to concurrent lanes, class 0 is the global class that serialises
+// against everything. SEQ, SAT, PMAT and LSA ignore the class.
 func (rt *Runtime) SubmitClassed(tid ids.ThreadID, method ids.MethodID, class uint32, body func(*Thread), done func()) *Thread {
 	t := &Thread{
 		ID:     tid,

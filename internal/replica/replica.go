@@ -65,13 +65,14 @@ type Config struct {
 	// published algorithm waits for W requests and needs dummy traffic;
 	// relaxed mode lets a round open with whatever the pool holds).
 	PDSRelaxed bool
-	// EarlySched selects the class-aware admission variant of the
-	// scheduler (conflict-class early scheduling): requests dispatch into
-	// per-class scheduler lanes keyed by the conflict class the sequencer
-	// stamped on each message (gcs.Message.Class). Supported for MAT,
-	// MAT+LLA and PDS; other kinds panic in New. The group's
-	// Config.Classify must be wired to an earlysched.Classifier, or every
-	// request lands in the serial global class.
+	// EarlySched makes the replica honour the conflict class the
+	// sequencer stamped on each message (gcs.Message.Class): requests
+	// dispatch into the scheduler's per-class lanes (conflict-class early
+	// scheduling). Without it every request is admitted to the global
+	// class 0 — the same scheduler, one serial lane. Supported for MAT,
+	// MAT+LLA and PDS (PDS lanes run relaxed); other kinds panic in New.
+	// The group's Config.Classify must be wired to an
+	// earlysched.Classifier, or every request is stamped global anyway.
 	EarlySched bool
 	// NestedLatency is the simulated duration of the external service
 	// called by nested invocations (simulator backends only; a blocking
@@ -194,6 +195,9 @@ func New(cfg Config) *Replica {
 	if cfg.PDSWindow <= 0 {
 		cfg.PDSWindow = 4
 	}
+	if cfg.EarlySched && cfg.Kind != KindMAT && cfg.Kind != KindMATLLA && cfg.Kind != KindPDS {
+		panic(fmt.Sprintf("replica: early scheduling is not supported for %q (use MAT, MAT+LLA or PDS)", cfg.Kind))
+	}
 	if cfg.Backend == nil {
 		cfg.Backend = backend.Echo()
 	}
@@ -243,25 +247,15 @@ func New(cfg Config) *Replica {
 }
 
 func (r *Replica) buildScheduler() core.Scheduler {
-	if r.cfg.EarlySched {
-		switch r.cfg.Kind {
-		case KindMAT:
-			return core.NewClassMAT(false)
-		case KindMATLLA:
-			return core.NewClassMAT(true)
-		case KindPDS:
-			return core.NewClassPDS(r.cfg.PDSWindow)
-		default:
-			panic(fmt.Sprintf("replica: early scheduling is not supported for %q (use MAT, MAT+LLA or PDS)", r.cfg.Kind))
-		}
-	}
 	switch r.cfg.Kind {
 	case KindSEQ:
 		return core.NewSEQ()
 	case KindSAT:
 		return core.NewSAT()
 	case KindPDS:
-		return core.NewPDS(r.cfg.PDSWindow, !r.cfg.PDSRelaxed)
+		// With classes honoured a lane sees only its own class's requests,
+		// so a full pool per lane would starve: lanes run relaxed.
+		return core.NewPDS(r.cfg.PDSWindow, !r.cfg.PDSRelaxed && !r.cfg.EarlySched)
 	case KindMAT:
 		return core.NewMAT(false)
 	case KindMATLLA:
@@ -409,15 +403,22 @@ func (r *Replica) FailoverData() (snapshot map[string]lang.Value, tail []LogEntr
 	return snapshot, tail
 }
 
-// apply executes one totally ordered message (shared with replay).
+// apply executes one totally ordered message (shared with replay). This
+// is where the replica decides whether stamped classes are honoured:
+// without EarlySched every request and dummy is admitted to the global
+// class 0, so a class-stamped log still runs through one serial lane.
 func (r *Replica) apply(m gcs.Message) {
+	class := m.Class
+	if !r.cfg.EarlySched {
+		class = 0
+	}
 	switch p := m.Payload.(type) {
 	case Request:
-		r.applyRequest(p, m.Class)
+		r.applyRequest(p, class)
 	case NestedOutcome:
 		r.applyNestedOutcome(p)
 	case Dummy:
-		r.applyDummy(p, m.Class)
+		r.applyDummy(p, class)
 	}
 }
 
@@ -813,15 +814,16 @@ func (r *Replica) NestedMetrics() NestedMetrics {
 	return m
 }
 
-// ClassMetrics snapshots the class-aware admission counters (conflict-
-// class early scheduling). ok is false when the replica does not run a
-// class-aware scheduler. The snapshot is taken under the runtime's
+// ClassMetrics snapshots the per-class admission counters (conflict-
+// class early scheduling). ok is false when the replica does not honour
+// stamped classes (no EarlySched): everything then runs in class 0 and
+// the counters say nothing. The snapshot is taken under the runtime's
 // decision lock, so it is consistent with a quiescent instant.
 func (r *Replica) ClassMetrics() (stats core.ClassStats, ok bool) {
-	cs, isClass := r.sched.(core.ClassScheduler)
-	if !isClass {
+	if !r.cfg.EarlySched {
 		return core.ClassStats{}, false
 	}
+	cs := r.sched.(core.ClassScheduler) // New admits only MAT, MAT+LLA, PDS
 	r.rt.External(func() { stats = cs.ClassStats() })
 	return stats, true
 }
