@@ -62,13 +62,18 @@ type panicErr struct{ v interface{} }
 
 func (p *panicErr) Error() string { return "scenario panicked" }
 
-// spawn submits a thread running body and tracks it in the join group.
-// It returns the assigned thread id.
+// spawn submits a thread running body in the global class 0 and tracks it
+// in the join group. It returns the assigned thread id.
 func (e *env) spawn(method ids.MethodID, body func(*Thread)) ids.ThreadID {
+	return e.spawnClass(0, method, body)
+}
+
+// spawnClass is spawn with an explicit conflict class.
+func (e *env) spawnClass(class uint32, method ids.MethodID, body func(*Thread)) ids.ThreadID {
 	e.next++
 	tid := ids.ThreadID(e.next)
 	e.g.Add(1)
-	e.rt.Submit(tid, method, body, e.g.Done)
+	e.rt.SubmitClassed(tid, method, class, body, e.g.Done)
 	return tid
 }
 
@@ -87,7 +92,66 @@ func (e *env) spawnDone(method ids.MethodID, body func(*Thread), at *time.Durati
 
 const (
 	ms = time.Millisecond
+	// gate is the computation a thread body opens with when the scenario's
+	// outcome depends on every thread having been admitted before any
+	// arrives: the spawner goroutine races the threads it already started
+	// (see PDS.RequireFullPool).
+	gate = time.Microsecond
 )
+
+// threeLanes is the merge-barrier scenario shared by the MAT and PDS
+// tests: two pre-barrier lanes (T1 class 1, T2 class 2), a global request
+// (T3) that locks T1's mutex, and two post-barrier lanes (T4 class 1
+// again, T5 class 3). It returns the grant instants the barrier must
+// produce under either scheduler.
+func threeLanes(e *env) map[ids.ThreadID]time.Duration {
+	cs := func(class uint32, m ids.MutexID, d time.Duration) {
+		e.spawnClass(class, 0, func(th *Thread) {
+			th.Compute(gate)
+			th.Lock(ids.NoSync, m)
+			th.Compute(d)
+			th.Unlock(ids.NoSync, m)
+		})
+	}
+	cs(1, 10, 3*ms)
+	cs(2, 20, ms)
+	cs(0, 10, 2*ms)
+	cs(1, 10, ms)
+	cs(3, 30, ms)
+	return map[ids.ThreadID]time.Duration{
+		1: gate, 2: gate, // pre-barrier lanes run side by side
+		3: gate + 3*ms, // the global request waits for both to drain
+		4: gate + 5*ms, // post-barrier work waits for the global request,
+		5: gate + 5*ms, // then the lanes reopen together
+	}
+}
+
+// checkThreeLanes runs threeLanes under sched, checks the grant instants,
+// and returns the counters at 0.5ms (all five live) and at the end.
+func checkThreeLanes(t *testing.T, sched ClassScheduler) (mid, end ClassStats) {
+	t.Helper()
+	var want map[ids.ThreadID]time.Duration
+	tr, _ := scenario(t, sched, nil, func(e *env) {
+		want = threeLanes(e)
+		e.g.Go(func() {
+			e.v.Sleep(ms / 2)
+			e.rt.External(func() { mid = sched.ClassStats() })
+		})
+		e.g.Wait()
+		e.rt.External(func() { end = sched.ClassStats() })
+	})
+	checkMutualExclusion(t, tr)
+	gs := grants(tr)
+	if len(gs) != len(want) {
+		t.Fatalf("grants %v", gs)
+	}
+	for _, g := range gs {
+		if g.At != want[g.Thread] {
+			t.Errorf("%s granted at %v, want %v", g.Thread, g.At, want[g.Thread])
+		}
+	}
+	return mid, end
+}
 
 // completionTimes extracts per-thread exit times from a trace.
 func completionTimes(tr *trace.Trace) map[ids.ThreadID]time.Duration {

@@ -74,34 +74,49 @@ func genProgram(seed uint64, nThreads, nMutexes int) ([]randThread, *lockpred.St
 }
 
 // runProgram runs one generated program and returns its consistency hash
-// and makespan. Every thread body opens with a start gate — one
-// microsecond of computation — so all admissions precede every arrival:
-// the spawner goroutine otherwise races the threads it already started,
-// and a relaxed PDS round's membership depends on whether a younger
-// thread was admitted before or after its elders reached the barrier at
-// the same virtual instant (see PDS.RequireFullPool). The replica path
-// has no such race: admissions come from the one delivery goroutine.
+// and makespan. Every thread body opens with the start gate, so all
+// admissions precede every arrival: a relaxed PDS round's membership
+// depends on whether a younger thread was admitted before or after its
+// elders reached the barrier at the same virtual instant (see
+// PDS.RequireFullPool). The replica path has no such race: admissions
+// come from the one delivery goroutine.
 func runProgram(t *testing.T, mk func() Scheduler, threads []randThread, si *lockpred.StaticInfo) (uint64, time.Duration) {
 	t.Helper()
+	return runLanes(t, mk, threads, si, 1)
+}
+
+// runLanes is runProgram with the threads dealt round-robin over `lanes`
+// conflict classes, the global class 0 included. Every non-global class
+// locks inside its own block of mutex ids — distinct classes have
+// disjoint footprints, as the classifier guarantees — and global threads
+// rotate over all blocks.
+func runLanes(t *testing.T, mk func() Scheduler, threads []randThread, si *lockpred.StaticInfo, lanes int) (uint64, time.Duration) {
+	t.Helper()
 	tr, makespan := scenarioFull(t, mk(), si, 3*ms, func(e *env) {
-		for _, rth := range threads {
-			rth := rth
-			e.spawn(rth.method, func(th *Thread) {
-				th.Compute(time.Microsecond)
-				for _, op := range rth.ops {
+		for i, rth := range threads {
+			i, rth := i, rth
+			class := uint32(i % lanes)
+			e.spawnClass(class, rth.method, func(th *Thread) {
+				th.Compute(gate)
+				for j, op := range rth.ops {
+					block := int(class)
+					if class == 0 {
+						block = (i + j) % lanes
+					}
+					m := op.mutex + ids.MutexID(16*block)
 					switch op.kind {
 					case 0:
 						th.Compute(op.dur)
 					case 1:
-						th.Lock(op.sync, op.mutex)
+						th.Lock(op.sync, m)
 						th.Compute(op.inner)
-						th.Unlock(op.sync, op.mutex)
+						th.Unlock(op.sync, m)
 					case 2:
 						th.Nested(nil)
 					case 3:
-						th.Lock(op.sync, op.mutex)
-						th.WaitTimeout(op.mutex, op.dur)
-						th.Unlock(op.sync, op.mutex)
+						th.Lock(op.sync, m)
+						th.WaitTimeout(m, op.dur)
+						th.Unlock(op.sync, m)
 					}
 				}
 			})
@@ -111,8 +126,8 @@ func runProgram(t *testing.T, mk func() Scheduler, threads []randThread, si *loc
 	return tr.ConsistencyHash(), makespan
 }
 
-// programGridSeeds and gridProgram are the seed grid of the determinism properties: 400
-// programs covering 3–8 threads over 1–4 mutexes.
+// programGridSeeds and gridProgram are the seed grid of the determinism
+// properties: 400 programs covering 3–8 threads over 1–4 mutexes.
 const programGridSeeds = 400
 
 func gridProgram(seed uint64) ([]randThread, *lockpred.StaticInfo) {
@@ -145,6 +160,32 @@ func TestSchedulersAreDeterministic(t *testing.T) {
 					if got, gotSpan := runProgram(t, mk, threads, si); got != first || gotSpan != span {
 						t.Fatalf("seed %d rep %d: hash %x makespan %v != %x %v", seed, rep, got, gotSpan, first, span)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestSchedulersAreDeterministicAcrossLanes is the same property with the
+// merge barrier at work: the grid's programs dealt over four conflict
+// classes terminate (a cross-lane wait cycle would time the scenario
+// out) and repeat their schedule exactly.
+func TestSchedulersAreDeterministicAcrossLanes(t *testing.T) {
+	for name, mk := range map[string]func() Scheduler{
+		"MAT":     func() Scheduler { return NewMAT(false) },
+		"MAT+LLA": func() Scheduler { return NewMAT(true) },
+		"PDS/W=1": func() Scheduler { return NewPDS(1, false) },
+		"PDS/W=2": func() Scheduler { return NewPDS(2, false) },
+		"PDS/W=4": func() Scheduler { return NewPDS(4, false) },
+	} {
+		mk := mk
+		t.Run(name, func(t *testing.T) {
+			t.Parallel() // every scenario owns its clock and runtime
+			for seed := uint64(1); seed <= programGridSeeds; seed++ {
+				threads, si := gridProgram(seed)
+				first, span := runLanes(t, mk, threads, si, 4)
+				if got, gotSpan := runLanes(t, mk, threads, si, 4); got != first || gotSpan != span {
+					t.Fatalf("seed %d: hash %x makespan %v != %x %v", seed, got, gotSpan, first, span)
 				}
 			}
 		})

@@ -14,27 +14,27 @@ import (
 // pressure.
 
 // TestLockUnlockAllocBudget pins the uncontended steady-state decision
-// pair — the single most frequent path in every workload.
+// pair — the single most frequent path in every workload — with the
+// thread alone in one lane and with four lanes live.
 func TestLockUnlockAllocBudget(t *testing.T) {
-	_, rt := benchRuntime()
-	done := make(chan struct{})
-	var perOp float64
-	rt.Submit(1, 0, func(th *Thread) {
-		// Warm-up: fill the first trace chunk, size the held slice and
-		// the vclock structures so the measured runs are steady state.
-		for i := 0; i < 2048; i++ {
-			th.Lock(ids.NoSync, 1)
-			th.Unlock(ids.NoSync, 1)
-		}
-		perPair := testing.AllocsPerRun(512, func() {
-			th.Lock(ids.NoSync, 1)
-			th.Unlock(ids.NoSync, 1)
+	for _, lanes := range []int{1, 4} {
+		var perOp float64
+		hotPathRig(lanes, func(th *Thread) {
+			// Warm-up: fill the first trace chunk, size the held slice and
+			// the vclock structures so the measured runs are steady state.
+			for i := 0; i < 2048; i++ {
+				th.Lock(ids.NoSync, 1)
+				th.Unlock(ids.NoSync, 1)
+			}
+			perPair := testing.AllocsPerRun(512, func() {
+				th.Lock(ids.NoSync, 1)
+				th.Unlock(ids.NoSync, 1)
+			})
+			perOp = perPair / 2 // a pair is two decisions
 		})
-		perOp = perPair / 2 // a pair is two decisions
-	}, func() { close(done) })
-	<-done
-	if perOp > 1 {
-		t.Fatalf("lock/unlock decision allocates %.3f objects/op, budget is 1", perOp)
+		if perOp > 1 {
+			t.Fatalf("%d lanes: lock/unlock decision allocates %.3f objects/op, budget is 1", lanes, perOp)
+		}
 	}
 }
 

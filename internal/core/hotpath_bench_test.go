@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,22 +24,46 @@ func benchRuntime() (*vclock.Virtual, *Runtime) {
 	return v, rt
 }
 
+// hotPathRig runs measure on one live thread of a MAT runtime. With
+// lanes > 1 the thread is in class 1 and lanes-1 more threads stay live
+// in classes 2..lanes (the tcp3-families shape), so every decision
+// sweeps that many lanes; with lanes == 1 it is alone in class 0.
+func hotPathRig(lanes int, measure func(*Thread)) {
+	_, rt := benchRuntime()
+	release := make(chan struct{})
+	var live sync.WaitGroup
+	for c := 2; c <= lanes; c++ {
+		live.Add(1)
+		rt.SubmitClassed(ids.ThreadID(c), 0, uint32(c), func(*Thread) { <-release }, live.Done)
+	}
+	class := uint32(0)
+	if lanes > 1 {
+		class = 1
+	}
+	done := make(chan struct{})
+	rt.SubmitClassed(1, 0, class, measure, func() { close(done) })
+	<-done
+	close(release)
+	live.Wait()
+}
+
 // BenchmarkHotPathLockUnlock measures the uncontended steady-state
 // decision pair: one running primary thread acquiring and releasing one
 // mutex. This is the single most frequent path in every workload.
 func BenchmarkHotPathLockUnlock(b *testing.B) {
-	_, rt := benchRuntime()
-	done := make(chan struct{})
-	b.ReportAllocs()
-	rt.Submit(1, 0, func(t *Thread) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t.Lock(ids.NoSync, 1)
-			t.Unlock(ids.NoSync, 1)
-		}
-		b.StopTimer()
-	}, func() { close(done) })
-	<-done
+	for _, lanes := range []int{1, 4} {
+		b.Run(fmt.Sprintf("lanes%d", lanes), func(b *testing.B) {
+			b.ReportAllocs()
+			hotPathRig(lanes, func(t *Thread) {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					t.Lock(ids.NoSync, 1)
+					t.Unlock(ids.NoSync, 1)
+				}
+				b.StopTimer()
+			})
+		})
+	}
 }
 
 // BenchmarkHotPathSubmitExit measures thread admission + exit — the

@@ -267,3 +267,89 @@ func TestMATPromoteEventsTraced(t *testing.T) {
 		t.Fatalf("promote events %v, want T1 then T2", promotes)
 	}
 }
+
+func TestMATMergeBarrierBothSides(t *testing.T) {
+	// Pre-barrier lane work drains, the global request runs alone, and
+	// post-barrier work waits for it — then the lanes reopen together.
+	// A merge stall is counted per promotion sweep that finds a runnable
+	// thread fenced off, so the total is a property of the schedule.
+	mid, end := checkThreeLanes(t, NewMAT(false))
+	if mid.ActiveClasses != 4 {
+		t.Errorf("%d active classes at 0.5ms, want 4", mid.ActiveClasses)
+	}
+	want := ClassStats{Escalations: 1, MergeStalls: 20, ParallelCommits: 4, SerialCommits: 1}
+	if end != want {
+		t.Errorf("counters %+v, want %+v", end, want)
+	}
+}
+
+func TestMATLastLockStopsBarringMergeBarrier(t *testing.T) {
+	// Fig. 2(b) across classes: a lane thread past its last lock keeps
+	// computing, but only plain MAT lets it hold the global request back.
+	run := func(lla bool) time.Duration {
+		tr, _ := scenario(t, NewMAT(lla), fig2Static(), func(e *env) {
+			e.spawnClass(1, 1, func(th *Thread) {
+				th.Lock(1, 1)
+				th.Compute(ms)
+				th.Unlock(1, 1)
+				th.Compute(10 * ms) // final computation
+			})
+			e.spawnClass(0, 1, func(th *Thread) {
+				th.Compute(gate)
+				th.Lock(1, 2)
+				th.Unlock(1, 2)
+			})
+		})
+		checkMutualExclusion(t, tr)
+		gs := grants(tr)
+		if len(gs) != 2 || gs[1].Thread != 2 {
+			t.Fatalf("grants %v", gs)
+		}
+		return gs[1].At
+	}
+	if at := run(false); at != 11*ms {
+		t.Errorf("plain MAT: global granted at %v, want 11ms (lane thread's exit)", at)
+	}
+	if at := run(true); at != ms {
+		t.Errorf("MAT+LLA: global granted at %v, want 1ms (lane thread's last unlock)", at)
+	}
+}
+
+func TestMATSuspendedThreadKeepsBarringMergeBarrier(t *testing.T) {
+	// A lane thread suspended in a nested call or a condition wait hands
+	// its lane's slot to a lane-mate, but it may lock again after
+	// resuming, so the global request keeps waiting for it to exit.
+	for name, suspend := range map[string]func(*Thread){
+		"nested": func(th *Thread) { th.Nested(nil) },
+		"wait": func(th *Thread) {
+			th.Lock(ids.NoSync, 1)
+			th.WaitTimeout(1, 12*ms)
+			th.Unlock(ids.NoSync, 1)
+		},
+	} {
+		tr, _ := scenarioFull(t, NewMAT(false), nil, 12*ms, func(e *env) {
+			e.spawnClass(1, 0, suspend)
+			e.spawnClass(1, 0, func(th *Thread) { // lane-mate, pre-barrier
+				th.Compute(gate)
+				th.Lock(ids.NoSync, 2)
+				th.Unlock(ids.NoSync, 2)
+			})
+			e.spawnClass(0, 0, func(th *Thread) { // global
+				th.Compute(gate)
+				th.Lock(ids.NoSync, 3)
+				th.Unlock(ids.NoSync, 3)
+			})
+		})
+		checkMutualExclusion(t, tr)
+		at := map[ids.ThreadID]time.Duration{}
+		for _, g := range grants(tr) {
+			at[g.Thread] = g.At
+		}
+		if at[2] != gate {
+			t.Errorf("%s: lane-mate granted at %v, want %v (slot handed over at suspension)", name, at[2], gate)
+		}
+		if at[3] != 12*ms {
+			t.Errorf("%s: global granted at %v, want 12ms (suspended thread's exit)", name, at[3])
+		}
+	}
+}

@@ -102,10 +102,6 @@ type pdsState struct {
 	phase    pdsPhase
 	need     *Mutex
 	eligible bool // arrival belongs to the currently open round
-	// started marks that the thread has begun executing (joined its lane's
-	// pool at least once): threads still queued in waitingStart must not
-	// bar the merge-barrier gate — see gateAdmits.
-	started bool
 }
 
 func pdsOf(t *Thread) *pdsState {
@@ -143,27 +139,21 @@ func (l *pdsLane) leave(t *Thread) {
 }
 
 // gateAdmits reports whether the merge barrier lets t commit scheduler
-// grants: no older *started* live thread on the other side of the
-// global/non-global divide. Decision lock held; the admission-order
-// scan stops at t itself.
+// grants: no older live thread on the other side of the global/non-global
+// divide. Decision lock held; the admission-order scan stops at t itself.
 //
-// Threads still queued in waitingStart do not bar the gate: they have
-// executed nothing, and within a lane the pool is joined strictly in
-// admission order, so every blocking edge left — waiter on older
-// members, gate-barred on older started threads — points younger to
-// older and the wait graph stays acyclic. Barring on unstarted threads
-// would close a cross-lane cycle: a gate-barred global waiting on an
-// older queued thread whose full lane is itself gate-barred behind the
-// global. Lane-join instants are a deterministic function of the
-// delivery schedule, so the gate stays deterministic.
+// Threads still queued in waitingStart need no exemption, although they
+// have executed nothing: a lane starts its requests strictly in
+// admission order and refills on every leave, so a queued thread always
+// has W older, started, live lane-mates that bar t in their own right.
+// Every blocking edge — queued on older members, gate-barred on older
+// threads — therefore points younger to older, and the only edge that
+// can point the other way is the round wait tryBarrier exempts.
 func (s *PDS) gateAdmits(t *Thread) bool {
 	global := t.Class() == 0
 	for _, u := range s.rt.ThreadsByAdmission() {
 		if u.admitIdx >= t.admitIdx {
 			return true
-		}
-		if !pdsOf(u).started {
-			continue
 		}
 		if (u.Class() == 0) != global {
 			return false
@@ -257,9 +247,7 @@ func (s *PDS) refill(l *pdsLane) {
 	for len(l.members) < s.W && len(l.waitingStart) > 0 {
 		t := l.waitingStart[0]
 		l.waitingStart = l.waitingStart[1:]
-		st := pdsOf(t)
-		st.phase = pdsRunning
-		st.started = true
+		pdsOf(t).phase = pdsRunning
 		l.join(t)
 		s.rt.StartThread(t)
 	}

@@ -189,3 +189,59 @@ func TestPDSQueuedRequestsStartWhenSlotsFree(t *testing.T) {
 		t.Errorf("third request done at %v, want 6ms", times[3])
 	}
 }
+
+func TestPDSMergeBarrierBothSides(t *testing.T) {
+	// The grant gate: pre-barrier lanes drain, the global request runs
+	// alone, post-barrier work waits for it — then the lanes reopen.
+	mid, end := checkThreeLanes(t, NewPDS(2, false))
+	if mid.ActiveClasses != 4 {
+		t.Errorf("%d active classes at 0.5ms, want 4", mid.ActiveClasses)
+	}
+	// A merge stall is counted per grant scan that finds an eligible
+	// arrival with a free mutex held back by the gate.
+	want := ClassStats{Escalations: 1, MergeStalls: 17, ParallelCommits: 4, SerialCommits: 1}
+	if end != want {
+		t.Errorf("counters %+v, want %+v", end, want)
+	}
+}
+
+func TestPDSGateStuckMemberDoesNotHoldRoundClosed(t *testing.T) {
+	// W=2, lane 1 holds T1 and T3. T3 is eligible with a free mutex but
+	// gate-stuck behind the global T2, which is itself gate-barred behind
+	// T1 — and T1's second request needs the lane's next round. If the
+	// gate-stuck T3 kept that round closed the three would wait on each
+	// other forever (the scenario times out); the round opens, T1
+	// finishes, and the gate clears oldest first.
+	tr, _ := scenario(t, NewPDS(2, false), nil, func(e *env) {
+		e.spawnClass(1, 0, func(th *Thread) {
+			th.Compute(gate)
+			for i := 0; i < 2; i++ {
+				th.Lock(ids.NoSync, 10)
+				th.Compute(ms)
+				th.Unlock(ids.NoSync, 10)
+			}
+		})
+		for _, class := range []uint32{0, 1} {
+			e.spawnClass(class, 0, func(th *Thread) {
+				th.Compute(gate)
+				th.Lock(ids.NoSync, 11)
+				th.Compute(2 * ms)
+				th.Unlock(ids.NoSync, 11)
+			})
+		}
+	})
+	checkMutualExclusion(t, tr)
+	gs := grants(tr)
+	if len(gs) != 4 {
+		t.Fatalf("grants %v", gs)
+	}
+	want := []struct {
+		th ids.ThreadID
+		at time.Duration
+	}{{1, gate}, {1, gate + ms}, {2, gate + 2*ms}, {3, gate + 4*ms}}
+	for i, g := range gs {
+		if g.Thread != want[i].th || g.At != want[i].at {
+			t.Errorf("grant %d: %s at %v, want %s at %v", i, g.Thread, g.At, want[i].th, want[i].at)
+		}
+	}
+}
