@@ -7,8 +7,10 @@
 // Replication" direction (Alchieri, Dotti, Pedone — see PAPERS.md), this
 // package turns that prediction into *conflict classes* assigned at
 // ordering time: the sequencer classifies every request before stamping
-// it, and class-aware schedulers (core.ClassMAT, core.ClassPDS) dispatch
-// distinct classes to concurrent per-class lanes on every replica.
+// it, and the lane schedulers (core.MAT, core.PDS) dispatch distinct
+// classes to concurrent per-class lanes on every replica that honours
+// the stamp (replica.Config.EarlySched); a replica that does not admits
+// everything to class 0, the same schedulers' one serial lane.
 //
 // Classification is sound by construction:
 //

@@ -60,13 +60,14 @@ type SimOptions struct {
 	Families *workload.FamilyConfig
 	// EarlySched enables conflict-class early scheduling: the sequencer
 	// stamps each request with its conflict class (earlysched.Classifier
-	// over Lanes lanes) and replicas run the class-aware scheduler
-	// variant. Only MAT, MAT+LLA and PDS support it.
+	// over Lanes lanes) and replicas dispatch on it into per-class
+	// scheduler lanes. Only MAT, MAT+LLA and PDS support it.
 	EarlySched bool
-	// StampClasses stamps conflict classes at the sequencer without
-	// switching the replicas to class-aware admission (implied by
-	// EarlySched). A serial run of a class-stamped log is the baseline
-	// the replay-equivalence tests re-admit through class-parallel lanes.
+	// StampClasses stamps conflict classes at the sequencer without the
+	// replicas honouring them (implied by EarlySched): they admit
+	// everything to class 0. A serial run of a class-stamped log is the
+	// baseline the replay-equivalence tests re-admit through
+	// class-parallel lanes.
 	StampClasses bool
 	// Lanes is the classifier's lane count (0: 4).
 	Lanes int
@@ -109,8 +110,8 @@ type SimResult struct {
 	BookkeepingEvents int
 	// Trace is replica 1's full scheduler trace (timelines, JSON export).
 	Trace *trace.Trace
-	// ClassStats are the survivor replica's class-aware admission
-	// counters (nil unless the run used a class-aware scheduler).
+	// ClassStats are the survivor replica's per-class admission
+	// counters (nil unless the run used EarlySched).
 	ClassStats *core.ClassStats
 	// Log is the survivor replica's recorded message log. Any classes the
 	// sequencer stamped ride along in each entry, so the log can be

@@ -629,8 +629,8 @@ func (s *Server) Status() Status {
 	return st
 }
 
-// classStatus snapshots the class-aware admission counters (nil when
-// the scheduler is not class-aware).
+// classStatus snapshots the per-class admission counters (nil when the
+// replica does not honour stamped classes).
 func (s *Server) classStatus() *ClassStatus {
 	cs, ok := s.rep.ClassMetrics()
 	if !ok {

@@ -48,6 +48,9 @@ fi
 # harness TestEarlySchedChaosSoak and the real-socket
 # TestClusterEarlySchedChaos in internal/server.
 go test -race -shuffle=on $short ./...
+# The scheduler determinism property, 20 counts under -race whatever
+# $short says (same line as the CI step of that name).
+go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial|TestSchedulersCompleteAllThreads' ./internal/core/
 # bench/ is a module of its own (replace detmt => ../): build, vet and test
 # it too (a couple of seconds, no sockets without DETMT_BENCH_SMOKE), so a
 # change that breaks the benchmark's frozen surface fails here.
