@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ClassStats are the admission counters of a lane scheduler (MAT, PDS).
 // Snapshots must be taken under the decision lock (Runtime.External);
@@ -83,11 +86,13 @@ func (c *classCounters) snapshot(rt *Runtime) ClassStats {
 }
 
 // laneSet holds a scheduler's per-class lanes. Lanes materialise on
-// first use and are always swept in sorted class order (keys), so the
-// sweep is a function of the classes seen, not of map iteration.
+// first use and are always swept in ascending class order — classes[i]
+// is the class of sorted[i] — so the sweep is a function of the classes
+// seen, not of map iteration, and costs no lookup per lane.
 type laneSet[L any] struct {
 	byClass map[uint32]*L
-	keys    []uint32
+	classes []uint32
+	sorted  []*L
 }
 
 func (ls *laneSet[L]) of(c uint32) *L {
@@ -98,8 +103,9 @@ func (ls *laneSet[L]) of(c uint32) *L {
 		}
 		l = new(L)
 		ls.byClass[c] = l
-		ls.keys = append(ls.keys, c)
-		sort.Slice(ls.keys, func(i, j int) bool { return ls.keys[i] < ls.keys[j] })
+		i := sort.Search(len(ls.classes), func(i int) bool { return ls.classes[i] > c })
+		ls.classes = slices.Insert(ls.classes, i, c)
+		ls.sorted = slices.Insert(ls.sorted, i, l)
 	}
 	return l
 }

@@ -240,8 +240,8 @@ func (s *MAT) removeBlockedPrimary(t *Thread) {
 // footprints, and the global lane only runs when the others have drained
 // — so the sweep order cannot change any grant, only make it.
 func (s *MAT) promoteAll() {
-	for _, c := range s.lanes.keys {
-		s.promoteLane(c)
+	for i, l := range s.lanes.sorted {
+		s.promoteLane(s.lanes.classes[i], l)
 	}
 }
 
@@ -261,8 +261,7 @@ func (s *MAT) neverLocksAgain(t *Thread) bool {
 //     the merge barrier admits and that is not already a blocked primary
 //     becomes primary — if it is blocked on a held mutex it joins the
 //     blocked primaries and the scan cascades.
-func (s *MAT) promoteLane(c uint32) {
-	l := s.lanes.of(c)
+func (s *MAT) promoteLane(c uint32, l *matLane) {
 	for l.primary == nil {
 		for i, t := range l.blockedPrimaries {
 			m := matOf(t).need

@@ -258,8 +258,7 @@ func (s *PDS) refill(l *pdsLane) {
 // footprints; the gate serialises the global class), so the sweep order
 // cannot change a grant, only make it.
 func (s *PDS) sweep() {
-	for _, c := range s.lanes.keys {
-		l := s.lanes.of(c)
+	for _, l := range s.lanes.sorted {
 		s.grantEligible(l)
 		s.tryBarrier(l)
 	}
@@ -330,9 +329,9 @@ func (s *PDS) grantEligible(l *pdsLane) {
 // Rounds returns the completed barrier rounds of every lane, keyed by
 // class (diagnostics).
 func (s *PDS) Rounds() map[uint32]int64 {
-	out := make(map[uint32]int64, len(s.lanes.keys))
-	for _, c := range s.lanes.keys {
-		out[c] = s.lanes.of(c).round
+	out := make(map[uint32]int64, len(s.lanes.sorted))
+	for i, l := range s.lanes.sorted {
+		out[s.lanes.classes[i]] = l.round
 	}
 	return out
 }
