@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"detmt/internal/analysis"
@@ -43,60 +44,66 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if err := run(os.Stdout, flag.Args()); err != nil {
+		fmt.Fprintf(os.Stderr, "detmt-analyze: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// run analyses the object file named by args[0] (the built-in Fig. 4
+// example without one) and writes the report to w.
+func run(w io.Writer, args []string) error {
 	src := paperExample
 	name := "(built-in Fig. 4 example)"
-	if flag.NArg() > 0 {
-		data, err := os.ReadFile(flag.Arg(0))
+	if len(args) > 0 {
+		data, err := os.ReadFile(args[0])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-analyze: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		src = string(data)
-		name = flag.Arg(0)
+		name = args[0]
 	}
 
 	obj, err := lang.Parse(src)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "detmt-analyze: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	res, err := analysis.Analyze(obj)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "detmt-analyze: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Printf("== input: %s ==\n\n%s\n", name, lang.Print(obj))
-	fmt.Printf("== transformed (scheduler calls injected) ==\n\n%s\n", lang.Print(res.Object))
-	fmt.Println("== classification ==")
+	fmt.Fprintf(w, "== input: %s ==\n\n%s\n", name, lang.Print(obj))
+	fmt.Fprintf(w, "== transformed (scheduler calls injected) ==\n\n%s\n", lang.Print(res.Object))
+	fmt.Fprintln(w, "== classification ==")
 	for _, rep := range res.Reports {
 		for _, s := range rep.Syncs {
 			kind := "spontaneous (mutex unknown until the lock happens)"
 			if s.Announceable {
 				kind = "announceable " + s.AnnouncedAt
 			}
-			fmt.Printf("  %-7s %s.%s  param %-12q %s, loop=%v\n", s.SyncID, obj.Name, s.Method, s.Param, kind, s.Loop)
+			fmt.Fprintf(w, "  %-7s %s.%s  param %-12q %s, loop=%v\n", s.SyncID, obj.Name, s.Method, s.Param, kind, s.Loop)
 		}
 	}
-	fmt.Println("\n== execution paths (syncid sequences) ==")
+	fmt.Fprintln(w, "\n== execution paths (syncid sequences) ==")
 	for _, rep := range res.Reports {
-		fmt.Printf("  %s: ", rep.Method)
+		fmt.Fprintf(w, "  %s: ", rep.Method)
 		for i, p := range rep.Paths {
 			if i > 0 {
-				fmt.Print(" | ")
+				fmt.Fprint(w, " | ")
 			}
 			if len(p) == 0 {
-				fmt.Print("(no locks)")
+				fmt.Fprint(w, "(no locks)")
 			} else {
-				fmt.Print(p)
+				fmt.Fprint(w, p)
 			}
 		}
 		if rep.PathsTruncated {
-			fmt.Print(" ... (truncated)")
+			fmt.Fprint(w, " ... (truncated)")
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("\n== interference analysis (future-work data flow) ==")
-	fmt.Print(res.InterferenceMatrix())
+	fmt.Fprintln(w, "\n== interference analysis (future-work data flow) ==")
+	fmt.Fprint(w, res.InterferenceMatrix())
+	return nil
 }
