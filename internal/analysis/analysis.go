@@ -28,6 +28,16 @@
 //     syncid exclusive to one branch is injected at the top of the other
 //     branch.
 //
+// From the same syncid list and the same assignment census the analysis
+// also resolves each method's Footprint (footprint.go): per lock site the
+// monitors its parameter can denote — single-assignment locals substituted,
+// index expressions bounded by the interval domain of interval.go — plus
+// the plain fields the method touches and whether it waits, notifies or
+// locks raw. That is the one place the tree derives "which monitors may
+// this method lock": package earlysched turns the footprint into conflict
+// classes, Result.Interferes into the interference matrix, and the paper's
+// other Sect. 5 item — upper bounds for loops — is SyncReport.Bound.
+//
 // Restrictions (paper Sect. 4, with our documented adaptation): helper
 // methods invoked from other methods must not contain synchronisation or
 // nested invocations, and the call graph must be acyclic (the paper's
@@ -68,12 +78,9 @@ type MethodReport struct {
 	// classification in Syncs). Capped at MaxPaths.
 	Paths          [][]ids.SyncID
 	PathsTruncated bool
-	// RawLocking marks methods that use explicit lock/unlock statements
-	// (the java.util.concurrent extension). The analysis cannot pair
-	// such acquisitions, so the method runs without a bookkeeping table
-	// and its threads are never predicted — safe but maximally
-	// pessimistic under prediction-based schedulers.
-	RawLocking bool
+	// Footprint is what the method may lock and touch, resolved once for
+	// every consumer (conflict classes, the interference matrix).
+	Footprint
 }
 
 // MaxPaths caps path enumeration per method.
@@ -87,11 +94,9 @@ type Result struct {
 	// Static is the initialisation data for the scheduler's bookkeeping
 	// module.
 	Static *lockpred.StaticInfo
-	// Reports holds per-method classification details, in method order.
+	// Reports holds per-method classification details and footprints,
+	// in method order (Reports[i] describes Object.Methods[i]).
 	Reports []*MethodReport
-	// MutexSets holds the abstract possible-mutex set of every method
-	// (future-work data-flow analysis; see InterferenceMatrix).
-	MutexSets map[string]*MutexSet
 }
 
 // Report returns the report for one method, or nil.
@@ -111,19 +116,18 @@ func Analyze(obj *lang.Object) (*Result, error) {
 		return nil, err
 	}
 	copy := copyObject(obj)
-	a := &analyzer{obj: copy, static: lockpred.NewStaticInfo()}
-	sets := map[string]*MutexSet{}
-	for _, m := range copy.Methods {
-		// Compute the abstract mutex set before the transform rewrites
-		// the sync nodes.
-		sets[m.Name] = a.mutexSetOf(m)
+	a := &analyzer{
+		obj:      copy,
+		static:   lockpred.NewStaticInfo(),
+		monitors: monitorLayout(copy),
+		fields:   map[string][]string{},
 	}
 	for _, m := range copy.Methods {
 		if err := a.method(m); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Object: copy, Static: a.static, Reports: a.reports, MutexSets: sets}, nil
+	return &Result{Object: copy, Static: a.static, Reports: a.reports}, nil
 }
 
 // MustAnalyze panics on error; for fixed fixtures.
@@ -214,19 +218,6 @@ func hasSyncOps(s lang.Stmt) bool {
 		switch n.(type) {
 		case *lang.Sync, *lang.Wait, *lang.Notify, *lang.NestedCall,
 			*lang.RawLock, *lang.RawUnlock:
-			found = true
-		}
-	}, nil)
-	return found
-}
-
-// hasRawLocking reports whether a subtree uses explicit lock/unlock
-// statements, which static analysis cannot pair.
-func hasRawLocking(s lang.Stmt) bool {
-	found := false
-	walkStmt(s, func(n lang.Stmt) {
-		switch n.(type) {
-		case *lang.RawLock, *lang.RawUnlock:
 			found = true
 		}
 	}, nil)

@@ -67,7 +67,7 @@ func TestMutexSets(t *testing.T) {
 		{"pure", "∅"},
 	}
 	for _, c := range cases {
-		if got := res.MutexSets[c.method].String(); got != c.want {
+		if got := res.Report(c.method).Describe(); got != c.want {
 			t.Errorf("%s: set %s, want %s", c.method, got, c.want)
 		}
 	}

@@ -13,6 +13,8 @@ type analyzer struct {
 	static   *lockpred.StaticInfo
 	reports  []*MethodReport
 	nextSync ids.SyncID
+	monitors map[string]monitorField // id layout of the monitor fields
+	fields   map[string][]string     // fieldsOf memo, by method name
 }
 
 // syncInfo is the per-sync classification gathered before transformation.
@@ -37,9 +39,16 @@ type assignInfo struct {
 }
 
 func (a *analyzer) method(m *lang.Method) error {
-	// 1. Assign syncids in source order.
+	// 1. Assign syncids in source order; note the raw lock statements and
+	// whether the method waits or notifies on the way.
 	var syncs []*syncInfo
 	var loopStack []lang.Stmt
+	fp := Footprint{Fields: a.fieldsOf(m)}
+	type rawLock struct {
+		param  lang.Expr
+		inLoop bool
+	}
+	var raws []rawLock
 	var collect func(s lang.Stmt)
 	collect = func(s lang.Stmt) {
 		switch n := s.(type) {
@@ -70,6 +79,13 @@ func (a *analyzer) method(m *lang.Method) error {
 				paramSrc: lang.PrintExpr(n.Param),
 			})
 			collect(n.Body)
+		case *lang.Wait, *lang.Notify:
+			fp.WaitNotify = true
+		case *lang.RawLock:
+			fp.RawLocking = true
+			raws = append(raws, rawLock{n.Param, len(loopStack) > 0})
+		case *lang.RawUnlock:
+			fp.RawLocking = true
 		}
 	}
 	collect(m.Body)
@@ -82,20 +98,32 @@ func (a *analyzer) method(m *lang.Method) error {
 		a.classify(m, si, assigns)
 	}
 
-	// 4. Inject lockinfo calls (before the structural transform, so the
+	// 4. The footprint: every lock site resolved to monitors, while the
+	// sync nodes and the defining statements are still in place.
+	for _, si := range syncs {
+		site := a.resolve(m, si.node.Param, assigns)
+		site.Sync, site.Spontaneous, site.InLoop = si.id, !si.announceable, len(si.loops) > 0
+		fp.Sites = append(fp.Sites, site)
+	}
+	for _, rl := range raws {
+		site := a.resolve(m, rl.param, assigns)
+		site.Spontaneous, site.InLoop = true, rl.inLoop
+		fp.Sites = append(fp.Sites, site)
+	}
+
+	// 5. Inject lockinfo calls (before the structural transform, so the
 	// defining statements are still identifiable by pointer).
 	a.injectLockInfo(m, syncs)
 
-	// 5. Structural transform: expand syncs, inject ignores + loopdones.
+	// 6. Structural transform: expand syncs, inject ignores + loopdones.
 	m.Body = &lang.Block{Stmts: a.transformStmts(m.Body.Stmts, false)}
 
-	// 6. Static info for the bookkeeping module. Methods with explicit
+	// 7. Static info for the bookkeeping module. Methods with explicit
 	// lock/unlock statements get no table at all: an unpairable
 	// acquisition would make the table lie about the future lock set,
 	// so conservative no-table bookkeeping (never predicted) is the only
 	// sound choice.
-	rawLocking := hasRawLocking(m.Body)
-	if !rawLocking {
+	if !fp.RawLocking {
 		mi := &lockpred.MethodInfo{Method: m.ID}
 		for _, si := range syncs {
 			mi.Entries = append(mi.Entries, lockpred.StaticEntry{
@@ -107,8 +135,8 @@ func (a *analyzer) method(m *lang.Method) error {
 		a.static.Add(mi)
 	}
 
-	// 7. Report with path enumeration.
-	rep := &MethodReport{Method: m.Name}
+	// 8. Report with path enumeration.
+	rep := &MethodReport{Method: m.Name, Footprint: fp}
 	for _, si := range syncs {
 		rep.Syncs = append(rep.Syncs, SyncReport{
 			SyncID:       si.id,
@@ -121,7 +149,6 @@ func (a *analyzer) method(m *lang.Method) error {
 		})
 	}
 	rep.Paths, rep.PathsTruncated = enumeratePaths(m.Body)
-	rep.RawLocking = rawLocking
 	a.reports = append(a.reports, rep)
 	return nil
 }

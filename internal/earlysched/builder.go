@@ -2,77 +2,45 @@ package earlysched
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"detmt/internal/analysis"
 	"detmt/internal/ids"
-	"detmt/internal/lang"
 )
 
-// builder performs the static half of classification: it walks the
-// transformed methods, collects conflict tokens, and merges tokens that
-// one request may touch together (union-find).
-//
-// Tokens come in two flavours, both rendered as sortable string keys:
-// monitors ("m:<mutex id, zero-padded>") and mutable plain fields
-// ("f:<name>"). Monitor ids replicate lang.NewInstance(obj, 0) — dense,
-// field-declaration order — which is exactly how every replica allocates
-// its instance.
+// token is one unit of conflict: a monitor, or a mutable plain field.
+// Tokens order fields first (by name), then monitors (by id).
+type token struct {
+	field string // "" for a monitor
+	mutex ids.MutexID
+}
+
+func (t token) less(o token) bool {
+	if (t.field == "") != (o.field == "") {
+		return t.field != ""
+	}
+	if t.field != o.field {
+		return t.field < o.field
+	}
+	return t.mutex < o.mutex
+}
+
+// builder is the policy half of classification. The facts — which monitors
+// each lock site can denote, which fields a method touches — come resolved
+// in the method's analysis.Footprint; the builder decides which of them
+// escalate a method to the global class, and merges the tokens one request
+// may touch together (union-find).
 type builder struct {
-	res *analysis.Result
-	obj *lang.Object
-
-	monitors map[string]ids.MutexID // monitor fields
-	arrays   map[string]arrayInfo   // monitor array fields
-
-	parent       map[string]string   // union-find over token keys
-	methodTokens map[string][]string // sorted distinct tokens per method
-
-	fieldMemo map[string][]string // transitive plain-field tokens per method
+	parent map[token]token // union-find over tokens
 }
 
-type arrayInfo struct {
-	base ids.MutexID
-	size int
-}
-
-func mutexToken(m ids.MutexID) string { return fmt.Sprintf("m:%08d", int(m)) }
-func fieldToken(name string) string   { return "f:" + name }
-
-func newBuilder(res *analysis.Result) *builder {
-	b := &builder{
-		res:          res,
-		obj:          res.Object,
-		monitors:     map[string]ids.MutexID{},
-		arrays:       map[string]arrayInfo{},
-		parent:       map[string]string{},
-		methodTokens: map[string][]string{},
-		fieldMemo:    map[string][]string{},
-	}
-	next := ids.MutexID(0)
-	for _, f := range b.obj.Fields {
-		switch f.Kind {
-		case lang.FieldMonitor:
-			b.monitors[f.Name] = next
-			next++
-		case lang.FieldMonitorArray:
-			b.arrays[f.Name] = arrayInfo{base: next, size: f.Size}
-			next += ids.MutexID(f.Size)
-		}
-	}
-	return b
-}
-
-// ---- union-find ----
-
-func (b *builder) makeSet(k string) {
+func (b *builder) makeSet(k token) {
 	if _, ok := b.parent[k]; !ok {
 		b.parent[k] = k
 	}
 }
 
-func (b *builder) find(k string) string {
+func (b *builder) find(k token) token {
 	for b.parent[k] != k {
 		b.parent[k] = b.parent[b.parent[k]] // path halving
 		k = b.parent[k]
@@ -80,549 +48,85 @@ func (b *builder) find(k string) string {
 	return k
 }
 
-func (b *builder) union(a, c string) {
-	b.makeSet(a)
-	b.makeSet(c)
-	ra, rc := b.find(a), b.find(c)
-	if ra != rc {
+func (b *builder) union(a, c token) {
+	if ra, rc := b.find(a), b.find(c); ra != rc {
 		b.parent[ra] = rc
 	}
 }
 
-// ---- per-method classification ----
-
-// site is one lock site of a method, captured with its loop context.
-type site struct {
-	param  lang.Expr
-	inLoop bool
-	env    map[string]iv // repeat-variable bounds in scope at the site
-}
-
-// collector accumulates one method's walk results.
-type collector struct {
-	sites      []site
-	waitNotify bool
-	raw        bool
-	fields     map[string]bool // plain-field token keys
-}
-
-func (b *builder) classifyMethod(m *lang.Method) *methodClass {
-	global := func(reason string) *methodClass {
-		return &methodClass{global: true, reason: reason}
+// components numbers the union-find components deterministically — tokens
+// in order, components by first appearance — and returns each token's.
+func (b *builder) components() map[token]int {
+	keys := make([]token, 0, len(b.parent))
+	for k := range b.parent {
+		keys = append(keys, k)
 	}
-	rep := b.res.Report(m.Name)
-	if rep != nil && rep.RawLocking {
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	roots := map[token]int{}
+	comp := make(map[token]int, len(keys))
+	for _, k := range keys {
+		root := b.find(k)
+		idx, ok := roots[root]
+		if !ok {
+			idx = len(roots)
+			roots[root] = idx
+		}
+		comp[k] = idx
+	}
+	return comp
+}
+
+// classifyMethod applies the escalation rules, in their order of
+// precedence, and records the method's tokens.
+func (b *builder) classifyMethod(params []string, fp *analysis.Footprint) *methodClass {
+	global := func(format string, args ...interface{}) *methodClass {
+		return &methodClass{global: true, reason: fmt.Sprintf(format, args...)}
+	}
+	if fp.RawLocking {
 		return global("raw (unpaired) locking")
 	}
-	if rep != nil {
-		for _, s := range rep.Syncs {
-			if !s.Announceable {
-				return global(fmt.Sprintf("spontaneous lock parameter %q", s.Param))
-			}
+	for i := range fp.Sites {
+		if s := &fp.Sites[i]; s.Spontaneous {
+			return global("spontaneous lock parameter %q", s.Param)
 		}
 	}
-
-	col := &collector{fields: map[string]bool{}}
-	b.scan(m.Body, &scanCtx{col: col, env: map[string]iv{}})
-	if col.raw {
-		return global("raw (unpaired) locking")
-	}
-	if col.waitNotify {
+	if fp.WaitNotify {
 		return global("uses wait/notify")
 	}
-
-	// Resolve every lock site to a constant monitor or a narrowed index
-	// range; anything else is unclassifiable.
-	defs := census(m)
-	type rangeSite struct {
-		arr    arrayInfo
-		lo, hi int64
-		expr   lang.Expr
-		inLoop bool
-	}
-	var consts []ids.MutexID
-	var ranges []rangeSite
-	for _, st := range col.sites {
-		e := b.subst(st.param, defs, 0)
-		switch n := e.(type) {
-		case *lang.VarRef:
-			mid, ok := b.monitors[n.Name]
-			if !ok {
-				return global(fmt.Sprintf("unresolvable lock parameter %q", n.Name))
-			}
-			consts = append(consts, mid)
-		case *lang.Index:
-			arr, ok := b.arrays[n.Base]
-			if !ok {
-				return global(fmt.Sprintf("unresolvable lock parameter %s[...]", n.Base))
-			}
-			idx := b.subst(n.Index, defs, 0)
-			if v, ok := evalIndex(idx, nil, nil); ok {
-				if v < 0 || v >= int64(arr.size) {
-					return global(fmt.Sprintf("constant lock index %d out of range", v))
-				}
-				consts = append(consts, arr.base+ids.MutexID(v))
-				continue
-			}
-			env := map[string]iv{}
-			for k, v := range st.env {
-				env[k] = v
-			}
-			r := intervalOf(idx, env)
-			lo, hi := r.lo, r.hi
-			if !r.ok {
-				lo, hi = 0, int64(arr.size)-1
-			} else {
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > int64(arr.size)-1 {
-					hi = int64(arr.size) - 1
-				}
-				if lo > hi {
-					return global("lock index provably out of range")
-				}
-			}
-			if lo == 0 && hi == int64(arr.size)-1 {
-				// The analysis learned nothing beyond the array bounds:
-				// the request may lock anywhere, which carries no conflict
-				// information — the definition of a global request.
-				return global(fmt.Sprintf("lock index spans the whole array %s", n.Base))
-			}
-			ranges = append(ranges, rangeSite{arr: arr, lo: lo, hi: hi, expr: idx, inLoop: st.inLoop})
-		default:
-			return global("unresolvable lock parameter")
+	for i := range fp.Sites {
+		switch s := &fp.Sites[i]; {
+		case s.Top:
+			return global("%s", s.Reason)
+		case s.Whole():
+			// The analysis learned nothing beyond the array bounds: the
+			// request may lock anywhere, which carries no conflict
+			// information — the definition of a global request.
+			return global("lock index spans the whole array %s", s.Name)
 		}
 	}
 
-	// Token set and union edges.
-	var toks []string
-	for f := range col.fields {
-		toks = append(toks, f)
+	mc := &methodClass{params: params}
+	mc.footprint, _ = fp.Monitors()
+	for _, f := range fp.Fields {
+		mc.tokens = append(mc.tokens, token{field: f})
 	}
-	for _, mid := range consts {
-		toks = append(toks, mutexToken(mid))
+	for _, m := range mc.footprint {
+		mc.tokens = append(mc.tokens, token{mutex: m})
 	}
-	for _, r := range ranges {
-		for i := r.lo; i <= r.hi; i++ {
-			toks = append(toks, mutexToken(r.arr.base+ids.MutexID(i)))
-		}
-	}
-	sort.Strings(toks)
-	toks = dedup(toks)
-	for _, k := range toks {
+	for _, k := range mc.tokens {
 		b.makeSet(k)
 	}
-	b.methodTokens[m.Name] = toks
 
-	mc := &methodClass{params: m.Params}
-	mc.footprint = footprintOf(toks)
-
-	// A method whose entire footprint is one non-loop argument-derived
-	// lock site is classified per request: its tokens stay separate
-	// components (unless other methods merge them), and the concrete
-	// index picks the class at sequencing time.
-	if len(col.fields) == 0 && len(consts) == 0 && len(ranges) == 1 &&
-		!ranges[0].inLoop && usesOnlyParams(ranges[0].expr, m.Params) {
-		r := ranges[0]
-		mc.dynamic = true
-		mc.site = &r.expr
-		mc.base = r.arr.base
-		mc.lo, mc.hi = r.lo, r.hi
+	// A method whose entire footprint is one non-loop lock site indexed by
+	// its arguments alone is classified per request: its tokens stay
+	// separate components (unless other methods merge them), and the
+	// concrete index picks the class at sequencing time.
+	if len(fp.Fields) == 0 && len(fp.Sites) == 1 && fp.Sites[0].ParamOnly && !fp.Sites[0].InLoop {
+		mc.site = &fp.Sites[0]
 		return mc
 	}
-	for i := 1; i < len(toks); i++ {
-		b.union(toks[0], toks[i])
+	for i := 1; i < len(mc.tokens); i++ {
+		b.union(mc.tokens[0], mc.tokens[i])
 	}
 	return mc
-}
-
-func dedup(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || s != sorted[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// footprintOf extracts the monitor part of a token set as mutex ids.
-func footprintOf(toks []string) []ids.MutexID {
-	var out []ids.MutexID
-	for _, k := range toks {
-		var v int
-		if _, err := fmt.Sscanf(k, "m:%08d", &v); err == nil {
-			out = append(out, ids.MutexID(v))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ---- statement walk ----
-
-type scanCtx struct {
-	col    *collector
-	inLoop bool
-	env    map[string]iv
-}
-
-func (b *builder) scan(s lang.Stmt, ctx *scanCtx) {
-	if s == nil {
-		return
-	}
-	switch n := s.(type) {
-	case *lang.Block:
-		for _, c := range n.Stmts {
-			b.scan(c, ctx)
-		}
-	case *lang.VarDecl:
-		b.scanExpr(n.Init, ctx)
-	case *lang.Assign:
-		b.scanExpr(n.Target, ctx)
-		b.scanExpr(n.Value, ctx)
-	case *lang.If:
-		b.scanExpr(n.Cond, ctx)
-		b.scan(n.Then, ctx)
-		if n.Else != nil {
-			b.scan(n.Else, ctx)
-		}
-	case *lang.While:
-		b.scanExpr(n.Cond, ctx)
-		inner := &scanCtx{col: ctx.col, inLoop: true, env: ctx.env}
-		b.scan(n.Body, inner)
-	case *lang.Repeat:
-		b.scanExpr(n.Count, ctx)
-		bound := top()
-		if lit, ok := n.Count.(*lang.IntLit); ok && lit.Value > 0 {
-			bound = iv{lo: 0, hi: lit.Value - 1, ok: true}
-		}
-		env := map[string]iv{}
-		for k, v := range ctx.env {
-			env[k] = v
-		}
-		env[n.Var] = bound
-		b.scan(n.Body, &scanCtx{col: ctx.col, inLoop: true, env: env})
-	case *lang.Sync:
-		b.recordSite(n.Param, ctx)
-		b.scanExpr(n.Param, ctx)
-		b.scan(n.Body, ctx)
-	case *lang.LockStmt:
-		b.recordSite(n.Param, ctx)
-		b.scanExpr(n.Param, ctx)
-	case *lang.UnlockStmt, *lang.LockInfoStmt, *lang.IgnoreStmt, *lang.LoopDoneStmt:
-		// Companions of LockStmt: same monitors, no new information.
-	case *lang.Wait:
-		ctx.col.waitNotify = true
-	case *lang.Notify:
-		ctx.col.waitNotify = true
-	case *lang.Compute:
-		b.scanExpr(n.Dur, ctx)
-	case *lang.NestedCall:
-		b.scanExpr(n.Arg, ctx)
-	case *lang.CallStmt:
-		b.scanExpr(n.Call, ctx)
-	case *lang.Return:
-		b.scanExpr(n.Value, ctx)
-	case *lang.RawLock, *lang.RawUnlock:
-		ctx.col.raw = true
-	}
-}
-
-func (b *builder) recordSite(param lang.Expr, ctx *scanCtx) {
-	env := map[string]iv{}
-	for k, v := range ctx.env {
-		env[k] = v
-	}
-	ctx.col.sites = append(ctx.col.sites, site{param: param, inLoop: ctx.inLoop, env: env})
-}
-
-// scanExpr collects plain-field tokens (reads and writes) and recurses
-// into helper calls.
-func (b *builder) scanExpr(e lang.Expr, ctx *scanCtx) {
-	if e == nil {
-		return
-	}
-	switch n := e.(type) {
-	case *lang.VarRef:
-		if f := b.obj.Field(n.Name); f != nil && f.Kind == lang.FieldPlain {
-			ctx.col.fields[fieldToken(n.Name)] = true
-		}
-	case *lang.Index:
-		b.scanExpr(n.Index, ctx)
-	case *lang.Binary:
-		b.scanExpr(n.L, ctx)
-		b.scanExpr(n.R, ctx)
-	case *lang.CallExpr:
-		for _, a := range n.Args {
-			b.scanExpr(a, ctx)
-		}
-		for _, f := range b.helperFields(n.Name) {
-			ctx.col.fields[f] = true
-		}
-	}
-}
-
-// helperFields returns the plain-field tokens a helper method touches,
-// transitively (the call graph is acyclic by validation).
-func (b *builder) helperFields(name string) []string {
-	if got, ok := b.fieldMemo[name]; ok {
-		return got
-	}
-	m := b.obj.Lookup(name)
-	if m == nil { // builtin
-		return nil
-	}
-	b.fieldMemo[name] = nil // cycle guard; validation forbids cycles anyway
-	col := &collector{fields: map[string]bool{}}
-	b.scan(m.Body, &scanCtx{col: col, env: map[string]iv{}})
-	var out []string
-	for f := range col.fields {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	b.fieldMemo[name] = out
-	return out
-}
-
-// ---- single-assignment local substitution ----
-
-// census counts assignments per local name; names bound by nested-call
-// results or repeat variables are poisoned (never substituted).
-func census(m *lang.Method) map[string]*localDef {
-	defs := map[string]*localDef{}
-	note := func(name string, e lang.Expr) {
-		d := defs[name]
-		if d == nil {
-			d = &localDef{}
-			defs[name] = d
-		}
-		d.count++
-		d.def = e
-	}
-	var walk func(s lang.Stmt)
-	walk = func(s lang.Stmt) {
-		switch n := s.(type) {
-		case *lang.Block:
-			for _, c := range n.Stmts {
-				walk(c)
-			}
-		case *lang.VarDecl:
-			note(n.Name, n.Init)
-		case *lang.Assign:
-			if v, ok := n.Target.(*lang.VarRef); ok {
-				note(v.Name, n.Value)
-			}
-		case *lang.NestedCall:
-			if n.Result != "" {
-				note(n.Result, nil)
-				note(n.Result, nil) // poison: runtime-dependent value
-			}
-		case *lang.Repeat:
-			note(n.Var, nil)
-			note(n.Var, nil) // poison: rebinds per iteration
-			walk(n.Body)
-		case *lang.If:
-			walk(n.Then)
-			if n.Else != nil {
-				walk(n.Else)
-			}
-		case *lang.While:
-			walk(n.Body)
-		case *lang.Sync:
-			walk(n.Body)
-		}
-	}
-	walk(m.Body)
-	return defs
-}
-
-type localDef struct {
-	count int
-	def   lang.Expr
-}
-
-// subst resolves single-assignment locals through their definitions,
-// mirroring the announceability rule of package analysis. Fields are
-// never substituted (mutable), and the depth cap bounds chains.
-func (b *builder) subst(e lang.Expr, defs map[string]*localDef, depth int) lang.Expr {
-	if e == nil || depth > 8 {
-		return e
-	}
-	switch n := e.(type) {
-	case *lang.VarRef:
-		if b.obj.Field(n.Name) != nil {
-			return e
-		}
-		if d, ok := defs[n.Name]; ok && d.count == 1 && d.def != nil {
-			return b.subst(d.def, defs, depth+1)
-		}
-		return e
-	case *lang.Index:
-		return &lang.Index{Base: n.Base, Index: b.subst(n.Index, defs, depth+1)}
-	case *lang.Binary:
-		return &lang.Binary{Op: n.Op, L: b.subst(n.L, defs, depth+1), R: b.subst(n.R, defs, depth+1)}
-	default:
-		return e
-	}
-}
-
-// usesOnlyParams reports whether e is evaluable from arguments alone.
-func usesOnlyParams(e lang.Expr, params []string) bool {
-	switch n := e.(type) {
-	case *lang.IntLit:
-		return true
-	case *lang.VarRef:
-		for _, p := range params {
-			if p == n.Name {
-				return true
-			}
-		}
-		return false
-	case *lang.Binary:
-		return usesOnlyParams(n.L, params) && usesOnlyParams(n.R, params)
-	default:
-		return false
-	}
-}
-
-// ---- interval analysis ----
-
-// iv is a (possibly unknown) inclusive integer interval.
-type iv struct {
-	lo, hi int64
-	ok     bool
-}
-
-func top() iv { return iv{} }
-
-func satAdd(a, c int64) int64 {
-	s := a + c
-	if (c > 0 && s < a) || (c < 0 && s > a) {
-		if c > 0 {
-			return math.MaxInt64
-		}
-		return math.MinInt64
-	}
-	return s
-}
-
-// intervalOf bounds an index expression; env carries repeat-variable
-// bounds, every other name is unknown. Unknown operands still narrow
-// through %, which is what makes the family workloads' double-mod idiom
-// ("((d % P) + P) % P + BASE") classify without knowing d.
-func intervalOf(e lang.Expr, env map[string]iv) iv {
-	switch n := e.(type) {
-	case *lang.IntLit:
-		return iv{lo: n.Value, hi: n.Value, ok: true}
-	case *lang.VarRef:
-		if r, ok := env[n.Name]; ok {
-			return r
-		}
-		return top()
-	case *lang.Binary:
-		l := intervalOf(n.L, env)
-		r := intervalOf(n.R, env)
-		switch n.Op {
-		case "+":
-			if !l.ok || !r.ok {
-				return top()
-			}
-			return iv{lo: satAdd(l.lo, r.lo), hi: satAdd(l.hi, r.hi), ok: true}
-		case "-":
-			if !l.ok || !r.ok {
-				return top()
-			}
-			return iv{lo: satAdd(l.lo, -r.hi), hi: satAdd(l.hi, -r.lo), ok: true}
-		case "*":
-			if !l.ok || !r.ok {
-				return top()
-			}
-			const lim = int64(1) << 31
-			if l.lo < -lim || l.hi > lim || r.lo < -lim || r.hi > lim {
-				return top()
-			}
-			ps := []int64{l.lo * r.lo, l.lo * r.hi, l.hi * r.lo, l.hi * r.hi}
-			out := iv{lo: ps[0], hi: ps[0], ok: true}
-			for _, p := range ps[1:] {
-				if p < out.lo {
-					out.lo = p
-				}
-				if p > out.hi {
-					out.hi = p
-				}
-			}
-			return out
-		case "%":
-			// x % k is bounded by k even when x is unknown.
-			if !r.ok || r.lo < 1 {
-				return top()
-			}
-			bound := r.hi - 1
-			if l.ok && l.lo >= 0 {
-				if l.hi <= bound {
-					return l
-				}
-				return iv{lo: 0, hi: bound, ok: true}
-			}
-			return iv{lo: -bound, hi: bound, ok: true}
-		default:
-			return top()
-		}
-	default:
-		return top()
-	}
-}
-
-// ---- concrete evaluation ----
-
-// evalIndex evaluates an index expression against concrete arguments,
-// mirroring the interpreter's integer semantics (division or modulo by
-// zero fails rather than guessing).
-func evalIndex(e lang.Expr, params []string, args []lang.Value) (int64, bool) {
-	switch n := e.(type) {
-	case *lang.IntLit:
-		return n.Value, true
-	case *lang.VarRef:
-		for i, p := range params {
-			if p == n.Name && i < len(args) {
-				if v, ok := args[i].(int64); ok {
-					return v, true
-				}
-				return 0, false
-			}
-		}
-		return 0, false
-	case *lang.Binary:
-		l, ok := evalIndex(n.L, params, args)
-		if !ok {
-			return 0, false
-		}
-		r, ok := evalIndex(n.R, params, args)
-		if !ok {
-			return 0, false
-		}
-		switch n.Op {
-		case "+":
-			return l + r, true
-		case "-":
-			return l - r, true
-		case "*":
-			return l * r, true
-		case "/":
-			if r == 0 {
-				return 0, false
-			}
-			return l / r, true
-		case "%":
-			if r == 0 {
-				return 0, false
-			}
-			return l % r, true
-		}
-		return 0, false
-	default:
-		return 0, false
-	}
 }

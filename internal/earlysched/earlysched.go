@@ -1,12 +1,14 @@
 // Package earlysched implements conflict-class early scheduling: the
 // sequencer-side half of cross-request parallelism.
 //
-// The paper's static lock prediction (Sect. 4, packages analysis and
-// lockpred) computes, per start method, which monitors a request may ever
-// lock. Following the "Early Scheduling in Parallel State Machine
-// Replication" direction (Alchieri, Dotti, Pedone — see PAPERS.md), this
-// package turns that prediction into *conflict classes* assigned at
-// ordering time: the sequencer classifies every request before stamping
+// The paper's static analysis (Sect. 4, package analysis) computes, per
+// start method, one Footprint: which monitors every lock site can denote
+// and which plain fields the method touches. Following the "Early
+// Scheduling in Parallel State Machine Replication" direction (Alchieri,
+// Dotti, Pedone — see PAPERS.md), where the class map derived from the
+// analysis is the scheduler's input, this package holds the policy that
+// turns those facts into *conflict classes* assigned at ordering time — it
+// never looks at a statement itself: the sequencer classifies every request before stamping
 // it, and the lane schedulers (core.MAT, core.PDS) dispatch distinct
 // classes to concurrent per-class lanes on every replica that honours
 // the stamp (replica.Config.EarlySched); a replica that does not admits
@@ -59,7 +61,7 @@ const GlobalClass uint32 = 0
 type Classifier struct {
 	lanes   int
 	methods map[string]*methodClass
-	classOf map[string]uint32 // token key -> lane class
+	classOf map[token]uint32 // token -> lane class
 }
 
 // methodClass is the per-method classification summary.
@@ -69,16 +71,14 @@ type methodClass struct {
 
 	class uint32 // static class (non-dynamic methods)
 
-	// dynamic methods are classified per request from the concrete value
-	// of their single lock-site index.
-	dynamic  bool
-	site     *lang.Expr // resolved index expression of the single site
+	// A method with a site is classified per request: the arguments pick
+	// the one monitor of its single lock site.
+	site     *analysis.Site
 	params   []string
-	base     ids.MutexID // monitor array base of the site
-	lo, hi   int64       // static index bounds of the site
-	fallback uint32      // class when the index cannot be evaluated
+	fallback uint32 // class when the index cannot be evaluated
 
 	footprint []ids.MutexID // static possible-mutex set (sorted)
+	tokens    []token       // footprint and fields, the units of conflict (sorted)
 }
 
 // New builds a classifier for the analysed object, folding conflict
@@ -87,30 +87,17 @@ func New(res *analysis.Result, lanes int) *Classifier {
 	if lanes < 1 {
 		lanes = 1
 	}
-	b := newBuilder(res)
+	b := &builder{parent: map[token]token{}}
 	c := &Classifier{
 		lanes:   lanes,
 		methods: make(map[string]*methodClass),
-		classOf: make(map[string]uint32),
+		classOf: make(map[token]uint32),
 	}
-	for _, m := range res.Object.Methods {
-		c.methods[m.Name] = b.classifyMethod(m)
+	for i, m := range res.Object.Methods {
+		c.methods[m.Name] = b.classifyMethod(m.Params, &res.Reports[i].Footprint)
 	}
-	// Number components deterministically: tokens in sorted-key order,
-	// components by first appearance, folded onto the lanes.
-	keys := make([]string, 0, len(b.parent))
-	for k := range b.parent {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	compIdx := map[string]int{}
-	for _, k := range keys {
-		root := b.find(k)
-		idx, ok := compIdx[root]
-		if !ok {
-			idx = len(compIdx)
-			compIdx[root] = idx
-		}
+	// Fold the components onto the lanes.
+	for k, idx := range b.components() {
 		c.classOf[k] = 1 + uint32(idx%lanes)
 	}
 	// Resolve per-method classes now that components are numbered.
@@ -119,9 +106,9 @@ func New(res *analysis.Result, lanes int) *Classifier {
 		if mc.global {
 			continue
 		}
-		toks := b.methodTokens[m.Name]
+		toks := mc.tokens
 		switch {
-		case mc.dynamic:
+		case mc.site != nil:
 			// Fallback when the concrete index cannot be evaluated: the
 			// request could be any token of the site's static range — one
 			// class if they all agree, else the global class.
@@ -141,7 +128,7 @@ func New(res *analysis.Result, lanes int) *Classifier {
 
 // classOfTokens returns the common class of a token set, or GlobalClass
 // if the tokens span several classes.
-func (c *Classifier) classOfTokens(toks []string) uint32 {
+func (c *Classifier) classOfTokens(toks []token) uint32 {
 	if len(toks) == 0 {
 		return GlobalClass
 	}
@@ -170,14 +157,14 @@ func (c *Classifier) Classify(method string, args []lang.Value) uint32 {
 	if mc == nil || mc.global {
 		return GlobalClass
 	}
-	if !mc.dynamic {
+	if mc.site == nil {
 		return mc.class
 	}
-	idx, ok := evalIndex(*mc.site, mc.params, args)
-	if !ok || idx < mc.lo || idx > mc.hi {
+	m, ok := mc.site.Monitor(mc.params, args)
+	if !ok {
 		return mc.fallback
 	}
-	return c.classOf[mutexToken(mc.base+ids.MutexID(idx))]
+	return c.classOf[token{mutex: m}]
 }
 
 // Footprint returns the predicted lock footprint of one request: a sorted
@@ -189,9 +176,9 @@ func (c *Classifier) Footprint(method string, args []lang.Value) (_ []ids.MutexI
 	if mc == nil || mc.global {
 		return nil, false
 	}
-	if mc.dynamic {
-		if idx, ok := evalIndex(*mc.site, mc.params, args); ok && idx >= mc.lo && idx <= mc.hi {
-			return []ids.MutexID{mc.base + ids.MutexID(idx)}, true
+	if mc.site != nil {
+		if m, ok := mc.site.Monitor(mc.params, args); ok {
+			return []ids.MutexID{m}, true
 		}
 	}
 	return mc.footprint, true
@@ -221,8 +208,8 @@ func (c *Classifier) Describe() string {
 		switch {
 		case mc.global:
 			fmt.Fprintf(&b, "  %-16s class 0 (global: %s)\n", n, mc.reason)
-		case mc.dynamic:
-			fmt.Fprintf(&b, "  %-16s per-request (index range [%d,%d], fallback class %d)\n", n, mc.lo, mc.hi, mc.fallback)
+		case mc.site != nil:
+			fmt.Fprintf(&b, "  %-16s per-request (index range [%d,%d], fallback class %d)\n", n, mc.site.Lo, mc.site.Hi, mc.fallback)
 		default:
 			fmt.Fprintf(&b, "  %-16s class %d\n", n, mc.class)
 		}

@@ -370,30 +370,6 @@ func (tt *ThreadTable) AllLocksDone() bool {
 	return true
 }
 
-// AnnouncedSet returns the distinct mutexes the thread is known to lock
-// during its request: every entry that is announced, currently held, or
-// done with a recorded mutex contributes. Sorted, duplicates removed.
-// The set is the request's *predicted lock footprint* — complete exactly
-// when Predicted() is true (package earlysched classifies requests into
-// conflict classes by comparing these footprints).
-func (tt *ThreadTable) AnnouncedSet() []ids.MutexID {
-	if tt == nil {
-		return nil
-	}
-	seen := map[ids.MutexID]bool{}
-	var out []ids.MutexID
-	for i := range tt.entries {
-		e := &tt.entries[i]
-		if e.mutex == ids.NoMutex || seen[e.mutex] {
-			continue
-		}
-		seen[e.mutex] = true
-		out = append(out, e.mutex)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Remaining returns the syncids that may still produce lock requests, for
 // diagnostics.
 func (tt *ThreadTable) Remaining() []ids.SyncID {
