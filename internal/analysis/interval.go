@@ -14,21 +14,18 @@ type iv struct {
 
 func top() iv { return iv{} }
 
-func satAdd(a, c int64) int64 {
+// addOK returns a+c, or false when it wraps: the interpreter's integers
+// wrap around, so an interval that overflows bounds nothing.
+func addOK(a, c int64) (int64, bool) {
 	s := a + c
-	if (c > 0 && s < a) || (c < 0 && s > a) {
-		if c > 0 {
-			return math.MaxInt64
-		}
-		return math.MinInt64
-	}
-	return s
+	return s, (c >= 0) == (s >= a)
 }
 
 // intervalOf bounds an index expression whose names are all unknown.
 // Unknown operands still narrow through %, which is what makes the family
 // workloads' double-mod idiom ("((d % P) + P) % P + BASE") classify
-// without knowing d.
+// without knowing d. Sound against evalIndex (FuzzIntervalSound): whenever
+// both succeed, the value lies inside the interval.
 func intervalOf(e lang.Expr) iv {
 	n, isBinary := e.(*lang.Binary)
 	if lit, ok := e.(*lang.IntLit); ok {
@@ -47,19 +44,26 @@ func intervalOf(e lang.Expr) iv {
 		switch {
 		case !l.ok || l.lo < 0:
 			return iv{lo: -bound, hi: bound, ok: true}
-		case l.hi <= bound:
-			return l
+		case l.hi < r.lo:
+			return l // below every divisor: unchanged
 		}
-		return iv{lo: 0, hi: bound, ok: true}
+		return iv{lo: 0, hi: min(l.hi, bound), ok: true}
 	}
 	if !l.ok || !r.ok {
 		return top()
 	}
 	switch n.Op {
 	case "+":
-		return iv{lo: satAdd(l.lo, r.lo), hi: satAdd(l.hi, r.hi), ok: true}
+		lo, ok1 := addOK(l.lo, r.lo)
+		hi, ok2 := addOK(l.hi, r.hi)
+		return iv{lo: lo, hi: hi, ok: ok1 && ok2}
 	case "-":
-		return iv{lo: satAdd(l.lo, -r.hi), hi: satAdd(l.hi, -r.lo), ok: true}
+		if r.lo == math.MinInt64 { // has no negation
+			return top()
+		}
+		lo, ok1 := addOK(l.lo, -r.hi)
+		hi, ok2 := addOK(l.hi, -r.lo)
+		return iv{lo: lo, hi: hi, ok: ok1 && ok2}
 	case "*":
 		const lim = int64(1) << 31
 		if l.lo < -lim || l.hi > lim || r.lo < -lim || r.hi > lim {
@@ -76,8 +80,8 @@ func intervalOf(e lang.Expr) iv {
 }
 
 // evalIndex evaluates an index expression against concrete arguments,
-// mirroring the interpreter's integer semantics (division or modulo by
-// zero fails rather than guessing).
+// mirroring the interpreter's integer semantics (wrap-around; division or
+// modulo by zero fails rather than guessing).
 func evalIndex(e lang.Expr, params []string, args []lang.Value) (int64, bool) {
 	switch n := e.(type) {
 	case *lang.IntLit:

@@ -231,3 +231,79 @@ func TestDummyClassReserved(t *testing.T) {
 		}
 	}
 }
+
+// A lock parameter that mentions a repeat variable, or a local assigned
+// under a branch, is spontaneous (paper Sect. 4.2) — the method escalates
+// before any index range is looked at, which is why the classifier carries
+// no bounds for loop variables. Making such sites classifiable is ROADMAP
+// item 5; until then these reasons are the behaviour.
+func TestLoopAndBranchLocalIndexesEscalate(t *testing.T) {
+	src := `
+object O {
+    monitor arr[4];
+    method loopIndex() {
+        repeat i : 2 {
+            sync (arr[i]) { compute(1us); }
+        }
+    }
+    method loopIndexPlusOne() {
+        repeat i : 2 {
+            sync (arr[i + 1]) { compute(1us); }
+        }
+    }
+    method branchLocal(p) {
+        if (p > 0) {
+            var j = p % 2;
+            sync (arr[j]) { compute(1us); }
+        }
+    }
+}
+`
+	c := classify(t, src, 4)
+	for method, want := range map[string]string{
+		"loopIndex":        `spontaneous lock parameter "arr[i]"`,
+		"loopIndexPlusOne": `spontaneous lock parameter "arr[i + 1]"`,
+		"branchLocal":      `spontaneous lock parameter "arr[j]"`,
+	} {
+		if cl := c.Classify(method, []lang.Value{int64(1)}); cl != GlobalClass {
+			t.Errorf("%s classified %d, want global", method, cl)
+		}
+		if got := c.GlobalReason(method); got != want {
+			t.Errorf("%s: reason %q, want %q", method, got, want)
+		}
+	}
+}
+
+// A parameter the method assigns is no longer the request's argument: the
+// site must not be evaluated against the arguments (the pre-footprint
+// substitution expanded p = p + 1 into itself and did).
+func TestReassignedParameterIsNotTheArgument(t *testing.T) {
+	src := `
+object O {
+    monitor cells[8];
+    method bump(p) {
+        p = p + 1;
+        sync (cells[((p % 4) + 4) % 4]) { compute(1us); }
+    }
+    method shadowed(p) {
+        var x = p;
+        p = 5;
+        sync (cells[((x % 4) + 4) % 4]) { compute(1us); }
+    }
+}
+`
+	c := classify(t, src, 4)
+	for _, m := range []string{"bump", "shadowed"} {
+		for k := int64(0); k < 4; k++ {
+			// bump(k) locks cells[(k+1)%4], shadowed(k) cells[k%4]: whatever
+			// the class, the predicted footprint must cover both.
+			fp, ok := c.Footprint(m, []lang.Value{k})
+			if c.Classify(m, []lang.Value{k}) == GlobalClass {
+				continue
+			}
+			if !ok || len(fp) != 4 {
+				t.Fatalf("%s(%d): footprint %v (ok=%v), want all of cells[0..3]", m, k, fp, ok)
+			}
+		}
+	}
+}

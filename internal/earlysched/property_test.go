@@ -2,6 +2,7 @@ package earlysched
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -17,9 +18,11 @@ import (
 
 // genSource generates a random but analyzable object with a mix of
 // classification outcomes: per-family methods over private monitor
-// arrays and fields (classifiable, mutually disjoint), a cross-family
-// method over a shared array with an unbounded index (escalates to the
-// global class), and pure computation (no footprint). Wait/notify and
+// arrays and fields (classifiable and mutually disjoint — unless an op
+// escalates the method: a whole-array index, or a loop over the array,
+// whose repeat variable makes the lock parameter spontaneous), a
+// cross-family method over a shared array with an unbounded index
+// (escalates to the global class), and pure computation (no footprint). Wait/notify and
 // nested invocations are deliberately excluded: the requests must run
 // to completion on a detached serial replica for the cross-check.
 func genSource(seed uint64) (src string, methods []string) {
@@ -43,9 +46,12 @@ func genSource(seed uint64) (src string, methods []string) {
 				switch rng.Intn(5) {
 				case 0: // constant element of the family array
 					fmt.Fprintf(&b, "        sync (ma%d[%d]) { fv%d = fv%d + 1; }\n", f, rng.Intn(4), f, f)
-				case 1: // parameter index pinned to the family range
+				case 1: // parameter index over the whole family array: global
 					fmt.Fprintf(&b, "        sync (ma%d[((p %% 4) + 4) %% 4]) { fv%d = fv%d + 2; }\n", f, f, f)
-				case 2: // constant-bound loop over a prefix of the array
+				case 2: // constant-bound loop over a prefix of the array: the
+					// index is the repeat variable, reassigned every iteration,
+					// so the site is spontaneous and the method global (making
+					// loop-variable sites classifiable is ROADMAP item 5)
 					fmt.Fprintf(&b, "        repeat i : %d {\n            sync (ma%d[i]) { fv%d = fv%d + 1; }\n        }\n",
 						1+rng.Intn(3), f, f, f)
 				case 3: // branch with a sync on one side
@@ -66,6 +72,21 @@ func genSource(seed uint64) (src string, methods []string) {
 	b.WriteString("    method pure(p) {\n        compute(150us);\n    }\n")
 	b.WriteString("}\n")
 	return b.String(), methods
+}
+
+// drawArg draws a request argument: mostly small, but also negatives
+// (what the double-mod idiom exists for), large magnitudes and both ends
+// of the integer range.
+func drawArg(rng *ids.RNG) int64 {
+	switch rng.Intn(8) {
+	case 0, 1:
+		return -int64(1 + rng.Intn(64))
+	case 2:
+		return int64(rng.Uint64()) // anywhere, either sign
+	case 3:
+		return []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64}[rng.Intn(4)]
+	}
+	return int64(rng.Intn(32))
 }
 
 // lockSets replays the synthesized request log on a detached serial
@@ -139,7 +160,7 @@ func TestClassDisjointnessProperty(t *testing.T) {
 			var log []replica.LogEntry
 			for i := 0; i < 24; i++ {
 				m := methods[rng.Intn(len(methods))]
-				args := []lang.Value{int64(rng.Intn(32))}
+				args := []lang.Value{drawArg(rng)}
 				r := req{id: ids.ThreadID(i + 1), method: m, args: args, class: cls.Classify(m, args)}
 				reqs = append(reqs, r)
 				log = append(log, replica.LogEntry{
@@ -227,5 +248,62 @@ func TestClassDisjointnessProperty(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPerRequestSiteMatchesExecution checks the concrete index evaluation
+// against the interpreter: genSource has no per-request method (its
+// parameter-indexed sites span their whole array), so the property above
+// never reaches Site.Monitor. Here every method is per-request, and the
+// one monitor predicted from the arguments — negative, huge, at both ends
+// of the range — must be the one the serial execution locks.
+func TestPerRequestSiteMatchesExecution(t *testing.T) {
+	const src = `
+object Hot {
+    monitor big[9];
+    monitor fam[8];
+    method doubleMod(k) { sync (big[((k % 8) + 8) % 8]) { compute(1us); } }
+    method signed(k) { sync (big[k % 4 + 4]) { compute(1us); } }
+    method product(k) { sync (big[(k % 2) * (k % 2) * 3 + 1]) { compute(1us); } }
+    method shifted(k) { sync (fam[((k % 3) + 3) % 3 + 4]) { compute(1us); } }
+    method viaLocal(k) {
+        var h = ((k % 4) + 4) % 4;
+        sync (fam[h]) { compute(1us); }
+    }
+}
+`
+	res := analysis.MustAnalyze(lang.MustParse(src))
+	cls := New(res, 16)
+	rng := ids.NewRNG(0x51fe)
+	type req struct {
+		method string
+		args   []lang.Value
+	}
+	var reqs []req
+	var log []replica.LogEntry
+	for i := 0; i < 200; i++ {
+		m := res.Object.Methods[rng.Intn(len(res.Object.Methods))]
+		if cls.methods[m.Name].site == nil {
+			t.Fatalf("%s is not classified per request:\n%s", m.Name, cls.Describe())
+		}
+		r := req{m.Name, []lang.Value{drawArg(rng)}}
+		reqs = append(reqs, r)
+		log = append(log, replica.LogEntry{
+			At: time.Duration(i) * time.Millisecond,
+			Msg: gcs.Message{
+				Seq:     uint64(i + 1),
+				Origin:  gcs.Origin{Client: 1, IsClient: true},
+				UID:     uint64(i + 1),
+				Payload: replica.Request{Req: ids.RequestID(i + 1), Method: r.method, Args: r.args},
+			},
+		})
+	}
+	actual := lockSets(t, res, 0, log)
+	for i, r := range reqs {
+		fp, ok := cls.Footprint(r.method, r.args)
+		got := actual[ids.ThreadID(i+1)]
+		if !ok || len(fp) != 1 || len(got) != 1 || !got[fp[0]] {
+			t.Errorf("%s(%v): predicted %v (ok=%v), locked %v", r.method, r.args, fp, ok, got)
+		}
 	}
 }
