@@ -225,7 +225,9 @@ func hasSyncOps(s lang.Stmt) bool {
 }
 
 // walkStmt visits every statement (and optionally every expression) in a
-// subtree, pre-order.
+// source subtree, pre-order. It does not know the injected scheduler calls:
+// every walk runs before the structural transform, or over a helper, which
+// has no synchronisation to transform.
 func walkStmt(s lang.Stmt, fs func(lang.Stmt), fe func(lang.Expr)) {
 	if s == nil {
 		return
@@ -278,12 +280,6 @@ func walkStmt(s lang.Stmt, fs func(lang.Stmt), fe func(lang.Expr)) {
 	case *lang.RawLock:
 		visitExpr(n.Param)
 	case *lang.RawUnlock:
-		visitExpr(n.Param)
-	case *lang.LockStmt:
-		visitExpr(n.Param)
-	case *lang.UnlockStmt:
-		visitExpr(n.Param)
-	case *lang.LockInfoStmt:
 		visitExpr(n.Param)
 	}
 }

@@ -39,16 +39,15 @@ type assignInfo struct {
 }
 
 func (a *analyzer) method(m *lang.Method) error {
-	// 1. Assign syncids in source order; note the raw lock statements and
-	// whether the method waits or notifies on the way.
+	// 1. Assignment census.
+	assigns := a.census(m)
+
+	// 2. Assign syncids in source order; resolve the raw lock statements
+	// and note whether the method waits or notifies on the way.
 	var syncs []*syncInfo
 	var loopStack []lang.Stmt
 	fp := Footprint{Fields: a.fieldsOf(m)}
-	type rawLock struct {
-		param  lang.Expr
-		inLoop bool
-	}
-	var raws []rawLock
+	var rawSites []Site
 	var collect func(s lang.Stmt)
 	collect = func(s lang.Stmt) {
 		switch n := s.(type) {
@@ -83,42 +82,33 @@ func (a *analyzer) method(m *lang.Method) error {
 			fp.WaitNotify = true
 		case *lang.RawLock:
 			fp.RawLocking = true
-			raws = append(raws, rawLock{n.Param, len(loopStack) > 0})
+			site := a.resolve(m, n.Param, assigns)
+			site.Spontaneous, site.InLoop = true, len(loopStack) > 0
+			rawSites = append(rawSites, site)
 		case *lang.RawUnlock:
 			fp.RawLocking = true
 		}
 	}
 	collect(m.Body)
 
-	// 2. Assignment census.
-	assigns := a.census(m)
-
-	// 3. Classify each sync block.
+	// 3. Classify each sync block, and resolve it to monitors for the
+	// footprint while the defining statements are still in place.
 	for _, si := range syncs {
 		a.classify(m, si, assigns)
-	}
-
-	// 4. The footprint: every lock site resolved to monitors, while the
-	// sync nodes and the defining statements are still in place.
-	for _, si := range syncs {
 		site := a.resolve(m, si.node.Param, assigns)
 		site.Sync, site.Spontaneous, site.InLoop = si.id, !si.announceable, len(si.loops) > 0
 		fp.Sites = append(fp.Sites, site)
 	}
-	for _, rl := range raws {
-		site := a.resolve(m, rl.param, assigns)
-		site.Spontaneous, site.InLoop = true, rl.inLoop
-		fp.Sites = append(fp.Sites, site)
-	}
+	fp.Sites = append(fp.Sites, rawSites...)
 
-	// 5. Inject lockinfo calls (before the structural transform, so the
+	// 4. Inject lockinfo calls (before the structural transform, so the
 	// defining statements are still identifiable by pointer).
 	a.injectLockInfo(m, syncs)
 
-	// 6. Structural transform: expand syncs, inject ignores + loopdones.
+	// 5. Structural transform: expand syncs, inject ignores + loopdones.
 	m.Body = &lang.Block{Stmts: a.transformStmts(m.Body.Stmts, false)}
 
-	// 7. Static info for the bookkeeping module. Methods with explicit
+	// 6. Static info for the bookkeeping module. Methods with explicit
 	// lock/unlock statements get no table at all: an unpairable
 	// acquisition would make the table lie about the future lock set,
 	// so conservative no-table bookkeeping (never predicted) is the only
@@ -135,7 +125,7 @@ func (a *analyzer) method(m *lang.Method) error {
 		a.static.Add(mi)
 	}
 
-	// 8. Report with path enumeration.
+	// 7. Report with path enumeration.
 	rep := &MethodReport{Method: m.Name, Footprint: fp}
 	for _, si := range syncs {
 		rep.Syncs = append(rep.Syncs, SyncReport{
