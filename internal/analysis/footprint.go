@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"detmt/internal/ids"
@@ -98,35 +98,24 @@ func (f *Footprint) Monitors() (set []ids.MutexID, top bool) {
 			set = append(set, s.Base+ids.MutexID(j))
 		}
 	}
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	out := set[:0]
-	for i, m := range set {
-		if i == 0 || m != set[i-1] {
-			out = append(out, m)
-		}
-	}
-	return out, false
+	slices.Sort(set)
+	return slices.Compact(set), false
 }
 
 // Describe renders the monitor set for reports.
 func (f *Footprint) Describe() string {
-	seen := map[string]bool{}
 	var parts []string
 	for i := range f.Sites {
-		s := &f.Sites[i]
-		if s.Top {
+		if f.Sites[i].Top {
 			return "⊤ (any monitor)"
 		}
-		if str := s.String(); !seen[str] {
-			seen[str] = true
-			parts = append(parts, str)
-		}
+		parts = append(parts, f.Sites[i].String())
 	}
 	if len(parts) == 0 {
 		return "∅"
 	}
-	sort.Strings(parts)
-	return "{" + strings.Join(parts, ", ") + "}"
+	slices.Sort(parts)
+	return "{" + strings.Join(slices.Compact(parts), ", ") + "}"
 }
 
 // monitorField locates one monitor field in the instance's id space.
@@ -264,7 +253,7 @@ func (a *analyzer) fieldsOf(m *lang.Method) []string {
 	for f := range set {
 		out = append(out, f)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	a.fields[m.Name] = out
 	return out
 }

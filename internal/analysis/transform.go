@@ -26,7 +26,6 @@ type syncInfo struct {
 	loopKind     lockpred.LoopKind
 	announceAt   lang.Stmt // defining statement to inject after (nil = method entry)
 	announceDesc string
-	paramSrc     string
 	bound        int64 // static execution bound (0 = unknown)
 }
 
@@ -72,10 +71,9 @@ func (a *analyzer) method(m *lang.Method) error {
 			a.nextSync++
 			n.SyncID = a.nextSync
 			syncs = append(syncs, &syncInfo{
-				node:     n,
-				id:       n.SyncID,
-				loops:    append([]lang.Stmt(nil), loopStack...),
-				paramSrc: lang.PrintExpr(n.Param),
+				node:  n,
+				id:    n.SyncID,
+				loops: append([]lang.Stmt(nil), loopStack...),
 			})
 			collect(n.Body)
 		case *lang.Wait, *lang.Notify:
@@ -127,11 +125,11 @@ func (a *analyzer) method(m *lang.Method) error {
 
 	// 7. Report with path enumeration.
 	rep := &MethodReport{Method: m.Name, Footprint: fp}
-	for _, si := range syncs {
+	for i, si := range syncs {
 		rep.Syncs = append(rep.Syncs, SyncReport{
 			SyncID:       si.id,
 			Method:       m.Name,
-			Param:        si.paramSrc,
+			Param:        fp.Sites[i].Param, // the sync sites come first
 			Announceable: si.announceable,
 			Loop:         si.loopKind,
 			AnnouncedAt:  si.announceDesc,

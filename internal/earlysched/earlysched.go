@@ -8,11 +8,11 @@
 // Dotti, Pedone — see PAPERS.md), where the class map derived from the
 // analysis is the scheduler's input, this package holds the policy that
 // turns those facts into *conflict classes* assigned at ordering time — it
-// never looks at a statement itself: the sequencer classifies every request before stamping
-// it, and the lane schedulers (core.MAT, core.PDS) dispatch distinct
-// classes to concurrent per-class lanes on every replica that honours
-// the stamp (replica.Config.EarlySched); a replica that does not admits
-// everything to class 0, the same schedulers' one serial lane.
+// never looks at a statement itself: the sequencer classifies every
+// request before stamping it, and the lane schedulers (core.MAT, core.PDS)
+// dispatch distinct classes to concurrent per-class lanes on every replica
+// that honours the stamp (replica.Config.EarlySched); a replica that does
+// not admits everything to class 0, the same schedulers' one serial lane.
 //
 // Classification is sound by construction:
 //
@@ -69,7 +69,7 @@ type methodClass struct {
 	global bool   // escalates to GlobalClass; reason for diagnostics
 	reason string // why the method is global ("" otherwise)
 
-	class uint32 // static class (non-dynamic methods)
+	class uint32 // static class (methods without a per-request site)
 
 	// A method with a site is classified per request: the arguments pick
 	// the one monitor of its single lock site.

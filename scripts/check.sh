@@ -51,6 +51,12 @@ go test -race -shuffle=on $short ./...
 # The scheduler determinism property, 20 counts under -race whatever
 # $short says (same line as the CI step of that name).
 go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial|TestSchedulersCompleteAllThreads' ./internal/core/
+# The classification goldens, the classifier's soundness property, the
+# interference table and the detmt-analyze reports whatever $short says,
+# then ten seconds of the interval fuzz target (same lines as the CI step
+# "Classification goldens and interval fuzz").
+go test -count=1 -run 'Golden|TestClassDisjointnessProperty|TestMutexSets|TestInterference' ./internal/earlysched/ ./internal/analysis/ ./cmd/detmt-analyze/
+go test -run '^$' -fuzz FuzzIntervalSound -fuzztime 10s ./internal/analysis/
 # bench/ is a module of its own (replace detmt => ../): build, vet and test
 # it too (a couple of seconds, no sockets without DETMT_BENCH_SMOKE), so a
 # change that breaks the benchmark's frozen surface fails here.
