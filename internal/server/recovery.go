@@ -109,7 +109,7 @@ func (s *Server) tryRecover(donor ids.ReplicaID) bool {
 	}
 	s.group.SeedView(donorStatus.View, donorStatus.Sequencer)
 
-	data, seq, haveCkpt, err := s.tr.FetchCheckpoint(donor, fetchTimeout)
+	data, seq, haveCkpt, err := fetchCheckpoint(s.tr, donor, fetchTimeout)
 	if err != nil {
 		logf("server %v: checkpoint fetch from %v: %v", s.o.ID, donor, err)
 		return false
@@ -174,7 +174,7 @@ func (s *Server) tryRecover(donor ids.ReplicaID) bool {
 			}
 		}
 		for from := lsaFed + uint64(len(lsaDecs)) + 1; ; {
-			decs, more, ok, err := s.tr.FetchDecisions(leader, from, tailBatchMax, metaTimeout)
+			decs, more, ok, err := fetchDecisions(s.tr, leader, from, tailBatchMax, metaTimeout)
 			if err != nil {
 				logf("server %v: decision fetch from %v: %v", s.o.ID, leader, err)
 				return false
@@ -207,7 +207,7 @@ func (s *Server) tryRecover(donor ids.ReplicaID) bool {
 			return false
 		}
 		from := next + uint64(len(tail))
-		envs, more, ok, err := s.tr.FetchTail(donor, from, tailBatchMax, metaTimeout)
+		envs, more, ok, err := fetchTail(s.tr, donor, from, tailBatchMax, metaTimeout)
 		if err != nil {
 			logf("server %v: tail fetch from %v: %v", s.o.ID, donor, err)
 			return false

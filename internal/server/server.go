@@ -450,7 +450,7 @@ func New(o Options) (*Server, error) {
 		Learners:      learners,
 		Logf:          o.Logf,
 		FetchGap: func(donor ids.ReplicaID, from uint64, max int) []gcs.Envelope {
-			envs, _, _, err := tr.FetchTail(donor, from, max, fetchTimeout)
+			envs, _, _, err := fetchTail(tr, donor, from, max, fetchTimeout)
 			if err != nil {
 				return nil
 			}

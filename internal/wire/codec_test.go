@@ -101,7 +101,7 @@ func randPayload(rng *rand.Rand) gcs.Payload {
 
 func randEnvelope(rng *rand.Rand) gcs.Envelope {
 	return gcs.Envelope{
-		Kind:    gcs.EnvKind(rng.Intn(4)),
+		Kind:    gcs.EnvKind(rng.Intn(6)), // every kind, view-sync included
 		Seq:     rng.Uint64(),
 		View:    rng.Uint64(),
 		UID:     rng.Uint64(),
@@ -292,5 +292,38 @@ func TestGoldenBytes(t *testing.T) {
 	const wantCh = "01000000000000000b000000000000000211223344556677880000000000000000010000000000000000000000000000000001000000000000000000000000000000000400000000000000000000000007735940000000000803000000000000000200000000000000040000000e3132372e302e302e313a37343234"
 	if got := hex.EncodeToString(b); got != wantCh {
 		t.Errorf("ConfigChange encoding drifted:\n  got  %s\n  want %s", got, wantCh)
+	}
+
+	// View-sync envelopes, shaped as gcs.leadTakeover and handleViewReq
+	// build them: the probe names the proposed view and the candidate; an
+	// objecting ack sets the otherwise-unused Origin to the objector.
+	viewReq := gcs.Envelope{
+		Kind: gcs.EnvViewReq,
+		View: 3,
+		From: gcs.Origin{Replica: 2},
+		To:   gcs.Origin{Replica: 3},
+	}
+	b, err = AppendEnvelope(nil, viewReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantReq = "0400000000000000000000000000000003000000000000000000000000000000000000000000000000000000000000000000020000000000000000000000000000000003000000000000000000000000000000000000000000"
+	if got := hex.EncodeToString(b); got != wantReq {
+		t.Errorf("EnvViewReq encoding drifted:\n  got  %s\n  want %s", got, wantReq)
+	}
+	viewAck := gcs.Envelope{
+		Kind:   gcs.EnvViewAck,
+		View:   3,
+		Origin: gcs.Origin{Replica: 3},
+		From:   gcs.Origin{Replica: 3},
+		To:     gcs.Origin{Replica: 2},
+	}
+	b, err = AppendEnvelope(nil, viewAck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantAck = "0500000000000000000000000000000003000000000000000000000000000000000300000000000000000000000000000000030000000000000000000000000000000002000000000000000000000000000000000000000000"
+	if got := hex.EncodeToString(b); got != wantAck {
+		t.Errorf("objecting EnvViewAck encoding drifted:\n  got  %s\n  want %s", got, wantAck)
 	}
 }
