@@ -153,3 +153,19 @@ func TestTrackerSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("AddrOf(2) = %q", a)
 	}
 }
+
+// TestGoldenConfigHash pins the configuration agreement hash that status
+// reports and operators compare across replicas (recorded before the
+// canonical encoding switched to encoding/binary's appenders).
+func TestGoldenConfigHash(t *testing.T) {
+	c, err := cfg3().Apply(Change{Kind: Replace, ID: 2, NewID: 4, Addr: "127.0.0.1:7424"}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cfg3().Hash(), uint64(0x3389535370411f29); got != want {
+		t.Errorf("boot config hash %#x, want %#x", got, want)
+	}
+	if got, want := c.Hash(), uint64(0x92de23cd05eaa9e0); got != want {
+		t.Errorf("epoch-1 config hash %#x, want %#x", got, want)
+	}
+}
