@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -211,6 +212,17 @@ func TestRecoveryFetches(t *testing.T) {
 		}
 		if decs, _, ok, err := fetchDecisions(probe, 1, 1, 16, timeout); err == nil && ok {
 			t.Fatalf("decisions from a donor that is not ready: %d decs ok=true", len(decs))
+		}
+		// Since the fetches ride Control, "starting" is an error of its own
+		// on all three — never ok=false, which a rejoiner reads as "trimmed,
+		// restart from a newer checkpoint".
+		_, _, _, errC := fetchCheckpoint(probe, 1, timeout)
+		_, _, _, errT := fetchTail(probe, 1, 1, tailBatchMax, timeout)
+		_, _, _, errD := fetchDecisions(probe, 1, 1, 16, timeout)
+		for _, err := range []error{errC, errT, errD} {
+			if err == nil || !strings.Contains(err.Error(), "starting") {
+				t.Fatalf("fetch from a donor that is not ready: err=%v, want one naming \"starting\"", err)
+			}
 		}
 	})
 }

@@ -153,10 +153,7 @@ func TestLoadDrawGoldens(t *testing.T) {
 // number — the order each client drew them in.
 func sequencedDraws(t *testing.T, s *Server, base, clients int) []draw {
 	t.Helper()
-	envs, _, ok := s.serveCatchUp(0, 0)
-	if !ok {
-		envs, _, ok = s.serveCatchUp(1, 0)
-	}
+	envs, _, ok := s.group.Node(s.o.ID).SequencedTail(1, 0)
 	if !ok {
 		t.Fatal("sequenced log not retained")
 	}

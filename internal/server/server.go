@@ -390,16 +390,13 @@ func New(o Options) (*Server, error) {
 		expiry = 0
 	}
 	tr, err := wire.NewTCP(wire.Options{
-		Name:         o.ID.String(),
-		Group:        o.Group,
-		Listen:       o.Listen,
-		Listener:     o.Listener,
-		Peers:        o.Peers,
-		Epoch:        o.Epoch,
-		OnControl:    s.handleControl,
-		OnCheckpoint: s.mgr.Latest,
-		OnCatchUp:    s.serveCatchUp,
-		OnDecisions:  s.serveDecisions,
+		Name:      o.ID.String(),
+		Group:     o.Group,
+		Listen:    o.Listen,
+		Listener:  o.Listener,
+		Peers:     o.Peers,
+		Epoch:     o.Epoch,
+		OnControl: s.handleControl,
 		OnPeerUp: func(name string) {
 			id, ok := idByName[name]
 			if !ok {
@@ -550,30 +547,6 @@ func New(o Options) (*Server, error) {
 	return s, nil
 }
 
-// serveCatchUp is the donor side of the catch-up protocol: it hands a
-// rejoining peer the retained sequenced tail from its node.
-func (s *Server) serveCatchUp(fromSeq uint64, max int) (envs []gcs.Envelope, more, ok bool) {
-	s.stateMu.Lock()
-	ready := s.ready
-	s.stateMu.Unlock()
-	if !ready {
-		return nil, false, false
-	}
-	return s.group.Node(s.o.ID).SequencedTail(fromSeq, max)
-}
-
-// serveDecisions is the donor side of the LSA decision-fetch protocol:
-// the leader hands a rejoining follower the retained decision tail.
-func (s *Server) serveDecisions(fromIdx uint64, max int) (decs []replica.LSADecision, more, ok bool) {
-	s.stateMu.Lock()
-	ready := s.ready
-	s.stateMu.Unlock()
-	if !ready {
-		return nil, false, false
-	}
-	return s.rep.DecisionTail(fromIdx, max)
-}
-
 // Addr returns the transport's listen address.
 func (s *Server) Addr() string { return s.tr.Addr() }
 
@@ -653,22 +626,30 @@ type hashRing struct {
 	Points []recovery.SeqHash `json:"points"`
 }
 
-// marshalControl renders a control-protocol reply, folding a marshal
-// failure into the protocol's `{"error":...}` shape so every handler
-// arm shares one error path.
+// errorReply renders err in the control protocol's error shape.
+func errorReply(err error) []byte {
+	return []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
+}
+
+// marshalControl renders a JSON control reply, folding a marshal failure
+// into the error shape.
 func marshalControl(v interface{}) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
-		return []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
+		return errorReply(err)
 	}
 	return b
 }
 
-// handleControl serves the out-of-band control protocol: "hashes"
-// returns the divergence-point ring, "chaos <cmd>" routes to the fault
-// injector, "ring" serves the shard-ring config blob, "shards" the
-// combined multi-tenant status, and anything else (canonically
-// "status") gets the JSON status snapshot.
+// handleControl serves the control protocol, the one request/reply the
+// transport offers (DESIGN §3 tabulates the commands): "hashes" returns
+// the divergence-point ring, "ring" the shard-ring config blob, "shards"
+// the combined multi-tenant status, "members" the membership snapshot,
+// "memberchange <json>" proposes a change, "chaos <cmd>" routes to the
+// fault injector, "ckpt", "tail <from> <max>" and "decisions <from> <max>"
+// are a rejoiner's state transfer (fetch.go), and anything else
+// (canonically "status") gets the JSON status snapshot. Nothing is
+// served before the group and replica exist.
 func (s *Server) handleControl(req []byte) []byte {
 	s.stateMu.Lock()
 	ready := s.ready
@@ -697,12 +678,25 @@ func (s *Server) handleControl(req []byte) []byte {
 	case strings.HasPrefix(cmd, "memberchange "):
 		var ch member.Change
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(cmd, "memberchange ")), &ch); err != nil {
-			return []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
+			return errorReply(err)
 		}
 		if err := s.ProposeChange(ch); err != nil {
-			return []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
+			return errorReply(err)
 		}
 		return []byte(`{"proposed":true}`)
+	case cmd == "ckpt":
+		return s.serveCheckpoint()
+	case strings.HasPrefix(cmd, "tail "), strings.HasPrefix(cmd, "decisions "):
+		var verb string
+		var from uint64
+		var max int
+		if _, err := fmt.Sscanf(cmd, "%s %d %d", &verb, &from, &max); err != nil {
+			return errorReply(fmt.Errorf("%q: want <from> <max>: %v", cmd, err))
+		}
+		if verb == "tail" {
+			return s.serveTail(from, max)
+		}
+		return s.serveDecisions(from, max)
 	case strings.HasPrefix(cmd, "chaos "):
 		if s.o.OnChaos == nil {
 			return []byte(`{"error":"chaos not enabled"}`)

@@ -1,9 +1,14 @@
 // Package wire implements the networking subsystem that takes detmt out
 // of the simulator: a length-prefixed, versioned binary codec for the
-// gcs envelope and payload types, and a TCP transport implementing
-// gcs.Transport with per-link FIFO ordering, bounded-backoff reconnect
-// and exactly-once delivery (at-least-once redelivery plus per-sender
-// sequence-number suppression).
+// gcs envelope and payload types, and a TCP transport that offers two
+// things over one set of connections — gcs.Transport (per-link FIFO,
+// bounded-backoff reconnect, exactly-once delivery by at-least-once
+// redelivery plus per-sender sequence-number suppression) and one
+// out-of-band request/reply, TCP.Control, answered by the peer's
+// Options.OnControl. Everything else a deployment says to a server —
+// status, membership, chaos, the ring, and the checkpoint, sequenced-tail
+// and decision fetches of a rejoining replica — is a command carried by
+// Control (internal/server lists them).
 package wire
 
 import (
@@ -11,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,33 +31,39 @@ import (
 // Preamble is exchanged once per connection before any frames: a magic
 // string identifying the protocol followed by the protocol version.
 // Version bumps whenever the frame or envelope encoding changes shape;
-// the golden-bytes test in codec_test.go pins the current format.
+// the golden-bytes test in codec_test.go pins the current format. Every
+// process of a deployment is built from one commit and the handshake
+// rejects any other version, so no older shape is understood.
 const (
 	Magic   = "DTMT"
-	Version = uint16(7) // v7: membership ConfigChange payloads (dynamic reconfiguration)
+	Version = uint16(8) // v8: one request/reply; a lone envelope is a batch of one
 )
 
-// Frame kinds.
+// Frame kinds. Every frame is u32 length, u8 kind, u64 seq, body.
+//
+//	kind            body                                    direction
+//	hello           str name, u64 epoch, u32 n, n×origin,   dialer → acceptor, first frame
+//	                str group                               and on every Bind of a client origin
+//	batch           u32 n, n×envelope (delivered as one     both (replies to clients ride the
+//	                unit; a lone envelope is n = 1)         accepted connection back)
+//	ack             u64 highest frame seq delivered         acceptor → dialer
+//	control         u64 request id, request bytes           dialer → acceptor
+//	control-chunk   u64 request id, 64 KiB of the reply     acceptor → dialer
+//	control-reply   u64 request id, u64 reply length,       acceptor → dialer, ends the reply
+//	                u64 FNV-64 of the reply, its last piece
+//
+// A reply of at most controlChunkSize bytes is one control-reply frame. A
+// longer one is cut into control-chunk frames — their own kind, not a flag
+// in the reply frame, so that frame's layout never varies — which lets
+// acks and other replies interleave with it on the accepted connection;
+// the requester checks length and hash of what it reassembled.
 const (
-	frameHello        = byte(1) // process name + restart epoch + client origins routed here
-	frameEnvelope     = byte(2) // one gcs.Envelope
-	frameBatch        = byte(3) // several envelopes, delivered atomically
-	frameAck          = byte(4) // cumulative ack of received frame seqnos
-	frameControl      = byte(5) // out-of-band request (status queries)
-	frameControlReply = byte(6)
-	// Recovery: state transfer for a rejoining replica. Requests travel on
-	// the dialed link (retransmitted until acked); responses ride back on
-	// the inbound connection and are correlated by request id — a lost
-	// response surfaces as a requester timeout + retry, like Control.
-	frameCkptReq      = byte(7)  // u64 req id
-	frameCkptChunk    = byte(8)  // u64 req id, raw checkpoint bytes
-	frameCkptDone     = byte(9)  // u64 req id, u8 ok, u64 seq, u64 len, u64 fnv
-	frameCatchUpReq   = byte(10) // u64 req id, u64 fromSeq, u32 max
-	frameCatchUpEntry = byte(11) // u64 req id, u8 flags, u32 n, n×envelope
-	// LSA decision-log transfer for a rejoining follower (v3): the leader
-	// serves its retained scheduling-decision log from a given index.
-	frameDecReq   = byte(12) // u64 req id, u64 fromIdx, u32 max
-	frameDecEntry = byte(13) // u64 req id, u8 flags, u32 n, n×(u64 index, i64 mutex, u64 thread)
+	frameHello        = byte(1)
+	frameBatch        = byte(2)
+	frameAck          = byte(3)
+	frameControl      = byte(4)
+	frameControlReply = byte(5)
+	frameControlChunk = byte(6)
 )
 
 // Payload type tags.
@@ -260,7 +272,10 @@ func (r *reader) value() lang.Value {
 
 // ---- payload ----
 
-func appendPayload(b []byte, p gcs.Payload) ([]byte, error) {
+// AppendPayload appends the binary encoding of p to b: the payload as it
+// travels inside an envelope, usable on its own (the LSA decision tail a
+// rejoining follower fetches is a run of them).
+func AppendPayload(b []byte, p gcs.Payload) ([]byte, error) {
 	var err error
 	switch x := p.(type) {
 	case nil:
@@ -299,7 +314,7 @@ func appendPayload(b []byte, p gcs.Payload) ([]byte, error) {
 		for k := range x.Snapshot {
 			keys = append(keys, k)
 		}
-		sortStrings(keys) // deterministic bytes for identical snapshots
+		slices.Sort(keys) // deterministic bytes for identical snapshots
 		b = appendU32(b, uint32(len(keys)))
 		for _, k := range keys {
 			b = appendString(b, k)
@@ -389,12 +404,15 @@ func (r *reader) payload() gcs.Payload {
 	}
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// DecodePayload decodes a single payload from b (as produced by
+// AppendPayload), returning the number of bytes consumed.
+func DecodePayload(b []byte) (gcs.Payload, int, error) {
+	r := &reader{b: b}
+	p := r.payload()
+	if r.err != nil {
+		return nil, 0, r.err
 	}
+	return p, r.off, nil
 }
 
 // ---- envelope ----
@@ -410,7 +428,7 @@ func AppendEnvelope(b []byte, env gcs.Envelope) ([]byte, error) {
 	b = appendOrigin(b, env.To)
 	b = appendI64(b, int64(env.Stamp))
 	b = appendU32(b, env.Class)
-	return appendPayload(b, env.Payload)
+	return AppendPayload(b, env.Payload)
 }
 
 // decodeEnvelope reads one envelope from r.
@@ -475,7 +493,9 @@ func parseHello(body []byte) (name string, epoch uint64, origins []gcs.Origin, g
 	return name, epoch, origins, group, r.err
 }
 
-func batchBody(b []byte, envs []gcs.Envelope) ([]byte, error) {
+// AppendBatch appends the body of a batch frame: a count and that many
+// envelopes, handed to the receiver as one unit.
+func AppendBatch(b []byte, envs []gcs.Envelope) ([]byte, error) {
 	b = appendU32(b, uint32(len(envs)))
 	var err error
 	for _, e := range envs {
@@ -486,7 +506,8 @@ func batchBody(b []byte, envs []gcs.Envelope) ([]byte, error) {
 	return b, nil
 }
 
-func parseBatch(body []byte) ([]gcs.Envelope, error) {
+// DecodeBatch decodes a batch body (as produced by AppendBatch).
+func DecodeBatch(body []byte) ([]gcs.Envelope, error) {
 	r := &reader{b: body}
 	n := int(r.u32())
 	if r.err != nil || n > len(body) {
@@ -499,131 +520,61 @@ func parseBatch(body []byte) ([]gcs.Envelope, error) {
 	return envs, r.err
 }
 
-// ---- recovery frame bodies ----
+// ---- control replies ----
 
-// catch-up entry flags.
-const (
-	catchUpOK   = byte(1) // donor could serve fromSeq (no retention gap)
-	catchUpMore = byte(2) // donor had more entries than max
-)
+// controlChunkSize bounds the reply bytes one frame carries, so a large
+// reply (a checkpoint, a 2048-envelope tail) interleaves with — never
+// stalls — the acks and other replies sharing its connection.
+const controlChunkSize = 64 << 10
 
-func ckptReqBody(id uint64) []byte { return appendU64(nil, id) }
-
-func ckptDoneBody(id uint64, ok bool, seq uint64, length int, sum uint64) []byte {
-	okb := byte(0)
-	if ok {
-		okb = 1
+// replyFrames cuts the reply to control request id into frames: chunks
+// while more than one chunk's worth remains, then the control-reply frame
+// with the last piece.
+func replyFrames(id uint64, reply []byte) []frame {
+	frames := make([]frame, 0, len(reply)/controlChunkSize+1)
+	rest := reply
+	for ; len(rest) > controlChunkSize; rest = rest[controlChunkSize:] {
+		eb := pooledBody()
+		body := append(appendU64(eb.b, id), rest[:controlChunkSize]...)
+		frames = append(frames, frame{kind: frameControlChunk, body: body, buf: eb})
 	}
-	b := appendU64(nil, id)
-	b = append(b, okb)
-	b = appendU64(b, seq)
-	b = appendU64(b, uint64(length))
-	return appendU64(b, sum)
+	eb := pooledBody()
+	body := appendU64(appendU64(appendU64(eb.b, id), uint64(len(reply))), fnvSum64(reply))
+	return append(frames, frame{kind: frameControlReply, body: append(body, rest...), buf: eb})
 }
 
-func parseCkptDone(body []byte) (id uint64, ok bool, seq uint64, length int, sum uint64, err error) {
-	r := &reader{b: body}
+// replyParts holds, by request id, the chunks received so far of the
+// control replies in flight on one connection. It dies with the connection:
+// a reply cut off by a reconnect is answered again from its first byte.
+type replyParts map[uint64][]byte
+
+// add consumes one control-chunk or control-reply frame. done reports the
+// final frame of the reply to request id: reply is then what the frames
+// carried, or err says it does not have the length and hash its sender
+// declared.
+func (p replyParts) add(f frame) (id uint64, reply []byte, done bool, err error) {
+	r := &reader{b: f.body}
 	id = r.u64()
-	okb := r.u8()
-	seq = r.u64()
-	length = int(r.u64())
-	sum = r.u64()
-	return id, okb != 0, seq, length, sum, r.err
-}
-
-func catchUpReqBody(id, fromSeq uint64, max int) []byte {
-	b := appendU64(nil, id)
-	b = appendU64(b, fromSeq)
-	return appendU32(b, uint32(max))
-}
-
-func parseCatchUpReq(body []byte) (id, fromSeq uint64, max int, err error) {
-	r := &reader{b: body}
-	id = r.u64()
-	fromSeq = r.u64()
-	max = int(r.u32())
-	return id, fromSeq, max, r.err
-}
-
-func catchUpEntryBody(id uint64, ok, more bool, envs []gcs.Envelope) ([]byte, error) {
-	flags := byte(0)
-	if ok {
-		flags |= catchUpOK
+	if f.kind == frameControlChunk {
+		if r.err == nil {
+			p[id] = append(p[id], f.body[r.off:]...)
+		}
+		return id, nil, false, r.err
 	}
-	if more {
-		flags |= catchUpMore
-	}
-	b := appendU64(nil, id)
-	b = append(b, flags)
-	return batchBody(b, envs)
-}
-
-func parseCatchUpEntry(body []byte) (id uint64, ok, more bool, envs []gcs.Envelope, err error) {
-	r := &reader{b: body}
-	id = r.u64()
-	flags := r.u8()
+	length, sum := r.u64(), r.u64()
 	if r.err != nil {
-		return 0, false, false, nil, r.err
+		return id, nil, false, r.err
 	}
-	envs, err = parseBatch(body[r.off:])
-	return id, flags&catchUpOK != 0, flags&catchUpMore != 0, envs, err
+	reply = append(p[id], f.body[r.off:]...)
+	delete(p, id)
+	if uint64(len(reply)) != length || fnvSum64(reply) != sum {
+		return id, nil, true, fmt.Errorf("wire: control reply corrupt (%d bytes arrived, %d sent, or their hashes differ)", len(reply), length)
+	}
+	return id, reply, true, nil
 }
 
-// ---- LSA decision-log frame bodies ----
-
-func decReqBody(id, fromIdx uint64, max int) []byte {
-	b := appendU64(nil, id)
-	b = appendU64(b, fromIdx)
-	return appendU32(b, uint32(max))
-}
-
-func parseDecReq(body []byte) (id, fromIdx uint64, max int, err error) {
-	r := &reader{b: body}
-	id = r.u64()
-	fromIdx = r.u64()
-	max = int(r.u32())
-	return id, fromIdx, max, r.err
-}
-
-func decEntryBody(id uint64, ok, more bool, decs []replica.LSADecision) []byte {
-	flags := byte(0)
-	if ok {
-		flags |= catchUpOK
-	}
-	if more {
-		flags |= catchUpMore
-	}
-	b := appendU64(nil, id)
-	b = append(b, flags)
-	b = appendU32(b, uint32(len(decs)))
-	for _, d := range decs {
-		b = appendU64(b, d.Index)
-		b = appendI64(b, int64(d.Event.Mutex))
-		b = appendU64(b, uint64(d.Event.Thread))
-	}
-	return b
-}
-
-func parseDecEntry(body []byte) (id uint64, ok, more bool, decs []replica.LSADecision, err error) {
-	r := &reader{b: body}
-	id = r.u64()
-	flags := r.u8()
-	n := int(r.u32())
-	if r.err != nil || n > len(body) {
-		return 0, false, false, nil, errShortFrame
-	}
-	decs = make([]replica.LSADecision, 0, n)
-	for i := 0; i < n; i++ {
-		decs = append(decs, replica.LSADecision{
-			Index: r.u64(),
-			Event: core.LSAEvent{Mutex: ids.MutexID(r.i64()), Thread: ids.ThreadID(r.u64())},
-		})
-	}
-	return id, flags&catchUpOK != 0, flags&catchUpMore != 0, decs, r.err
-}
-
-// fnvSum64 hashes a byte slice (FNV-1a); checkpoint transfers carry it
-// so a reassembled chunk stream is integrity-checked before use.
+// fnvSum64 hashes a byte slice (FNV-1a); every control reply carries it
+// so what the requester reassembled is checked before use.
 func fnvSum64(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {

@@ -146,11 +146,11 @@ func TestBatchRoundTrip(t *testing.T) {
 		for j := range envs {
 			envs[j] = randEnvelope(rng)
 		}
-		body, err := batchBody(nil, envs)
+		body, err := AppendBatch(nil, envs)
 		if err != nil {
 			t.Fatalf("iter %d: encode: %v", i, err)
 		}
-		got, err := parseBatch(body)
+		got, err := DecodeBatch(body)
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", i, err)
 		}
@@ -206,7 +206,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	want := []frame{
 		{kind: frameHello, seq: 0, body: helloBody("R1", 1, nil, "")},
-		{kind: frameEnvelope, seq: 1, body: []byte{1, 2, 3}},
+		{kind: frameBatch, seq: 1, body: []byte{1, 2, 3}},
 		{kind: frameAck, seq: 0, body: appendU64(nil, 17)},
 	}
 	for _, f := range want {
@@ -237,8 +237,8 @@ func TestGoldenBytes(t *testing.T) {
 	if err := writePreamble(&pre); err != nil {
 		t.Fatal(err)
 	}
-	// v7: membership ConfigChange payloads ride the total order.
-	if got, want := hex.EncodeToString(pre.Bytes()), "44544d540007"; got != want {
+	// v8: one request/reply; a lone envelope travels as a batch of one.
+	if got, want := hex.EncodeToString(pre.Bytes()), "44544d540008"; got != want {
 		t.Errorf("preamble drifted:\n  got  %s\n  want %s", got, want)
 	}
 

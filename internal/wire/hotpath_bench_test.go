@@ -50,7 +50,7 @@ func BenchmarkHotPathWireEncode(b *testing.B) {
 
 func BenchmarkHotPathWireFrame(b *testing.B) {
 	body := make([]byte, 128)
-	f := frame{kind: frameEnvelope, seq: 1, body: body}
+	f := frame{kind: frameBatch, seq: 1, body: body}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -179,73 +179,6 @@ func TestTCPRetransmitUnaffectedWhenAcked(t *testing.T) {
 	}
 }
 
-// TestTCPFetchCheckpointAndTail exercises the recovery state-transfer
-// protocol end to end over a real socket: chunked checkpoint fetch with
-// integrity check, and a sequenced-tail fetch.
-func TestTCPFetchCheckpointAndTail(t *testing.T) {
-	// A checkpoint large enough to need several chunks.
-	ckpt := make([]byte, 3*ckptChunkSize+1234)
-	for i := range ckpt {
-		ckpt[i] = byte(i * 31)
-	}
-	tail := []gcs.Envelope{
-		{Kind: gcs.EnvSequenced, Seq: 8, UID: 108, To: gcs.Origin{Replica: 2}, Stamp: 80 * time.Millisecond, Payload: "a"},
-		{Kind: gcs.EnvSequenced, Seq: 9, UID: 109, To: gcs.Origin{Replica: 2}, Stamp: 90 * time.Millisecond, Payload: "b"},
-	}
-	ln := listenerFor(t)
-	srv, err := NewTCP(Options{
-		Name:     "B",
-		Listener: ln,
-		OnCheckpoint: func() ([]byte, uint64, bool) {
-			return ckpt, 7, true
-		},
-		OnCatchUp: func(fromSeq uint64, max int) ([]gcs.Envelope, bool, bool) {
-			if fromSeq != 8 {
-				return nil, false, false
-			}
-			return tail, true, true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cli, err := NewTCP(Options{Name: "A", Peers: map[ids.ReplicaID]string{2: ln.Addr().String()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	data, seq, ok, err := cli.FetchCheckpoint(2, 5*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("FetchCheckpoint: ok=%v err=%v", ok, err)
-	}
-	if seq != 7 || len(data) != len(ckpt) {
-		t.Fatalf("checkpoint seq=%d len=%d, want 7/%d", seq, len(data), len(ckpt))
-	}
-	for i := range data {
-		if data[i] != ckpt[i] {
-			t.Fatalf("checkpoint byte %d corrupted", i)
-		}
-	}
-
-	envs, more, ok, err := cli.FetchTail(2, 8, 100, 5*time.Second)
-	if err != nil || !ok || !more {
-		t.Fatalf("FetchTail: ok=%v more=%v err=%v", ok, more, err)
-	}
-	if len(envs) != 2 || envs[0].Seq != 8 || envs[1].Seq != 9 ||
-		envs[0].Stamp != 80*time.Millisecond || envs[1].Payload != "b" {
-		t.Fatalf("tail mismatch: %+v", envs)
-	}
-
-	// A gap (fromSeq older than retention) is reported, not invented.
-	_, _, ok, err = cli.FetchTail(2, 1, 100, 5*time.Second)
-	if err != nil || ok {
-		t.Fatalf("gap fetch: ok=%v err=%v, want ok=false", ok, err)
-	}
-}
-
 // TestTCPClientReplyReplay checks the client-reply replay ring: a reply
 // that dies with the client's severed connection — or is sent before
 // the client origin has any route at all — is redelivered when the

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -9,7 +10,6 @@ import (
 
 	"detmt/internal/gcs"
 	"detmt/internal/ids"
-	"detmt/internal/replica"
 )
 
 // Compile-time assertion: the TCP transport is interchangeable with the
@@ -49,28 +49,10 @@ type Options struct {
 	// cannot inject frames. 0 disables epoch semantics for this sender
 	// (legacy behavior: dedup state keyed by Name persists forever).
 	Epoch uint64
-	// OnControl serves out-of-band requests (status queries) arriving
-	// from peers or clients. Called on a dedicated goroutine.
+	// OnControl serves the requests peers and clients make through
+	// Control: it is handed the request bytes and returns the reply, of
+	// any size. Called on a goroutine of its own per request.
 	OnControl func(req []byte) []byte
-	// OnCheckpoint serves checkpoint state-transfer requests from
-	// rejoining peers: the latest locally persisted checkpoint (encoded)
-	// plus the sequence number it covers. ok=false means no checkpoint
-	// exists yet (the requester then replays from the start of the
-	// donor's sequenced log). Called on a dedicated goroutine.
-	OnCheckpoint func() (data []byte, seq uint64, ok bool)
-	// OnCatchUp serves sequenced-tail requests: up to max retained
-	// sequenced envelopes starting at fromSeq, in seq order. more means
-	// additional retained entries exist past the returned ones; ok=false
-	// means fromSeq has already been discarded by the donor's retention
-	// bound (the requester must fetch a newer checkpoint). Called on a
-	// dedicated goroutine.
-	OnCatchUp func(fromSeq uint64, max int) (envs []gcs.Envelope, more, ok bool)
-	// OnDecisions serves LSA scheduling-decision-log requests from a
-	// rejoining follower: up to max retained decisions starting at index
-	// fromIdx (1-based), in emission order. Semantics of more/ok mirror
-	// OnCatchUp. Only the LSA leader installs it. Called on a dedicated
-	// goroutine.
-	OnDecisions func(fromIdx uint64, max int) (decs []replica.LSADecision, more, ok bool)
 	// OnPeerUp is invoked (on the reader goroutine, after the hello is
 	// processed) whenever an inbound connection announces a peer name.
 	// The server layer uses it to revive crash-detected members when they
@@ -111,7 +93,8 @@ type Options struct {
 //     duplicate suppression remains as a second, independent layer).
 //
 // Frames sent back along inbound connections (acks, control replies)
-// are fire-and-forget: if the connection dies they are dropped. Client
+// are fire-and-forget: if the connection dies they are dropped (a Control
+// whose reply is lost times out; its caller retries). Client
 // replies get one extra safety net: the last clientReplayBuf envelopes
 // per client origin are kept in a ring and replayed whenever that
 // origin's route reattaches on a new connection, so a generator whose
@@ -133,28 +116,17 @@ type TCP struct {
 	epochs   map[string]uint64             // highest restart epoch seen, per sender name
 	pipes    map[string]*decodePipe        // per-sender-name decode pipelines
 	inbounds map[*inboundConn]struct{}
-	ctl      map[uint64]chan []byte
-	fetches  map[uint64]*fetchState
+	ctl      map[uint64]chan controlResult // Control calls awaiting their reply, by request id
 	nextCtl  uint64
 	closed   bool
 
 	wg sync.WaitGroup
 }
 
-// fetchState accumulates one in-flight checkpoint or catch-up fetch.
-type fetchState struct {
-	data []byte // checkpoint chunks assembled so far
-	done chan fetchResult
-}
-
-type fetchResult struct {
-	data []byte // checkpoint bytes (checkpoint fetches)
-	seq  uint64
-	envs []gcs.Envelope        // tail entries (catch-up fetches)
-	decs []replica.LSADecision // decision-log entries (decision fetches)
-	more bool
-	ok   bool
-	err  error
+// controlResult is what a Control call is woken with.
+type controlResult struct {
+	reply []byte
+	err   error
 }
 
 // DefaultMaxUnacked is the retransmission-queue bound applied when
@@ -206,8 +178,7 @@ func NewTCP(o Options) (*TCP, error) {
 		pipes:    map[string]*decodePipe{},
 		orphaned: map[gcs.Origin]time.Time{},
 		inbounds: map[*inboundConn]struct{}{},
-		ctl:      map[uint64]chan []byte{},
-		fetches:  map[uint64]*fetchState{},
+		ctl:      map[uint64]chan controlResult{},
 	}
 	if t.ln == nil && o.Listen != "" {
 		ln, err := net.Listen("tcp", o.Listen)
@@ -372,15 +343,7 @@ func (t *TCP) Send(_ string, to gcs.Origin, envs ...gcs.Envelope) {
 // must hand it back via releaseFrameBody.
 func envFrame(envs []gcs.Envelope) (frame, error) {
 	eb := pooledBody()
-	if len(envs) == 1 {
-		body, err := AppendEnvelope(eb.b, envs[0])
-		if err != nil {
-			bodyPool.Put(eb)
-			return frame{}, err
-		}
-		return frame{kind: frameEnvelope, body: body, buf: eb}, nil
-	}
-	body, err := batchBody(eb.b, envs)
+	body, err := AppendBatch(eb.b, envs)
 	if err != nil {
 		bodyPool.Put(eb)
 		return frame{}, err
@@ -388,8 +351,11 @@ func envFrame(envs []gcs.Envelope) (frame, error) {
 	return frame{kind: frameBatch, body: body, buf: eb}, nil
 }
 
-// Control sends an out-of-band request to a peer and waits for the
-// reply (served by the peer's OnControl handler).
+// Control sends an out-of-band request to a peer and waits for the reply
+// its OnControl handler returns. The request rides the dialed link (queued
+// across a reconnect); the reply comes back on the same connection, in
+// chunks when it is large, and is checked against the length and hash the
+// peer declared before it is returned.
 func (t *TCP) Control(peer ids.ReplicaID, req []byte, timeout time.Duration) ([]byte, error) {
 	t.mu.Lock()
 	pl := t.peers[peer]
@@ -399,7 +365,7 @@ func (t *TCP) Control(peer ids.ReplicaID, req []byte, timeout time.Duration) ([]
 	}
 	t.nextCtl++
 	id := t.nextCtl
-	ch := make(chan []byte, 1)
+	ch := make(chan controlResult, 1)
 	t.ctl[id] = ch
 	t.mu.Unlock()
 	defer func() {
@@ -411,219 +377,14 @@ func (t *TCP) Control(peer ids.ReplicaID, req []byte, timeout time.Duration) ([]
 	body := append(appendU64(eb.b, id), req...)
 	pl.enqueueSeq(frame{kind: frameControl, body: body, buf: eb})
 	select {
-	case b := <-ch:
-		return b, nil
+	case res := <-ch:
+		if res.err != nil {
+			return nil, fmt.Errorf("wire: control request to %v: %w", peer, res.err)
+		}
+		return res.reply, nil
 	case <-time.After(timeout):
 		return nil, fmt.Errorf("wire: control request to %v timed out", peer)
 	}
-}
-
-// FetchCheckpoint asks a donor peer for its latest persisted checkpoint
-// (served by the peer's OnCheckpoint handler, chunked over the wire and
-// integrity-checked on reassembly). ok=false means the donor has no
-// checkpoint yet.
-func (t *TCP) FetchCheckpoint(peer ids.ReplicaID, timeout time.Duration) (data []byte, seq uint64, ok bool, err error) {
-	fs, id, pl, err := t.newFetch(peer)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	defer t.endFetch(id)
-	pl.enqueueSeq(frame{kind: frameCkptReq, body: ckptReqBody(id)})
-	select {
-	case res := <-fs.done:
-		return res.data, res.seq, res.ok, res.err
-	case <-time.After(timeout):
-		return nil, 0, false, fmt.Errorf("wire: checkpoint fetch from %v timed out", peer)
-	}
-}
-
-// FetchTail asks a donor peer for up to max retained sequenced envelopes
-// starting at fromSeq (served by the peer's OnCatchUp handler). more
-// means the donor has further retained entries past the returned ones;
-// ok=false means fromSeq is older than the donor's retention window.
-func (t *TCP) FetchTail(peer ids.ReplicaID, fromSeq uint64, max int, timeout time.Duration) (envs []gcs.Envelope, more, ok bool, err error) {
-	fs, id, pl, err := t.newFetch(peer)
-	if err != nil {
-		return nil, false, false, err
-	}
-	defer t.endFetch(id)
-	pl.enqueueSeq(frame{kind: frameCatchUpReq, body: catchUpReqBody(id, fromSeq, max)})
-	select {
-	case res := <-fs.done:
-		return res.envs, res.more, res.ok, res.err
-	case <-time.After(timeout):
-		return nil, false, false, fmt.Errorf("wire: catch-up fetch from %v timed out", peer)
-	}
-}
-
-// FetchDecisions asks the LSA leader for up to max retained scheduling
-// decisions starting at index fromIdx (served by the peer's OnDecisions
-// handler). Semantics mirror FetchTail.
-func (t *TCP) FetchDecisions(peer ids.ReplicaID, fromIdx uint64, max int, timeout time.Duration) (decs []replica.LSADecision, more, ok bool, err error) {
-	fs, id, pl, err := t.newFetch(peer)
-	if err != nil {
-		return nil, false, false, err
-	}
-	defer t.endFetch(id)
-	pl.enqueueSeq(frame{kind: frameDecReq, body: decReqBody(id, fromIdx, max)})
-	select {
-	case res := <-fs.done:
-		return res.decs, res.more, res.ok, res.err
-	case <-time.After(timeout):
-		return nil, false, false, fmt.Errorf("wire: decision fetch from %v timed out", peer)
-	}
-}
-
-func (t *TCP) newFetch(peer ids.ReplicaID) (*fetchState, uint64, *peerLink, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	pl := t.peers[peer]
-	if pl == nil {
-		return nil, 0, nil, fmt.Errorf("wire: unknown peer %v", peer)
-	}
-	t.nextCtl++
-	id := t.nextCtl
-	fs := &fetchState{done: make(chan fetchResult, 1)}
-	t.fetches[id] = fs
-	return fs, id, pl, nil
-}
-
-func (t *TCP) endFetch(id uint64) {
-	t.mu.Lock()
-	delete(t.fetches, id)
-	t.mu.Unlock()
-}
-
-// dispatchFetch routes checkpoint chunks / completions and catch-up
-// entries arriving on a dialed link back to the waiting fetch.
-func (t *TCP) dispatchFetch(f frame) {
-	if len(f.body) < 8 {
-		return
-	}
-	id := (&reader{b: f.body}).u64()
-	t.mu.Lock()
-	fs := t.fetches[id]
-	t.mu.Unlock()
-	if fs == nil {
-		return // fetch abandoned (timeout) or stale retry
-	}
-	var res fetchResult
-	switch f.kind {
-	case frameCkptChunk:
-		t.mu.Lock()
-		fs.data = append(fs.data, f.body[8:]...)
-		t.mu.Unlock()
-		return
-	case frameCkptDone:
-		_, ok, seq, length, sum, err := parseCkptDone(f.body)
-		t.mu.Lock()
-		data := fs.data
-		fs.data = nil
-		t.mu.Unlock()
-		res = fetchResult{data: data, seq: seq, ok: ok, err: err}
-		if err == nil && ok && (len(data) != length || fnvSum64(data) != sum) {
-			res = fetchResult{err: fmt.Errorf("wire: checkpoint transfer corrupt (%d/%d bytes)", len(data), length)}
-		}
-	case frameCatchUpEntry:
-		_, ok, more, envs, err := parseCatchUpEntry(f.body)
-		res = fetchResult{envs: envs, more: more, ok: ok, err: err}
-	case frameDecEntry:
-		_, ok, more, decs, err := parseDecEntry(f.body)
-		res = fetchResult{decs: decs, more: more, ok: ok, err: err}
-	default:
-		return
-	}
-	select {
-	case fs.done <- res:
-	default:
-	}
-}
-
-// ckptChunkSize bounds one checkpoint chunk frame so a large snapshot
-// interleaves with (never stalls behind) regular inbound-link traffic.
-const ckptChunkSize = 64 << 10
-
-// handleCkptReq serves a checkpoint state transfer on the inbound
-// connection the request arrived on.
-func (t *TCP) handleCkptReq(ic *inboundConn, f frame) {
-	if len(f.body) < 8 {
-		return
-	}
-	id := (&reader{b: f.body}).u64()
-	handler := t.o.OnCheckpoint
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		var (
-			data []byte
-			seq  uint64
-			ok   bool
-		)
-		if handler != nil {
-			data, seq, ok = handler()
-		}
-		for off := 0; off < len(data); off += ckptChunkSize {
-			end := off + ckptChunkSize
-			if end > len(data) {
-				end = len(data)
-			}
-			eb := pooledBody()
-			body := append(appendU64(eb.b, id), data[off:end]...)
-			ic.enqueue(frame{kind: frameCkptChunk, body: body, buf: eb})
-		}
-		ic.enqueue(frame{kind: frameCkptDone, body: ckptDoneBody(id, ok, seq, len(data), fnvSum64(data))})
-	}()
-}
-
-// handleCatchUpReq serves a sequenced-tail request on the inbound
-// connection it arrived on.
-func (t *TCP) handleCatchUpReq(ic *inboundConn, f frame) {
-	id, fromSeq, max, err := parseCatchUpReq(f.body)
-	if err != nil {
-		return
-	}
-	handler := t.o.OnCatchUp
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		var (
-			envs []gcs.Envelope
-			more bool
-			ok   bool
-		)
-		if handler != nil {
-			envs, more, ok = handler(fromSeq, max)
-		}
-		body, err := catchUpEntryBody(id, ok, more, envs)
-		if err != nil {
-			t.o.Logf("wire: encoding catch-up reply: %v", err)
-			body, _ = catchUpEntryBody(id, false, false, nil)
-		}
-		ic.enqueue(frame{kind: frameCatchUpEntry, body: body})
-	}()
-}
-
-// handleDecReq serves an LSA decision-log request on the inbound
-// connection it arrived on.
-func (t *TCP) handleDecReq(ic *inboundConn, f frame) {
-	id, fromIdx, max, err := parseDecReq(f.body)
-	if err != nil {
-		return
-	}
-	handler := t.o.OnDecisions
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		var (
-			decs []replica.LSADecision
-			more bool
-			ok   bool
-		)
-		if handler != nil {
-			decs, more, ok = handler(fromIdx, max)
-		}
-		ic.enqueue(frame{kind: frameDecEntry, body: decEntryBody(id, ok, more, decs)})
-	}()
 }
 
 // DropPeer forcibly closes the current connection to a peer (test hook
@@ -726,7 +487,7 @@ func (t *TCP) isClosed() bool {
 
 // ---- per-sender decode pipeline ----
 
-// pipedFrame is one received envelope/batch frame queued for decoding:
+// pipedFrame is one received batch frame queued for decoding:
 // the frame (its body is a fresh per-frame allocation from readFrame,
 // safe to hand across goroutines), the sender identity captured at read
 // time, and the connection to ack on (nil for dialed-link frames, whose
@@ -835,7 +596,7 @@ func (p *decodePipe) close() {
 	p.mu.Unlock()
 }
 
-// deliverFrame routes a received envelope/batch frame to its binding,
+// deliverFrame routes a received batch frame to its binding,
 // applying duplicate suppression for seqno-carrying frames. from is the
 // sender's stable name ("" if it never said hello — only possible on
 // dialed connections, where the peer id provides the name). fromEpoch is
@@ -860,23 +621,9 @@ func (t *TCP) deliverFrame(from string, fromEpoch uint64, f frame) bool {
 		}
 		t.mu.Unlock()
 	}
-	var envs []gcs.Envelope
-	switch f.kind {
-	case frameEnvelope:
-		env, _, err := DecodeEnvelope(f.body)
-		if err != nil {
-			t.o.Logf("wire: bad envelope from %s: %v", from, err)
-			return true
-		}
-		envs = []gcs.Envelope{env}
-	case frameBatch:
-		var err error
-		envs, err = parseBatch(f.body)
-		if err != nil {
-			t.o.Logf("wire: bad batch from %s: %v", from, err)
-			return true
-		}
-	default:
+	envs, err := DecodeBatch(f.body)
+	if err != nil {
+		t.o.Logf("wire: bad batch from %s: %v", from, err)
 		return true
 	}
 	if len(envs) == 0 {
@@ -894,12 +641,14 @@ func (t *TCP) deliverFrame(from string, fromEpoch uint64, f frame) bool {
 	return true
 }
 
+// handleControl answers one control request on the connection it arrived
+// on, from a goroutine of its own: the handler may take its time (or a
+// large reply many frames) without holding up the frames behind it.
 func (t *TCP) handleControl(ic *inboundConn, f frame) {
 	if len(f.body) < 8 {
 		return
 	}
-	r := &reader{b: f.body}
-	id := r.u64()
+	id := binary.BigEndian.Uint64(f.body)
 	req := f.body[8:]
 	handler := t.o.OnControl
 	t.wg.Add(1)
@@ -909,24 +658,29 @@ func (t *TCP) handleControl(ic *inboundConn, f frame) {
 		if handler != nil {
 			resp = handler(req)
 		}
-		eb := pooledBody()
-		body := append(appendU64(eb.b, id), resp...)
-		ic.enqueue(frame{kind: frameControlReply, body: body, buf: eb})
+		for _, g := range replyFrames(id, resp) {
+			ic.enqueue(g)
+		}
 	}()
 }
 
-func (t *TCP) dispatchControlReply(body []byte) {
-	if len(body) < 8 {
-		return
+// controlReply consumes one frame of a control reply arriving on a dialed
+// link (parts holds that connection's unfinished replies) and wakes the
+// waiting Control call once its reply is whole.
+func (t *TCP) controlReply(parts replyParts, f frame) {
+	id, reply, done, err := parts.add(f)
+	if err != nil && !done {
+		return // malformed frame: nothing to attribute it to
 	}
-	r := &reader{b: body}
-	id := r.u64()
 	t.mu.Lock()
 	ch := t.ctl[id]
 	t.mu.Unlock()
-	if ch != nil {
+	switch {
+	case ch == nil:
+		delete(parts, id) // nobody waits any more (timed out): keep no bytes for it
+	case done:
 		select {
-		case ch <- append([]byte(nil), body[8:]...):
+		case ch <- controlResult{reply: reply, err: err}:
 		default:
 		}
 	}
@@ -1137,6 +891,7 @@ func (pl *peerLink) serveConn(conn net.Conn) bool {
 		if err := readPreamble(br); err != nil {
 			return
 		}
+		parts := replyParts{}
 		for {
 			f, err := readFrame(br)
 			if err != nil {
@@ -1145,14 +900,11 @@ func (pl *peerLink) serveConn(conn net.Conn) bool {
 			switch f.kind {
 			case frameAck:
 				if len(f.body) >= 8 {
-					r := &reader{b: f.body}
-					pl.ack(r.u64())
+					pl.ack(binary.BigEndian.Uint64(f.body))
 				}
-			case frameControlReply:
-				t.dispatchControlReply(f.body)
-			case frameCkptChunk, frameCkptDone, frameCatchUpEntry, frameDecEntry:
-				t.dispatchFetch(f)
-			case frameEnvelope, frameBatch:
+			case frameControlChunk, frameControlReply:
+				t.controlReply(parts, f)
+			case frameBatch:
 				name := pl.id.String()
 				t.pipe(name).push(pipedFrame{f: f, name: name})
 			}
@@ -1402,7 +1154,7 @@ func (ic *inboundConn) readLoop() {
 			if t.o.OnPeerUp != nil {
 				t.o.OnPeerUp(name)
 			}
-		case frameEnvelope, frameBatch:
+		case frameBatch:
 			ic.mu.Lock()
 			name, epoch := ic.name, ic.epoch
 			ic.mu.Unlock()
@@ -1411,12 +1163,6 @@ func (ic *inboundConn) readLoop() {
 			t.pipe(name).push(pipedFrame{f: f, name: name, epoch: epoch, ic: ic})
 		case frameControl:
 			t.handleControl(ic, f)
-		case frameCkptReq:
-			t.handleCkptReq(ic, f)
-		case frameCatchUpReq:
-			t.handleCatchUpReq(ic, f)
-		case frameDecReq:
-			t.handleDecReq(ic, f)
 		case frameAck:
 			// Inbound-direction frames are fire-and-forget; nothing to trim.
 		}

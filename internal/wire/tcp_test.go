@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -269,15 +270,30 @@ func TestTCPOriginIdleExpiry(t *testing.T) {
 	}
 }
 
-// TestTCPControl round-trips an out-of-band control request.
+// TestTCPControl round-trips out-of-band control requests: a small reply,
+// an empty one, and replies long enough to travel in several chunks — all
+// in flight at once on one connection, so their frames interleave.
 func TestTCPControl(t *testing.T) {
+	sized := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i * 31)
+		}
+		return b
+	}
+	replies := map[string][]byte{
+		"status": []byte("pong:status"),
+		"empty":  nil,
+		"chunk":  sized(controlChunkSize),     // the largest single-frame reply
+		"chunk+": sized(controlChunkSize + 1), // the smallest chunked one
+		"exact":  sized(2 * controlChunkSize), // ends on a chunk boundary
+		"big":    sized(3*controlChunkSize + 1234),
+	}
 	ln := listenerFor(t)
 	srv, err := NewTCP(Options{
-		Name:     "S",
-		Listener: ln,
-		OnControl: func(req []byte) []byte {
-			return append([]byte("pong:"), req...)
-		},
+		Name:      "S",
+		Listener:  ln,
+		OnControl: func(req []byte) []byte { return replies[string(req)] },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,12 +306,24 @@ func TestTCPControl(t *testing.T) {
 	}
 	defer cli.Close()
 
-	resp, err := cli.Control(1, []byte("status"), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for round := 0; round < 3; round++ {
+		for req, want := range replies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := cli.Control(1, []byte(req), 5*time.Second)
+				if err != nil {
+					t.Errorf("control %q: %v", req, err)
+				} else if !bytes.Equal(resp, want) {
+					t.Errorf("control %q: %d-byte reply, want %d bytes", req, len(resp), len(want))
+				}
+			}()
+		}
 	}
-	if string(resp) != "pong:status" {
-		t.Fatalf("control reply %q", resp)
+	wg.Wait()
+	if _, err := cli.Control(7, []byte("status"), time.Second); err == nil {
+		t.Error("control request to an unknown peer succeeded")
 	}
 }
 
