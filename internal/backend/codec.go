@@ -6,15 +6,17 @@ import (
 	"fmt"
 	"io"
 
+	"detmt/internal/enc"
 	"detmt/internal/lang"
 )
 
 // The backend protocol is deliberately independent of internal/wire (the
 // replica transport): a backend is an *external* service, typically not
 // even a detmt process, so its protocol must not drag the replication
-// envelope along. Framing: a per-connection preamble (magic + version),
-// then length-prefixed frames of u32 length, u8 kind, u64 correlation
-// id, body.
+// envelope along — it shares internal/enc's byte reader and lang.Value
+// encoding with wire, no frame. Framing: a per-connection preamble (magic
+// + version), then length-prefixed frames of u32 length, u8 kind, u64
+// correlation id, body.
 const (
 	bkMagic   = "DTBK"
 	bkVersion = uint16(1)
@@ -28,13 +30,6 @@ const (
 	// result statuses
 	bkOK  = byte(0)
 	bkErr = byte(1)
-
-	// value tags (mirrors the lang.Value domain)
-	bkValNil     = byte(0)
-	bkValInt     = byte(1)
-	bkValBool    = byte(2)
-	bkValMonitor = byte(3)
-	bkValErr     = byte(4)
 
 	// maxBkFrame bounds one frame (16 MiB) against corrupt prefixes.
 	maxBkFrame = 16 << 20
@@ -51,120 +46,20 @@ type bkFrame struct {
 	body []byte
 }
 
-func bkAppendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func bkAppendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-func bkAppendString(b []byte, s string) []byte {
-	b = bkAppendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func bkAppendValue(b []byte, v lang.Value) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(b, bkValNil), nil
-	case int64:
-		return bkAppendU64(append(b, bkValInt), uint64(x)), nil
-	case bool:
-		n := uint64(0)
-		if x {
-			n = 1
-		}
-		return bkAppendU64(append(b, bkValBool), n), nil
-	case lang.Monitor:
-		return bkAppendU64(append(b, bkValMonitor), uint64(int64(x))), nil
-	case lang.ErrValue:
-		return bkAppendString(append(b, bkValErr), string(x)), nil
-	default:
-		return b, fmt.Errorf("backend: unencodable value type %T", v)
-	}
-}
-
-type bkReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *bkReader) fail() {
-	if r.err == nil {
-		r.err = errBkShort
-	}
-}
-
-func (r *bkReader) u8() byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *bkReader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *bkReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *bkReader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *bkReader) value() lang.Value {
-	switch tag := r.u8(); tag {
-	case bkValNil:
-		return nil
-	case bkValInt:
-		return int64(r.u64())
-	case bkValBool:
-		return r.u64() != 0
-	case bkValMonitor:
-		return lang.Monitor(int64(r.u64()))
-	case bkValErr:
-		return lang.ErrValue(r.str())
-	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("backend: unknown value tag %d", tag)
-		}
-		return nil
-	}
-}
+// bkCodec names this format to the shared reader and Value codec.
+var bkCodec = enc.Format{Name: "backend", Truncated: errBkShort}
 
 // ---- frame bodies ----
 
 func invokeBody(key string, arg lang.Value) ([]byte, error) {
-	b := bkAppendString(nil, key)
-	return bkAppendValue(b, arg)
+	return bkCodec.AppendValue(enc.AppendString(nil, key), arg)
 }
 
 func parseInvoke(body []byte) (key string, arg lang.Value, err error) {
-	r := &bkReader{b: body}
-	key = r.str()
-	arg = r.value()
-	return key, arg, r.err
+	r := bkCodec.Reader(body)
+	key = r.Str()
+	arg = r.Value()
+	return key, arg, r.Err
 }
 
 func resultBody(v lang.Value, errStr string) ([]byte, error) {
@@ -172,20 +67,20 @@ func resultBody(v lang.Value, errStr string) ([]byte, error) {
 	if errStr != "" {
 		status = bkErr
 	}
-	b, err := bkAppendValue([]byte{status}, v)
+	b, err := bkCodec.AppendValue([]byte{status}, v)
 	if err != nil {
 		return nil, err
 	}
-	return bkAppendString(b, errStr), nil
+	return enc.AppendString(b, errStr), nil
 }
 
 func parseResult(body []byte) (v lang.Value, errStr string, err error) {
-	r := &bkReader{b: body}
-	status := r.u8()
-	v = r.value()
-	errStr = r.str()
-	if r.err != nil {
-		return nil, "", r.err
+	r := bkCodec.Reader(body)
+	status := r.U8()
+	v = r.Value()
+	errStr = r.Str()
+	if r.Err != nil {
+		return nil, "", r.Err
 	}
 	if status == bkOK {
 		errStr = ""
@@ -217,9 +112,9 @@ func bkReadPreamble(r io.Reader) error {
 }
 
 func bkWriteFrame(w io.Writer, f bkFrame) error {
-	b := bkAppendU32(nil, uint32(1+8+len(f.body)))
+	b := enc.AppendU32(nil, uint32(1+8+len(f.body)))
 	b = append(b, f.kind)
-	b = bkAppendU64(b, f.id)
+	b = enc.AppendU64(b, f.id)
 	b = append(b, f.body...)
 	_, err := w.Write(b)
 	return err

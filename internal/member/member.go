@@ -14,7 +14,10 @@
 package member
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"detmt/internal/ids"
 )
@@ -78,12 +81,12 @@ func (c Config) Clone() Config {
 // order. Two configs with the same content produce identical bytes on
 // every replica, so the FNV hash below is an agreement check.
 func (c Config) canonical(b []byte) []byte {
-	b = appendU64(b, c.Epoch)
-	b = appendU64(b, c.Slot)
-	b = appendU64(b, uint64(len(c.Members)))
+	b = binary.BigEndian.AppendUint64(b, c.Epoch)
+	b = binary.BigEndian.AppendUint64(b, c.Slot)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(c.Members)))
 	for _, m := range c.Members {
-		b = appendU64(b, uint64(int64(m.ID)))
-		b = appendU64(b, uint64(len(m.Addr)))
+		b = binary.BigEndian.AppendUint64(b, uint64(int64(m.ID)))
+		b = binary.BigEndian.AppendUint64(b, uint64(len(m.Addr)))
 		b = append(b, m.Addr...)
 	}
 	return b
@@ -100,21 +103,6 @@ func (c Config) Hash() uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-// sortMembers orders members ascending by id (insertion sort: configs
-// are tiny).
-func sortMembers(ms []Member) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].ID < ms[j-1].ID; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
 }
 
 // ChangeKind classifies a membership change.
@@ -227,7 +215,7 @@ func (c Config) Apply(ch Change, slot uint64) (Config, error) {
 	default:
 		return Config{}, fmt.Errorf("member: cannot apply %s change", ch.Kind)
 	}
-	sortMembers(next.Members)
+	slices.SortFunc(next.Members, func(a, b Member) int { return cmp.Compare(a.ID, b.ID) })
 	return next, nil
 }
 

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"detmt/internal/enc"
 	"detmt/internal/ids"
 	"detmt/internal/lang"
 	"detmt/internal/trace"
@@ -61,20 +62,13 @@ type LSADecRecord struct {
 
 // Codec: a self-contained deterministic binary format (magic, version,
 // fixed-width big-endian integers, length-prefixed strings, sorted map
-// keys). Deliberately independent of internal/wire's envelope codec —
-// checkpoints persist to disk and must stay decodable across wire
-// version bumps.
-const (
-	// v2 appended the LSA decision watermark and pending-decision list;
-	// v1 checkpoints (no LSA section) still decode.
-	ckptVersion = uint16(2)
-
-	valNil     = byte(0)
-	valInt     = byte(1)
-	valBool    = byte(2)
-	valMonitor = byte(3)
-	valErr     = byte(4) // string payload: a stored first-class error value
-)
+// keys; field values in internal/enc's lang.Value encoding). Deliberately
+// independent of internal/wire's envelope codec — checkpoints persist to
+// disk and must stay decodable across wire version bumps.
+//
+// v2 appended the LSA decision watermark and pending-decision list; v1
+// checkpoints (no LSA section) still decode.
+const ckptVersion = uint16(2)
 
 var ckptMagic = [4]byte{'D', 'M', 'C', 'K'}
 
@@ -82,6 +76,8 @@ var (
 	errBadMagic   = errors.New("recovery: not a checkpoint (bad magic)")
 	errBadVersion = errors.New("recovery: unsupported checkpoint version")
 	errTruncated  = errors.New("recovery: truncated checkpoint")
+
+	ckptCodec = enc.Format{Name: "recovery", Truncated: errTruncated}
 )
 
 // Encode serialises the checkpoint. The output is a pure function of
@@ -100,9 +96,8 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 	sort.Strings(keys)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(keys)))
 	for _, k := range keys {
-		b = appendString(b, k)
 		var err error
-		if b, err = appendValue(b, c.Fields[k]); err != nil {
+		if b, err = ckptCodec.AppendValue(enc.AppendString(b, k), c.Fields[k]); err != nil {
 			return nil, err
 		}
 	}
@@ -129,161 +124,51 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 
 // Decode parses a checkpoint produced by Encode.
 func Decode(b []byte) (*Checkpoint, error) {
-	r := &reader{b: b}
-	var magic [4]byte
-	copy(magic[:], r.bytes(4))
-	if r.err == nil && magic != ckptMagic {
+	r := ckptCodec.Reader(b)
+	if magic := r.Bytes(len(ckptMagic)); r.Err == nil && [4]byte(magic) != ckptMagic {
 		return nil, errBadMagic
 	}
-	ver := r.u16()
-	if r.err == nil && (ver < 1 || ver > ckptVersion) {
+	ver := r.U16()
+	if r.Err == nil && (ver < 1 || ver > ckptVersion) {
 		return nil, fmt.Errorf("%w: %d", errBadVersion, ver)
 	}
 	c := &Checkpoint{
-		Seq:       r.u64(),
-		VirtNow:   time.Duration(r.u64()),
-		Completed: r.u64(),
+		Seq:       r.U64(),
+		VirtNow:   time.Duration(r.U64()),
+		Completed: r.U64(),
 		Fields:    map[string]lang.Value{},
 	}
-	nf := int(r.u32())
-	if r.err != nil || nf > len(b) {
-		return nil, errTruncated
+	for n := r.Count(1); n > 0; n-- {
+		k := r.Str()
+		c.Fields[k] = r.Value()
 	}
-	for i := 0; i < nf; i++ {
-		k := r.str()
-		v, err := r.value()
-		if err != nil {
-			return nil, err
-		}
-		c.Fields[k] = v
-	}
-	c.Hashes.Decision = r.u64()
-	c.Hashes.Consistency = r.u64()
-	c.Hashes.Total = r.u64()
-	nc := int(r.u32())
-	if r.err != nil || nc > len(b) {
-		return nil, errTruncated
-	}
-	for i := 0; i < nc; i++ {
+	c.Hashes.Decision = r.U64()
+	c.Hashes.Consistency = r.U64()
+	c.Hashes.Total = r.U64()
+	for n := r.Count(1); n > 0; n-- {
 		c.Hashes.Chains = append(c.Hashes.Chains, trace.ChainState{
-			Mutex:  ids.MutexID(int64(r.u64())),
-			Thread: ids.ThreadID(r.u64()),
-			Hash:   r.u64(),
+			Mutex:  ids.MutexID(r.I64()),
+			Thread: ids.ThreadID(r.U64()),
+			Hash:   r.U64(),
 		})
 	}
 	if ver >= 2 {
-		c.LSAFed = r.u64()
-		nd := int(r.u32())
-		if r.err != nil || nd > len(b) {
-			return nil, errTruncated
-		}
-		for i := 0; i < nd; i++ {
+		c.LSAFed = r.U64()
+		for n := r.Count(1); n > 0; n-- {
 			c.LSADecs = append(c.LSADecs, LSADecRecord{
-				Index:  r.u64(),
-				Mutex:  ids.MutexID(int64(r.u64())),
-				Thread: ids.ThreadID(r.u64()),
+				Index:  r.U64(),
+				Mutex:  ids.MutexID(r.I64()),
+				Thread: ids.ThreadID(r.U64()),
 			})
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("recovery: %d trailing bytes", len(b)-r.off)
+	if r.Off != len(b) {
+		return nil, fmt.Errorf("recovery: %d trailing bytes", len(b)-r.Off)
 	}
 	return c, nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendValue(b []byte, v lang.Value) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(b, valNil), nil
-	case int64:
-		return binary.BigEndian.AppendUint64(append(b, valInt), uint64(x)), nil
-	case bool:
-		n := uint64(0)
-		if x {
-			n = 1
-		}
-		return binary.BigEndian.AppendUint64(append(b, valBool), n), nil
-	case lang.Monitor:
-		return binary.BigEndian.AppendUint64(append(b, valMonitor), uint64(int64(x))), nil
-	case lang.ErrValue:
-		return appendString(append(b, valErr), string(x)), nil
-	default:
-		return nil, fmt.Errorf("recovery: unencodable field value type %T", v)
-	}
-}
-
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil || r.off+n > len(r.b) {
-		if r.err == nil {
-			r.err = errTruncated
-		}
-		return make([]byte, n)
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
-}
-
-func (r *reader) u16() uint16 { return binary.BigEndian.Uint16(r.bytes(2)) }
-func (r *reader) u32() uint32 { return binary.BigEndian.Uint32(r.bytes(4)) }
-func (r *reader) u64() uint64 { return binary.BigEndian.Uint64(r.bytes(8)) }
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || r.off+n > len(r.b) {
-		if r.err == nil {
-			r.err = errTruncated
-		}
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *reader) value() (lang.Value, error) {
-	tag := r.bytes(1)[0]
-	if r.err != nil {
-		return nil, r.err
-	}
-	if tag == valNil {
-		return nil, nil // nil has no payload word
-	}
-	if tag == valErr {
-		s := r.str()
-		if r.err != nil {
-			return nil, r.err
-		}
-		return lang.ErrValue(s), nil
-	}
-	n := r.u64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	switch tag {
-	case valInt:
-		return int64(n), nil
-	case valBool:
-		return n != 0, nil
-	case valMonitor:
-		return lang.Monitor(int64(n)), nil
-	default:
-		return nil, fmt.Errorf("recovery: unknown value tag %d", tag)
-	}
 }
 
 // ---- disk persistence ----

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,7 +128,7 @@ func pollStatuses(tr *wire.TCP, servers map[ids.ReplicaID]string) ([]Status, err
 	for id := range servers {
 		members = append(members, id)
 	}
-	sortReplicaIDs(members)
+	slices.Sort(members)
 	out := make([]Status, 0, len(members))
 	for _, id := range members {
 		b, err := tr.Control(id, []byte("status"), 5*time.Second)
@@ -141,14 +142,6 @@ func pollStatuses(tr *wire.TCP, servers map[ids.ReplicaID]string) ([]Status, err
 		out = append(out, st)
 	}
 	return out, nil
-}
-
-func sortReplicaIDs(s []ids.ReplicaID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // startViewPoller watches the members' status endpoints and installs any

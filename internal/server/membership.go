@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"detmt/internal/gcs"
@@ -199,7 +200,7 @@ func (s *Server) donorList() []ids.ReplicaID {
 			out = append(out, id)
 		}
 	}
-	sortReplicaIDs(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -24,12 +24,16 @@
 package shard
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 
+	"detmt/internal/enc"
 	"detmt/internal/ids"
 )
 
@@ -192,38 +196,29 @@ var ringMagic = []byte("DTRG")
 
 const ringFormat = uint16(1)
 
-func appendStr(b []byte, s string) []byte {
-	b = append(b, byte(len(s)>>8), byte(len(s)))
-	return append(b, s...)
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
+var (
+	errTruncated = errors.New("shard: truncated ring config")
+	ringCodec    = enc.Format{Name: "shard", Truncated: errTruncated}
+)
 
 // encodeBody emits the canonical body of a normalized config.
 func encodeBody(c RingConfig) []byte {
-	b := appendU64(nil, c.Version)
-	b = appendU64(b, c.Seed)
-	b = appendU32(b, uint32(c.VNodes))
-	b = appendU32(b, uint32(len(c.Groups)))
+	b := binary.BigEndian.AppendUint64(nil, c.Version)
+	b = binary.BigEndian.AppendUint64(b, c.Seed)
+	b = binary.BigEndian.AppendUint32(b, uint32(c.VNodes))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(c.Groups)))
 	for _, g := range c.Groups {
-		b = appendU32(b, uint32(g.ID))
-		b = appendStr(b, g.Backend)
+		b = binary.BigEndian.AppendUint32(b, uint32(g.ID))
+		b = enc.AppendString16(b, g.Backend)
 		members := make([]ids.ReplicaID, 0, len(g.Members))
 		for id := range g.Members {
 			members = append(members, id)
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		b = appendU32(b, uint32(len(members)))
+		slices.Sort(members)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(members)))
 		for _, id := range members {
-			b = appendU32(b, uint32(id))
-			b = appendStr(b, g.Members[id])
+			b = binary.BigEndian.AppendUint32(b, uint32(id))
+			b = enc.AppendString16(b, g.Members[id])
 		}
 	}
 	return b
@@ -251,47 +246,9 @@ func Encode(c RingConfig) ([]byte, error) {
 	h := fnv.New64a()
 	h.Write(body)
 	out := append([]byte(nil), ringMagic...)
-	out = append(out, byte(ringFormat>>8), byte(ringFormat))
-	out = appendU64(out, h.Sum64())
+	out = binary.BigEndian.AppendUint16(out, ringFormat)
+	out = binary.BigEndian.AppendUint64(out, h.Sum64())
 	return append(out, body...), nil
-}
-
-type ringReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *ringReader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.err = fmt.Errorf("shard: truncated ring config")
-		return 0
-	}
-	v := uint32(r.b[r.off])<<24 | uint32(r.b[r.off+1])<<16 | uint32(r.b[r.off+2])<<8 | uint32(r.b[r.off+3])
-	r.off += 4
-	return v
-}
-
-func (r *ringReader) u64() uint64 {
-	hi := r.u32()
-	lo := r.u32()
-	return uint64(hi)<<32 | uint64(lo)
-}
-
-func (r *ringReader) str() string {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.err = fmt.Errorf("shard: truncated ring config")
-		return ""
-	}
-	n := int(r.b[r.off])<<8 | int(r.b[r.off+1])
-	r.off += 2
-	if r.off+n > len(r.b) {
-		r.err = fmt.Errorf("shard: truncated ring config")
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
 }
 
 // Decode parses a serialized ring config, verifying the header: magic,
@@ -305,46 +262,32 @@ func Decode(b []byte) (RingConfig, error) {
 	if string(b[:len(ringMagic)]) != string(ringMagic) {
 		return c, fmt.Errorf("shard: bad ring config magic")
 	}
-	off := len(ringMagic)
-	format := uint16(b[off])<<8 | uint16(b[off+1])
-	if format != ringFormat {
+	hdr := ringCodec.Reader(b[len(ringMagic):])
+	if format := hdr.U16(); format != ringFormat {
 		return c, fmt.Errorf("shard: ring config format %d, want %d", format, ringFormat)
 	}
-	off += 2
-	wantHash := uint64(0)
-	for i := 0; i < 8; i++ {
-		wantHash = wantHash<<8 | uint64(b[off+i])
-	}
-	off += 8
-	body := b[off:]
+	wantHash := hdr.U64()
+	body := hdr.B[hdr.Off:]
 	h := fnv.New64a()
 	h.Write(body)
 	if got := h.Sum64(); got != wantHash {
 		return c, fmt.Errorf("shard: ring config hash mismatch (header %016x, body %016x)", wantHash, got)
 	}
-	r := &ringReader{b: body}
-	c.Version = r.u64()
-	c.Seed = r.u64()
-	c.VNodes = int(r.u32())
-	ngroups := int(r.u32())
-	if r.err != nil || ngroups > len(body) {
-		return c, fmt.Errorf("shard: truncated ring config")
-	}
-	for i := 0; i < ngroups; i++ {
-		g := GroupConfig{ID: int(r.u32()), Members: map[ids.ReplicaID]string{}}
-		g.Backend = r.str()
-		nmem := int(r.u32())
-		if r.err != nil || nmem > len(body) {
-			return c, fmt.Errorf("shard: truncated ring config")
-		}
-		for j := 0; j < nmem; j++ {
-			id := ids.ReplicaID(r.u32())
-			g.Members[id] = r.str()
+	r := ringCodec.Reader(body)
+	c.Version = r.U64()
+	c.Seed = r.U64()
+	c.VNodes = int(r.U32())
+	for ngroups := r.Count(1); ngroups > 0; ngroups-- {
+		g := GroupConfig{ID: int(r.U32()), Members: map[ids.ReplicaID]string{}}
+		g.Backend = r.Str16()
+		for nmem := r.Count(1); nmem > 0; nmem-- {
+			id := ids.ReplicaID(r.U32())
+			g.Members[id] = r.Str16()
 		}
 		c.Groups = append(c.Groups, g)
 	}
-	if r.err != nil {
-		return c, r.err
+	if r.Err != nil {
+		return c, r.Err
 	}
 	if _, err := c.normalize(); err != nil {
 		return c, err

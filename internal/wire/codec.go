@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"detmt/internal/core"
+	"detmt/internal/enc"
 	"detmt/internal/gcs"
 	"detmt/internal/ids"
 	"detmt/internal/lang"
@@ -79,15 +80,6 @@ const (
 	tagConfigChange  = byte(8) // v7: membership change riding the total order
 )
 
-// lang.Value tags.
-const (
-	valNil     = byte(0)
-	valInt     = byte(1)
-	valBool    = byte(2)
-	valMonitor = byte(3)
-	valErr     = byte(4)
-)
-
 // maxFrameLen bounds a single frame (64 MiB) so a corrupt length prefix
 // cannot trigger an unbounded allocation.
 const maxFrameLen = 64 << 20
@@ -142,71 +134,8 @@ func releaseFrameBody(f frame) {
 	bodyPool.Put(f.buf)
 }
 
-// ---- primitive append/read helpers ----
-
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-func appendI64(b []byte, v int64) []byte  { return appendU64(b, uint64(v)) }
-
-func appendString(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = errShortFrame
-	}
-}
-
-func (r *reader) u8() byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
+// codec names this format to the shared reader and Value codec.
+var codec = enc.Format{Name: "wire", Truncated: errShortFrame}
 
 // ---- origin ----
 
@@ -216,58 +145,15 @@ func appendOrigin(b []byte, o gcs.Origin) []byte {
 		flag = 1
 	}
 	b = append(b, flag)
-	b = appendI64(b, int64(o.Replica))
-	return appendI64(b, int64(o.Client))
+	b = enc.AppendI64(b, int64(o.Replica))
+	return enc.AppendI64(b, int64(o.Client))
 }
 
-func (r *reader) origin() gcs.Origin {
-	flag := r.u8()
-	rep := r.i64()
-	cl := r.i64()
+func readOrigin(r *enc.Reader) gcs.Origin {
+	flag := r.U8()
+	rep := r.I64()
+	cl := r.I64()
 	return gcs.Origin{Replica: ids.ReplicaID(rep), Client: ids.ClientID(cl), IsClient: flag != 0}
-}
-
-// ---- lang.Value ----
-
-func appendValue(b []byte, v lang.Value) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(b, valNil), nil
-	case int64:
-		return appendI64(append(b, valInt), x), nil
-	case bool:
-		n := int64(0)
-		if x {
-			n = 1
-		}
-		return appendI64(append(b, valBool), n), nil
-	case lang.Monitor:
-		return appendI64(append(b, valMonitor), int64(x)), nil
-	case lang.ErrValue:
-		return appendString(append(b, valErr), string(x)), nil
-	default:
-		return b, fmt.Errorf("wire: unencodable value type %T", v)
-	}
-}
-
-func (r *reader) value() lang.Value {
-	switch tag := r.u8(); tag {
-	case valNil:
-		return nil
-	case valInt:
-		return r.i64()
-	case valBool:
-		return r.i64() != 0
-	case valMonitor:
-		return lang.Monitor(r.i64())
-	case valErr:
-		return lang.ErrValue(r.str())
-	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("wire: unknown value tag %d", tag)
-		}
-		return nil
-	}
 }
 
 // ---- payload ----
@@ -282,123 +168,113 @@ func AppendPayload(b []byte, p gcs.Payload) ([]byte, error) {
 		return append(b, tagNil), nil
 	case replica.Request:
 		b = append(b, tagRequest)
-		b = appendU64(b, uint64(x.Req))
-		b = appendString(b, x.Method)
-		b = appendU32(b, uint32(len(x.Args)))
+		b = enc.AppendU64(b, uint64(x.Req))
+		b = enc.AppendString(b, x.Method)
+		b = enc.AppendU32(b, uint32(len(x.Args)))
 		for _, a := range x.Args {
-			if b, err = appendValue(b, a); err != nil {
+			if b, err = codec.AppendValue(b, a); err != nil {
 				return b, err
 			}
 		}
 		return b, nil
 	case replica.Reply:
 		b = append(b, tagReply)
-		b = appendU64(b, uint64(x.Req))
-		if b, err = appendValue(b, x.Value); err != nil {
+		b = enc.AppendU64(b, uint64(x.Req))
+		if b, err = codec.AppendValue(b, x.Value); err != nil {
 			return b, err
 		}
-		return appendString(b, x.Err), nil
+		return enc.AppendString(b, x.Err), nil
 	case replica.NestedOutcome:
 		b = append(b, tagNestedOutcome)
-		b = appendU64(b, uint64(x.Req))
-		b = appendI64(b, int64(x.N))
+		b = enc.AppendU64(b, uint64(x.Req))
+		b = enc.AppendI64(b, int64(x.N))
 		b = append(b, byte(x.Status))
-		if b, err = appendValue(b, x.Value); err != nil {
+		if b, err = codec.AppendValue(b, x.Value); err != nil {
 			return b, err
 		}
-		return appendString(b, x.Err), nil
+		return enc.AppendString(b, x.Err), nil
 	case replica.StateUpdate:
 		b = append(b, tagStateUpdate)
-		b = appendU64(b, x.UpToSeq)
+		b = enc.AppendU64(b, x.UpToSeq)
 		keys := make([]string, 0, len(x.Snapshot))
 		for k := range x.Snapshot {
 			keys = append(keys, k)
 		}
 		slices.Sort(keys) // deterministic bytes for identical snapshots
-		b = appendU32(b, uint32(len(keys)))
+		b = enc.AppendU32(b, uint32(len(keys)))
 		for _, k := range keys {
-			b = appendString(b, k)
-			if b, err = appendValue(b, x.Snapshot[k]); err != nil {
+			b = enc.AppendString(b, k)
+			if b, err = codec.AppendValue(b, x.Snapshot[k]); err != nil {
 				return b, err
 			}
 		}
 		return b, nil
 	case replica.Dummy:
-		return appendU64(append(b, tagDummy), x.Seq), nil
+		return enc.AppendU64(append(b, tagDummy), x.Seq), nil
 	case replica.LSADecision:
 		b = append(b, tagLSADecision)
-		b = appendU64(b, x.Index)
-		b = appendI64(b, int64(x.Event.Mutex))
-		return appendU64(b, uint64(x.Event.Thread)), nil
+		b = enc.AppendU64(b, x.Index)
+		b = enc.AppendI64(b, int64(x.Event.Mutex))
+		return enc.AppendU64(b, uint64(x.Event.Thread)), nil
 	case string:
-		return appendString(append(b, tagString), x), nil
+		return enc.AppendString(append(b, tagString), x), nil
 	case member.Change:
 		b = append(b, tagConfigChange)
 		b = append(b, byte(x.Kind))
-		b = appendI64(b, int64(x.ID))
-		b = appendI64(b, int64(x.NewID))
-		return appendString(b, x.Addr), nil
+		b = enc.AppendI64(b, int64(x.ID))
+		b = enc.AppendI64(b, int64(x.NewID))
+		return enc.AppendString(b, x.Addr), nil
 	default:
 		return b, fmt.Errorf("wire: unencodable payload type %T", p)
 	}
 }
 
-func (r *reader) payload() gcs.Payload {
-	switch tag := r.u8(); tag {
+func readPayload(r *enc.Reader) gcs.Payload {
+	switch tag := r.U8(); tag {
 	case tagNil:
 		return nil
 	case tagRequest:
-		req := replica.Request{Req: ids.RequestID(r.u64()), Method: r.str()}
-		n := int(r.u32())
-		if r.err != nil || n > len(r.b) {
-			r.fail()
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			req.Args = append(req.Args, r.value())
+		req := replica.Request{Req: ids.RequestID(r.U64()), Method: r.Str()}
+		for n := r.Count(1); n > 0; n-- {
+			req.Args = append(req.Args, r.Value())
 		}
 		return req
 	case tagReply:
-		return replica.Reply{Req: ids.RequestID(r.u64()), Value: r.value(), Err: r.str()}
+		return replica.Reply{Req: ids.RequestID(r.U64()), Value: r.Value(), Err: r.Str()}
 	case tagNestedOutcome:
 		return replica.NestedOutcome{
-			Req:    ids.RequestID(r.u64()),
-			N:      int(r.i64()),
-			Status: replica.NestedStatus(r.u8()),
-			Value:  r.value(),
-			Err:    r.str(),
+			Req:    ids.RequestID(r.U64()),
+			N:      int(r.I64()),
+			Status: replica.NestedStatus(r.U8()),
+			Value:  r.Value(),
+			Err:    r.Str(),
 		}
 	case tagStateUpdate:
-		su := replica.StateUpdate{UpToSeq: r.u64(), Snapshot: map[string]lang.Value{}}
-		n := int(r.u32())
-		if r.err != nil || n > len(r.b) {
-			r.fail()
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			k := r.str()
-			su.Snapshot[k] = r.value()
+		su := replica.StateUpdate{UpToSeq: r.U64(), Snapshot: map[string]lang.Value{}}
+		for n := r.Count(1); n > 0; n-- {
+			k := r.Str()
+			su.Snapshot[k] = r.Value()
 		}
 		return su
 	case tagDummy:
-		return replica.Dummy{Seq: r.u64()}
+		return replica.Dummy{Seq: r.U64()}
 	case tagLSADecision:
-		return replica.LSADecision{Index: r.u64(), Event: core.LSAEvent{
-			Mutex:  ids.MutexID(r.i64()),
-			Thread: ids.ThreadID(r.u64()),
+		return replica.LSADecision{Index: r.U64(), Event: core.LSAEvent{
+			Mutex:  ids.MutexID(r.I64()),
+			Thread: ids.ThreadID(r.U64()),
 		}}
 	case tagString:
-		return r.str()
+		return r.Str()
 	case tagConfigChange:
 		return member.Change{
-			Kind:  member.ChangeKind(r.u8()),
-			ID:    ids.ReplicaID(r.i64()),
-			NewID: ids.ReplicaID(r.i64()),
-			Addr:  r.str(),
+			Kind:  member.ChangeKind(r.U8()),
+			ID:    ids.ReplicaID(r.I64()),
+			NewID: ids.ReplicaID(r.I64()),
+			Addr:  r.Str(),
 		}
 	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("wire: unknown payload tag %d", tag)
+		if r.Err == nil {
+			r.Err = fmt.Errorf("wire: unknown payload tag %d", tag)
 		}
 		return nil
 	}
@@ -407,12 +283,12 @@ func (r *reader) payload() gcs.Payload {
 // DecodePayload decodes a single payload from b (as produced by
 // AppendPayload), returning the number of bytes consumed.
 func DecodePayload(b []byte) (gcs.Payload, int, error) {
-	r := &reader{b: b}
-	p := r.payload()
-	if r.err != nil {
-		return nil, 0, r.err
+	r := codec.Reader(b)
+	p := readPayload(&r)
+	if r.Err != nil {
+		return nil, 0, r.Err
 	}
-	return p, r.off, nil
+	return p, r.Off, nil
 }
 
 // ---- envelope ----
@@ -420,43 +296,43 @@ func DecodePayload(b []byte) (gcs.Payload, int, error) {
 // AppendEnvelope appends the binary encoding of env to b.
 func AppendEnvelope(b []byte, env gcs.Envelope) ([]byte, error) {
 	b = append(b, byte(env.Kind))
-	b = appendU64(b, env.Seq)
-	b = appendU64(b, env.View)
-	b = appendU64(b, env.UID)
+	b = enc.AppendU64(b, env.Seq)
+	b = enc.AppendU64(b, env.View)
+	b = enc.AppendU64(b, env.UID)
 	b = appendOrigin(b, env.Origin)
 	b = appendOrigin(b, env.From)
 	b = appendOrigin(b, env.To)
-	b = appendI64(b, int64(env.Stamp))
-	b = appendU32(b, env.Class)
+	b = enc.AppendI64(b, int64(env.Stamp))
+	b = enc.AppendU32(b, env.Class)
 	return AppendPayload(b, env.Payload)
 }
 
-// decodeEnvelope reads one envelope from r.
-func (r *reader) envelope() gcs.Envelope {
+// readEnvelope reads one envelope from r.
+func readEnvelope(r *enc.Reader) gcs.Envelope {
 	env := gcs.Envelope{
-		Kind:   gcs.EnvKind(r.u8()),
-		Seq:    r.u64(),
-		View:   r.u64(),
-		UID:    r.u64(),
-		Origin: r.origin(),
-		From:   r.origin(),
-		To:     r.origin(),
-		Stamp:  time.Duration(r.i64()),
+		Kind:   gcs.EnvKind(r.U8()),
+		Seq:    r.U64(),
+		View:   r.U64(),
+		UID:    r.U64(),
+		Origin: readOrigin(r),
+		From:   readOrigin(r),
+		To:     readOrigin(r),
+		Stamp:  time.Duration(r.I64()),
 	}
-	env.Class = r.u32()
-	env.Payload = r.payload()
+	env.Class = r.U32()
+	env.Payload = readPayload(r)
 	return env
 }
 
 // DecodeEnvelope decodes a single envelope from b (as produced by
 // AppendEnvelope), returning the number of bytes consumed.
 func DecodeEnvelope(b []byte) (gcs.Envelope, int, error) {
-	r := &reader{b: b}
-	env := r.envelope()
-	if r.err != nil {
-		return gcs.Envelope{}, 0, r.err
+	r := codec.Reader(b)
+	env := readEnvelope(&r)
+	if r.Err != nil {
+		return gcs.Envelope{}, 0, r.Err
 	}
-	return env, r.off, nil
+	return env, r.Off, nil
 }
 
 // ---- frame body builders ----
@@ -469,34 +345,30 @@ func DecodeEnvelope(b []byte) (gcs.Envelope, int, error) {
 // different group refuse the connection so two shards' total orders can
 // never splice.
 func helloBody(name string, epoch uint64, origins []gcs.Origin, group string) []byte {
-	b := appendString(nil, name)
-	b = appendU64(b, epoch)
-	b = appendU32(b, uint32(len(origins)))
+	b := enc.AppendString(nil, name)
+	b = enc.AppendU64(b, epoch)
+	b = enc.AppendU32(b, uint32(len(origins)))
 	for _, o := range origins {
 		b = appendOrigin(b, o)
 	}
-	return appendString(b, group)
+	return enc.AppendString(b, group)
 }
 
 func parseHello(body []byte) (name string, epoch uint64, origins []gcs.Origin, group string, err error) {
-	r := &reader{b: body}
-	name = r.str()
-	epoch = r.u64()
-	n := int(r.u32())
-	if r.err != nil || n > len(body) {
-		return "", 0, nil, "", errShortFrame
+	r := codec.Reader(body)
+	name = r.Str()
+	epoch = r.U64()
+	for n := r.Count(1); n > 0; n-- {
+		origins = append(origins, readOrigin(&r))
 	}
-	for i := 0; i < n; i++ {
-		origins = append(origins, r.origin())
-	}
-	group = r.str()
-	return name, epoch, origins, group, r.err
+	group = r.Str()
+	return name, epoch, origins, group, r.Err
 }
 
 // AppendBatch appends the body of a batch frame: a count and that many
 // envelopes, handed to the receiver as one unit.
 func AppendBatch(b []byte, envs []gcs.Envelope) ([]byte, error) {
-	b = appendU32(b, uint32(len(envs)))
+	b = enc.AppendU32(b, uint32(len(envs)))
 	var err error
 	for _, e := range envs {
 		if b, err = AppendEnvelope(b, e); err != nil {
@@ -508,16 +380,13 @@ func AppendBatch(b []byte, envs []gcs.Envelope) ([]byte, error) {
 
 // DecodeBatch decodes a batch body (as produced by AppendBatch).
 func DecodeBatch(body []byte) ([]gcs.Envelope, error) {
-	r := &reader{b: body}
-	n := int(r.u32())
-	if r.err != nil || n > len(body) {
-		return nil, errShortFrame
-	}
+	r := codec.Reader(body)
+	n := r.Count(1)
 	envs := make([]gcs.Envelope, 0, n)
-	for i := 0; i < n; i++ {
-		envs = append(envs, r.envelope())
+	for ; n > 0; n-- {
+		envs = append(envs, readEnvelope(&r))
 	}
-	return envs, r.err
+	return envs, r.Err
 }
 
 // ---- control replies ----
@@ -535,11 +404,11 @@ func replyFrames(id uint64, reply []byte) []frame {
 	rest := reply
 	for ; len(rest) > controlChunkSize; rest = rest[controlChunkSize:] {
 		eb := pooledBody()
-		body := append(appendU64(eb.b, id), rest[:controlChunkSize]...)
+		body := append(enc.AppendU64(eb.b, id), rest[:controlChunkSize]...)
 		frames = append(frames, frame{kind: frameControlChunk, body: body, buf: eb})
 	}
 	eb := pooledBody()
-	body := appendU64(appendU64(appendU64(eb.b, id), uint64(len(reply))), fnvSum64(reply))
+	body := enc.AppendU64(enc.AppendU64(enc.AppendU64(eb.b, id), uint64(len(reply))), fnvSum64(reply))
 	return append(frames, frame{kind: frameControlReply, body: append(body, rest...), buf: eb})
 }
 
@@ -553,19 +422,19 @@ type replyParts map[uint64][]byte
 // carried, or err says it does not have the length and hash its sender
 // declared.
 func (p replyParts) add(f frame) (id uint64, reply []byte, done bool, err error) {
-	r := &reader{b: f.body}
-	id = r.u64()
+	r := codec.Reader(f.body)
+	id = r.U64()
 	if f.kind == frameControlChunk {
-		if r.err == nil {
-			p[id] = append(p[id], f.body[r.off:]...)
+		if r.Err == nil {
+			p[id] = append(p[id], f.body[r.Off:]...)
 		}
-		return id, nil, false, r.err
+		return id, nil, false, r.Err
 	}
-	length, sum := r.u64(), r.u64()
-	if r.err != nil {
-		return id, nil, false, r.err
+	length, sum := r.U64(), r.U64()
+	if r.Err != nil {
+		return id, nil, false, r.Err
 	}
-	reply = append(p[id], f.body[r.off:]...)
+	reply = append(p[id], f.body[r.Off:]...)
 	delete(p, id)
 	if uint64(len(reply)) != length || fnvSum64(reply) != sum {
 		return id, nil, true, fmt.Errorf("wire: control reply corrupt (%d bytes arrived, %d sent, or their hashes differ)", len(reply), length)
@@ -611,9 +480,9 @@ func readPreamble(r io.Reader) error {
 // appendFrame appends the wire encoding of one length-prefixed frame:
 // u32 length of the rest, u8 kind, u64 seq, body.
 func appendFrame(b []byte, f frame) []byte {
-	b = appendU32(b, uint32(1+8+len(f.body)))
+	b = enc.AppendU32(b, uint32(1+8+len(f.body)))
 	b = append(b, f.kind)
-	b = appendU64(b, f.seq)
+	b = enc.AppendU64(b, f.seq)
 	return append(b, f.body...)
 }
 

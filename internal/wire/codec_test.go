@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"detmt/internal/core"
+	"detmt/internal/enc"
 	"detmt/internal/gcs"
 	"detmt/internal/ids"
 	"detmt/internal/lang"
@@ -207,7 +208,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	want := []frame{
 		{kind: frameHello, seq: 0, body: helloBody("R1", 1, nil, "")},
 		{kind: frameBatch, seq: 1, body: []byte{1, 2, 3}},
-		{kind: frameAck, seq: 0, body: appendU64(nil, 17)},
+		{kind: frameAck, seq: 0, body: enc.AppendU64(nil, 17)},
 	}
 	for _, f := range want {
 		if err := writeFrame(&buf, f); err != nil {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"detmt/internal/enc"
 	"detmt/internal/gcs"
 	"detmt/internal/ids"
 )
@@ -374,7 +375,7 @@ func (t *TCP) Control(peer ids.ReplicaID, req []byte, timeout time.Duration) ([]
 		t.mu.Unlock()
 	}()
 	eb := pooledBody()
-	body := append(appendU64(eb.b, id), req...)
+	body := append(enc.AppendU64(eb.b, id), req...)
 	pl.enqueueSeq(frame{kind: frameControl, body: body, buf: eb})
 	select {
 	case res := <-ch:
@@ -582,7 +583,7 @@ func (p *decodePipe) drain() {
 		}
 		if pf.f.seq != 0 && pf.ic != nil {
 			eb := pooledBody()
-			body := appendU64(eb.b, pf.f.seq)
+			body := enc.AppendU64(eb.b, pf.f.seq)
 			pf.ic.enqueue(frame{kind: frameAck, body: body, buf: eb})
 		}
 	}
