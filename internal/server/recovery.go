@@ -195,76 +195,12 @@ func (s *Server) tryRecover(donor ids.ReplicaID) bool {
 		logf("server %v: seeded %d LSA decisions past watermark %d", s.o.ID, len(lsaDecs), lsaFed)
 	}
 
-	// Fetch the sequenced tail from the checkpoint slot until it is
-	// contiguous with the live stream buffered since startup. The donor
-	// keeps delivering while we fetch, so a gap between the fetched tail
-	// and the buffer closes by polling again.
-	var tail []gcs.Envelope
-	promoted := false
-	for round := 0; ; round++ {
-		if round > gapHealRounds {
-			logf("server %v: catch-up gap to %v did not close, restarting recovery", s.o.ID, donor)
-			return false
-		}
-		from := next + uint64(len(tail))
-		envs, more, ok, err := fetchTail(s.tr, donor, from, tailBatchMax, metaTimeout)
-		if err != nil {
-			logf("server %v: tail fetch from %v: %v", s.o.ID, donor, err)
-			return false
-		}
-		if !ok {
-			// The donor trimmed slot `from` while we were working: our
-			// checkpoint is too old. Restart with a fresh checkpoint fetch.
-			logf("server %v: donor %v no longer retains slot %d, refetching checkpoint", s.o.ID, donor, from)
-			return false
-		}
-		tail = append(tail, envs...)
-		if more {
-			continue
-		}
-		bmin, _, bcount := s.group.BufferedSeqRange()
-		if bcount == 0 {
-			if !s.o.Learner || promoted {
-				// A rejoining voter receives fan-out from the moment its
-				// transport reconnects, so an empty buffer means nothing was
-				// sequenced since — the tail is complete. The same holds for
-				// a learner once its Add has ACTIVATED at the donor: the
-				// voters opened links at stage time, so anything sequenced
-				// after this iteration's fetch would have been buffered.
-				break
-			}
-			// A LEARNER receives no fan-out until its AddReplica is staged
-			// at the sequencer: an empty buffer proves nothing, slots may
-			// still be sequenced without us. Keep extending the donor tail
-			// until the live stream demonstrably reaches this process (the
-			// proposal's Pad fillers guarantee post-staging traffic). The
-			// pads can ALSO lose a race against the voters' dial to this
-			// process and the cluster then go idle — so periodically ask
-			// the donor whether our promotion already happened; if it did,
-			// take one more tail round and close under voter semantics.
-			if round%10 == 9 {
-				if b, err := s.tr.Control(donor, []byte("members"), metaTimeout); err == nil {
-					var snap member.Snapshot
-					if err := json.Unmarshal(b, &snap); err == nil {
-						for _, m := range snap.Voters {
-							if m.ID == s.o.ID {
-								promoted = true
-							}
-						}
-					}
-				}
-				if promoted {
-					logf("server %v: add activated at %v while catching up; closing the tail as a voter", s.o.ID, donor)
-					continue
-				}
-			}
-			time.Sleep(50 * time.Millisecond)
-			continue
-		}
-		if bmin <= next+uint64(len(tail)) {
-			break // tail reaches the buffered live stream
-		}
-		time.Sleep(50 * time.Millisecond)
+	// Fetch the sequenced tail from the checkpoint slot until it provably
+	// meets the live stream buffered since startup.
+	tail, err := closeTail(next, &donorTail{s: s, donor: donor, owed: !s.o.Learner})
+	if err != nil {
+		logf("server %v: catching up from %v: %v, restarting recovery", s.o.ID, donor, err)
+		return false
 	}
 
 	s.group.ResumeLive(next, tail)
@@ -275,6 +211,121 @@ func (s *Server) tryRecover(donor ids.ReplicaID) bool {
 	logf("server %v: recovered from %v: checkpoint slot %d, replayed %d sequenced envelopes",
 		s.o.ID, donor, next-1, len(tail))
 	return true
+}
+
+// tailSource is what closeTail asks of its surroundings: the server answers
+// from the donor and its own recovery buffer (donorTail), the unit test
+// from a script.
+type tailSource interface {
+	// fetch is fetchTail against the donor.
+	fetch(from uint64) (envs []gcs.Envelope, more, ok bool, err error)
+	// buffered reports the sequenced slots the live stream has left in the
+	// recovery buffer: the lowest, and how many.
+	buffered() (min uint64, count int)
+	// heartbeats counts the sequencer heartbeats received so far.
+	heartbeats() uint64
+	// fanOutOwed reports whether the sequencer owes this process its
+	// fan-out: always a voter, a learner once its Add has activated.
+	fanOutOwed() bool
+	// pause waits out one poll interval — long enough for a slot sequenced
+	// before it began to be delivered at the donor.
+	pause()
+}
+
+// closeTail fetches the sequenced tail from slot next on until it is
+// complete: ResumeLive may replay it, then the buffer, and no slot is
+// missing in between. The donor keeps delivering while we fetch, so a gap
+// between the fetched tail and buffered slots closes by polling again.
+//
+// An EMPTY buffer proves nothing by itself. The survivors dial this
+// process on their own reconnect backoff, so their fan-out may simply not
+// have arrived yet; and the sequencer fans out to this process only from
+// the moment it sees our hello and revives us, so slots it assigned just
+// before — in flight at the donor for up to Budget, hence in no tail yet —
+// reach us by neither path. A process that went live now would meet them
+// later, behind a clock its heartbeats have moved past, and wedge. So an
+// empty buffer closes the tail only on evidence: a heartbeat that arrived
+// after a fetch began shows the sequencer's link up and, by link FIFO,
+// everything it fanned out before that heartbeat buffered; one more fetch,
+// a pause later, covers what it assigned while we were still marked
+// crashed.
+func closeTail(next uint64, src tailSource) ([]gcs.Envelope, error) {
+	var tail []gcs.Envelope
+	linkUp := false
+	for round := 0; round <= gapHealRounds; round++ {
+		beats := src.heartbeats()
+		from := next + uint64(len(tail))
+		envs, more, ok, err := src.fetch(from)
+		if err != nil {
+			return nil, fmt.Errorf("tail fetch: %w", err)
+		}
+		if !ok {
+			// Trimmed while we were working: our checkpoint is too old.
+			return nil, fmt.Errorf("donor no longer retains slot %d", from)
+		}
+		tail = append(tail, envs...)
+		if more {
+			continue
+		}
+		bmin, bcount := src.buffered()
+		switch {
+		case bcount > 0 && bmin <= next+uint64(len(tail)):
+			return tail, nil // the tail reaches the buffered live stream
+		case bcount == 0 && linkUp:
+			return tail, nil
+		case bcount == 0 && src.fanOutOwed():
+			linkUp = src.heartbeats() > beats
+		}
+		src.pause()
+	}
+	return nil, fmt.Errorf("catch-up gap did not close in %d polls", gapHealRounds)
+}
+
+// donorTail is closeTail's view of a live donor and this server.
+type donorTail struct {
+	s     *Server
+	donor ids.ReplicaID
+	owed  bool // see tailSource.fanOutOwed
+	asked int  // fanOutOwed calls made as a learner
+}
+
+func (d *donorTail) fetch(from uint64) ([]gcs.Envelope, bool, bool, error) {
+	return fetchTail(d.s.tr, d.donor, from, tailBatchMax, metaTimeout)
+}
+
+func (d *donorTail) buffered() (uint64, int) {
+	min, _, count := d.s.group.BufferedSeqRange()
+	return min, count
+}
+
+func (d *donorTail) heartbeats() uint64 { return d.s.beats.Load() }
+
+func (d *donorTail) pause() {
+	time.Sleep(max(50*time.Millisecond, 2*d.s.o.Budget))
+}
+
+// fanOutOwed: a LEARNER receives no fan-out until its AddReplica is staged
+// at the sequencer, and the proposal's Pad fillers — its guarantee of
+// post-staging traffic — can lose a race against the voters' dial to this
+// process before the cluster goes idle. So every tenth poll it asks the
+// donor whether its promotion already happened; from then on it closes the
+// tail as a voter does (the voters opened their links at stage time).
+func (d *donorTail) fanOutOwed() bool {
+	if d.asked++; d.owed || d.asked%10 != 0 {
+		return d.owed
+	}
+	if b, err := d.s.tr.Control(d.donor, []byte("members"), metaTimeout); err == nil {
+		var snap member.Snapshot
+		if json.Unmarshal(b, &snap) == nil {
+			for _, m := range snap.Voters {
+				d.owed = d.owed || m.ID == d.s.o.ID
+			}
+		}
+	}
+	if d.owed {
+		d.s.logf("server %v: add activated at %v while catching up; closing the tail as a voter", d.s.o.ID, d.donor)
+	}
+	return d.owed
 }
 
 // runGossip periodically exchanges divergence-point rings with every

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"detmt/internal/analysis"
@@ -272,6 +273,7 @@ type Server struct {
 
 	stop     chan struct{}
 	stopOnce sync.Once
+	beats    atomic.Uint64 // sequencer heartbeats received (counted while Recover; see beatTap)
 
 	stateMu    sync.Mutex
 	ready      bool // group/replica fully constructed (callback guard)
@@ -434,11 +436,15 @@ func New(o Options) (*Server, error) {
 		// can consume the sequenced fan-out.
 		learners = []ids.ReplicaID{o.ID}
 	}
+	var transport gcs.Transport = tr
+	if o.Recover {
+		transport = beatTap{tr, &s.beats}
+	}
 	gcfg := gcs.Config{
 		Clock:         s.clock,
 		Group:         o.Group,
 		Members:       members,
-		Transport:     tr,
+		Transport:     transport,
 		Local:         []ids.ReplicaID{o.ID},
 		Tick:          o.Tick,
 		Budget:        o.Budget,
@@ -545,6 +551,25 @@ func New(o Options) (*Server, error) {
 		go s.runGossip(gossip)
 	}
 	return s, nil
+}
+
+// beatTap is the transport a recovering server's group binds through: the
+// TCP endpoint, counting the sequencer heartbeats it delivers. The group
+// buffers them unseen until ResumeLive; closeTail needs to know that one
+// arrived (recovery.go).
+type beatTap struct {
+	*wire.TCP
+	beats *atomic.Uint64
+}
+
+func (t beatTap) Bind(at gcs.Origin, deliver func(...gcs.Envelope)) {
+	t.TCP.Bind(at, func(envs ...gcs.Envelope) {
+		// A tick's heartbeat rides last in its frame (gcs multicast).
+		if n := len(envs); n > 0 && envs[n-1].Kind == gcs.EnvHorizon {
+			t.beats.Add(1)
+		}
+		deliver(envs...)
+	})
 }
 
 // Addr returns the transport's listen address.
