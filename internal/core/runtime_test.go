@@ -111,7 +111,10 @@ func TestDuplicateThreadIDPanics(t *testing.T) {
 		defer close(done)
 		g := vclock.NewGroup(v)
 		g.Add(1)
-		rt.Submit(7, 0, func(th *Thread) {}, g.Done)
+		// The first thread computes: virtual time cannot advance while this
+		// goroutine runs, so thread 7 is still registered when the second
+		// Submit looks (an empty body could exit first, and no panic).
+		rt.Submit(7, 0, func(th *Thread) { th.Compute(time.Millisecond) }, g.Done)
 		func() {
 			defer func() { recovered = recover() }()
 			rt.Submit(7, 0, func(th *Thread) {}, nil)
