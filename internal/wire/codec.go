@@ -378,10 +378,14 @@ func AppendBatch(b []byte, envs []gcs.Envelope) ([]byte, error) {
 	return b, nil
 }
 
+// minEnvelopeLen is the encoding of an envelope whose payload is nil: the
+// fixed fields, three origins and a payload tag.
+const minEnvelopeLen = 1 + 3*8 + 3*17 + 8 + 4 + 1
+
 // DecodeBatch decodes a batch body (as produced by AppendBatch).
 func DecodeBatch(body []byte) ([]gcs.Envelope, error) {
 	r := codec.Reader(body)
-	n := r.Count(1)
+	n := r.Count(minEnvelopeLen)
 	envs := make([]gcs.Envelope, 0, n)
 	for ; n > 0; n-- {
 		envs = append(envs, readEnvelope(&r))

@@ -57,6 +57,17 @@ go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial
 # "Classification goldens and interval fuzz").
 go test -count=1 -run 'Golden|TestClassDisjointnessProperty|TestMutexSets|TestInterference' ./internal/earlysched/ ./internal/analysis/ ./cmd/detmt-analyze/
 go test -run '^$' -fuzz FuzzIntervalSound -fuzztime 10s ./internal/analysis/
+# The v8 wire goldens and the recovery fetches over a real socket, then ten
+# seconds of every decoder fuzz target (same lines as the CI steps "Wire v8
+# golden frames and recovery fetches" and "Decoder fuzz").
+go test -race -count=1 -run 'TestGoldenBytes|TestGoldenHelloFrames|TestEnvelopeRoundTrip|TestFrameRoundTrip|TestTCPControl' ./internal/wire/
+go test -race -count=1 -run 'TestRecoveryFetches|TestCloseTail' ./internal/server/
+go test -run '^$' -fuzz FuzzDecodeEnvelope -fuzztime 10s ./internal/wire/
+go test -run '^$' -fuzz FuzzFrameBodies -fuzztime 10s ./internal/wire/
+go test -run '^$' -fuzz FuzzControlReply -fuzztime 10s ./internal/wire/
+go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/recovery/
+go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/shard/
+go test -run '^$' -fuzz FuzzFrames -fuzztime 10s ./internal/backend/
 # bench/ is a module of its own (replace detmt => ../): build, vet and test
 # it too (a couple of seconds, no sockets without DETMT_BENCH_SMOKE), so a
 # change that breaks the benchmark's frozen surface fails here.
