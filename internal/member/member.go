@@ -17,6 +17,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"slices"
 
 	"detmt/internal/ids"
@@ -97,12 +98,9 @@ func (c Config) canonical(b []byte) []byte {
 // operators (and tests) can compare configurations across replicas at
 // a glance.
 func (c Config) Hash() uint64 {
-	h := uint64(14695981039346656037)
-	for _, by := range c.canonical(nil) {
-		h ^= uint64(by)
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write(c.canonical(nil))
+	return h.Sum64()
 }
 
 // ChangeKind classifies a membership change.

@@ -262,18 +262,16 @@ func Decode(b []byte) (RingConfig, error) {
 	if string(b[:len(ringMagic)]) != string(ringMagic) {
 		return c, fmt.Errorf("shard: bad ring config magic")
 	}
-	hdr := ringCodec.Reader(b[len(ringMagic):])
-	if format := hdr.U16(); format != ringFormat {
+	r := ringCodec.Reader(b[len(ringMagic):])
+	if format := r.U16(); format != ringFormat {
 		return c, fmt.Errorf("shard: ring config format %d, want %d", format, ringFormat)
 	}
-	wantHash := hdr.U64()
-	body := hdr.B[hdr.Off:]
+	wantHash := r.U64()
 	h := fnv.New64a()
-	h.Write(body)
+	h.Write(r.B[r.Off:]) // the body: everything behind the header
 	if got := h.Sum64(); got != wantHash {
 		return c, fmt.Errorf("shard: ring config hash mismatch (header %016x, body %016x)", wantHash, got)
 	}
-	r := ringCodec.Reader(body)
 	c.Version = r.U64()
 	c.Seed = r.U64()
 	c.VNodes = int(r.U32())

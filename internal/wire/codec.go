@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"slices"
 	"sync"
@@ -449,12 +450,9 @@ func (p replyParts) add(f frame) (id uint64, reply []byte, done bool, err error)
 // fnvSum64 hashes a byte slice (FNV-1a); every control reply carries it
 // so what the requester reassembled is checked before use.
 func fnvSum64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // ---- framing ----
