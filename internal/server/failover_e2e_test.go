@@ -126,10 +126,12 @@ func TestSequencerFailoverRejoin(t *testing.T) {
 			t.Fatalf("hash fork after sequencer failover: %+v", out.res.PerShard[0].Statuses)
 		}
 	}
+	// The load can end while the rejoiner still waits out closeTail's
+	// heartbeat-plus-one-pause schedule: poll, do not read once.
+	waitForStatus(t, restarted, func(st Status) bool {
+		return st.Recovery == "caught_up"
+	}, "rejoined ex-sequencer did not go live")
 	st := restarted.Status()
-	if st.Recovery != "caught_up" {
-		t.Fatalf("rejoined ex-sequencer recovery state %q", st.Recovery)
-	}
 	if st.Diagnostic != "" {
 		t.Fatalf("unexpected divergence diagnostic: %s", st.Diagnostic)
 	}
@@ -194,9 +196,9 @@ func TestLSAFollowerKillRejoin(t *testing.T) {
 			t.Fatalf("hash mismatch after LSA follower rejoin: %+v", out.res.PerShard[0].Statuses)
 		}
 	}
-	if st := restarted.Status(); st.Recovery != "caught_up" {
-		t.Fatalf("rejoined LSA follower recovery state %q", st.Recovery)
-	}
+	waitForStatus(t, restarted, func(st Status) bool {
+		return st.Recovery == "caught_up"
+	}, "rejoined LSA follower did not go live")
 }
 
 // waitForStatus polls a server's status until cond holds.

@@ -65,6 +65,10 @@ func startClusterWith(t *testing.T, n int, kind replica.SchedulerKind,
 // sequenced tail from a donor, replay at the original virtual stamps,
 // and end the run with a ConsistencyHash bit-identical to the
 // survivors' — the load run's convergence check asserts exactly that.
+//
+// The load is sized so that the kill AND the rejoin land inside it: a
+// replica that goes live after the last request finds everything in the
+// donor's checkpoint and replays nothing.
 func TestKillRestartRejoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
@@ -79,39 +83,28 @@ func TestKillRestartRejoin(t *testing.T) {
 		res *RunResult
 		err error
 	}
+	const clients, perClient = 2, 150
 	ch := make(chan loadOut, 1)
 	go func() {
-		res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{Clients: 2, RequestsPerClient: 10, Seed: 5, Timeout: 120 * time.Second})
+		res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{Clients: clients, RequestsPerClient: perClient, Seed: 5, Timeout: 120 * time.Second})
 		ch <- loadOut{res, err}
 	}()
 
-	time.Sleep(120 * time.Millisecond) // let requests and checkpoints flow
+	// Kill only once requests and checkpoints have demonstrably flowed.
+	waitForStatus(t, servers[0], func(st Status) bool {
+		return st.Completed >= 4
+	}, "no progress before the kill")
 	servers[2].Close()                 // kill R3 (a follower)
 	time.Sleep(120 * time.Millisecond) // the cluster keeps running without it
 
-	ln, err := net.Listen("tcp", addrs[3])
-	if err != nil {
-		t.Fatalf("rebinding %s: %v", addrs[3], err)
-	}
-	peers := map[ids.ReplicaID]string{1: addrs[1], 2: addrs[2]}
-	restarted, err := New(Options{
-		ID:              3,
-		Listener:        ln,
-		Peers:           peers,
-		Scheduler:       replica.KindMAT,
-		Workload:        testWorkload(),
-		NestedLatency:   2 * time.Millisecond,
-		Tick:            2 * time.Millisecond,
-		Budget:          5 * time.Millisecond,
-		CheckpointEvery: 2,
-		Epoch:           2, // strictly above the first incarnation's
-		Recover:         true,
-		GossipInterval:  100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("restarting R3: %v", err)
-	}
-	defer restarted.Close()
+	restarted := restartServer(t, 3, replica.KindMAT, addrs, 2)
+	// Going live takes a heartbeat from the sequencer plus one more fetch a
+	// pause later (closeTail), whatever the load does meanwhile.
+	waitForStatus(t, restarted, func(st Status) bool {
+		return st.Recovery == "caught_up"
+	}, "restarted replica did not go live")
+	atRejoin := restarted.Status().Completed
+	t.Logf("restarted replica live at %d of %d completed (survivor at %d)", atRejoin, clients*perClient, servers[0].Status().Completed)
 
 	out := <-ch
 	if out.err != nil {
@@ -128,9 +121,12 @@ func TestKillRestartRejoin(t *testing.T) {
 			t.Fatalf("hash mismatch after rejoin: %+v", out.res.PerShard[0].Statuses)
 		}
 	}
+	if atRejoin >= clients*perClient {
+		t.Fatalf("the load was over (%d completed) when the restarted replica went live: nothing was replayed", atRejoin)
+	}
 	st := restarted.Status()
-	if st.Recovery != "caught_up" {
-		t.Fatalf("restarted replica recovery state %q", st.Recovery)
+	if st.Completed != clients*perClient {
+		t.Fatalf("restarted replica completed %d of %d requests", st.Completed, clients*perClient)
 	}
 	if st.Diagnostic != "" {
 		t.Fatalf("unexpected divergence diagnostic: %s", st.Diagnostic)
