@@ -1,8 +1,8 @@
 // Command detmt-server hosts one detmt replica over real TCP — the
 // deployment mode that takes the system out of the simulator. Start one
 // process per member with the boot membership; the lowest replica id
-// starts as the sequencer and runs the stamped sequencing tick loop
-// that keeps every member's virtual schedule identical. If the
+// starts as the sequencer and runs the stamped sequencing loop that
+// keeps every member's virtual schedule identical. If the
 // sequencer dies, the survivors elect the lowest live id into the next
 // sequencing view; a killed replica — sequencer included — rejoins with
 // -recover. The membership itself can change at runtime: -join grows a
@@ -79,7 +79,7 @@ func flags(fs *flag.FlagSet) *cli {
 	fs.DurationVar(&o.BreakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before probing the backend again (0: 2s)")
 	fs.BoolVar(&o.Workload.CatchNested, "catch-nested", false, "workload catches failed nested calls (iserr) instead of aborting the request")
 	fs.DurationVar(&o.Tick, "tick", 2*time.Millisecond,
-		"base sequencing tick (virtual = wall): saturated the sequencer drains every tick/4, idle it stretches to 4*tick")
+		"idle heartbeat base interval (virtual = wall): a request is sequenced when it arrives; with none arriving the sequencer multicasts a heartbeat every tick, stretching to 4*tick")
 	fs.DurationVar(&o.Budget, "budget", 5*time.Millisecond, "delivery-deadline budget per sequenced message")
 	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", 0, "broadcast a state checkpoint every N requests (0: never)")
 	fs.IntVar(&o.Workload.Iterations, "iterations", 10, "Fig. 1 loop iterations per request")
@@ -221,6 +221,9 @@ func main() {
 				log.Printf("detmt-server: shard %s membership: epoch=%d config=%s voters=%d learners=%d pending=%d",
 					st.Shard, m.Epoch, m.Hash, len(m.Voters), len(m.Learners), len(m.Pending))
 			}
+			if q := st.Sequencing; q.Drains > 0 {
+				log.Printf("detmt-server: shard %s sequencer totals: %v", st.Shard, q)
+			}
 		}
 		for k := 0; k < multi.Tenants(); k++ {
 			if gw := multi.Gateway(k); gw != nil {
@@ -266,6 +269,9 @@ func main() {
 	if m := st.Membership; m != nil {
 		log.Printf("detmt-server: membership: epoch=%d config=%s voters=%d learners=%d pending=%d",
 			m.Epoch, m.Hash, len(m.Voters), len(m.Learners), len(m.Pending))
+	}
+	if q := st.Sequencing; q.Drains > 0 {
+		log.Printf("detmt-server: sequencer totals: %v", q)
 	}
 	if c := st.Classes; c != nil {
 		log.Printf("detmt-server: earlysched totals: active_classes=%d escalations=%d merge_stalls=%d parallel=%d serial=%d parallel_ratio=%.2f",

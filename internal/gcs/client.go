@@ -75,7 +75,7 @@ func (c *ClientEndpoint) send(env Envelope) error {
 }
 
 // BroadcastBatch submits several payloads as one atomic wire batch: the
-// sequencer observes them contiguously, within a single sequencing tick,
+// sequencer observes them contiguously, within a single drain,
 // which distributed-mode determinism tests rely on. It returns the uids
 // assigned to the payloads, in order.
 func (c *ClientEndpoint) BroadcastBatch(ps []Payload) ([]uint64, error) {

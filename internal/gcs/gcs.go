@@ -25,10 +25,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"detmt/internal/ids"
+	"detmt/internal/metrics"
 	"detmt/internal/vclock"
 )
 
@@ -107,9 +107,10 @@ type Config struct {
 	Learners []ids.ReplicaID
 	// Tick and Budget configure stamped sequencing, active when a
 	// non-nil Transport is combined with a Virtual clock: the sequencer
-	// drains forwarded broadcasts about every Tick (see nextTick for the
-	// load-responsive policy around that base) and stamps each sequenced
-	// message with a virtual delivery deadline Budget in the future.
+	// drains forwarded broadcasts as they arrive (see kicksTick) and
+	// stamps each sequenced message with a virtual delivery deadline
+	// Budget in the future; Tick is the base interval of the heartbeat it
+	// multicasts when nothing arrives (see nextTick for the idle stretch).
 	// Every member injects the message into its own virtual timeline at
 	// exactly that instant and treats the stamps as its clock horizon,
 	// so all replicas execute an identical virtual schedule even though
@@ -214,6 +215,8 @@ type Group struct {
 	learners    map[ids.ReplicaID]bool
 	memberEpoch uint64
 	pairOrdered bool
+	links       []seqLink     // sequencer fan-out (see fanOut); nil after a membership change
+	linksFrom   ids.ReplicaID // the sequencer links was built for
 
 	// Sequencing view: a monotone number bumped on every takeover, with
 	// the member currently assigning total-order slots. Every stamped
@@ -234,10 +237,11 @@ type Group struct {
 	lastSeqTraffic time.Time
 
 	fwdMu      sync.Mutex
-	fwdQ       []Envelope    // forwards awaiting the next sequencing tick
-	tickParker vclock.Parker // wakes runTicks early (see kicksTick); set once by runTicks
-	tickKick   atomic.Bool   // an early wake is pending (dedupes Unpark calls per tick)
-	tickCur    atomic.Int64  // current park duration (ns); runTicks writes, forwards read
+	fwdQ       []Envelope        // forwards awaiting the next drain
+	fwdSince   time.Time         // when the oldest of them was queued
+	tickParker vclock.Parker     // wakes runTicks (see kicksTick); set once by runTicks
+	seqStats   SequencerStats    // what runTicks took from fwdQ; the wait quantiles live in seqWait
+	seqWait    metrics.Histogram // how long each drain's oldest forward was queued, wall clock
 
 	recMu      sync.Mutex
 	recovering bool
@@ -333,7 +337,7 @@ func NewGroup(cfg Config) *Group {
 		g.tr.Bind(Origin{Replica: id}, func(envs ...Envelope) { g.inject(n.enqueue, envs...) })
 	}
 	if g.stamped && len(g.nodes) > 0 {
-		// Every member-hosting process runs the tick loop; its body is a
+		// Every member-hosting process runs the sequencing loop; its body is a
 		// no-op until this process hosts the current sequencer, so the
 		// loop survives takeovers without being restarted.
 		cfg.Clock.Go(g.runTicks)
@@ -365,7 +369,7 @@ func (g *Group) CurrentView() (uint64, ids.ReplicaID) {
 // mode rather than the in-memory simulator.
 func (g *Group) Distributed() bool { return g.stamped }
 
-// Close stops the sequencing tick loop (if any) and closes the
+// Close stops the sequencing loop (if any) and closes the
 // transport. Simulated groups never need it.
 func (g *Group) Close() error {
 	g.mu.Lock()
@@ -424,22 +428,6 @@ func (g *Group) Learners() []ids.ReplicaID {
 	return out
 }
 
-// Recipients returns everyone the sequencer fans out to: voters plus
-// learners, ascending. Learners see the full stream so they are
-// bit-identical with the voters by their activation slot.
-func (g *Group) Recipients() []ids.ReplicaID {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := append([]ids.ReplicaID(nil), g.members...)
-	if len(g.learners) > 0 {
-		for id := range g.learners {
-			out = append(out, id)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
-	return out
-}
-
 // MembershipEpoch returns the epoch of the last applied configuration
 // (0 until the first runtime change activates).
 func (g *Group) MembershipEpoch() uint64 {
@@ -457,6 +445,7 @@ func (g *Group) AddLearner(id ids.ReplicaID) {
 	already := g.learners[id] || containsID(g.members, id)
 	if !already {
 		g.learners[id] = true
+		g.links = nil
 	}
 	// A learner may carry a stale crash mark (e.g. an id reused after an
 	// earlier removal); clear it so fan-out reaches it.
@@ -491,6 +480,7 @@ func (g *Group) ApplyMembership(epoch uint64, voters []ids.ReplicaID, ordered bo
 	old := g.members
 	g.memberEpoch = epoch
 	g.members = vs
+	g.links = nil
 	g.pairOrdered = ordered && len(vs) == 2
 	now := g.cfg.Clock.Now()
 	var removed []ids.ReplicaID
@@ -770,10 +760,11 @@ func (g *Group) seqTrafficAge() time.Duration {
 // runMonitor is the distributed failure detector: a wall-clock loop
 // (stamped processes host real goroutines freely — only managed ones
 // obey the virtual clock) that watches for sequencer silence. Heartbeats
-// arrive every Tick, so DetectTimeout without any stamped traffic means
-// the sequencer (or the candidate expected to replace it) is gone; the
-// lowest live member then leads a takeover, everyone else widens the
-// window and waits for the new view to announce itself.
+// arrive at least every 4·Tick (capped at DetectTimeout/4), so
+// DetectTimeout without any stamped traffic means the sequencer (or the
+// candidate expected to replace it) is gone; the lowest live member then
+// leads a takeover, everyone else widens the window and waits for the
+// new view to announce itself.
 func (g *Group) runMonitor() {
 	interval := g.cfg.DetectTimeout / 4
 	if interval < time.Millisecond {
@@ -1241,22 +1232,51 @@ func (g *Group) transfer(key string, to Origin, envs ...Envelope) {
 	g.tr.Send(key, to, envs...)
 }
 
+// seqLink is one leg of the sequencer's fan-out: a recipient and the
+// name of the FIFO link toward it.
+type seqLink struct {
+	to  ids.ReplicaID
+	key string
+}
+
+// fanOut returns the links from sequencer from to everyone it fans out
+// to: voters plus learners, ascending (learners see the full stream so
+// they are bit-identical with the voters by their activation slot). The
+// links are built when the membership or the sequencer changes, not per
+// multicast; the returned slice is never written again.
+func (g *Group) fanOut(from ids.ReplicaID) []seqLink {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.links == nil || g.linksFrom != from {
+		to := append([]ids.ReplicaID(nil), g.members...)
+		for id := range g.learners {
+			to = append(to, id)
+		}
+		sort.Slice(to, func(i, j int) bool { return to[i] < to[j] })
+		g.links, g.linksFrom = make([]seqLink, len(to)), from
+		for i, id := range to {
+			g.links[i] = seqLink{to: id, key: fmt.Sprintf("seq%v>%v", from, id)}
+		}
+	}
+	return g.links
+}
+
 // multicast fans sequenced envelopes out to every live recipient, one
-// atomic unit per member. hz, when non-nil, is the tick's horizon
+// atomic unit per member. hz, when non-nil, is the drain's horizon
 // heartbeat: it rides behind the envelopes toward every remote member
 // (a local one needs none — the sequenced stamps raise its horizon on
-// injection) and travels alone when the tick sequenced nothing.
+// injection) and travels alone when the drain sequenced nothing.
 func (g *Group) multicast(from ids.ReplicaID, envs []Envelope, hz *Envelope) {
-	for _, id := range g.Recipients() {
-		if !g.alive(id) {
+	for _, lk := range g.fanOut(from) {
+		if !g.alive(lk.to) {
 			continue
 		}
 		msgs := append(make([]Envelope, 0, len(envs)+1), envs...)
-		if hz != nil && !g.isLocal(id) {
+		if hz != nil && !g.isLocal(lk.to) {
 			msgs = append(msgs, *hz)
 		}
 		if len(msgs) > 0 {
-			g.transfer(fmt.Sprintf("seq%v>%v", from, id), Origin{Replica: id}, msgs...)
+			g.transfer(lk.key, Origin{Replica: lk.to}, msgs...)
 		}
 	}
 }
@@ -1270,7 +1290,7 @@ var (
 // inject routes envelopes arriving from the transport into the local
 // endpoint. In the simulator this is a straight pass-through; in stamped
 // mode sequenced envelopes are scheduled at their stamped virtual
-// instant, forwards are queued for the next sequencing tick, and
+// instant, forwards are queued for the sequencing loop's next drain, and
 // horizon heartbeats raise the clock horizon.
 func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 	if !g.stamped {
@@ -1281,7 +1301,7 @@ func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 	}
 	var fwds []Envelope
 	// The clock horizon rises once, after the whole batch is scheduled, to
-	// the highest stamp in it. A tick batch shares one stamp: raised after
+	// the highest stamp in it. A drain's batch shares one stamp: raised after
 	// the first envelope, the horizon lets the pump deliver that envelope —
 	// a nested outcome, say, resuming its thread — before this goroutine
 	// has scheduled the same-instant request behind it, and the replica
@@ -1327,7 +1347,7 @@ func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 			}
 			if e.Kind == EnvSequenced {
 				env := e
-				// Rank same-stamp injections by slot: a tick batch shares one
+				// Rank same-stamp injections by slot: a drain's batch shares one
 				// stamp, and ScheduleAt's goroutines park in racy real-time
 				// order — without the slot rank, same-instant delivery order
 				// (and with it admission-order-sensitive schedulers like PDS)
@@ -1342,21 +1362,25 @@ func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 	if len(fwds) > 0 {
 		g.fwdMu.Lock()
 		g.fwdQ = append(g.fwdQ, fwds...)
-		qlen := len(g.fwdQ)
+		kick := kicksTick(len(g.fwdQ), len(fwds))
+		if kick {
+			g.fwdSince = time.Now()
+		}
 		parker := g.tickParker
 		g.fwdMu.Unlock()
-		// The CAS dedupes wakeups (one per tick; runTicks re-arms it), and
-		// the hosting check runs only on a kick, so the per-forward hot path
-		// stays a queue append.
-		if parker != nil && kicksTick(g.cfg.Tick, time.Duration(g.tickCur.Load()), qlen, len(fwds)) &&
-			g.tickKick.CompareAndSwap(false, true) && g.hostsSequencer() {
+		// At most one wake-up per drain: only the loop empties the queue, so
+		// between two drains one append finds it empty, and the parker keeps
+		// a wake-up that lands while the loop is busy draining. A process
+		// that does not host the sequencer never drains, so it runs the
+		// hosting check once, not per forward.
+		if kick && parker != nil && g.hostsSequencer() {
 			parker.Unpark()
 		}
 	}
 }
 
 // hostsSequencer reports whether this process hosts the current
-// sequencer (i.e. its tick loop is the one assigning slots).
+// sequencer (i.e. its sequencing loop is the one assigning slots).
 func (g *Group) hostsSequencer() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -1495,32 +1519,33 @@ func (g *Group) ResumeLive(next uint64, tail []Envelope) {
 // runTicks is the stamped-mode sequencing loop, run by every member-
 // hosting process: its body is a no-op unless this process currently
 // hosts the sequencer, so a takeover activates it without restarting
-// anything. Each tick assigns total-order slots to the forwards
-// accumulated since the previous tick, stamping them with a shared
-// virtual delivery deadline, and multicasts a horizon heartbeat (with
-// the current view) so follower clocks keep flowing through idle
-// periods. How long the loop parks between ticks is nextTick's
-// load-responsive policy; stamps rise strictly from tick to tick and
-// only the sequencer runs the policy — followers obey the stamps — so
-// the schedule every replica executes is unchanged for a given arrival
-// order. After a takeover the stamp floor keeps new deadlines above
-// every horizon the previous sequencer published.
+// anything. The loop is arrival-driven: the first forward into an empty
+// queue wakes it (kicksTick), it takes everything queued, assigns the
+// total-order slots under one shared virtual delivery deadline and
+// multicasts them with a horizon heartbeat (carrying the current view).
+// Forwards that arrive while a drain and its fan-out are under way ride
+// the next drain, so batches grow exactly when the sequencer is busy.
+// The timer is left with the idle heartbeat that keeps follower clocks
+// and the failure detector fed (nextTick). Stamps rise strictly from
+// drain to drain and only the sequencer decides when to drain —
+// followers obey the stamps — so the schedule every replica executes is
+// a function of arrival order and stamps alone. After a takeover the
+// stamp floor keeps new deadlines above every horizon the previous
+// sequencer published.
 //
-// Group commit: a tick's sequenced envelopes — which all share one stamp
-// and deliver in slot order — travel as a single multi-envelope frame
-// per member, with the horizon heartbeat riding in the same frame, so
-// one syscall and one frame header carry the whole tick's decisions.
+// Group commit: a drain's sequenced envelopes — which all share one
+// stamp and deliver in slot order — travel as a single multi-envelope
+// frame per member, with the horizon heartbeat last in the same frame,
+// so one syscall and one frame header carry the whole drain's decisions.
 func (g *Group) runTicks() {
 	parker := g.vclk.NewOrderedParker("gcs tick", tickOrder)
 	g.fwdMu.Lock()
 	g.tickParker = parker
 	g.fwdMu.Unlock()
 	tick := g.cfg.Tick
-	var last time.Duration // previous tick's stamp
+	var last time.Duration // previous drain's stamp
 	for {
-		g.tickCur.Store(int64(tick))
 		parker.ParkTimeout(tick)
-		g.tickKick.Store(false)
 		select {
 		case <-g.closed:
 			return
@@ -1547,12 +1572,19 @@ func (g *Group) runTicks() {
 		g.fwdMu.Lock()
 		batch := g.fwdQ
 		g.fwdQ = nil
+		if st := &g.seqStats; len(batch) > 0 {
+			st.Drains++
+			st.Sequenced += uint64(len(batch))
+			st.MaxBatch = max(st.MaxBatch, len(batch))
+			g.seqWait.Add(time.Since(g.fwdSince))
+		}
 		g.fwdMu.Unlock()
-		// Strictly above the previous tick's stamp: a kick drains at the
-		// instant the clock shows, two drains can share that instant, and a
-		// follower already executing the first batch at now+Budget would
-		// admit a second batch of the same stamp behind work this process —
-		// which schedules both before the instant arrives — runs after it.
+		// Strictly above the previous drain's stamp: a drain happens at the
+		// instant the clock shows, consecutive drains usually share that
+		// instant, and a follower already executing the first batch at
+		// now+Budget would admit a second batch of the same stamp behind
+		// work this process — which schedules both before the instant
+		// arrives — runs after it.
 		deadline := max(g.cfg.Clock.Now()+g.cfg.Budget, floor, last+1)
 		last = deadline
 		g.multicast(seqID, n.sequence(batch, deadline, view),
@@ -1561,35 +1593,55 @@ func (g *Group) runTicks() {
 	}
 }
 
-// drainThreshold is the forward-queue depth that counts as saturation:
-// reaching it drains the queue now instead of waiting out the tick.
-const drainThreshold = 64
-
-// nextTick is the load-responsive tick policy: how long the sequencer
-// parks before its next drain, given the base tick, the failure
-// detector's window, the park that just ended and how many forwards it
-// drained. A threshold-sized drain means saturation: park base/4
-// (floored at 100µs), amortising stamping over large batches. Any other
-// non-empty drain holds the base tick. Idle ticks stretch geometrically
-// to 4·base — fewer empty heartbeat multicasts — but never past
-// detect/4, so horizon heartbeats keep the failure detector quiet.
+// nextTick is the heartbeat cadence: how long the sequencer parks for
+// when no arrival wakes it, given the base interval, the failure
+// detector's window, the park that just ended and how many forwards the
+// drain after it took. Traffic resets the cadence to the base; idle
+// rounds stretch it geometrically to 4·base — fewer empty heartbeat
+// multicasts — but never past detect/4, so heartbeats keep the failure
+// detector quiet.
 func nextTick(base, detect, cur time.Duration, drained int) time.Duration {
-	switch {
-	case drained >= drainThreshold:
-		return min(base, max(base/4, 100*time.Microsecond))
-	case drained > 0:
+	if drained > 0 {
 		return base
-	default:
-		return max(base, min(2*cur, 4*base, detect/4))
 	}
+	return max(base, min(2*cur, 4*base, detect/4))
 }
 
 // kicksTick reports whether forwards arriving into the sequencer's queue
-// (arrived of them, queued in total now) should wake the tick loop out
-// of a park of cur: a queue at the saturation threshold drains now,
-// bounding queueing delay under burst load, and so does the first
-// arrival into an EMPTY queue while the park is idle-stretched past the
-// base tick — a lone low-rate request must not sit out a stretched park.
-func kicksTick(base, cur time.Duration, queued, arrived int) bool {
-	return queued >= drainThreshold || (queued == arrived && cur > base)
+// (arrived of them, queued in total now) wake the loop: the ones that
+// found the queue empty do. Later arrivals ride the drain already on its
+// way.
+func kicksTick(queued, arrived int) bool {
+	return queued == arrived
+}
+
+// SequencerStats is the sequencer stage of a request, measured where it
+// happens: what the local sequencing loop took from its queue (zero on a
+// process that never hosted the sequencer). Sequenced/Drains is the mean
+// batch — about 1 while the sequencer keeps up, growing when arrivals
+// find it busy — and QueueWait the wall-clock time the oldest forward of
+// a drain spent queued. It is the "sequencing" block of the server's
+// status and, through String, one line of its shutdown log.
+type SequencerStats struct {
+	Drains         uint64  `json:"drains"`    // drains that took at least one forward
+	Sequenced      uint64  `json:"sequenced"` // forwards they took
+	MaxBatch       int     `json:"max_batch"`
+	QueueWaitP50Ms float64 `json:"queue_wait_p50_ms"`
+	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
+}
+
+func (s SequencerStats) String() string {
+	return fmt.Sprintf("drains=%d sequenced=%d max_batch=%d queue_wait_ms p50=%.3f p99=%.3f",
+		s.Drains, s.Sequenced, s.MaxBatch, s.QueueWaitP50Ms, s.QueueWaitP99Ms)
+}
+
+// SequencerStats snapshots the local sequencing loop's counters.
+func (g *Group) SequencerStats() SequencerStats {
+	g.fwdMu.Lock()
+	defer g.fwdMu.Unlock()
+	st := g.seqStats
+	q := g.seqWait.Quantiles(50, 99)
+	st.QueueWaitP50Ms = float64(q[0]) / float64(time.Millisecond)
+	st.QueueWaitP99Ms = float64(q[1]) / float64(time.Millisecond)
+	return st
 }

@@ -60,8 +60,8 @@ func TestApplyMembership(t *testing.T) {
 	if got := g.Learners(); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("Learners() = %v", got)
 	}
-	if got := g.Recipients(); len(got) != 4 || got[3] != 4 {
-		t.Fatalf("Recipients() = %v", got)
+	if got := g.fanOut(1); len(got) != 4 || got[3] != (seqLink{to: 4, key: "seqR1>R4"}) {
+		t.Fatalf("fanOut(1) = %v, want the three voters and learner 4 last", got)
 	}
 	if got := g.Members(); len(got) != 3 {
 		t.Fatalf("Members() = %v", got)
@@ -106,6 +106,18 @@ func TestApplyMembership(t *testing.T) {
 	}
 	if got := g.LiveMembers(); len(got) != 3 || containsID(got, 1) {
 		t.Fatalf("LiveMembers() after removal = %v", got)
+	}
+	// The cached fan-out follows the voter set, a new learner and a new
+	// sequencer.
+	if got := g.fanOut(1); len(got) != 3 || got[0].to != 2 {
+		t.Fatalf("fanOut(1) after removal = %v, want 2, 3 and 4", got)
+	}
+	g.AddLearner(5)
+	if got := g.fanOut(1); len(got) != 4 || got[3].to != 5 {
+		t.Fatalf("fanOut(1) with learner 5 = %v", got)
+	}
+	if got := g.fanOut(2); len(got) != 4 || got[3].key != "seqR2>R5" {
+		t.Fatalf("fanOut(2) = %v, want sequencer 2's own links", got)
 	}
 
 	// Shrinking to an ordered pair arms the pairOrdered election rule.

@@ -287,7 +287,7 @@ func (n *Node) handleForward(env Envelope) {
 // envelopes (slot order, To unset) for the caller to multicast. A
 // non-zero stamp (stamped mode) becomes the shared virtual delivery
 // deadline they carry. The simulator sequences each forward as it
-// arrives; the stamped tick loop a whole tick's forwards at once.
+// arrives; the stamped loop everything queued at once.
 func (n *Node) sequence(envs []Envelope, stamp time.Duration, view uint64) []Envelope {
 	if len(envs) == 0 {
 		return nil

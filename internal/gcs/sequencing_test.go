@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,8 +10,9 @@ import (
 	"detmt/internal/vclock"
 )
 
-// TestTickPolicy pins the load-responsive tick: what the sequencer parks
-// for after a drain, and which arrivals cut a park short.
+// TestTickPolicy pins the two pure functions left of the sequencing
+// policy: the heartbeat cadence the loop parks for when nothing arrives,
+// and which arrivals wake it.
 func TestTickPolicy(t *testing.T) {
 	const (
 		ms     = time.Millisecond
@@ -23,18 +25,14 @@ func TestTickPolicy(t *testing.T) {
 		drained           int
 		want              time.Duration
 	}{
-		{"threshold drain parks base/4", base, detect, base, drainThreshold, base / 4},
-		{"above the threshold too", base, detect, 8 * ms, 10 * drainThreshold, base / 4},
-		{"base/4 is floored at 100us", 200 * time.Microsecond, detect, 200 * time.Microsecond, drainThreshold, 100 * time.Microsecond},
-		{"the floor never exceeds the base", 50 * time.Microsecond, detect, 50 * time.Microsecond, drainThreshold, 50 * time.Microsecond},
-		{"non-empty drain holds the base", base, detect, base / 4, 1, base},
-		{"non-empty drain ends an idle stretch", base, detect, 8 * ms, drainThreshold - 1, base},
+		{"traffic holds the base", base, detect, base, 1, base},
+		{"traffic ends an idle stretch", base, detect, 8 * ms, 1, base},
+		{"a large drain parks no shorter", base, detect, base, 1000, base},
 		{"idle doubles", base, detect, base, 0, 2 * base},
 		{"idle doubles again", base, detect, 2 * base, 0, 4 * base},
 		{"idle stops at 4x base", base, detect, 4 * base, 0, 4 * base},
-		{"idle after a saturated park returns to the base", base, detect, base / 4, 0, base},
 		{"the cap tracks detect/4", base, 20 * ms, 4 * ms, 0, 5 * ms},
-		{"a detect window under 4x base never shrinks the tick", base, 4 * ms, base, 0, base},
+		{"a detect window under 4x base never shrinks the heartbeat", base, 4 * ms, base, 0, base},
 	} {
 		if got := nextTick(c.base, c.detect, c.cur, c.drained); got != c.want {
 			t.Errorf("%s: nextTick(%v, %v, %v, %d) = %v, want %v", c.name, c.base, c.detect, c.cur, c.drained, got, c.want)
@@ -42,20 +40,17 @@ func TestTickPolicy(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name            string
-		cur             time.Duration
 		queued, arrived int
 		want            bool
 	}{
-		{"first arrival into an idle-stretched park", 2 * base, 1, 1, true},
-		{"a burst into an empty stretched queue", 4 * base, 5, 5, true},
-		{"first arrival at the base tick waits it out", base, 1, 1, false},
-		{"first arrival in a saturated park waits it out", base / 4, 1, 1, false},
-		{"a later arrival into a stretched park already kicked", 4 * base, 2, 1, false},
-		{"reaching the threshold", base, drainThreshold, 1, true},
-		{"one short of the threshold", base, drainThreshold - 1, 1, false},
+		{"first arrival into an empty queue", 1, 1, true},
+		{"a burst into an empty queue", 5, 5, true},
+		{"a later arrival rides the drain already woken", 2, 1, false},
+		{"a burst behind a queued forward", 6, 5, false},
+		{"however deep the queue", 1000, 1, false},
 	} {
-		if got := kicksTick(base, c.cur, c.queued, c.arrived); got != c.want {
-			t.Errorf("%s: kicksTick(%v, %v, %d, %d) = %v, want %v", c.name, base, c.cur, c.queued, c.arrived, got, c.want)
+		if got := kicksTick(c.queued, c.arrived); got != c.want {
+			t.Errorf("%s: kicksTick(%d, %d) = %v, want %v", c.name, c.queued, c.arrived, got, c.want)
 		}
 	}
 }
@@ -128,76 +123,212 @@ func TestInjectSchedulesBatchBeforeRaisingHorizon(t *testing.T) {
 	}
 }
 
-// recordingTransport hands every send toward a remote member to the test.
+// recordingTransport hands every send toward member 2 to the test. A test
+// that locks hold keeps the sender inside Send until it unlocks.
 type recordingTransport struct {
 	nullTransport
+	hold sync.Mutex
 	sent chan []Envelope
 }
 
 func (r *recordingTransport) Send(_ string, to Origin, envs ...Envelope) {
 	if to == (Origin{Replica: 2}) {
+		r.hold.Lock()
+		defer r.hold.Unlock()
 		r.sent <- envs
 	}
 }
 
-// TestDrainsAtOneInstantGetIncreasingStamps pins stamp monotonicity
-// across ticks. A kick drains at whatever virtual instant the sequencer's
-// clock shows, so two drains can happen at one instant; were they to
-// share now+Budget as their stamp, a follower that had already executed
-// the first batch at that instant would admit the second behind work the
-// sequencer itself — which saw both batches before the instant arrived —
-// ran after it, and the replicas' lock orders fork.
-func TestDrainsAtOneInstantGetIncreasingStamps(t *testing.T) {
-	v := vclock.NewVirtual()
-	v.EnablePacing(true) // leader
-	tr := &recordingTransport{sent: make(chan []Envelope, 4)}
-	// Tick and Budget of an hour: no timer comes due, the clock stays at 0.
-	g := NewGroup(Config{
-		Clock: v, Members: []ids.ReplicaID{1, 2}, Local: []ids.ReplicaID{1},
-		Transport: tr, Tick: time.Hour, Budget: time.Hour, DetectTimeout: time.Minute,
+// countingParker counts the wake-ups inject sends the sequencing loop.
+type countingParker struct {
+	vclock.Parker
+	unparks atomic.Int32
+}
+
+func (p *countingParker) Unpark() {
+	p.unparks.Add(1)
+	p.Parker.Unpark()
+}
+
+// sequencingRig is a two-member group on a paced virtual clock whose
+// process hosts member local; member 1 sequences. Tick and Budget are an
+// hour, so no timer comes due and the clock stays at 0: whatever the loop
+// does, an arrival (or the test) woke it.
+type sequencingRig struct {
+	v     *vclock.Virtual
+	tr    *recordingTransport
+	g     *Group
+	wakes *countingParker
+}
+
+func newSequencingRig(t *testing.T, local ids.ReplicaID) *sequencingRig {
+	t.Helper()
+	r := &sequencingRig{v: vclock.NewVirtual(), tr: &recordingTransport{sent: make(chan []Envelope, 4)}}
+	r.v.EnablePacing(local == 1)
+	r.g = NewGroup(Config{
+		Clock: r.v, Members: []ids.ReplicaID{1, 2}, Local: []ids.ReplicaID{local},
+		Transport: r.tr, Tick: time.Hour, Budget: time.Hour, DetectTimeout: time.Minute,
 	})
-	defer g.Close()
+	t.Cleanup(func() { r.g.Close() })
+	r.waitFor(t, "the sequencing loop to start", func() bool { return r.g.tickParker != nil })
+	r.g.fwdMu.Lock()
+	r.wakes = &countingParker{Parker: r.g.tickParker}
+	r.g.tickParker = r.wakes
+	r.g.fwdMu.Unlock()
+	return r
+}
+
+// waitFor polls cond under fwdMu.
+func (r *sequencingRig) waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		g.fwdMu.Lock()
-		started := g.tickParker != nil
-		g.fwdMu.Unlock()
-		if started {
-			break
+		r.g.fwdMu.Lock()
+		ok := cond()
+		r.g.fwdMu.Unlock()
+		if ok {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("tick loop did not start")
+			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
-	// A threshold-sized burst of forwards kicks a drain on the spot.
-	drain := func(firstUID uint64) time.Duration {
+}
+
+// forward delivers n client forwards to member to in one transport call.
+func (r *sequencingRig) forward(to ids.ReplicaID, firstUID uint64, n int) {
+	burst := make([]Envelope, n)
+	for i := range burst {
+		burst[i] = Envelope{Kind: EnvForward, Origin: Origin{Client: 7, IsClient: true}, UID: firstUID + uint64(i), To: Origin{Replica: to}, Payload: "req"}
+	}
+	r.tr.deliverTo(Origin{Replica: to}, burst...)
+}
+
+// frame returns the next frame sent toward member 2 after checking its
+// shape: the sequenced UIDs in want order, every envelope under one stamp,
+// the heartbeat last. server.beatTap recognises a frame's heartbeat by that
+// position, and closeTail reads its count as "the sequencer's link is up and
+// everything it fanned out before is buffered here": a heartbeat anywhere
+// but last is either not counted (a rejoiner with an empty buffer never goes
+// live) or counted ahead of slots it should follow.
+func (r *sequencingRig) frame(t *testing.T, want ...uint64) []Envelope {
+	t.Helper()
+	select {
+	case envs := <-r.tr.sent:
+		if len(envs) != len(want)+1 || envs[len(want)].Kind != EnvHorizon {
+			t.Fatalf("frame carries %d envelopes, want %d sequenced and the heartbeat last: %+v", len(envs), len(want), envs)
+		}
+		for i, e := range envs {
+			if e.Stamp != envs[0].Stamp {
+				t.Fatalf("one drain, two stamps: %v and %v", envs[0].Stamp, e.Stamp)
+			}
+			if i < len(want) && (e.Kind != EnvSequenced || e.UID != want[i]) {
+				t.Fatalf("envelope %d is kind %v uid %d, want sequenced uid %d (arrival order)", i, e.Kind, e.UID, want[i])
+			}
+			if i > 0 && i < len(want) && e.Seq != envs[i-1].Seq+1 {
+				t.Fatalf("slots %d then %d, want consecutive", envs[i-1].Seq, e.Seq)
+			}
+		}
+		return envs
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no frame toward the follower (want uids %v)", want)
+		return nil
+	}
+}
+
+// TestArrivalDrivenSequencing pins the kick rule at work: a request is
+// sequenced when it reaches the sequencer, and what arrives while a drain
+// is under way leaves together in the next one.
+func TestArrivalDrivenSequencing(t *testing.T) {
+	r := newSequencingRig(t, 1)
+
+	// (a) ONE forward is sequenced and fanned out with no timer coming due.
+	r.forward(1, 1, 1)
+	first := r.frame(t, 1)
+	if first[0].Stamp != time.Hour {
+		t.Fatalf("stamp %v, want now+Budget = %v", first[0].Stamp, time.Hour)
+	}
+
+	// (b) Forwards that arrive while the fan-out of a drain is held up leave
+	// in ONE frame, in arrival order, and cost one wake-up between them.
+	r.tr.hold.Lock()
+	r.forward(1, 2, 1)
+	r.waitFor(t, "the loop to take uid 2", func() bool { return len(r.g.fwdQ) == 0 })
+	before := r.wakes.unparks.Load()
+	r.forward(1, 3, 1)
+	r.forward(1, 4, 2)
+	r.forward(1, 6, 1)
+	if got := r.wakes.unparks.Load() - before; got != 1 {
+		t.Fatalf("%d wake-ups for three arrivals behind a held drain, want 1 (the first into the empty queue)", got)
+	}
+	r.tr.hold.Unlock()
+	r.frame(t, 2)
+	batch := r.frame(t, 3, 4, 5, 6)
+	if batch[0].Stamp <= first[0].Stamp {
+		t.Fatalf("stamps %v then %v, want rising", first[0].Stamp, batch[0].Stamp)
+	}
+
+	// (c) A round with nothing queued — the timer's only job now — still
+	// multicasts the lone heartbeat, under a stamp of its own.
+	r.g.tickParker.Unpark()
+	if hb := r.frame(t); hb[0].Stamp <= batch[0].Stamp {
+		t.Fatalf("heartbeat stamp %v after %v, want rising", hb[0].Stamp, batch[0].Stamp)
+	}
+
+	if now := r.v.Now(); now != 0 {
+		t.Fatalf("the clock moved to %v: a timer came due", now)
+	}
+	got := r.g.SequencerStats()
+	got.QueueWaitP50Ms, got.QueueWaitP99Ms = 0, 0 // wall clock
+	if want := (SequencerStats{Drains: 3, Sequenced: 6, MaxBatch: 4}); got != want {
+		t.Fatalf("sequencer stats %v, want %v", got, want)
+	}
+}
+
+// TestFollowerIsNotWokenIntoSequencing: (d) a process that does not host
+// the sequencer keeps a stray forward queued (a takeover may make it the
+// sequencer) but its loop is not woken for it.
+func TestFollowerIsNotWokenIntoSequencing(t *testing.T) {
+	r := newSequencingRig(t, 2)
+	r.forward(2, 1, 1)
+	r.forward(2, 2, 1)
+	if got := r.wakes.unparks.Load(); got != 0 {
+		t.Fatalf("%d wake-ups on a process that does not host the sequencer, want 0", got)
+	}
+	r.waitFor(t, "both forwards queued", func() bool { return len(r.g.fwdQ) == 2 })
+	select {
+	case envs := <-r.tr.sent:
+		t.Fatalf("the follower fanned out %+v", envs)
+	default:
+	}
+	if st := r.g.SequencerStats(); st.Drains != 0 {
+		t.Fatalf("the follower drained: %+v", st)
+	}
+}
+
+// TestDrainsAtOneInstantGetIncreasingStamps pins stamp monotonicity
+// across drains. A drain happens at whatever virtual instant the
+// sequencer's clock shows, and with one drain per arrival consecutive
+// drains share an instant as a rule; were they to share now+Budget as
+// their stamp, a follower that had already executed the first batch at
+// that instant would admit the second behind work the sequencer itself —
+// which saw both batches before the instant arrived — ran after it, and
+// the replicas' lock orders fork.
+func TestDrainsAtOneInstantGetIncreasingStamps(t *testing.T) {
+	r := newSequencingRig(t, 1)
+	drain := func(firstUID uint64, n int) time.Duration {
 		t.Helper()
-		me, client := Origin{Replica: 1}, Origin{Client: 7, IsClient: true}
-		burst := make([]Envelope, drainThreshold)
-		for i := range burst {
-			burst[i] = Envelope{Kind: EnvForward, Origin: client, UID: firstUID + uint64(i), To: me, Payload: "req"}
+		want := make([]uint64, n)
+		for i := range want {
+			want[i] = firstUID + uint64(i)
 		}
-		tr.deliverTo(me, burst...)
-		select {
-		case envs := <-tr.sent:
-			if len(envs) != drainThreshold+1 || envs[drainThreshold].Kind != EnvHorizon {
-				t.Fatalf("tick frame carries %d envelopes, want %d sequenced and the heartbeat", len(envs), drainThreshold)
-			}
-			for _, e := range envs {
-				if e.Stamp != envs[0].Stamp {
-					t.Fatalf("one tick, two stamps: %v and %v", envs[0].Stamp, e.Stamp)
-				}
-			}
-			return envs[0].Stamp
-		case <-time.After(5 * time.Second):
-			t.Fatal("no drain after a threshold-sized burst")
-			return 0
-		}
+		r.forward(1, firstUID, n)
+		return r.frame(t, want...)[0].Stamp
 	}
-	first, second := drain(1), drain(1000)
-	if now := v.Now(); now != 0 {
+	first, second, third := drain(1, 1), drain(1000, 64), drain(2000, 3)
+	if now := r.v.Now(); now != 0 {
 		t.Fatalf("the clock moved to %v; the drains were not at one instant", now)
 	}
-	if first != time.Hour || second <= first {
-		t.Fatalf("stamps %v then %v, want %v and then a later one", first, second, time.Hour)
+	if first != time.Hour || second <= first || third <= second {
+		t.Fatalf("stamps %v, %v, %v: want %v and then strictly later ones", first, second, third, time.Hour)
 	}
 }

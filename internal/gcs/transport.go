@@ -19,7 +19,7 @@ type Transport interface {
 	Bind(at Origin, deliver func(envs ...Envelope))
 	// Send places envs on the FIFO link named key toward to as one atomic
 	// unit, handed to the receiver's deliver callback in a single call —
-	// a burst of forwards sent together stays within one sequencing tick.
+	// a burst of forwards sent together stays within one sequencing drain.
 	// Envelopes sent with the same key never overtake each other.
 	Send(key string, to Origin, envs ...Envelope)
 	// Close releases the transport's resources.

@@ -61,7 +61,7 @@ func startClusterOpts(t *testing.T, n int, kind replica.SchedulerKind, mod func(
 // closed-loop batch of that many calls through the same cluster.
 func runOpenLoad(t *testing.T, burst int, o RunOptions) *RunResult {
 	t.Helper()
-	_, addrs := startClusterOpts(t, 3, replica.KindMAT, nil)
+	_, addrs := startClusterOpts(t, 3, replica.KindMAT, func(o *Options) { o.Logf = debugLogf })
 	if burst > 0 {
 		res, err := loadGroup(addrs, ShardClientOptions{ClientBase: 1000}, RunOptions{
 			Clients: 1, RequestsPerClient: burst, Batch: true, Seed: o.Seed, Timeout: 90 * time.Second,
@@ -75,6 +75,9 @@ func runOpenLoad(t *testing.T, burst int, o RunOptions) *RunResult {
 	}
 	res, err := loadGroup(addrs, ShardClientOptions{}, o)
 	if err != nil {
+		if res != nil {
+			t.Logf("statuses: %+v", res.PerShard)
+		}
 		t.Fatalf("open-loop run: %v", err)
 	}
 	if res.Errors > 0 || res.NoSequencer > 0 {
@@ -120,17 +123,17 @@ func TestOpenLoadSmoke(t *testing.T) {
 	}
 }
 
-// TestOpenLoadAdaptiveTickPoissonBatch exercises the whole tick policy on
-// one cluster: a 96-call batch arrives as one frame, crosses the
-// saturation threshold (64) and is drained on the spot; Poisson arrivals
-// then leave idle-stretched parks for lone requests to cut short, with
-// batched submits riding the group-commit path. Determinism criterion:
-// all replicas converge on one schedule hash.
+// TestOpenLoadAdaptiveTickPoissonBatch exercises the arrival-driven
+// sequencer on one cluster: a 96-call batch arrives as one frame and is
+// sequenced in one drain; Poisson arrivals then each wake the sequencer out
+// of whatever heartbeat park it is in, with batched submits riding the
+// group-commit path. Determinism criterion: all replicas converge on one
+// schedule hash. The status block has to tell the same story from inside.
 func TestOpenLoadAdaptiveTickPoissonBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster test")
 	}
-	runOpenLoad(t, 96, RunOptions{
+	res := runOpenLoad(t, 96, RunOptions{
 		Rate:     300,
 		Duration: 2 * time.Second,
 		Warmup:   500 * time.Millisecond,
@@ -138,6 +141,23 @@ func TestOpenLoadAdaptiveTickPoissonBatch(t *testing.T) {
 		Batch:    true,
 		Seed:     13,
 	})
+	for _, st := range res.PerShard[0].Statuses {
+		q := st.Sequencing
+		if st.ID != st.Sequencer {
+			if q.Drains != 0 || q.Sequenced != 0 {
+				t.Errorf("follower %v reports sequencing work: %+v", st.ID, q)
+			}
+			continue
+		}
+		// Nested-call outcomes ride the total order too: at least one slot
+		// per completed request.
+		if int(q.Sequenced) < st.Completed || q.MaxBatch < 96 || q.Drains == 0 || q.Drains > q.Sequenced {
+			t.Errorf("sequencer reports %v for %d completed requests and a 96-call burst", q, st.Completed)
+		}
+		if q.QueueWaitP50Ms <= 0 || q.QueueWaitP50Ms > q.QueueWaitP99Ms {
+			t.Errorf("queue wait p50 %.3f ms, p99 %.3f ms", q.QueueWaitP50Ms, q.QueueWaitP99Ms)
+		}
+	}
 }
 
 // groupCommitBurstHash is the ConsistencyHash every replica reaches on the
@@ -147,7 +167,7 @@ func TestOpenLoadAdaptiveTickPoissonBatch(t *testing.T) {
 const groupCommitBurstHash = 0xee81398f879ebf09
 
 // TestGroupCommitScheduleTransparency pins the schedule of a single-client
-// 8-call batch burst: the sequencer packs a tick's decisions into one
+// 8-call batch burst: the sequencer packs a drain's decisions into one
 // multi-envelope frame per member and the receivers decode it on a
 // pipeline, and neither may reach the schedule — same slots, same
 // deterministic execution as one frame per envelope decoded inline.

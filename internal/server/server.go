@@ -1,7 +1,7 @@
 // Package server hosts one detmt replica behind the TCP transport — the
 // deployment mode that takes the system out of the simulator. Each
 // process runs its replica inside a *paced* virtual clock: the sequencer
-// process drains forwarded requests on a virtual tick, stamps
+// process sequences forwarded requests as they arrive, stamps
 // every sequenced message with a virtual delivery deadline, and all
 // members inject messages at exactly their stamped instants. Replicas
 // therefore execute identical virtual schedules — the determinism the
@@ -239,6 +239,9 @@ type Status struct {
 	// Classes reports the class-aware admission counters (nil unless the
 	// server runs with EarlySched).
 	Classes *ClassStatus `json:"classes,omitempty"`
+	// Sequencing reports what this process's sequencing loop did while it
+	// hosted the sequencer (all zero on a process that never did).
+	Sequencing gcs.SequencerStats `json:"sequencing"`
 	// Diagnostic carries the divergence diff after a halt.
 	Diagnostic string `json:"diagnostic,omitempty"`
 }
@@ -564,7 +567,7 @@ type beatTap struct {
 
 func (t beatTap) Bind(at gcs.Origin, deliver func(...gcs.Envelope)) {
 	t.TCP.Bind(at, func(envs ...gcs.Envelope) {
-		// A tick's heartbeat rides last in its frame (gcs multicast).
+		// A drain's heartbeat rides last in its frame (gcs multicast).
 		if n := len(envs); n > 0 && envs[n-1].Kind == gcs.EnvHorizon {
 			t.beats.Add(1)
 		}
@@ -603,6 +606,7 @@ func (s *Server) Status() Status {
 	}
 	s.stateMu.Unlock()
 	st.View, st.Sequencer = s.group.CurrentView()
+	st.Sequencing = s.group.SequencerStats()
 	if c := s.mgr.LatestCheckpoint(); c != nil {
 		st.LastCheckpointSeq = c.Seq
 		st.CheckpointAgeMs = float64(time.Since(s.mgr.TakenAt())) / float64(time.Millisecond)
