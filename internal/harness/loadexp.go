@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"detmt/internal/gcs"
 	"detmt/internal/ids"
 	"detmt/internal/kvapi"
 	"detmt/internal/server"
@@ -37,9 +38,10 @@ type OpenLoopOptions struct {
 	Duration time.Duration
 	// Warmup precedes each measured window.
 	Warmup time.Duration
-	// Rates is E15's offered-rate grid. Its low end is where the tick
-	// policy shows: a lone request is drained on arrival instead of
-	// waiting for a tick boundary.
+	// Rates is E15's offered-rate grid: about 2 %, 20 %, 60 % and 120 % of
+	// the single-group ceiling. A request is sequenced on arrival at all of
+	// them, so what p50 still does across the grid is not the sequencer's
+	// queue (the grid prints that wait beside it).
 	Rates []float64
 }
 
@@ -330,8 +332,12 @@ func OpenLoop(o OpenLoopOptions) Result {
 		metricsOut[cl.key] = res.Achieved
 	}
 
-	// The grid: offered vs achieved vs p99 intent latency.
-	fmt.Fprintf(&b, "\n%10s %12s %10s %10s %8s\n", "offered", "achieved", "p50-ms", "p99-ms", "shed")
+	// The grid: offered vs achieved vs intent latency, and the sequencer
+	// stage as the sequencer's own status reports it (fresh cluster per
+	// rate, so the counters are that rate's): mean and largest drain, and
+	// how long the oldest forward of a drain waited in the queue.
+	fmt.Fprintf(&b, "\n%10s %12s %10s %10s %8s %8s %8s %12s %12s\n",
+		"offered", "achieved", "p50-ms", "p99-ms", "shed", "batch", "max", "qwait-p50-ms", "qwait-p99-ms")
 	for _, rate := range o.Rates {
 		ro := o.run(nil, gen)
 		ro.Rate, ro.SLO = rate, 0
@@ -345,9 +351,22 @@ func OpenLoop(o OpenLoopOptions) Result {
 		if err != nil {
 			note = "  (did not settle)"
 		}
-		fmt.Fprintf(&b, "%10.0f %12.0f %10.2f %10.2f %8d%s\n", rate, res.Achieved, msf(q[0]), msf(q[1]), res.Shed, note)
+		var sq gcs.SequencerStats
+		for _, sh := range res.PerShard {
+			for _, st := range sh.Statuses {
+				if st.ID == st.Sequencer {
+					sq = st.Sequencing
+				}
+			}
+		}
+		batch := float64(sq.Sequenced) / max(1, float64(sq.Drains))
+		fmt.Fprintf(&b, "%10.0f %12.0f %10.2f %10.2f %8d %8.2f %8d %12.3f %12.3f%s\n", rate, res.Achieved, msf(q[0]), msf(q[1]), res.Shed,
+			batch, sq.MaxBatch, sq.QueueWaitP50Ms, sq.QueueWaitP99Ms, note)
 		metricsOut[fmt.Sprintf("rate_%.0f_achieved_rps", rate)] = res.Achieved
+		metricsOut[fmt.Sprintf("rate_%.0f_p50_ms", rate)] = msf(q[0])
 		metricsOut[fmt.Sprintf("rate_%.0f_p99_ms", rate)] = msf(q[1])
+		metricsOut[fmt.Sprintf("rate_%.0f_mean_batch", rate)] = batch
+		metricsOut[fmt.Sprintf("rate_%.0f_queue_wait_p50_ms", rate)] = sq.QueueWaitP50Ms
 		if rate == o.Rates[0] {
 			metricsOut["lowrate_p50_ms"] = msf(q[0])
 		}

@@ -10,7 +10,7 @@
 #                             (reruns the single-group ceiling search, the
 #                             sharded aggregate ceiling and the HTTP facade
 #                             ceilings and fails on a >10% drop vs the
-#                             committed BENCH_PR14.json; wall timing-sensitive,
+#                             committed BENCH_PR21.json; wall timing-sensitive,
 #                             so not part of the default run)
 #   scripts/check.sh -soak    the long mixed-chaos soak only: seeded
 #                             transport partitions + a replica kill/rejoin +
@@ -51,6 +51,11 @@ go test -race -shuffle=on $short ./...
 # The scheduler determinism property, 20 counts under -race whatever
 # $short says (same line as the CI step of that name).
 go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial|TestSchedulersCompleteAllThreads' ./internal/core/
+# The arrival-driven sequencer on a virtual clock no timer moves: one
+# forward is sequenced at once, arrivals behind a held fan-out leave in one
+# frame with the heartbeat last, stamps rise from drain to drain (same line
+# as the CI step "Sequencing (race, 20 counts)").
+go test -race -count=20 -run 'TestTickPolicy|TestArrivalDrivenSequencing|TestFollowerIsNotWokenIntoSequencing|TestDrainsAtOneInstantGetIncreasingStamps|TestInjectSchedulesBatchBeforeRaisingHorizon' ./internal/gcs/
 # The classification goldens, the classifier's soundness property, the
 # interference table and the detmt-analyze reports whatever $short says,
 # then ten seconds of the interval fuzz target (same lines as the CI step
@@ -131,5 +136,5 @@ if [ -z "$short" ]; then
 	trap - EXIT
 fi
 if [ -n "$bench" ]; then
-	scripts/bench.sh -gate BENCH_PR14.json
+	scripts/bench.sh -gate
 fi
