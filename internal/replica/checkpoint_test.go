@@ -2,6 +2,7 @@ package replica
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -144,4 +145,66 @@ func TestFailoverWithoutCheckpointFallsBackToFullReplay(t *testing.T) {
 		t.Fatalf("tail %d != full log %d", len(tail), len(backup.Log()))
 	}
 	var _ lang.Value // keep the import aligned with the other tests
+}
+
+// eagerClock makes the interleaving behind the stalled-checkpoint defect
+// certain instead of rare: what Go is handed runs to its end before Go
+// returns, whenever it can finish without blocking. A request thread whose
+// body computes nothing therefore exits — and runs its done callback —
+// before the delivery goroutine that submitted it takes its next step.
+type eagerClock struct{ vclock.Clock }
+
+func (c eagerClock) Go(fn func()) {
+	done := make(chan struct{})
+	c.Clock.Go(func() {
+		defer close(done)
+		fn()
+	})
+	select {
+	case <-done:
+	case <-time.After(2 * time.Millisecond): // it blocked: carry on beside it
+	}
+}
+
+// TestCheckpointsKeepComing pins the cadence of periodic checkpoints under
+// bodies that finish at once: every member reaches its sink at every
+// CheckpointEvery-th completion for as long as requests arrive. A request
+// still counted in flight after it had finished (its thread-table entry was
+// stored after its done callback had removed it) made the quiescence guard
+// false for good, and checkpoints silently stopped.
+func TestCheckpointsKeepComing(t *testing.T) {
+	const every, rounds = 5, 100
+	var mu sync.Mutex
+	last := map[ids.ReplicaID]uint64{}
+	count := map[ids.ReplicaID]int{}
+	c := newCluster(t, KindMAT, 3, func(cfg *Config) {
+		id := cfg.ID
+		cfg.Clock = eagerClock{cfg.Clock}
+		cfg.CheckpointEvery = every
+		cfg.CheckpointSink = func(seq uint64) {
+			mu.Lock()
+			last[id] = seq
+			count[id]++
+			mu.Unlock()
+		}
+	})
+	c.drive(func() {
+		client := NewClient(c.v, c.g, 1)
+		for k := 0; k < every*rounds; k++ {
+			if _, _, err := client.Invoke("totalOf"); err != nil {
+				t.Errorf("totalOf: %v", err)
+			}
+			c.v.Sleep(time.Millisecond) // every member quiescent between requests
+		}
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for id, r := range c.reps {
+		// One client, one request at a time: every member is quiescent at
+		// every completion, so no round may be skipped.
+		if count[id] != rounds || last[id] != r.LastSeq() {
+			t.Errorf("replica %v: %d checkpoints, the last at slot %d; want %d, the last at slot %d",
+				id, count[id], last[id], rounds, r.LastSeq())
+		}
+	}
 }

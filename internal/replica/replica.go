@@ -138,7 +138,7 @@ type Replica struct {
 
 	mu          sync.Mutex
 	seenReqs    map[ids.RequestID]bool
-	threads     map[ids.ThreadID]*core.Thread
+	inFlight    int // request and dummy threads submitted and not yet done
 	nestedCount map[ids.ThreadID]int
 	waitingNest map[nestedKey]*core.Thread
 	nestArgs    map[nestedKey]lang.Value
@@ -207,7 +207,6 @@ func New(cfg Config) *Replica {
 	r := &Replica{
 		cfg:         cfg,
 		seenReqs:    map[ids.RequestID]bool{},
-		threads:     map[ids.ThreadID]*core.Thread{},
 		nestedCount: map[ids.ThreadID]int{},
 		waitingNest: map[nestedKey]*core.Thread{},
 		nestArgs:    map[nestedKey]lang.Value{},
@@ -437,7 +436,8 @@ func (r *Replica) applyRequest(req Request, class uint32) {
 		return
 	}
 	tid := ids.ThreadID(req.Req)
-	th := r.rt.SubmitClassed(tid, method.ID, class, func(th *core.Thread) {
+	r.submitted()
+	r.rt.SubmitClassed(tid, method.ID, class, func(th *core.Thread) {
 		v, err := r.in.Exec(th, req.Method, req.Args)
 		errStr := ""
 		if err != nil {
@@ -448,9 +448,9 @@ func (r *Replica) applyRequest(req Request, class uint32) {
 		r.mu.Lock()
 		r.completed++
 		r.sinceCkpt++
-		delete(r.threads, tid)
+		r.inFlight--
 		ckpt := r.cfg.CheckpointEvery > 0 && r.cfg.Role == RoleActive &&
-			r.sinceCkpt >= r.cfg.CheckpointEvery && len(r.threads) == 0
+			r.sinceCkpt >= r.cfg.CheckpointEvery && r.inFlight == 0
 		var upTo uint64
 		if ckpt {
 			r.sinceCkpt = 0
@@ -467,8 +467,16 @@ func (r *Replica) applyRequest(req Request, class uint32) {
 			}
 		}
 	})
+}
+
+// submitted counts one more thread in flight. It runs before the thread is
+// handed to the runtime: a body that computes nothing can exit, and run its
+// done callback, before SubmitClassed returns, and a count raised after
+// that would never come down again — the quiescence guard of the periodic
+// checkpoint would then be false for good.
+func (r *Replica) submitted() {
 	r.mu.Lock()
-	r.threads[tid] = th
+	r.inFlight++
 	r.mu.Unlock()
 }
 
@@ -504,22 +512,20 @@ func (r *Replica) applyNestedOutcome(no NestedOutcome) {
 
 func (r *Replica) applyDummy(d Dummy, class uint32) {
 	tid := ids.ThreadID(dummyThreadBase | d.Seq)
-	th := r.rt.SubmitClassed(tid, 0, class, func(th *core.Thread) {
+	// Dummies count toward the quiescence check: a checkpoint taken while
+	// a dummy's lock events were mid-flight would split those events
+	// across the snapshot boundary and diverge a rejoiner's trace hash.
+	r.submitted()
+	r.rt.SubmitClassed(tid, 0, class, func(th *core.Thread) {
 		// The standard dummy profile: one lock acquisition on a reserved
 		// mutex, so PDS barriers complete.
 		th.Lock(ids.NoSync, DummyMutex)
 		th.Unlock(ids.NoSync, DummyMutex)
 	}, func() {
 		r.mu.Lock()
-		delete(r.threads, tid)
+		r.inFlight--
 		r.mu.Unlock()
 	})
-	// Dummies count toward the quiescence check: a checkpoint taken while
-	// a dummy's lock events were mid-flight would split those events
-	// across the snapshot boundary and diverge a rejoiner's trace hash.
-	r.mu.Lock()
-	r.threads[tid] = th
-	r.mu.Unlock()
 }
 
 // decLogRetention bounds the leader's retained decision tail; a

@@ -9,6 +9,7 @@ import (
 	"detmt/internal/ids"
 	"detmt/internal/replica"
 	"detmt/internal/trace"
+	"detmt/internal/workload"
 )
 
 // startClusterWith boots n replica servers like startCluster, letting
@@ -130,6 +131,65 @@ func TestKillRestartRejoin(t *testing.T) {
 	}
 	if st.Diagnostic != "" {
 		t.Fatalf("unexpected divergence diagnostic: %s", st.Diagnostic)
+	}
+}
+
+// TestCheckpointsAdvanceUnderLoad watches the periodic checkpoint from the
+// outside while an open-loop load runs: LastCheckpointSeq has to keep
+// climbing on every member — a rejoiner needs a checkpoint no older than
+// the donors' retained tail — and the members, which checkpoint at the same
+// quiescent slots, have to end on the same one. The body is the light one
+// of the 1000 req/s benchmark workload: most of its threads are done before
+// the delivery goroutine that submitted them has taken another step.
+func TestCheckpointsAdvanceUnderLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket cluster test")
+	}
+	const every = 25
+	light := workload.Fig1Config{Iterations: 1, Mutexes: 64, Announceable: true}
+	servers, addrs := startClusterWith(t, 3, replica.KindMAT, func(i int, o *Options) {
+		o.Workload = light
+		o.CheckpointEvery = every
+		o.Epoch = 1
+	})
+	type loadOut struct {
+		res *RunResult
+		err error
+	}
+	ch := make(chan loadOut, 1)
+	go func() {
+		res, err := loadGroup(addrs, ShardClientOptions{}, RunOptions{
+			Rate: 400, Duration: 2 * time.Second, Warmup: 200 * time.Millisecond,
+			Seed: 9, Gen: workload.Fig1Gen(light, false),
+		})
+		ch <- loadOut{res, err}
+	}()
+	waitForStatus(t, servers[0], func(st Status) bool { return st.Completed >= 200 }, "no progress under load")
+	midway := make([]uint64, len(servers))
+	for i, s := range servers {
+		midway[i] = s.Status().LastCheckpointSeq
+	}
+	out := <-ch
+	if out.err != nil {
+		t.Fatalf("open-loop run: %v", out.err)
+	}
+	if out.res.Errors > 0 || !out.res.Converged {
+		t.Fatalf("errors=%d converged=%v", out.res.Errors, out.res.Converged)
+	}
+	first := servers[0].Status()
+	for i, s := range servers {
+		st := s.Status()
+		if st.LastCheckpointSeq <= midway[i] {
+			t.Errorf("replica %v: last checkpoint at slot %d midway and at slot %d after the load: checkpoints stopped",
+				st.ID, midway[i], st.LastCheckpointSeq)
+		}
+		if st.LastCheckpointSeq != first.LastCheckpointSeq {
+			t.Errorf("replica %v ends on checkpoint slot %d, replica %v on %d",
+				st.ID, st.LastCheckpointSeq, first.ID, first.LastCheckpointSeq)
+		}
+		if behind := st.Completed - int(st.LastCheckpointSeq); behind > 2*every {
+			t.Errorf("replica %v: last checkpoint at slot %d after %d requests", st.ID, st.LastCheckpointSeq, st.Completed)
+		}
 	}
 }
 
