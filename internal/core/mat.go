@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // MAT is the multiple-active-threads algorithm (paper Sect. 3.4), an
 // extension of SAT that allows real concurrency.
 //
@@ -229,7 +231,7 @@ func (s *MAT) removeBlockedPrimary(t *Thread) {
 	l := s.lanes.of(t.Class())
 	for i, u := range l.blockedPrimaries {
 		if u == t {
-			l.blockedPrimaries = append(l.blockedPrimaries[:i], l.blockedPrimaries[i+1:]...)
+			l.blockedPrimaries = slices.Delete(l.blockedPrimaries, i, i+1)
 			return
 		}
 	}
@@ -266,7 +268,7 @@ func (s *MAT) promoteLane(c uint32, l *matLane) {
 		for i, t := range l.blockedPrimaries {
 			m := matOf(t).need
 			if m.Free() {
-				l.blockedPrimaries = append(l.blockedPrimaries[:i], l.blockedPrimaries[i+1:]...)
+				l.blockedPrimaries = slices.Delete(l.blockedPrimaries, i, i+1)
 				st := matOf(t)
 				st.blockedP = false
 				st.need = nil

@@ -31,6 +31,8 @@
 package core
 
 import (
+	"slices"
+
 	"detmt/internal/ids"
 )
 
@@ -67,7 +69,7 @@ func (m *Mutex) Free() bool { return m.owner == nil }
 func (m *Mutex) removeWaiter(t *Thread) bool {
 	for i, w := range m.waiters {
 		if w == t {
-			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
+			m.waiters = slices.Delete(m.waiters, i, i+1)
 			return true
 		}
 	}
@@ -77,7 +79,7 @@ func (m *Mutex) removeWaiter(t *Thread) bool {
 func (m *Mutex) removeCondWaiter(t *Thread) bool {
 	for i, w := range m.condWaiters {
 		if w == t {
-			m.condWaiters = append(m.condWaiters[:i], m.condWaiters[i+1:]...)
+			m.condWaiters = slices.Delete(m.condWaiters, i, i+1)
 			return true
 		}
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // PDS is the preemptive deterministic scheduling algorithm (Basile et
 // al., paper Sect. 3.3).
@@ -132,7 +135,7 @@ func (l *pdsLane) join(t *Thread) {
 func (l *pdsLane) leave(t *Thread) {
 	for i, u := range l.members {
 		if u == t {
-			l.members = append(l.members[:i], l.members[i+1:]...)
+			l.members = slices.Delete(l.members, i, i+1)
 			return
 		}
 	}

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // PMAT is the predicted multiple-active-threads scheduler the paper
 // proposes in Sect. 4.3 — the extension of MAT that consumes the
 // bookkeeping module's lock predictions.
@@ -140,7 +142,7 @@ func (s *PMAT) NestedResume(t *Thread) { s.rt.ResumeNested(t) }
 func (s *PMAT) Exit(t *Thread) {
 	for i, u := range s.queue {
 		if u == t {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			s.queue = slices.Delete(s.queue, i, i+1)
 			break
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"detmt/internal/ids"
+	"detmt/internal/ring"
 	"detmt/internal/vclock"
 )
 
@@ -30,31 +31,36 @@ type Node struct {
 
 	// sequencer state
 	nextAssign uint64
-	assigned   map[origUID]bool // origin/uid already sequenced by me
+
+	// ordered holds, per origin, the uids this node has assigned a slot to
+	// as sequencer or has seen in any sequenced message: the duplicate
+	// suppression of the sequencing path. One set serves both: sequence
+	// only ever asked whether a uid was in either, and nothing removes
+	// from them. An origin numbers its broadcasts consecutively, so its
+	// set is one run however many it has sent.
+	ordered map[Origin]*ids.Runs
 
 	// receiver state
-	nextDeliver   uint64
-	holdback      map[uint64]Envelope
-	sequencedSeen map[origUID]bool // origin/uid seen in any sequenced msg
-	highestSeen   uint64
+	nextDeliver uint64
+	holdback    map[uint64]Envelope
+	highestSeen uint64
 
 	// sequenced-log retention: the tail of delivered slots kept around so
 	// a restarted peer can catch up from a checkpoint without replaying
-	// the whole history. seqLog[i] holds slot seqLogStart+i.
-	seqLog      []Envelope
-	seqLogStart uint64
-	halted      bool
+	// the whole history, indexed by slot.
+	seqLog *ring.Buffer[Envelope]
+	halted bool
 }
 
 func newNode(g *Group, id ids.ReplicaID) *Node {
 	n := &Node{
-		g:             g,
-		id:            id,
-		pending:       map[uint64]Payload{},
-		assigned:      map[origUID]bool{},
-		holdback:      map[uint64]Envelope{},
-		sequencedSeen: map[origUID]bool{},
-		nextDeliver:   1,
+		g:           g,
+		id:          id,
+		pending:     map[uint64]Payload{},
+		ordered:     map[Origin]*ids.Runs{},
+		holdback:    map[uint64]Envelope{},
+		nextDeliver: 1,
+		seqLog:      ring.New[Envelope](g.seqRetention()),
 	}
 	if v, ok := g.cfg.Clock.(*vclock.Virtual); ok {
 		// Deliveries rank just below the core runtime's event pump, and
@@ -77,17 +83,14 @@ func (n *Node) SetDeliver(fn func(Message)) { n.deliver = fn }
 // SetDirect installs the point-to-point handler.
 func (n *Node) SetDirect(fn func(from Origin, p Payload)) { n.direct = fn }
 
-// origUID is the duplicate-suppression key for a broadcast: its origin
-// plus the per-origin uid. A comparable struct rather than a formatted
-// string — dedup lookups run once per request on the sequencing hot
-// path, and the fmt.Sprintf key was its dominant allocation.
-type origUID struct {
-	o   Origin
-	uid uint64
-}
-
-func origKey(o Origin, uid uint64) origUID {
-	return origUID{o: o, uid: uid}
+// orderedOf returns origin o's set of ordered uids. Call with n.mu held.
+func (n *Node) orderedOf(o Origin) *ids.Runs {
+	set := n.ordered[o]
+	if set == nil {
+		set = new(ids.Runs)
+		n.ordered[o] = set
+	}
+	return set
 }
 
 // Broadcast submits p for total ordering. Delivery happens on every live
@@ -295,11 +298,9 @@ func (n *Node) sequence(envs []Envelope, stamp time.Duration, view uint64) []Env
 	out := make([]Envelope, 0, len(envs))
 	n.mu.Lock()
 	for _, env := range envs {
-		key := origKey(env.Origin, env.UID)
-		if n.assigned[key] || n.sequencedSeen[key] {
+		if !n.orderedOf(env.Origin).Add(env.UID) {
 			continue // duplicate (retransmission)
 		}
-		n.assigned[key] = true
 		if n.nextAssign <= n.highestSeen {
 			n.nextAssign = n.highestSeen + 1
 		}
@@ -327,9 +328,8 @@ func (n *Node) sequence(envs []Envelope, stamp time.Duration, view uint64) []Env
 }
 
 func (n *Node) handleSequenced(env Envelope) {
-	key := origKey(env.Origin, env.UID)
 	n.mu.Lock()
-	n.sequencedSeen[key] = true
+	n.orderedOf(env.Origin).Add(env.UID)
 	if env.Seq > n.highestSeen {
 		n.highestSeen = env.Seq
 	}
@@ -350,19 +350,10 @@ func (n *Node) handleSequenced(env Envelope) {
 		delete(n.holdback, n.nextDeliver)
 		n.nextDeliver++
 		ready = append(ready, e)
-		if len(n.seqLog) == 0 {
-			n.seqLogStart = e.Seq
+		if n.seqLog.Len() == 0 {
+			n.seqLog.Reset(e.Seq)
 		}
-		n.seqLog = append(n.seqLog, e)
-	}
-	if ret := n.g.seqRetention(); ret > 0 && len(n.seqLog) > ret {
-		drop := len(n.seqLog) - ret
-		n.seqLog = append(n.seqLog[:0], n.seqLog[drop:]...)
-		stale := n.seqLog[len(n.seqLog) : len(n.seqLog)+drop]
-		for i := range stale {
-			stale[i] = Envelope{} // release payload refs
-		}
-		n.seqLogStart += uint64(drop)
+		n.seqLog.Push(e)
 	}
 	n.mu.Unlock()
 	for _, e := range ready {
@@ -383,17 +374,14 @@ func (n *Node) SequencedTail(from uint64, max int) (envs []Envelope, more, ok bo
 	if from >= n.nextDeliver {
 		return nil, false, true // at (or ahead of) our frontier: nothing yet
 	}
-	if len(n.seqLog) == 0 || from < n.seqLogStart {
+	if n.seqLog.Len() == 0 || from < n.seqLog.First() {
 		return nil, false, false // trimmed away
 	}
-	i := int(from - n.seqLogStart)
-	end := len(n.seqLog)
-	if max > 0 && i+max < end {
-		end = i + max
+	end := n.seqLog.End()
+	if max > 0 && from+uint64(max) < end {
+		end = from + uint64(max)
 	}
-	envs = make([]Envelope, end-i)
-	copy(envs, n.seqLog[i:end])
-	return envs, end < len(n.seqLog), true
+	return n.seqLog.Slice(from, end), end < n.seqLog.End(), true
 }
 
 // Frontier reports the receiver's delivery state: next is the first
@@ -439,7 +427,6 @@ func (n *Node) resumeAt(next uint64) {
 	}
 	// The rejoiner's retained tail restarts at the resume point; it can
 	// serve as a catch-up donor for slots from here on.
-	n.seqLog = nil
-	n.seqLogStart = next
+	n.seqLog.Reset(next)
 	n.mu.Unlock()
 }

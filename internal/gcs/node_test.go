@@ -112,10 +112,18 @@ func TestCrashedNodeDropsEnqueues(t *testing.T) {
 }
 
 func TestOriginKeyDistinguishesClientsAndReplicas(t *testing.T) {
-	r := origKey(Origin{Replica: 3}, 7)
-	c := origKey(Origin{Client: 3, IsClient: true}, 7)
-	if r == c {
-		t.Fatalf("replica and client keys collide: %v", r)
+	// Replica 3 and client 3 are two origins: the same uid from both is two
+	// broadcasts, and each of them again is a retransmission.
+	n, _, _ := newBareNode(t)
+	burst := []Envelope{
+		{Kind: EnvForward, Origin: Origin{Replica: 3}, UID: 7, Payload: "r"},
+		{Kind: EnvForward, Origin: Origin{Client: 3, IsClient: true}, UID: 7, Payload: "c"},
+	}
+	if out := n.sequence(burst, 0, 0); len(out) != 2 {
+		t.Fatalf("replica and client origins collide: %d of 2 sequenced", len(out))
+	}
+	if out := n.sequence(burst, 0, 0); len(out) != 0 {
+		t.Fatalf("%d retransmissions sequenced again", len(out))
 	}
 }
 

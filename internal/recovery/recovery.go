@@ -26,6 +26,7 @@ import (
 	"detmt/internal/enc"
 	"detmt/internal/ids"
 	"detmt/internal/lang"
+	"detmt/internal/ring"
 	"detmt/internal/trace"
 )
 
@@ -290,12 +291,14 @@ type Manager struct {
 	latest  *Checkpoint
 	encoded []byte
 	takenAt time.Time
-	points  []SeqHash
+	points  *ring.Buffer[SeqHash]
 }
 
 // NewManager creates a manager persisting to dir ("" keeps checkpoints
 // in memory only — the donor protocol still works).
-func NewManager(dir string) *Manager { return &Manager{dir: dir} }
+func NewManager(dir string) *Manager {
+	return &Manager{dir: dir, points: ring.New[SeqHash](maxPoints)}
+}
 
 // Commit installs c as the latest checkpoint: encodes it, persists it
 // when a directory is configured, and records the matching divergence
@@ -346,13 +349,10 @@ func (m *Manager) TakenAt() time.Time {
 }
 
 func (m *Manager) pushPointLocked(p SeqHash) {
-	if n := len(m.points); n > 0 && m.points[n-1].Seq == p.Seq {
+	if m.points.Len() > 0 && m.points.At(m.points.End()-1).Seq == p.Seq {
 		return // checkpoint retaken at the same slot (idle cluster)
 	}
-	m.points = append(m.points, p)
-	if len(m.points) > maxPoints {
-		m.points = append(m.points[:0], m.points[len(m.points)-maxPoints:]...)
-	}
+	m.points.Push(p)
 }
 
 // Points returns a copy of the divergence-point ring, ascending by
@@ -360,7 +360,7 @@ func (m *Manager) pushPointLocked(p SeqHash) {
 func (m *Manager) Points() []SeqHash {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]SeqHash(nil), m.points...)
+	return m.points.All()
 }
 
 // FirstMismatch compares two divergence-point rings at their common

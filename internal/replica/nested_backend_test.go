@@ -15,6 +15,7 @@ import (
 	"detmt/internal/gcs"
 	"detmt/internal/ids"
 	"detmt/internal/lang"
+	"detmt/internal/ring"
 	"detmt/internal/vclock"
 )
 
@@ -277,9 +278,10 @@ func TestDecisionTailEdges(t *testing.T) {
 	mk := func(idx uint64) LSADecision {
 		return LSADecision{Index: idx, Event: core.LSAEvent{}}
 	}
-	r := &Replica{decIndex: 30}
-	for i := uint64(11); i <= 30; i++ { // indices 1..10 aged out
-		r.decLog = append(r.decLog, mk(i))
+	r := &Replica{decIndex: 30, decLog: ring.New[LSADecision](decLogRetention)}
+	r.decLog.Reset(11) // indices 1..10 aged out
+	for i := uint64(11); i <= 30; i++ {
+		r.decLog.Push(mk(i))
 	}
 
 	// Caller ahead of (or at) the frontier: caught up, nothing to send.

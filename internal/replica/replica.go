@@ -16,6 +16,7 @@ import (
 	"detmt/internal/lang"
 	"detmt/internal/member"
 	"detmt/internal/metrics"
+	"detmt/internal/ring"
 	"detmt/internal/vclock"
 )
 
@@ -136,14 +137,20 @@ type Replica struct {
 	node  *gcs.Node
 	sched core.Scheduler
 
+	// seenReqs is the duplicate suppression of the paper's Sect. 2: per
+	// client, the request numbers already applied — a client numbers its
+	// requests consecutively, so its set is one run. log is the delivered
+	// tail a passive backup fails over from (and E8 replays): what follows
+	// the latest StateUpdate checkpoint, and never more than the sequenced
+	// log it duplicates retains (gcs.DefaultSeqRetention).
 	mu          sync.Mutex
-	seenReqs    map[ids.RequestID]bool
+	seenReqs    map[ids.ClientID]*ids.Runs
 	inFlight    int // request and dummy threads submitted and not yet done
 	nestedCount map[ids.ThreadID]int
 	waitingNest map[nestedKey]*core.Thread
 	nestArgs    map[nestedKey]lang.Value
 	stashedNest map[nestedKey]lang.Value
-	log         []LogEntry
+	log         *ring.Buffer[LogEntry]
 	completed   int
 	lastSeq     uint64
 	sinceCkpt   int
@@ -168,9 +175,10 @@ type Replica struct {
 	// fed to their scheduler and stash out-of-order arrivals.
 	decMu    sync.Mutex
 	decIndex uint64                   // leader: last emitted index
-	decLog   []LSADecision            // leader: retained tail, ascending Index
 	decSeen  uint64                   // follower: last index fed
 	decStash map[uint64]core.LSAEvent // follower: arrived ahead of the watermark
+	// leader: retained tail, indexed by LSADecision.Index
+	decLog *ring.Buffer[LSADecision]
 
 	dummyStop chan struct{}
 }
@@ -206,8 +214,10 @@ func New(cfg Config) *Replica {
 	}
 	r := &Replica{
 		cfg:         cfg,
-		seenReqs:    map[ids.RequestID]bool{},
+		seenReqs:    map[ids.ClientID]*ids.Runs{},
 		nestedCount: map[ids.ThreadID]int{},
+		log:         ring.New[LogEntry](gcs.DefaultSeqRetention),
+		decLog:      ring.New[LSADecision](decLogRetention),
 		waitingNest: map[nestedKey]*core.Thread{},
 		nestArgs:    map[nestedKey]lang.Value{},
 		stashedNest: map[nestedKey]lang.Value{},
@@ -267,11 +277,10 @@ func (r *Replica) buildScheduler() core.Scheduler {
 				r.decMu.Lock()
 				r.decIndex++
 				d := LSADecision{Index: r.decIndex, Event: e}
-				r.decLog = append(r.decLog, d)
-				if len(r.decLog) > decLogRetention {
-					drop := len(r.decLog) - decLogRetention
-					r.decLog = append([]LSADecision(nil), r.decLog[drop:]...)
+				if r.decLog.Len() == 0 {
+					r.decLog.Reset(d.Index)
 				}
+				r.decLog.Push(d)
 				r.decMu.Unlock()
 				for _, m := range r.cfg.Group.Members() {
 					if m != r.cfg.ID {
@@ -332,13 +341,13 @@ func (r *Replica) LastSeq() uint64 {
 func (r *Replica) Log() []LogEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]LogEntry(nil), r.log...)
+	return r.log.All()
 }
 
 // onDeliver handles one totally ordered message.
 func (r *Replica) onDeliver(m gcs.Message) {
 	r.mu.Lock()
-	r.log = append(r.log, LogEntry{At: r.cfg.Clock.Now(), Msg: m})
+	r.log.Push(LogEntry{At: r.cfg.Clock.Now(), Msg: m})
 	r.lastSeq = m.Seq
 	r.mu.Unlock()
 	if r.cfg.OnSlot != nil {
@@ -368,6 +377,13 @@ func (r *Replica) onDeliver(m gcs.Message) {
 func (r *Replica) applyCheckpoint(su StateUpdate) {
 	r.mu.Lock()
 	r.checkpoint = &su
+	// What the checkpoint covers is never replayed again: FailoverData
+	// skips it, so the log need not keep it.
+	covered := r.log.First()
+	for covered < r.log.End() && r.log.At(covered).Msg.Seq <= su.UpToSeq {
+		covered++
+	}
+	r.log.TrimTo(covered)
 	r.mu.Unlock()
 	if r.cfg.Role == RoleBackup {
 		for k, v := range su.Snapshot {
@@ -390,7 +406,7 @@ func (r *Replica) FailoverData() (snapshot map[string]lang.Value, tail []LogEntr
 		}
 		from = r.checkpoint.UpToSeq
 	}
-	for _, e := range r.log {
+	for _, e := range r.log.All() {
 		if e.Msg.Seq <= from {
 			continue
 		}
@@ -423,12 +439,16 @@ func (r *Replica) apply(m gcs.Message) {
 
 func (r *Replica) applyRequest(req Request, class uint32) {
 	r.mu.Lock()
-	if r.seenReqs[req.Req] {
-		r.mu.Unlock()
+	seen := r.seenReqs[req.Req.Client()]
+	if seen == nil {
+		seen = new(ids.Runs)
+		r.seenReqs[req.Req.Client()] = seen
+	}
+	fresh := seen.Add(uint64(req.Req.Seq()))
+	r.mu.Unlock()
+	if !fresh {
 		return // duplicate suppression (paper Sect. 2)
 	}
-	r.seenReqs[req.Req] = true
-	r.mu.Unlock()
 
 	method := r.cfg.Analysis.Object.Lookup(req.Method)
 	if method == nil {
@@ -449,6 +469,7 @@ func (r *Replica) applyRequest(req Request, class uint32) {
 		r.completed++
 		r.sinceCkpt++
 		r.inFlight--
+		delete(r.nestedCount, tid)
 		ckpt := r.cfg.CheckpointEvery > 0 && r.cfg.Role == RoleActive &&
 			r.sinceCkpt >= r.cfg.CheckpointEvery && r.inFlight == 0
 		var upTo uint64
@@ -615,16 +636,14 @@ func (r *Replica) DecisionTail(fromIdx uint64, max int) (decs []LSADecision, mor
 	if fromIdx > r.decIndex {
 		return nil, false, true // caller is already caught up
 	}
-	if len(r.decLog) == 0 || fromIdx < r.decLog[0].Index {
+	if r.decLog.Len() == 0 || fromIdx < r.decLog.First() {
 		return nil, false, false // aged out of the retained window
 	}
-	start := int(fromIdx - r.decLog[0].Index)
-	end := len(r.decLog)
-	if max > 0 && start+max < end {
-		end = start + max
+	end := r.decLog.End()
+	if max > 0 && fromIdx+uint64(max) < end {
+		end = fromIdx + uint64(max)
 	}
-	decs = append([]LSADecision(nil), r.decLog[start:end]...)
-	return decs, end < len(r.decLog), true
+	return r.decLog.Slice(fromIdx, end), end < r.decLog.End(), true
 }
 
 // onNested is the core NestedHandler: it implements the paper's

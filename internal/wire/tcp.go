@@ -11,6 +11,7 @@ import (
 	"detmt/internal/enc"
 	"detmt/internal/gcs"
 	"detmt/internal/ids"
+	"detmt/internal/ring"
 )
 
 // Compile-time assertion: the TCP transport is interchangeable with the
@@ -110,12 +111,12 @@ type TCP struct {
 	binds    map[gcs.Origin]func(...gcs.Envelope)
 	peers    map[ids.ReplicaID]*peerLink
 	routes   map[gcs.Origin]*inboundConn
-	replay   map[gcs.Origin][]gcs.Envelope // recent client-bound envelopes, replayed on route change
-	owner    map[gcs.Origin]string         // sender name that announced each origin (replay-ring GC)
-	orphaned map[gcs.Origin]time.Time      // origins whose route died, awaiting reattach or expiry
-	lastSeen map[string]uint64             // highest dedup seqno delivered, per sender name
-	epochs   map[string]uint64             // highest restart epoch seen, per sender name
-	pipes    map[string]*decodePipe        // per-sender-name decode pipelines
+	replay   map[gcs.Origin]*ring.Buffer[gcs.Envelope] // recent client-bound envelopes, replayed on route change
+	owner    map[gcs.Origin]string                     // sender name that announced each origin (replay-ring GC)
+	orphaned map[gcs.Origin]time.Time                  // origins whose route died, awaiting reattach or expiry
+	lastSeen map[string]uint64                         // highest dedup seqno delivered, per sender name
+	epochs   map[string]uint64                         // highest restart epoch seen, per sender name
+	pipes    map[string]*decodePipe                    // per-sender-name decode pipelines
 	inbounds map[*inboundConn]struct{}
 	ctl      map[uint64]chan controlResult // Control calls awaiting their reply, by request id
 	nextCtl  uint64
@@ -172,7 +173,7 @@ func NewTCP(o Options) (*TCP, error) {
 		binds:    map[gcs.Origin]func(...gcs.Envelope){},
 		peers:    map[ids.ReplicaID]*peerLink{},
 		routes:   map[gcs.Origin]*inboundConn{},
-		replay:   map[gcs.Origin][]gcs.Envelope{},
+		replay:   map[gcs.Origin]*ring.Buffer[gcs.Envelope]{},
 		owner:    map[gcs.Origin]string{},
 		lastSeen: map[string]uint64{},
 		epochs:   map[string]uint64{},
@@ -320,11 +321,14 @@ func (t *TCP) Send(_ string, to gcs.Origin, envs ...gcs.Envelope) {
 	// Record the envelopes in the origin's replay ring first: even with
 	// no live route (or one about to die) they will be redelivered when
 	// the client's next connection announces this origin.
-	ring := append(t.replay[to], envs...)
-	if len(ring) > clientReplayBuf {
-		ring = append(ring[:0], ring[len(ring)-clientReplayBuf:]...)
+	recent := t.replay[to]
+	if recent == nil {
+		recent = ring.New[gcs.Envelope](clientReplayBuf)
+		t.replay[to] = recent
 	}
-	t.replay[to] = ring
+	for _, env := range envs {
+		recent.Push(env)
+	}
 	ic := t.routes[to]
 	t.mu.Unlock()
 	if ic == nil {
@@ -1119,11 +1123,11 @@ func (ic *inboundConn) readLoop() {
 			}
 			var replayed []gcs.Envelope
 			for _, o := range origins {
-				if t.routes[o] != ic && len(t.replay[o]) > 0 {
+				if t.routes[o] != ic && t.replay[o].Len() > 0 {
 					// The origin reattached on a new connection: anything sent
 					// toward it recently may have died with the old one, so
 					// redeliver the ring (receivers dedup by request id).
-					replayed = append(replayed, t.replay[o]...)
+					replayed = append(replayed, t.replay[o].All()...)
 				}
 				t.routes[o] = ic // latest connection wins
 				delete(t.orphaned, o)

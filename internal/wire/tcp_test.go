@@ -235,7 +235,7 @@ func TestTCPOriginIdleExpiry(t *testing.T) {
 	waitFor(t, "replay ring populated", func() bool {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return len(srv.replay[clientOrigin]) > 0
+		return srv.replay[clientOrigin].Len() > 0
 	})
 	cli.Close()
 
@@ -259,7 +259,7 @@ func TestTCPOriginIdleExpiry(t *testing.T) {
 	waitFor(t, "replay ring repopulated", func() bool {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return len(srv.replay[clientOrigin]) > 0
+		return srv.replay[clientOrigin].Len() > 0
 	})
 	time.Sleep(300 * time.Millisecond) // well past the expiry window
 	srv.mu.Lock()
