@@ -383,9 +383,11 @@ func (g *Group) Close() error {
 
 func (g *Group) isLocal(id ids.ReplicaID) bool { return g.localSet[id] }
 
-// seqRetention resolves Config.SeqRetention: 0 applies the default,
-// negative disables trimming.
-func (g *Group) seqRetention() int {
+// SeqRetention resolves Config.SeqRetention into the bound of every
+// member's sequenced log: 0 applies the default, negative disables trimming
+// (0 here). The replication layer bounds the delivered-message log it
+// keeps beside it by the same number.
+func (g *Group) SeqRetention() int {
 	if g.cfg.SeqRetention == 0 {
 		return DefaultSeqRetention
 	}

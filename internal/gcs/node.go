@@ -60,7 +60,7 @@ func newNode(g *Group, id ids.ReplicaID) *Node {
 		ordered:     map[Origin]*ids.Runs{},
 		holdback:    map[uint64]Envelope{},
 		nextDeliver: 1,
-		seqLog:      ring.New[Envelope](g.seqRetention()),
+		seqLog:      ring.New[Envelope](g.SeqRetention()),
 	}
 	if v, ok := g.cfg.Clock.(*vclock.Virtual); ok {
 		// Deliveries rank just below the core runtime's event pump, and
@@ -382,6 +382,28 @@ func (n *Node) SequencedTail(from uint64, max int) (envs []Envelope, more, ok bo
 		end = from + uint64(max)
 	}
 	return n.seqLog.Slice(from, end), end < n.seqLog.End(), true
+}
+
+// Held reports what the node holds on to between messages, so that a test
+// (or an operator) can tell a table at its bound from one that grows with
+// every request.
+type Held struct {
+	SeqLog   int // delivered slots retained for SequencedTail
+	Origins  int // origins with a duplicate-suppression set
+	MaxRuns  int // the longest of those sets, in runs (1: no gap)
+	Holdback int // sequenced slots waiting for a gap below them to fill
+	Pending  int // own broadcasts not yet seen sequenced
+}
+
+// Held returns the node's current table sizes.
+func (n *Node) Held() Held {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	h := Held{SeqLog: n.seqLog.Len(), Origins: len(n.ordered), Holdback: len(n.holdback), Pending: len(n.pending)}
+	for _, set := range n.ordered {
+		h.MaxRuns = max(h.MaxRuns, set.Len())
+	}
+	return h
 }
 
 // Frontier reports the receiver's delivery state: next is the first

@@ -251,9 +251,15 @@ func bootCluster(bin string, spec clusterSpec) (c *cluster, raced bool, err erro
 
 func msf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
+// ladderRungs bounds a ceiling ladder (x1.25 a rung: 28 times the start
+// rate at the top). A ladder is meant to end on a rung that fails — only
+// then is its ceiling the system's and not its own top — so the bound is
+// set where no deployment on one box gets to; a ladder that does says so.
+const ladderRungs = 16
+
 // ladder boots spec, walks the rate ladder from startRate through what front
-// puts before the cluster (nil: its own wire clients) and prints the step
-// table.
+// puts before the cluster (nil: its own wire clients) until a rung is not
+// sustained, and prints the step table.
 func ladder(b *strings.Builder, o OpenLoopOptions, spec clusterSpec, gen workload.Gen, startRate float64,
 	front func(*cluster) (server.Invoker, func(), error)) (*server.CeilingResult, error) {
 	c, err := spawnCluster(spec)
@@ -269,7 +275,7 @@ func ladder(b *strings.Builder, o OpenLoopOptions, spec clusterSpec, gen workloa
 		}
 		defer closeFront()
 	}
-	res, err := server.FindCeiling(o.run(inv, gen), startRate, 1.25, 8)
+	res, err := server.FindCeiling(o.run(inv, gen), startRate, 1.25, ladderRungs)
 	if res == nil {
 		return nil, err
 	}
@@ -281,6 +287,9 @@ func ladder(b *strings.Builder, o OpenLoopOptions, spec clusterSpec, gen workloa
 		}
 		fmt.Fprintf(b, "%10.0f %12.0f %10.2f %10.2f %10v%s\n",
 			st.Offered, st.Achieved, msf(st.P50), msf(st.P99), st.Sustained, note)
+	}
+	if n := len(res.Steps); n == ladderRungs && res.Steps[n-1].Sustained {
+		fmt.Fprintf(b, "ladder exhausted: all %d rungs sustained, the ceiling below is the ladder's top\n", n)
 	}
 	return res, err
 }

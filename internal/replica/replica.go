@@ -142,7 +142,7 @@ type Replica struct {
 	// requests consecutively, so its set is one run. log is the delivered
 	// tail a passive backup fails over from (and E8 replays): what follows
 	// the latest StateUpdate checkpoint, and never more than the sequenced
-	// log it duplicates retains (gcs.DefaultSeqRetention).
+	// log it duplicates retains (Group.SeqRetention).
 	mu          sync.Mutex
 	seenReqs    map[ids.ClientID]*ids.Runs
 	inFlight    int // request and dummy threads submitted and not yet done
@@ -212,11 +212,15 @@ func New(cfg Config) *Replica {
 	if cfg.LeaderID == 0 && cfg.Group != nil {
 		cfg.LeaderID = cfg.Group.Members()[0]
 	}
+	logBound := gcs.DefaultSeqRetention // a detached replay has no group to ask
+	if cfg.Group != nil {
+		logBound = cfg.Group.SeqRetention()
+	}
 	r := &Replica{
 		cfg:         cfg,
 		seenReqs:    map[ids.ClientID]*ids.Runs{},
 		nestedCount: map[ids.ThreadID]int{},
-		log:         ring.New[LogEntry](gcs.DefaultSeqRetention),
+		log:         ring.New[LogEntry](logBound),
 		decLog:      ring.New[LSADecision](decLogRetention),
 		waitingNest: map[nestedKey]*core.Thread{},
 		nestArgs:    map[nestedKey]lang.Value{},
@@ -337,7 +341,9 @@ func (r *Replica) LastSeq() uint64 {
 	return r.lastSeq
 }
 
-// Log returns the recorded totally ordered message log.
+// Log returns the retained tail of the totally ordered message log: every
+// delivered message since the latest StateUpdate checkpoint, at most the
+// group's SeqRetention of them.
 func (r *Replica) Log() []LogEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()

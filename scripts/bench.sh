@@ -13,7 +13,7 @@
 #                                      sharded aggregate ceiling and the facade
 #                                      ceilings; fail on a >10% drop vs the
 #                                      committed baseline (default
-#                                      BENCH_PR21.json; metrics the baseline
+#                                      BENCH_PR22.json; metrics the baseline
 #                                      does not carry are not gated)
 #   scripts/bench.sh -micro            also run the Benchmark* microbenchmarks
 #   scripts/bench.sh -compare A B      diff the Metrics of two JSON outputs
@@ -38,8 +38,8 @@ if [ "${1:-}" = "-earlysched" ]; then
 fi
 
 if [ "${1:-}" = "-openloop" ]; then
-    # The committed BENCH_PR14.json and BENCH_PR21.json snapshots are this
-    # plus the sharded ladder and the HTTP facade comparison:
+    # The committed BENCH_PR14.json, BENCH_PR21.json and BENCH_PR22.json
+    # snapshots are this plus the sharded ladder and the HTTP facade comparison:
     # detmt-bench -experiment openloop,ceiling,sharded,kvfacade.
     out="${2:-BENCH_OPENLOOP.json}"
     go run ./cmd/detmt-bench -experiment openloop,ceiling -json > "$out"
@@ -69,7 +69,7 @@ if [ "${1:-}" = "-http" ]; then
 fi
 
 if [ "${1:-}" = "-gate" ]; then
-    baseline="${2:-BENCH_PR21.json}"
+    baseline="${2:-BENCH_PR22.json}"
     [ -f "$baseline" ] || { echo "bench.sh: baseline $baseline not found" >&2; exit 1; }
     tmp="$(mktemp)"
     trap 'rm -f "$tmp"' EXIT

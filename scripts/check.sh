@@ -10,7 +10,7 @@
 #                             (reruns the single-group ceiling search, the
 #                             sharded aggregate ceiling and the HTTP facade
 #                             ceilings and fails on a >10% drop vs the
-#                             committed BENCH_PR21.json; wall timing-sensitive,
+#                             committed BENCH_PR22.json; wall timing-sensitive,
 #                             so not part of the default run)
 #   scripts/check.sh -soak    the long mixed-chaos soak only: seeded
 #                             transport partitions + a replica kill/rejoin +
@@ -56,6 +56,12 @@ go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial
 # frame with the heartbeat last, stamps rise from drain to drain (same line
 # as the CI step "Sequencing (race, 20 counts)").
 go test -race -count=20 -run 'TestTickPolicy|TestArrivalDrivenSequencing|TestFollowerIsNotWokenIntoSequencing|TestDrainsAtOneInstantGetIncreasingStamps|TestInjectSchedulesBatchBeforeRaisingHorizon' ./internal/gcs/
+# The steady state: live heap, dedup sets and retained logs after 40 000
+# requests are where 10 000 left them; the bounded FIFO and the interval set
+# answer what the shifted slice and the map did; no scheduler queue pins a
+# thread that left it; checkpoints keep coming (same line as the CI step
+# "Steady state (race, 5 counts)").
+go test -race -count=5 -run 'TestSteadyStateIsFlat|TestCheckpointsKeepComing|TestRunsMatchMap|TestBufferMatchesShiftedSlice|TestDroppedElementsAreCollectable|TestQueuesDoNotPinFinishedThreads|TestDedupAllocBudget' ./internal/replica/ ./internal/ids/ ./internal/ring/ ./internal/core/ ./internal/gcs/
 # The classification goldens, the classifier's soundness property, the
 # interference table and the detmt-analyze reports whatever $short says,
 # then ten seconds of the interval fuzz target (same lines as the CI step
@@ -63,8 +69,9 @@ go test -race -count=20 -run 'TestTickPolicy|TestArrivalDrivenSequencing|TestFol
 go test -count=1 -run 'Golden|TestClassDisjointnessProperty|TestMutexSets|TestInterference' ./internal/earlysched/ ./internal/analysis/ ./cmd/detmt-analyze/
 go test -run '^$' -fuzz FuzzIntervalSound -fuzztime 10s ./internal/analysis/
 # The v8 wire goldens and the recovery fetches over a real socket, then ten
-# seconds of every decoder fuzz target (same lines as the CI steps "Wire v8
-# golden frames and recovery fetches" and "Decoder fuzz").
+# seconds of every decoder fuzz target and of the two container models (same
+# lines as the CI steps "Wire v8 golden frames and recovery fetches" and
+# "Decoder and model fuzz").
 go test -race -count=1 -run 'TestGoldenBytes|TestGoldenHelloFrames|TestEnvelopeRoundTrip|TestFrameRoundTrip|TestTCPControl' ./internal/wire/
 go test -race -count=1 -run 'TestRecoveryFetches|TestCloseTail' ./internal/server/
 go test -run '^$' -fuzz FuzzDecodeEnvelope -fuzztime 10s ./internal/wire/
@@ -73,6 +80,8 @@ go test -run '^$' -fuzz FuzzControlReply -fuzztime 10s ./internal/wire/
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/recovery/
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/shard/
 go test -run '^$' -fuzz FuzzFrames -fuzztime 10s ./internal/backend/
+go test -run '^$' -fuzz FuzzBufferMatchesShiftedSlice -fuzztime 10s ./internal/ring/
+go test -run '^$' -fuzz FuzzRunsMatchMap -fuzztime 10s ./internal/ids/
 # bench/ is a module of its own (replace detmt => ../): build, vet and test
 # it too (a couple of seconds, no sockets without DETMT_BENCH_SMOKE), so a
 # change that breaks the benchmark's frozen surface fails here.
