@@ -21,8 +21,8 @@ func steadyNode(retention int) *Node {
 	return n
 }
 
-// clientEnv is slot seq as client origin client would have had it ordered:
-// 16 clients take turns, each numbering its requests consecutively.
+// clientEnv is the sequenced envelope of slot seq in a stream where 16
+// clients take turns, each numbering its requests consecutively.
 func clientEnv(seq uint64) Envelope {
 	return Envelope{Kind: EnvSequenced, Seq: seq,
 		Origin: Origin{Client: ids.ClientID(seq % 16), IsClient: true}, UID: seq/16 + 1, Payload: "p"}

@@ -7,8 +7,11 @@
 # with detmt-load -rate R for S seconds, and samples every server's CPU
 # (utime+stime of /proc/<pid>/stat, in clock ticks) and resident set
 # (/proc/<pid>/statm) once a second. Prints the series, then per server the
-# spread of CPU per second from t=5 s on and the resident set at S/2 and S,
-# the load generator's report, and the servers' shutdown lines.
+# spread of CPU per second from t=5 s to the last full second of load (one
+# second is 15-40 ticks, so a single tick is 3-6 %: the 5 s means beside it
+# are the steadier reading)
+# and the resident set at S/2 and S, the load generator's report, and the
+# servers' shutdown lines.
 #
 #   scripts/steady.sh                   1000 req/s for 40 s
 #   scripts/steady.sh 4000 12           4000 req/s for 12 s
@@ -85,18 +88,22 @@ rsskb() { awk -v p="$(getconf PAGESIZE)" '{print $2 * p / 1024}' "/proc/$1/statm
 echo
 awk -v half="$((secs / 2))" -v end="$secs" 'NR > 1 {
 	for (i = 1; i <= 3; i++) {
-		if ($1 >= 5) { c = $(i + 1); sum[i] += c; n[i]++
+		if ($1 >= 5 && $1 < end) { c = $(i + 1); sum[i] += c; n[i]++
 			if (n[i] == 1 || c < lo[i]) lo[i] = c
 			if (n[i] == 1 || c > hi[i]) hi[i] = c }
 		if ($1 == half) mid[i] = $(i + 4)
 		if ($1 == end) last[i] = $(i + 4)
+		if ($1 < end) { w = int(($1 - 1) / 5); five[i, w] += $(i + 1); secs5[i, w]++; windows = w }
 	}
 } END {
 	for (i = 1; i <= 3; i++) {
 		m = sum[i] / n[i]
-		printf "server %d (%s): cpu ticks/s from t=5: mean %.1f, min %d (%+.0f%%), max %d (%+.0f%%); rss %.1f MB at t=%d, %.1f MB at t=%d (%+.1f%%)\n",
+		printf "server %d (%s): cpu ticks/s, t=5 to the last full second: mean %.1f, min %d (%+.0f%%), max %d (%+.0f%%); rss %.1f MB at t=%d, %.1f MB at t=%d (%+.1f%%)\n",
 			i, i == 1 ? "sequencer" : "follower", m, lo[i], (lo[i] - m) / m * 100, hi[i], (hi[i] - m) / m * 100,
 			mid[i], half, last[i], end, (last[i] - mid[i]) / mid[i] * 100
+		printf "  cpu ticks/s, 5 s means:"
+		for (w = 0; w <= windows; w++) printf " %.1f", five[i, w] / secs5[i, w]
+		printf "\n"
 	}
 }' "$tmp/series.txt"
 
