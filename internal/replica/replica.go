@@ -412,7 +412,8 @@ func (r *Replica) FailoverData() (snapshot map[string]lang.Value, tail []LogEntr
 		}
 		from = r.checkpoint.UpToSeq
 	}
-	for _, e := range r.log.All() {
+	for i := r.log.First(); i < r.log.End(); i++ {
+		e := r.log.At(i)
 		if e.Msg.Seq <= from {
 			continue
 		}
