@@ -95,8 +95,13 @@ func main() {
 		return
 	}
 	for _, r := range results {
-		fmt.Printf("==== %s: %s ====\n\n%s\n", r.ID, r.Title, r.Text)
+		fmt.Print(render(r))
 	}
+}
+
+// render is an experiment's text report.
+func render(r harness.Result) string {
+	return fmt.Sprintf("==== %s: %s ====\n\n%s\n", r.ID, r.Title, r.Text)
 }
 
 func runExperiment(name string, opts harness.Fig1Options, duration, warmup time.Duration) []harness.Result {

@@ -560,13 +560,7 @@ func (g *Group) sequencer() ids.ReplicaID {
 		// wall-clock monitor and view-sync already encode detection).
 		return g.seqID
 	}
-	for _, id := range g.members {
-		if at, dead := g.crashedAt[id]; dead && now >= at+g.cfg.DetectTimeout {
-			continue // failure already detected: skip
-		}
-		return id
-	}
-	return -1
+	return visibleSequencer(g.members, g.crashedAt, now, g.cfg.DetectTimeout)
 }
 
 // CurrentSequencer exposes the sender-visible sequencer (may be -1 when
@@ -576,12 +570,7 @@ func (g *Group) CurrentSequencer() ids.ReplicaID { return g.sequencer() }
 
 // actualSequencerLocked ignores detection delay (internal liveness view).
 func (g *Group) actualSequencerLocked() ids.ReplicaID {
-	for _, id := range g.members {
-		if !g.crashed[id] {
-			return id
-		}
-	}
-	return -1
+	return lowestLive(g.members, g.crashedAt)
 }
 
 // alive reports whether a member is still up.
@@ -668,12 +657,10 @@ func (g *Group) adoptView(v uint64, s ids.ReplicaID) bool {
 	g.seqID = s
 	g.gapWedged = false // the new view's takeover heal may close the hole
 	now := g.cfg.Clock.Now()
-	for _, id := range g.members {
-		if id < s && !g.crashed[id] {
-			g.crashed[id] = true
-			// Back-date so the sender-visible scan skips it immediately.
-			g.crashedAt[id] = now - g.cfg.DetectTimeout
-		}
+	for _, id := range crashBelow(g.members, s, g.crashedAt, nil) {
+		g.crashed[id] = true
+		// Back-date so the sender-visible scan skips it immediately.
+		g.crashedAt[id] = now - g.cfg.DetectTimeout
 	}
 	var nodes []*Node
 	for _, n := range g.nodes {
@@ -714,15 +701,13 @@ func (g *Group) AdoptView(view uint64, seq ids.ReplicaID) { g.adoptView(view, se
 // ones — the rejoining old sequencer itself stays alive as a follower).
 func (g *Group) SeedView(view uint64, seq ids.ReplicaID) {
 	g.mu.Lock()
-	if view > g.view || (view == g.view && seq > g.seqID) {
+	if seedAdopts(view, seq, g.view, g.seqID) {
 		g.view = view
 		g.seqID = seq
 		now := g.cfg.Clock.Now()
-		for _, id := range g.members {
-			if id < seq && !g.crashed[id] && !g.localSet[id] {
-				g.crashed[id] = true
-				g.crashedAt[id] = now - g.cfg.DetectTimeout
-			}
+		for _, id := range crashBelow(g.members, seq, g.crashedAt, g.localSet) {
+			g.crashed[id] = true
+			g.crashedAt[id] = now - g.cfg.DetectTimeout
 		}
 	}
 	g.mu.Unlock()
@@ -774,29 +759,26 @@ func (g *Group) runMonitor() {
 	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	var gapNext uint64     // frontier last seen stuck below highestSeen
-	var gapSince time.Time // when it was first seen stuck there
+	start := time.Now()
+	var gap gapWatch // frontier last seen stuck below highestSeen
 	for {
 		select {
 		case <-g.closed:
 			return
 		case <-ticker.C:
 		}
-		if g.Recovering() {
-			g.touchSeqTraffic()
-			continue
-		}
+		recovering := g.Recovering()
 		g.mu.Lock()
 		seq := g.seqID
 		hostingSeq := g.localSet[seq]
 		busy := g.takingOver
 		g.mu.Unlock()
-		if hostingSeq || busy {
+		if monitorRule(recovering, hostingSeq || busy, 0, g.cfg.DetectTimeout) == monitorSkip {
 			g.touchSeqTraffic()
 			continue
 		}
-		g.healDeliveryGap(&gapNext, &gapSince)
-		if g.seqTrafficAge() < g.cfg.DetectTimeout {
+		g.healDeliveryGap(&gap, time.Since(start))
+		if monitorRule(false, false, g.seqTrafficAge(), g.cfg.DetectTimeout) == monitorWait {
 			continue
 		}
 		// The sequencer is silent: declare it crashed and line up behind
@@ -838,7 +820,7 @@ func (g *Group) runMonitor() {
 // peer and injects it through the stamped path, exactly like the
 // takeover self-heal. gapNext/gapSince persist across monitor ticks to
 // carry the stall detection.
-func (g *Group) healDeliveryGap(gapNext *uint64, gapSince *time.Time) {
+func (g *Group) healDeliveryGap(gap *gapWatch, now time.Duration) {
 	if g.cfg.FetchGap == nil || !g.stamped {
 		return
 	}
@@ -851,55 +833,31 @@ func (g *Group) healDeliveryGap(gapNext *uint64, gapSince *time.Time) {
 			self, n = id, node
 		}
 	}
-	seq := g.seqID
-	var donors []ids.ReplicaID
-	for _, id := range g.members {
-		if id != self && !g.crashed[id] && !g.localSet[id] {
-			donors = append(donors, id)
-		}
-	}
+	donor, ok := healDonor(g.members, g.crashedAt, self, g.seqID)
 	g.mu.Unlock()
 	if wedged {
 		return
 	}
-	if n == nil || len(donors) == 0 {
+	if n == nil || !ok {
 		return
 	}
 	next, highest := n.Frontier()
-	if highest < next {
-		*gapNext = 0
+	w, stalled := gapStalled(*gap, next, highest, now, g.cfg.DetectTimeout)
+	*gap = w
+	if !stalled {
 		return
 	}
-	if next != *gapNext {
-		*gapNext, *gapSince = next, time.Now()
-		return
-	}
-	if time.Since(*gapSince) < g.cfg.DetectTimeout {
-		return
-	}
-	// Prefer the sequencer: its retention window is authoritative. A
-	// trimmed range comes back empty and the replica stays wedged — that
+	// A trimmed range comes back empty and the replica stays wedged — that
 	// is the pre-existing "restart with -recover" case, now logged.
-	donor := donors[0]
-	for _, id := range donors {
-		if id == seq {
-			donor = id
-			break
-		}
-	}
 	envs := g.cfg.FetchGap(donor, next, int(highest-next)+1)
-	switch {
-	case len(envs) > 0 && envs[0].Stamp > 0 && envs[0].Stamp <= g.vclk.Now():
-		// The local clock already passed the missing slots' stamps (a
-		// long partition, typically across a view change): injecting now
-		// would execute them at the wrong virtual instants — divergence.
-		// Only a full recovery restart replays them correctly.
+	switch healRule(envs, g.vclk.Now()) {
+	case healWedged:
 		g.mu.Lock()
 		g.gapWedged = true
 		g.mu.Unlock()
 		g.cfg.Logf("gcs: %v delivery gap [%d..%d] predates the local virtual clock (stamp %v <= now %v); "+
 			"in-band heal unsafe, restart with -recover", self, next, highest, envs[0].Stamp, g.vclk.Now())
-	case len(envs) > 0:
+	case healInject:
 		g.cfg.Logf("gcs: %v healing delivery gap [%d..%d]: fetched %d slots from %v",
 			self, next, highest, len(envs), donor)
 		g.inject(n.enqueue, envs...)
@@ -907,7 +865,7 @@ func (g *Group) healDeliveryGap(gapNext *uint64, gapSince *time.Time) {
 		g.cfg.Logf("gcs: %v delivery gap [%d..%d] not healable from %v (trimmed?); restart with -recover",
 			self, next, highest, donor)
 	}
-	*gapSince = time.Now() // re-arm: retry after another full window
+	gap.since = now // re-arm: retry after another full window
 }
 
 // leadTakeover promotes the local member self to sequencer of the next
@@ -971,17 +929,6 @@ func (g *Group) leadTakeover(self ids.ReplicaID) {
 	g.viewAcks = nil
 	g.mu.Unlock()
 
-	// Abort on objection: some peer (possibly the accused sequencer
-	// itself) still observes live traffic from the current view. Our own
-	// silence was a link or timing artifact — revive the sequencer and
-	// give the detector a fresh window rather than splitting the order.
-	if viewObjection(acks) {
-		g.cfg.Logf("gcs: %v aborting view-%d takeover: a peer still observes sequencer %v alive",
-			self, v, deposed)
-		g.Revive(deposed)
-		g.touchSeqTraffic()
-		return
-	}
 	// Quorum over the voter set active now (learners and removed members
 	// carry no weight); see takeoverQuorumMet for the rule and the
 	// ordered-pair exception.
@@ -995,33 +942,32 @@ func (g *Group) leadTakeover(self ids.ReplicaID) {
 	voterCount := len(g.members)
 	pairOrdered := g.pairOrdered
 	g.mu.Unlock()
-	if !takeoverQuorumMet(localVoters, len(acks), voterCount, pairOrdered) {
+	switch takeoverRule(acks, localVoters, voterCount, pairOrdered) {
+	case takeoverObjected:
+		// Some peer (possibly the accused sequencer itself) still observes
+		// live traffic from the current view. Our own silence was a link or
+		// timing artifact — revive the sequencer and give the detector a
+		// fresh window rather than splitting the order.
+		g.cfg.Logf("gcs: %v aborting view-%d takeover: a peer still observes sequencer %v alive",
+			self, v, deposed)
+		g.Revive(deposed)
+		g.touchSeqTraffic()
+		return
+	case takeoverShort:
 		g.cfg.Logf("gcs: %v aborting view-%d takeover: %d acks is short of a majority of %d",
 			self, v, len(acks), voterCount)
 		g.Revive(deposed)
 		g.touchSeqTraffic()
 		return
 	}
-
-	bestDonor, bestFrontier := ids.ReplicaID(-1), maxSeen
-	for id, a := range acks {
-		if a.Seq > maxSeen {
-			maxSeen = a.Seq
-		}
-		if a.Stamp > maxStamp {
-			maxStamp = a.Stamp
-		}
-		if a.Seq > bestFrontier {
-			bestFrontier, bestDonor = a.Seq, id
-		}
-	}
+	plan := planHeal(next, maxSeen, maxStamp, g.cfg.Budget, acks, g.cfg.FetchGap != nil)
 
 	// Self-heal: fetch slots we missed from the most advanced survivor
 	// and inject them through the normal stamped path *before* opening
 	// the horizon — their stamps lie above our current horizon, so they
 	// replay at their original virtual instants.
-	if bestDonor >= 0 && next <= maxSeen && g.cfg.FetchGap != nil {
-		if envs := g.cfg.FetchGap(bestDonor, next, int(maxSeen-next)+1); len(envs) > 0 {
+	if plan.donor >= 0 {
+		if envs := g.cfg.FetchGap(plan.donor, plan.fetchFrom, plan.fetchMax); len(envs) > 0 {
 			g.inject(n.enqueue, envs...)
 		}
 	}
@@ -1030,29 +976,25 @@ func (g *Group) leadTakeover(self ids.ReplicaID) {
 	// a FIFO prefix of the dead sequencer's stream, so re-multicasting
 	// our tail (original stamps, pre-takeover view) ahead of the first
 	// new-view heartbeat closes their gaps in order.
-	for id, a := range acks {
-		peerNext := a.UID // acks carry the peer's frontier in UID
-		if peerNext > maxSeen {
-			continue
-		}
-		envs, _, ok := n.SequencedTail(peerNext, int(maxSeen-peerNext)+1)
+	for _, p := range plan.pushes {
+		envs, _, ok := n.SequencedTail(p.from, p.max)
 		if !ok {
 			continue
 		}
 		for _, e := range envs {
-			g.transfer(fmt.Sprintf("seq%v>%v", self, id), Origin{Replica: id}, e)
+			g.transfer(fmt.Sprintf("seq%v>%v", self, p.to), Origin{Replica: p.to}, e)
 		}
 	}
 
-	n.raiseHighestSeen(maxSeen)
+	n.raiseHighestSeen(plan.resume)
 	g.mu.Lock()
-	if f := maxStamp + g.cfg.Budget; f > g.stampFloor {
-		g.stampFloor = f
+	if plan.floor > g.stampFloor {
+		g.stampFloor = plan.floor
 	}
 	g.mu.Unlock()
 	g.vclk.PromoteLeader()
 	g.cfg.Logf("gcs: %v taking over as view-%d sequencer: %d/%d acks, resume past slot %d, stamp floor %v",
-		self, v, len(acks), len(peers), maxSeen, maxStamp+g.cfg.Budget)
+		self, v, len(acks), len(peers), plan.resume, plan.floor)
 	g.adoptView(v, self)
 }
 
@@ -1107,10 +1049,8 @@ func (g *Group) handleViewReq(e Envelope) {
 		}
 	}
 	maxStamp := g.maxStamp
-	object := e.View <= g.view ||
-		(!recovering &&
-			(g.localSet[g.seqID] ||
-				(age < g.cfg.DetectTimeout && !g.crashed[g.seqID])))
+	object := viewReqObjects(e.View, g.view, recovering, g.localSet[g.seqID],
+		age < g.cfg.DetectTimeout, g.crashed[g.seqID])
 	g.mu.Unlock()
 	if n == nil {
 		return
@@ -1159,7 +1099,8 @@ func (g *Group) observeView(e Envelope) bool {
 	g.mu.Lock()
 	cur := g.view
 	g.mu.Unlock()
-	if e.View < cur {
+	verdict, revive := observeRule(e.View, cur, e.From)
+	if verdict == viewStale {
 		// Stale-view traffic from a live member means it missed the view
 		// change — typically a sequencer that stalled through its own
 		// deposition and whose objection lost the race. It was marked
@@ -1168,12 +1109,12 @@ func (g *Group) observeView(e Envelope) bool {
 		// the new view and the group would split permanently. Drop the
 		// frame, revive the sender: the next horizon announces the view
 		// and the straggler stands down into it.
-		if id := e.From.Replica; id > 0 && !e.From.IsClient {
-			g.Revive(id)
+		if revive > 0 {
+			g.Revive(revive)
 		}
 		return false
 	}
-	if e.View > cur {
+	if verdict == viewNewer {
 		from := e.From.Replica
 		if !g.adoptView(e.View, from) {
 			g.mu.Lock()
