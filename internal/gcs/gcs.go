@@ -1,28 +1,26 @@
-// Package gcs simulates the group communication system that FTflex
-// relies on (paper Sect. 2): totally ordered broadcast to a static group
-// of replicas, duplicate suppression, point-to-point messages, and a
-// simple sequencer-takeover protocol for leader failure.
+// Package gcs is the group communication system FTflex relies on (paper
+// Sect. 2): totally ordered broadcast to a group of replicas, duplicate
+// suppression, point-to-point messages, and sequencer failover — on the
+// in-memory transport of the simulator, where every transfer costs a
+// virtual latency, or on a real one (internal/wire) with stamped delivery.
 //
-// The simulation runs on a vclock.Clock: every message transfer costs the
-// configured one-way latency of virtual time, and per-node delivery loops
-// hand messages to the replication layer one at a time, only when the
-// rest of the system is quiescent at the current instant — the same
-// discipline as core's event pump, which keeps simultaneous deliveries
-// deterministic.
-//
-// Total order is provided by a fixed-sequencer protocol: nodes (and
-// clients) forward payloads to the current sequencer, which assigns
-// sequence numbers and multicasts; receivers deliver in sequence order
-// through a hold-back queue, suppressing duplicates by (origin, uid).
-// When the sequencer crashes, surviving nodes detect the failure after
-// DetectTimeout, adopt the lowest-id survivor as the new sequencer, and
-// retransmit their unsequenced forwards — the takeover cost that
-// experiment E5 measures for LSA versus the symmetric algorithms.
+// Total order comes from a fixed sequencer: nodes and clients forward
+// payloads to it, it assigns slots and multicasts, and receivers deliver
+// in slot order through a hold-back queue, one message at a time at a
+// quiescent instant (core's event-pump discipline), suppressing
+// duplicates by (origin, uid). The view change — failure detection, the
+// objection- and quorum-guarded election, membership and gap healing — is
+// one pure state machine (view.go), driven under the group lock by the
+// cluster's wall-clock ticker or, in the simulator, by the virtual detect
+// timer a crash arms: there, survivors adopt the lowest live member one
+// DetectTimeout after the crash and retransmit their pending forwards —
+// the takeover cost experiment E5 measures.
 package gcs
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -72,21 +70,17 @@ func (o Origin) String() string {
 type Config struct {
 	Clock   vclock.Clock
 	Members []ids.ReplicaID
-	// Group names the replication group this endpoint belongs to in a
-	// sharded deployment ("g0", "g1", ...; "" for single-group). It is
-	// the group's identity, not behavior: member ids, views, and seqno
-	// spaces of distinct groups are independent, and the tag shows up in
-	// log prefixes and server status so interleaved multi-tenant output
-	// stays attributable. The matching wire-transport Group tag (which
-	// DOES enforce isolation at handshake) is set separately by the
-	// process that builds the transport.
+	// Group names the replication group in a sharded deployment ("g0",
+	// "g1", ...; "" for single-group): identity only, shown in log
+	// prefixes. The wire transport's Group tag, which does isolate groups
+	// at handshake, is set by whoever builds the transport.
 	Group string
 	// Latency is the one-way transfer time between any two endpoints
 	// (including a node's messages to itself, for symmetry). Only the
 	// in-memory transport uses it.
 	Latency time.Duration
 	// DetectTimeout is how long survivors take to detect a crashed
-	// sequencer and fail over.
+	// sequencer and fail over (default 50ms).
 	DetectTimeout time.Duration
 
 	// Transport carries envelopes between endpoints. nil selects the
@@ -97,56 +91,43 @@ type Config struct {
 	// members are local (the simulator); an empty non-nil slice means
 	// none are (a client-only process such as a load generator).
 	Local []ids.ReplicaID
-	// Learners lists members that receive sequenced traffic and horizon
-	// multicasts but carry no quorum weight and cannot be elected — the
-	// state a joining replica occupies between its AddReplica change
-	// being delivered and that change's activation slot. A joining
-	// process lists itself here (and in Local) while its id is absent
-	// from Members; established processes learn of learners at runtime
-	// via AddLearner.
+	// Learners lists members that receive the sequenced fan-out but carry
+	// no quorum weight and cannot be elected: a joiner between its
+	// AddReplica change's delivery and activation lists itself here (and
+	// in Local); established processes learn of learners via AddLearner.
 	Learners []ids.ReplicaID
-	// Tick and Budget configure stamped sequencing, active when a
-	// non-nil Transport is combined with a Virtual clock: the sequencer
-	// drains forwarded broadcasts as they arrive (see kicksTick) and
-	// stamps each sequenced message with a virtual delivery deadline
-	// Budget in the future; Tick is the base interval of the heartbeat it
-	// multicasts when nothing arrives (see nextTick for the idle stretch).
-	// Every member injects the message into its own virtual timeline at
-	// exactly that instant and treats the stamps as its clock horizon,
-	// so all replicas execute an identical virtual schedule even though
-	// real network delays differ. When stamped sequencing is active the
-	// clock must have pacing enabled (vclock.Virtual.EnablePacing)
-	// before NewGroup is called.
+	// Tick and Budget configure stamped sequencing — a non-nil Transport
+	// on a Virtual clock, whose pacing must be enabled before NewGroup: the
+	// sequencer drains forwards as they arrive (kicksTick) and stamps each
+	// slot with a virtual deadline Budget ahead; Tick is the base interval
+	// of its idle heartbeat (nextTick). Every member injects a slot at its
+	// stamp and takes the stamps as its clock horizon, so all replicas run
+	// one virtual schedule whatever the network delays.
 	Tick   time.Duration
 	Budget time.Duration
 
-	// FetchGap, when set (stamped mode), fetches up to max sequenced
-	// slots starting at from that this process missed, from the donor
-	// member. The sequencer-takeover path uses it to heal the candidate
-	// before it assumes the new view; the server wires it to the wire
-	// transport's catch-up fetch. Called from an unmanaged goroutine.
+	// FetchGap, when set (stamped mode), fetches up to max sequenced slots
+	// from slot from on that this process missed, from member donor: a
+	// takeover candidate heals itself with it before it opens the new view,
+	// and a follower closes a stalled delivery gap. The server wires it to
+	// the wire transport's catch-up fetch. Called from the failure
+	// detector's goroutine.
 	FetchGap func(donor ids.ReplicaID, from uint64, max int) []Envelope
 
 	// Recovering starts the group in recovery mode (stamped mode only):
-	// all transport traffic is buffered instead of injected, so the
-	// virtual clock cannot advance past the stamps of the sequenced tail
-	// the process is about to fetch from a donor. ResumeLive ends the
-	// mode, replaying the tail and the buffered live stream in seq order
-	// at their original stamps.
+	// transport traffic is buffered, so the clock cannot pass the stamps of
+	// the tail about to be fetched; ResumeLive replays tail and buffer in
+	// slot order at their original stamps.
 	Recovering bool
 	// SeqRetention bounds the per-node log of delivered sequenced
 	// envelopes kept for donor-side catch-up (SequencedTail). 0 applies
-	// DefaultSeqRetention; negative retains everything.
+	// DefaultSeqRetention.
 	SeqRetention int
 
-	// Classify, when set, runs at the sequencer against every payload
-	// being assigned a total-order slot and returns its conflict class
-	// (package earlysched); the class is stamped into the sequenced
-	// envelope and delivered in Message.Class on every member. nil (or a
-	// return of 0) means the conservative global class. Classify must be
-	// a pure function of the payload: every member that could become
-	// sequencer must stamp identically, or a takeover would change the
-	// classes mid-stream.
+	// Classify, when set, returns the conflict class (package earlysched)
+	// the sequencer stamps on a payload it orders, delivered in
+	// Message.Class; nil or 0 is the conservative global class. It must be
+	// a pure function of the payload, or a takeover would change classes.
 	Classify func(Payload) uint32
 
 	// Logf, when set, receives view-change and failure-detection events
@@ -155,11 +136,10 @@ type Config struct {
 	Logf func(format string, args ...interface{})
 }
 
-// DefaultSeqRetention is the sequenced-log bound applied when Config
-// leaves SeqRetention at zero. A rejoining replica can replay at most
-// this many slots from a donor; a longer outage needs a checkpoint
-// newer than the donor's log start (checkpoints are taken continuously,
-// so in practice this bounds donor memory, not recoverability).
+// DefaultSeqRetention is the sequenced-log bound when Config leaves
+// SeqRetention at zero: a rejoiner replays at most this many slots from a
+// donor, a longer outage needs a newer checkpoint (taken continuously, so
+// in practice this bounds donor memory, not recoverability).
 const DefaultSeqRetention = 16384
 
 // Stats counts network traffic, for the message-overhead comparisons of
@@ -186,55 +166,28 @@ func (s *Stats) Snapshot() (transfers, broadcasts, directs int) {
 	return s.Transfers, s.Broadcast, s.Direct
 }
 
-// Group is one process group plus its client endpoints. In the simulator
-// every member is hosted by the same Group; in a distributed deployment
-// each process hosts a Group with one local member (or none, for pure
-// client processes), wired together by a shared Transport implementation.
+// Group is one process group plus its client endpoints: in the simulator
+// one Group hosts every member; in a cluster each process hosts one member
+// (or none: a load generator), and a shared Transport wires them together.
 type Group struct {
 	cfg     Config
 	stats   Stats
 	tr      Transport
 	vclk    *vclock.Virtual // non-nil when Clock is a Virtual
 	stamped bool            // stamped sequencing active (see Config.Tick)
+	boot    time.Time       // a cluster's view machine runs on wall time since
+	wake    chan struct{}   // ticks a cluster's failure detector at once
 
-	mu        sync.Mutex
-	nodes     map[ids.ReplicaID]*Node
-	localSet  map[ids.ReplicaID]bool
-	clients   map[ids.ClientID]*ClientEndpoint
-	crashed   map[ids.ReplicaID]bool
-	crashedAt map[ids.ReplicaID]time.Duration
-	isClosed  bool
-
-	// Dynamic membership (epoch-based reconfiguration): members is the
-	// current voter set, mutated only by ApplyMembership at activation
-	// slots of the total order; learners receive the full sequenced
-	// fan-out but carry no quorum weight. memberEpoch gates stale
-	// applications; pairOrdered records that the current 2-voter set
-	// resulted from an ordered removal (see takeoverQuorumMet).
-	members     []ids.ReplicaID
-	learners    map[ids.ReplicaID]bool
-	memberEpoch uint64
-	pairOrdered bool
-	links       []seqLink     // sequencer fan-out (see fanOut); nil after a membership change
-	linksFrom   ids.ReplicaID // the sequencer links was built for
-
-	// Sequencing view: a monotone number bumped on every takeover, with
-	// the member currently assigning total-order slots. Every stamped
-	// envelope carries the view; receivers drop traffic from older views
-	// and adopt newer ones (viewstamped-replication style).
-	view         uint64
-	seqID        ids.ReplicaID
-	maxStamp     time.Duration              // highest stamp/horizon observed
-	stampFloor   time.Duration              // new-view stamps must exceed this
-	viewAcks     map[ids.ReplicaID]Envelope // view-sync replies being collected
-	viewAckFor   uint64                     // ... for this proposed view
+	// mu guards the view machine and what follows.
+	mu           sync.Mutex
+	vs           viewState
+	nodes        map[ids.ReplicaID]*Node // one per local member, fixed at NewGroup
+	clients      map[ids.ClientID]*ClientEndpoint
+	clientList   []*ClientEndpoint // the same, in registration order
 	onViewChange []func(view uint64, seq ids.ReplicaID)
-	takingOver   bool
-
-	// Wall-clock failure detection (stamped mode): the monitor marks the
-	// sequencer crashed when no stamped traffic arrived for DetectTimeout.
-	trafficMu      sync.Mutex
-	lastSeqTraffic time.Time
+	isClosed     bool
+	links        []seqLink     // sequencer fan-out (see fanOut); nil after a membership change
+	linksFrom    ids.ReplicaID // the sequencer links was built for
 
 	fwdMu      sync.Mutex
 	fwdQ       []Envelope        // forwards awaiting the next drain
@@ -246,13 +199,6 @@ type Group struct {
 	recMu      sync.Mutex
 	recovering bool
 	recBuf     []Envelope // transport arrivals buffered during recovery
-
-	// gapWedged marks a delivery gap whose slots' stamps the local
-	// virtual clock has already passed: in-band healing would execute
-	// them at the wrong instants (divergence), so only a full recovery
-	// restart can fix it. Cleared on a view change (the takeover heal
-	// may close the hole from the outside).
-	gapWedged bool
 
 	closed chan struct{}
 }
@@ -282,22 +228,32 @@ func NewGroup(cfg Config) *Group {
 		local = members
 	}
 	g := &Group{
-		cfg:       cfg,
-		nodes:     map[ids.ReplicaID]*Node{},
-		localSet:  map[ids.ReplicaID]bool{},
-		clients:   map[ids.ClientID]*ClientEndpoint{},
-		crashed:   map[ids.ReplicaID]bool{},
-		crashedAt: map[ids.ReplicaID]time.Duration{},
-		members:   members,
-		learners:  map[ids.ReplicaID]bool{},
-		closed:    make(chan struct{}),
+		cfg:     cfg,
+		boot:    time.Now(),
+		wake:    make(chan struct{}, 1),
+		nodes:   map[ids.ReplicaID]*Node{},
+		clients: map[ids.ClientID]*ClientEndpoint{},
+		closed:  make(chan struct{}),
 	}
+	g.vclk, _ = cfg.Clock.(*vclock.Virtual)
+	g.tr = cfg.Transport
+	if g.tr == nil {
+		g.tr = newMemTransport(g)
+	}
+	g.stamped = cfg.Transport != nil && g.vclk != nil
+	g.recovering = cfg.Recovering && g.stamped
+	g.vs = viewState{self: -1, local: map[ids.ReplicaID]bool{}, detect: cfg.DetectTimeout, budget: cfg.Budget,
+		canFetch: cfg.FetchGap != nil && g.stamped, oracle: !g.stamped, seq: members[0],
+		crashed: map[ids.ReplicaID]time.Duration{}, members: members, learners: map[ids.ReplicaID]bool{}}
 	for _, id := range local {
-		g.localSet[id] = true
+		g.vs.local[id] = true
+	}
+	if len(local) == 1 {
+		g.vs.self = local[0]
 	}
 	for _, id := range cfg.Learners {
-		if !containsID(members, id) {
-			g.learners[id] = true
+		if !slices.Contains(members, id) {
+			g.vs.learners[id] = true
 		}
 	}
 	if g.cfg.Logf == nil {
@@ -319,15 +275,6 @@ func NewGroup(cfg Config) *Group {
 			inner("["+self+"] "+format, args...)
 		}
 	}
-	g.vclk, _ = cfg.Clock.(*vclock.Virtual)
-	g.tr = cfg.Transport
-	if g.tr == nil {
-		g.tr = newMemTransport(g)
-	}
-	g.stamped = cfg.Transport != nil && g.vclk != nil
-	g.recovering = cfg.Recovering && g.stamped
-	g.seqID = members[0]
-	g.lastSeqTraffic = time.Now()
 	// Host a node for every local id — including a local learner whose id
 	// is not (yet) in the voter set: a joining process participates in
 	// delivery from the moment the cluster starts fanning out to it.
@@ -346,11 +293,9 @@ func NewGroup(cfg Config) *Group {
 	return g
 }
 
-// SetOnViewChange registers a callback invoked (from an unmanaged
-// goroutine) after every view adoption. The replication layer uses it to
-// move the nested-invocation performer role. Register before traffic
-// flows; callbacks accumulate so every locally hosted replica can
-// observe the change.
+// SetOnViewChange registers a callback run after every view adoption (the
+// replication layer moves the nested-invocation performer with it).
+// Register before traffic flows; callbacks accumulate.
 func (g *Group) SetOnViewChange(fn func(view uint64, seq ids.ReplicaID)) {
 	g.mu.Lock()
 	g.onViewChange = append(g.onViewChange, fn)
@@ -362,7 +307,7 @@ func (g *Group) SetOnViewChange(fn func(view uint64, seq ids.ReplicaID)) {
 func (g *Group) CurrentView() (uint64, ids.ReplicaID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.view, g.seqID
+	return g.vs.view, g.vs.seq
 }
 
 // Distributed reports whether the group runs in stamped (real-transport)
@@ -381,18 +326,12 @@ func (g *Group) Close() error {
 	return g.tr.Close()
 }
 
-func (g *Group) isLocal(id ids.ReplicaID) bool { return g.localSet[id] }
-
 // SeqRetention resolves Config.SeqRetention into the bound of every
-// member's sequenced log: 0 applies the default, negative disables trimming
-// (0 here). The replication layer bounds the delivered-message log it
-// keeps beside it by the same number.
+// member's sequenced log. The replication layer bounds the
+// delivered-message log it keeps beside it by the same number.
 func (g *Group) SeqRetention() int {
-	if g.cfg.SeqRetention == 0 {
+	if g.cfg.SeqRetention <= 0 {
 		return DefaultSeqRetention
-	}
-	if g.cfg.SeqRetention < 0 {
-		return 0
 	}
 	return g.cfg.SeqRetention
 }
@@ -415,19 +354,7 @@ func (g *Group) Node(id ids.ReplicaID) *Node {
 func (g *Group) Members() []ids.ReplicaID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return append([]ids.ReplicaID(nil), g.members...)
-}
-
-// Learners returns the current learner ids in ascending order.
-func (g *Group) Learners() []ids.ReplicaID {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]ids.ReplicaID, 0, len(g.learners))
-	for id := range g.learners {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(g.vs.members)
 }
 
 // MembershipEpoch returns the epoch of the last applied configuration
@@ -435,7 +362,7 @@ func (g *Group) Learners() []ids.ReplicaID {
 func (g *Group) MembershipEpoch() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.memberEpoch
+	return g.vs.epoch
 }
 
 // AddLearner registers a joining member: it starts receiving sequenced
@@ -444,94 +371,31 @@ func (g *Group) MembershipEpoch() uint64 {
 // promotes it. Idempotent; a no-op for an existing voter.
 func (g *Group) AddLearner(id ids.ReplicaID) {
 	g.mu.Lock()
-	already := g.learners[id] || containsID(g.members, id)
-	if !already {
-		g.learners[id] = true
-		g.links = nil
-	}
-	// A learner may carry a stale crash mark (e.g. an id reused after an
-	// earlier removal); clear it so fan-out reaches it.
-	delete(g.crashed, id)
-	delete(g.crashedAt, id)
+	g.links = nil
+	effs := g.vs.step(evLearner{id}, g.now())
 	g.mu.Unlock()
-	if !already {
-		g.cfg.Logf("gcs: member %v added as learner", id)
-	}
+	g.apply(effs)
 }
 
 // ApplyMembership installs the voter set of a membership configuration
-// that reached its activation slot. Every replica calls it at the same
-// slot with the same arguments (the config rode the total order), so
-// voter sets never diverge. ordered marks a deliberate (in-order)
-// change as opposed to a seeded snapshot; it feeds the pairOrdered
-// election exception. Stale epochs are ignored (returns false).
-//
-// A sequencer that is removed by the new config marks itself crashed
-// and falls silent; survivors mark it crashed too (back-dated, no
-// detection window for senders) and the lowest remaining voter then
-// announces the next view through the normal objection-guarded
-// takeover once the silence is observed.
+// that reached its activation slot; every replica calls it at the same
+// slot with the same arguments, so voter sets never diverge. ordered marks
+// a deliberate change, not a seeded snapshot (the pairOrdered election
+// exception). Stale epochs are ignored (returns false). A removed
+// sequencer falls silent and the lowest remaining voter takes over
+// through the ordinary objection-guarded election.
 func (g *Group) ApplyMembership(epoch uint64, voters []ids.ReplicaID, ordered bool) bool {
-	vs := append([]ids.ReplicaID(nil), voters...)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	vs := slices.Clone(voters)
+	slices.Sort(vs)
 	g.mu.Lock()
-	if epoch <= g.memberEpoch || len(vs) == 0 {
-		g.mu.Unlock()
-		return false
-	}
-	old := g.members
-	g.memberEpoch = epoch
-	g.members = vs
 	g.links = nil
-	g.pairOrdered = ordered && len(vs) == 2
-	now := g.cfg.Clock.Now()
-	var removed []ids.ReplicaID
-	for _, id := range old {
-		if !containsID(vs, id) {
-			removed = append(removed, id)
-		}
-	}
-	for _, id := range vs {
-		if g.learners[id] {
-			delete(g.learners, id)
-			// A promoted learner is by definition caught up (it delivered
-			// this very activation slot); make sure no stale crash mark
-			// hides it from the fan-out or the election scan.
-			delete(g.crashed, id)
-			delete(g.crashedAt, id)
-		}
-	}
-	for _, id := range removed {
-		delete(g.learners, id)
-		if !g.crashed[id] {
-			g.crashed[id] = true
-			g.crashedAt[id] = now - g.cfg.DetectTimeout
-		}
-	}
-	seqRemoved := !containsID(vs, g.seqID)
+	before := g.vs.epoch
+	effs := g.vs.step(evApply{epoch, vs, ordered}, g.now())
+	applied := g.vs.epoch != before
 	g.mu.Unlock()
-	g.cfg.Logf("gcs: membership epoch %d active: voters %v (removed %v)", epoch, vs, removed)
-	if seqRemoved {
-		// The sequencer left by configuration: restart the silence window
-		// so the takeover candidate gets a full DetectTimeout after the
-		// deposed sequencer's final multicast.
-		g.touchSeqTraffic()
-	}
-	return true
+	g.apply(effs)
+	return applied
 }
-
-func containsID(s []ids.ReplicaID, id ids.ReplicaID) bool {
-	for _, x := range s {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
-// GroupTag returns the shard identity this group was configured with
-// ("" in single-group deployments).
-func (g *Group) GroupTag() string { return g.cfg.Group }
 
 // NewClientEndpoint registers a client endpoint.
 func (g *Group) NewClientEndpoint(id ids.ClientID) *ClientEndpoint {
@@ -542,25 +406,23 @@ func (g *Group) NewClientEndpoint(id ids.ClientID) *ClientEndpoint {
 	}
 	c := newClientEndpoint(g, id)
 	g.clients[id] = c
+	g.clientList = append(g.clientList, c)
 	g.mu.Unlock()
-	g.tr.Bind(Origin{Client: id, IsClient: true}, func(envs ...Envelope) { g.inject(c.enqueue, envs...) })
+	g.tr.Bind(Origin{Client: id, IsClient: true}, func(envs ...Envelope) { g.inject(c.put, envs...) })
 	return c
 }
 
-// sequencer returns the sequencer as *currently visible* to senders: a
-// crashed sequencer keeps receiving (and dropping) traffic until the
-// failure-detection timeout passes — that lost window is exactly the
-// takeover cost experiment E5 measures.
+// sequencer returns the sequencer senders address: in a cluster the view's
+// (detection and view-sync already happened), in the simulator the one
+// visibleSequencer reads off the crash marks.
 func (g *Group) sequencer() ids.ReplicaID {
 	now := g.cfg.Clock.Now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.stamped {
-		// Distributed mode: the view state machine is authoritative (the
-		// wall-clock monitor and view-sync already encode detection).
-		return g.seqID
+		return g.vs.seq
 	}
-	return visibleSequencer(g.members, g.crashedAt, now, g.cfg.DetectTimeout)
+	return visibleSequencer(g.vs.members, g.vs.crashed, now, g.vs.detect)
 }
 
 // CurrentSequencer exposes the sender-visible sequencer (may be -1 when
@@ -568,16 +430,11 @@ func (g *Group) sequencer() ids.ReplicaID {
 // the nested-invocation performer in distributed mode.
 func (g *Group) CurrentSequencer() ids.ReplicaID { return g.sequencer() }
 
-// actualSequencerLocked ignores detection delay (internal liveness view).
-func (g *Group) actualSequencerLocked() ids.ReplicaID {
-	return lowestLive(g.members, g.crashedAt)
-}
-
 // alive reports whether a member is still up.
 func (g *Group) alive(id ids.ReplicaID) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return !g.crashed[id]
+	return !g.vs.down(id)
 }
 
 // Alive reports whether a member is still up (public view for the
@@ -588,545 +445,166 @@ func (g *Group) Alive(id ids.ReplicaID) bool { return g.alive(id) }
 func (g *Group) LiveMembers() []ids.ReplicaID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var out []ids.ReplicaID
-	for _, id := range g.members {
-		if !g.crashed[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(g.vs.members), g.vs.down)
 }
 
-// Crash stops a member: it no longer sends or receives anything. If the
-// member was the sequencer, survivors fail over after DetectTimeout:
-// they adopt the next sequencer and retransmit unsequenced forwards.
-// Returns false if the member was already down.
+// Crash stops a member: it no longer sends or receives anything; a crashed
+// sequencer's survivors fail over after DetectTimeout and retransmit their
+// pending forwards. Returns false if the member was already down.
 func (g *Group) Crash(id ids.ReplicaID) bool {
 	g.mu.Lock()
-	if g.crashed[id] {
-		g.mu.Unlock()
-		return false
-	}
-	wasSequencer := g.actualSequencerLocked() == id
-	g.crashed[id] = true
-	g.crashedAt[id] = g.cfg.Clock.Now()
-	newSeq := g.actualSequencerLocked()
+	was := g.vs.down(id)
+	effs := g.vs.step(evCrash{id}, g.now())
 	g.mu.Unlock()
-
-	if !wasSequencer || newSeq < 0 {
-		return true
-	}
-	// Failure detection after the timeout: survivors adopt the next view
-	// (recomputing the lowest live member at that instant, so cascading
-	// crashes during the window resolve to the right sequencer) and
-	// retransmit their unsequenced forwards.
-	g.cfg.Clock.Go(func() {
-		g.cfg.Clock.Sleep(g.cfg.DetectTimeout)
-		g.detectFailover()
-	})
-	return true
+	g.apply(effs)
+	return !was
 }
 
-// detectFailover recomputes the sequencer from current liveness and, if
-// it moved, adopts the next view. The simulator schedules it one
-// DetectTimeout after a sequencer crash; the distributed wall-clock
-// monitor reaches the same state machine through leadTakeover.
-func (g *Group) detectFailover() {
-	g.mu.Lock()
-	s := g.actualSequencerLocked()
-	if s < 0 || s == g.seqID {
-		g.mu.Unlock()
-		return
-	}
-	v := g.view + 1
-	g.mu.Unlock()
-	g.adoptView(v, s)
-}
-
-// adoptView installs view v with sequencer s, marks every member below s
-// as crash-detected, retransmits unsequenced forwards from local nodes
-// and clients, and fires the view-change callback. Stale or duplicate
-// views are ignored (returns false).
-func (g *Group) adoptView(v uint64, s ids.ReplicaID) bool {
-	g.mu.Lock()
-	if v <= g.view {
-		g.mu.Unlock()
-		return false
-	}
-	g.view = v
-	g.seqID = s
-	g.gapWedged = false // the new view's takeover heal may close the hole
-	now := g.cfg.Clock.Now()
-	for _, id := range crashBelow(g.members, s, g.crashedAt, nil) {
-		g.crashed[id] = true
-		// Back-date so the sender-visible scan skips it immediately.
-		g.crashedAt[id] = now - g.cfg.DetectTimeout
-	}
-	var nodes []*Node
-	for _, n := range g.nodes {
-		if !g.crashed[n.id] {
-			nodes = append(nodes, n)
-		}
-	}
-	clients := make([]*ClientEndpoint, 0, len(g.clients))
-	for _, c := range g.clients {
-		clients = append(clients, c)
-	}
-	cbs := make([]func(uint64, ids.ReplicaID), len(g.onViewChange))
-	copy(cbs, g.onViewChange)
-	g.mu.Unlock()
-	g.cfg.Logf("gcs: adopted view %d, sequencer %v", v, s)
-	g.touchSeqTraffic()
-	for _, n := range nodes {
-		n.retransmitPending()
-	}
-	for _, c := range clients {
-		c.retransmitPending()
-	}
-	for _, cb := range cbs {
-		cb(v, s)
-	}
-	return true
-}
-
-// AdoptView installs an externally learned view (public entry for
-// processes that receive no heartbeats — the load generator polls the
-// members' Status and feeds view changes here so its clients re-route
-// pending requests to the new sequencer).
-func (g *Group) AdoptView(view uint64, seq ids.ReplicaID) { g.adoptView(view, seq) }
+// AdoptView installs an externally learned view: the load generator, which
+// receives no heartbeats, polls the members' Status and feeds view changes
+// here so its clients re-route pending requests to the new sequencer.
+func (g *Group) AdoptView(view uint64, seq ids.ReplicaID) { g.step(evAdopt{view, seq}) }
 
 // SeedView installs the view a rejoining replica learned from its
 // recovery donor before live traffic is replayed: members below the
 // current sequencer are marked crash-detected (excluding locally hosted
 // ones — the rejoining old sequencer itself stays alive as a follower).
-func (g *Group) SeedView(view uint64, seq ids.ReplicaID) {
-	g.mu.Lock()
-	if seedAdopts(view, seq, g.view, g.seqID) {
-		g.view = view
-		g.seqID = seq
-		now := g.cfg.Clock.Now()
-		for _, id := range crashBelow(g.members, seq, g.crashedAt, g.localSet) {
-			g.crashed[id] = true
-			g.crashedAt[id] = now - g.cfg.DetectTimeout
-		}
-	}
-	g.mu.Unlock()
-	g.touchSeqTraffic()
-}
+func (g *Group) SeedView(view uint64, seq ids.ReplicaID) { g.step(evSeed{view, seq}) }
 
 // Revive unmarks a crash-detected member after it reconnected (the
 // transport reports its hello). Without it the sequencer would exclude
 // the rejoined member from sequenced multicasts forever.
-func (g *Group) Revive(id ids.ReplicaID) {
+func (g *Group) Revive(id ids.ReplicaID) { g.step(evRevive{id}) }
+
+// now is the instant the view machine runs at: virtual time in the
+// simulator, wall time since the group was created in a cluster.
+func (g *Group) now() time.Duration {
+	if g.vs.oracle {
+		return g.cfg.Clock.Now()
+	}
+	return time.Since(g.boot)
+}
+
+// step runs ev through the view machine under the group lock, then
+// carries out its effects.
+func (g *Group) step(ev any) {
 	g.mu.Lock()
-	was := g.crashed[id]
-	delete(g.crashed, id)
-	delete(g.crashedAt, id)
+	effs := g.vs.step(ev, g.now())
 	g.mu.Unlock()
-	if was {
-		g.cfg.Logf("gcs: member %v revived", id)
+	g.apply(effs)
+}
+
+// apply carries out the view machine's effects, in order, outside the lock.
+func (g *Group) apply(effs []effect) {
+	for _, e := range effs {
+		switch e.kind {
+		case effSend:
+			g.transfer(e.key, Origin{Replica: e.to}, e.env)
+		case effFetch:
+			envs := g.cfg.FetchGap(e.to, e.from, e.max)
+			g.step(evFetched{req: e, envs: envs, vnow: g.vclk.Now()})
+		case effInject:
+			g.inject(g.nodes[e.id].enqueue, e.envs...)
+		case effPush:
+			envs, _, ok := g.nodes[e.id].SequencedTail(e.from, e.max)
+			if !ok {
+				continue
+			}
+			key := fmt.Sprintf("seq%v>%v", e.id, e.to)
+			for _, env := range envs {
+				g.transfer(key, Origin{Replica: e.to}, env)
+			}
+		case effRaise:
+			g.nodes[e.id].raiseHighestSeen(e.from)
+		case effPromote:
+			if g.vclk != nil {
+				g.vclk.PromoteLeader()
+			}
+		case effInstall:
+			g.step(evAdopt{e.view, e.id})
+		case effAdopt:
+			g.mu.Lock()
+			clients, cbs := g.clientList, g.onViewChange // both append-only
+			g.mu.Unlock()
+			for _, n := range g.nodes {
+				if g.alive(n.id) {
+					n.retransmitPending()
+				}
+			}
+			for _, c := range clients {
+				c.retransmitPending()
+			}
+			for _, cb := range cbs {
+				cb(e.view, e.id)
+			}
+		case effArm: // the simulator's detect timer is virtual; a cluster's wakes its monitor
+			if !g.stamped {
+				g.cfg.Clock.Go(func() { g.cfg.Clock.Sleep(e.after); g.step(evTick{}) })
+			} else {
+				time.AfterFunc(e.after, g.poke)
+			}
+		case effLog:
+			g.cfg.Logf(e.format, e.args...)
+		}
 	}
 }
 
-// touchSeqTraffic resets the wall-clock staleness window used by the
-// failure monitor.
-func (g *Group) touchSeqTraffic() {
-	g.trafficMu.Lock()
-	g.lastSeqTraffic = time.Now()
-	g.trafficMu.Unlock()
+// poke runs the cluster's monitor tick at once.
+func (g *Group) poke() {
+	select {
+	case g.wake <- struct{}{}:
+	default:
+	}
 }
 
-// seqTrafficAge returns the wall time since the last sequencer sign of
-// life.
-func (g *Group) seqTrafficAge() time.Duration {
-	g.trafficMu.Lock()
-	defer g.trafficMu.Unlock()
-	return time.Since(g.lastSeqTraffic)
-}
-
-// runMonitor is the distributed failure detector: a wall-clock loop
-// (stamped processes host real goroutines freely — only managed ones
-// obey the virtual clock) that watches for sequencer silence. Heartbeats
-// arrive at least every 4·Tick (capped at DetectTimeout/4), so
-// DetectTimeout without any stamped traffic means the sequencer (or the
-// candidate expected to replace it) is gone; the lowest live member then
-// leads a takeover, everyone else widens the window and waits for the
-// new view to announce itself.
+// runMonitor drives the view machine on the wall clock (stamped processes
+// host real goroutines freely — only managed ones obey the virtual clock):
+// a tick every DetectTimeout/4, and one whenever a timer the machine armed
+// runs out. Heartbeats arrive at least every 4·Tick (capped at
+// DetectTimeout/4), so a detect window without stamped traffic means the
+// sequencer (or the candidate expected to replace it) is gone.
 func (g *Group) runMonitor() {
-	interval := g.cfg.DetectTimeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(max(g.cfg.DetectTimeout/4, time.Millisecond))
 	defer ticker.Stop()
-	start := time.Now()
-	var gap gapWatch // frontier last seen stuck below highestSeen
 	for {
 		select {
 		case <-g.closed:
 			return
 		case <-ticker.C:
+		case <-g.wake:
 		}
-		recovering := g.Recovering()
-		g.mu.Lock()
-		seq := g.seqID
-		hostingSeq := g.localSet[seq]
-		busy := g.takingOver
-		g.mu.Unlock()
-		if monitorRule(recovering, hostingSeq || busy, 0, g.cfg.DetectTimeout) == monitorSkip {
-			g.touchSeqTraffic()
-			continue
-		}
-		g.healDeliveryGap(&gap, time.Since(start))
-		if monitorRule(false, false, g.seqTrafficAge(), g.cfg.DetectTimeout) == monitorWait {
-			continue
-		}
-		// The sequencer is silent: declare it crashed and line up behind
-		// the lowest live member. If that is us, run the takeover; if
-		// not, restart the window so the candidate gets its own
-		// DetectTimeout to announce the new view before we cascade past
-		// it.
-		g.mu.Lock()
-		if !g.crashed[seq] {
-			g.crashed[seq] = true
-			g.crashedAt[seq] = g.cfg.Clock.Now() - g.cfg.DetectTimeout
-		}
-		cand := g.actualSequencerLocked()
-		lead := cand >= 0 && g.localSet[cand]
-		if lead {
-			g.takingOver = true
-		}
-		curView := g.view
-		g.mu.Unlock()
-		g.cfg.Logf("gcs: sequencer %v silent for %v (view %d): candidate %v (lead=%v)",
-			seq, g.cfg.DetectTimeout, curView, cand, lead)
-		g.touchSeqTraffic()
-		if lead {
-			g.leadTakeover(cand)
-			g.mu.Lock()
-			g.takingOver = false
-			g.mu.Unlock()
-		}
+		g.step(evTick{front: g.frontier(), recovering: g.Recovering()})
 	}
 }
 
-// healDeliveryGap closes a follower's delivery hole outside a takeover.
-// A member partitioned across a view change holds slots ABOVE a gap the
-// takeover heal never closed (it was unreachable when the new sequencer
-// collected frontiers), so its frontier wedges below highestSeen forever
-// while the cluster moves on. When the frontier sits still below
-// highestSeen for a full detect window — ordinary in-flight slots clear
-// within a tick — the monitor fetches the missing range from a live
-// peer and injects it through the stamped path, exactly like the
-// takeover self-heal. gapNext/gapSince persist across monitor ticks to
-// carry the stall detection.
-func (g *Group) healDeliveryGap(gap *gapWatch, now time.Duration) {
-	if g.cfg.FetchGap == nil || !g.stamped {
-		return
+// frontier is the local member's delivery state (zero when this process
+// hosts none, or all of the simulator's).
+func (g *Group) frontier() (f frontier) {
+	if n := g.nodes[g.vs.self]; n != nil {
+		f.next, f.highest = n.Frontier()
 	}
-	g.mu.Lock()
-	wedged := g.gapWedged
-	var self ids.ReplicaID = -1
-	var n *Node
-	for id, node := range g.nodes {
-		if self < 0 || id < self {
-			self, n = id, node
-		}
-	}
-	donor, ok := healDonor(g.members, g.crashedAt, self, g.seqID)
-	g.mu.Unlock()
-	if wedged {
-		return
-	}
-	if n == nil || !ok {
-		return
-	}
-	next, highest := n.Frontier()
-	w, stalled := gapStalled(*gap, next, highest, now, g.cfg.DetectTimeout)
-	*gap = w
-	if !stalled {
-		return
-	}
-	// A trimmed range comes back empty and the replica stays wedged — that
-	// is the pre-existing "restart with -recover" case, now logged.
-	envs := g.cfg.FetchGap(donor, next, int(highest-next)+1)
-	switch healRule(envs, g.vclk.Now()) {
-	case healWedged:
-		g.mu.Lock()
-		g.gapWedged = true
-		g.mu.Unlock()
-		g.cfg.Logf("gcs: %v delivery gap [%d..%d] predates the local virtual clock (stamp %v <= now %v); "+
-			"in-band heal unsafe, restart with -recover", self, next, highest, envs[0].Stamp, g.vclk.Now())
-	case healInject:
-		g.cfg.Logf("gcs: %v healing delivery gap [%d..%d]: fetched %d slots from %v",
-			self, next, highest, len(envs), donor)
-		g.inject(n.enqueue, envs...)
-	default:
-		g.cfg.Logf("gcs: %v delivery gap [%d..%d] not healable from %v (trimmed?); restart with -recover",
-			self, next, highest, donor)
-	}
-	gap.since = now // re-arm: retry after another full window
+	return f
 }
 
-// leadTakeover promotes the local member self to sequencer of the next
-// view. One round of view-sync collects every live peer's delivery
-// frontier and highest promised stamp; slot assignment resumes above the
-// highest slot any survivor saw (so the total order cannot fork) and new
-// stamps start above every previously published horizon (so no
-// follower's clock has passed them). Survivors that missed the dead
-// sequencer's final multicasts are healed from the best frontier before
-// the new view's traffic reaches them — per-link FIFO then guarantees
-// they observe the missing slots first.
-func (g *Group) leadTakeover(self ids.ReplicaID) {
+// observe filters a stamped envelope against the view and notes its stamp:
+// traffic of an older view is dropped (a deposed sequencer's zombie
+// multicasts must not fork the order), a newer view is adopted on the spot.
+// The current view's traffic — every envelope but a few around a view
+// change — only restarts the silence window.
+func (g *Group) observe(e Envelope) bool {
+	now := g.now()
 	g.mu.Lock()
-	v := g.view + 1
-	deposed := g.seqID
-	g.viewAcks = map[ids.ReplicaID]Envelope{}
-	g.viewAckFor = v
-	var peers, required []ids.ReplicaID
-	for _, id := range g.members {
-		if g.localSet[id] {
-			continue
-		}
-		// Probe every remote member — including those believed crashed.
-		// A falsely-accused sequencer (our inbound link went quiet, not
-		// the sequencer itself) answers with an objection and the
-		// takeover aborts instead of forking the order. Only members
-		// still believed live gate the wait, so a genuinely dead peer
-		// costs nothing.
-		peers = append(peers, id)
-		if !g.crashed[id] {
-			required = append(required, id)
-		}
-	}
-	g.mu.Unlock()
-	for _, id := range peers {
-		g.transfer(fmt.Sprintf("vr%v>%v", self, id), Origin{Replica: id},
-			Envelope{Kind: EnvViewReq, View: v, From: Origin{Replica: self}})
-	}
-	deadline := time.Now().Add(g.cfg.DetectTimeout)
-	for {
-		g.mu.Lock()
-		got := 0
-		for _, id := range required {
-			if _, ok := g.viewAcks[id]; ok {
-				got++
-			}
-		}
-		objected := viewObjection(g.viewAcks)
+	if e.View == g.vs.view {
+		g.vs.heard = now
+		g.vs.maxStamp = max(g.vs.maxStamp, e.Stamp)
 		g.mu.Unlock()
-		if objected || got >= len(required) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	n := g.nodes[self]
-	next, maxSeen := n.Frontier()
-	g.mu.Lock()
-	maxStamp := g.maxStamp
-	acks := g.viewAcks
-	g.viewAcks = nil
-	g.mu.Unlock()
-
-	// Quorum over the voter set active now (learners and removed members
-	// carry no weight); see takeoverQuorumMet for the rule and the
-	// ordered-pair exception.
-	g.mu.Lock()
-	localVoters := 0
-	for id := range g.nodes {
-		if containsID(g.members, id) && !g.crashed[id] {
-			localVoters++
-		}
-	}
-	voterCount := len(g.members)
-	pairOrdered := g.pairOrdered
-	g.mu.Unlock()
-	switch takeoverRule(acks, localVoters, voterCount, pairOrdered) {
-	case takeoverObjected:
-		// Some peer (possibly the accused sequencer itself) still observes
-		// live traffic from the current view. Our own silence was a link or
-		// timing artifact — revive the sequencer and give the detector a
-		// fresh window rather than splitting the order.
-		g.cfg.Logf("gcs: %v aborting view-%d takeover: a peer still observes sequencer %v alive",
-			self, v, deposed)
-		g.Revive(deposed)
-		g.touchSeqTraffic()
-		return
-	case takeoverShort:
-		g.cfg.Logf("gcs: %v aborting view-%d takeover: %d acks is short of a majority of %d",
-			self, v, len(acks), voterCount)
-		g.Revive(deposed)
-		g.touchSeqTraffic()
-		return
-	}
-	plan := planHeal(next, maxSeen, maxStamp, g.cfg.Budget, acks, g.cfg.FetchGap != nil)
-
-	// Self-heal: fetch slots we missed from the most advanced survivor
-	// and inject them through the normal stamped path *before* opening
-	// the horizon — their stamps lie above our current horizon, so they
-	// replay at their original virtual instants.
-	if plan.donor >= 0 {
-		if envs := g.cfg.FetchGap(plan.donor, plan.fetchFrom, plan.fetchMax); len(envs) > 0 {
-			g.inject(n.enqueue, envs...)
-		}
-	}
-
-	// Heal lagging peers from our own sequenced log: every survivor holds
-	// a FIFO prefix of the dead sequencer's stream, so re-multicasting
-	// our tail (original stamps, pre-takeover view) ahead of the first
-	// new-view heartbeat closes their gaps in order.
-	for _, p := range plan.pushes {
-		envs, _, ok := n.SequencedTail(p.from, p.max)
-		if !ok {
-			continue
-		}
-		for _, e := range envs {
-			g.transfer(fmt.Sprintf("seq%v>%v", self, p.to), Origin{Replica: p.to}, e)
-		}
-	}
-
-	n.raiseHighestSeen(plan.resume)
-	g.mu.Lock()
-	if plan.floor > g.stampFloor {
-		g.stampFloor = plan.floor
-	}
-	g.mu.Unlock()
-	g.vclk.PromoteLeader()
-	g.cfg.Logf("gcs: %v taking over as view-%d sequencer: %d/%d acks, resume past slot %d, stamp floor %v",
-		self, v, len(acks), len(peers), plan.resume, plan.floor)
-	g.adoptView(v, self)
-}
-
-// takeoverQuorumMet decides whether a takeover candidate may install a
-// new view: its local live voters plus the collected acks must cover a
-// majority of the configured voter set. A candidate that heard from
-// nobody cannot tell "they all died" from "my inbound links are down" —
-// and in the latter case assigning slots would fork the order the
-// silent majority still extends.
-//
-// The one exception is a 2-voter remainder produced by an ordered
-// removal (pairOrdered): the survivor may elect alone. The config
-// itself was majority-agreed in the total order before the set shrank,
-// the objection probe still runs first (a reachable peer that observes
-// the old view alive aborts the takeover), and the operator who shrank
-// the cluster to two deliberately traded partition tolerance for
-// availability. A static 2-member group, or one whose peer merely
-// crash-detected out of a larger config, keeps the stall — safety over
-// liveness.
-func takeoverQuorumMet(localVoters, acks, voters int, pairOrdered bool) bool {
-	if localVoters+acks >= voters/2+1 {
 		return true
 	}
-	return pairOrdered && voters == 2 && localVoters >= 1
-}
-
-// handleViewReq answers a takeover candidate's view-sync probe with this
-// process's delivery frontier (UID), highest slot seen (Seq) and highest
-// promised stamp (Stamp). Handled outside the virtual clock: the clock
-// may be stalled at the dead sequencer's last horizon.
-//
-// When this process still observes the current view alive — it hosts the
-// accused sequencer itself, saw its traffic within DetectTimeout, or
-// already sits in a view at least as new as the proposal — the ack
-// carries an objection (Origin set to the responder, see viewObjection)
-// and the candidate aborts: its silence was a link artifact, and a
-// takeover that excluded a live sequencer would fork the total order.
-func (g *Group) handleViewReq(e Envelope) {
-	age := g.seqTrafficAge()
-	// A recovering process has no live observation of the sequencer: its
-	// traffic is buffered unseen and the monitor self-touches seqTraffic
-	// to keep it from leading takeovers. Letting it object would wedge
-	// the cluster — its own catch-up needs the very election it vetoes —
-	// so it only acks (still countable toward the candidate's quorum).
-	recovering := g.Recovering()
-	g.mu.Lock()
-	var self ids.ReplicaID = -1
-	var n *Node
-	for id, node := range g.nodes {
-		if self < 0 || id < self {
-			self, n = id, node
-		}
-	}
-	maxStamp := g.maxStamp
-	object := viewReqObjects(e.View, g.view, recovering, g.localSet[g.seqID],
-		age < g.cfg.DetectTimeout, g.crashed[g.seqID])
+	stale := e.View < g.vs.view
+	effs := g.vs.step(evTraffic{e}, now)
 	g.mu.Unlock()
-	if n == nil {
-		return
-	}
-	ack := Envelope{
-		Kind: EnvViewAck,
-		View: e.View,
-		From: Origin{Replica: self},
-	}
-	if object {
-		ack.Origin = Origin{Replica: self}
-		g.transfer(fmt.Sprintf("va%v>%v", self, e.From.Replica), e.From, ack)
-		return
-	}
-	// A takeover is in progress: give the candidate its window.
-	g.touchSeqTraffic()
-	next, highest := n.Frontier()
-	ack.Seq, ack.UID, ack.Stamp = highest, next, maxStamp
-	g.transfer(fmt.Sprintf("va%v>%v", self, e.From.Replica), e.From, ack)
-}
-
-// viewObjection reports whether any view-sync ack objects to the
-// takeover: an objecting responder sets the otherwise-unused Origin
-// field to its own (non-zero) replica id.
-func viewObjection(acks map[ids.ReplicaID]Envelope) bool {
-	for _, a := range acks {
-		if a.Origin.Replica != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *Group) handleViewAck(e Envelope) {
-	g.mu.Lock()
-	if g.viewAcks != nil && e.View == g.viewAckFor {
-		g.viewAcks[e.From.Replica] = e
-	}
-	g.mu.Unlock()
-}
-
-// observeView filters a stamped envelope against the view state: traffic
-// from older views is dropped (a deposed sequencer's zombie multicasts
-// must not fork the order), newer views are adopted on the spot.
-func (g *Group) observeView(e Envelope) bool {
-	g.mu.Lock()
-	cur := g.view
-	g.mu.Unlock()
-	verdict, revive := observeRule(e.View, cur, e.From)
-	if verdict == viewStale {
-		// Stale-view traffic from a live member means it missed the view
-		// change — typically a sequencer that stalled through its own
-		// deposition and whose objection lost the race. It was marked
-		// crashed at detection, which excludes it from the new view's
-		// horizon multicasts, so without this revive it would never learn
-		// the new view and the group would split permanently. Drop the
-		// frame, revive the sender: the next horizon announces the view
-		// and the straggler stands down into it.
-		if revive > 0 {
-			g.Revive(revive)
-		}
-		return false
-	}
-	if verdict == viewNewer {
-		from := e.From.Replica
-		if !g.adoptView(e.View, from) {
-			g.mu.Lock()
-			cur = g.view
-			g.mu.Unlock()
-			if e.View < cur {
-				return false
-			}
-		}
-	}
-	g.touchSeqTraffic()
-	return true
+	g.apply(effs)
+	return !stale
 }
 
 // EnvKind classifies an envelope on the wire.
@@ -1191,8 +669,8 @@ func (g *Group) fanOut(from ids.ReplicaID) []seqLink {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.links == nil || g.linksFrom != from {
-		to := append([]ids.ReplicaID(nil), g.members...)
-		for id := range g.learners {
+		to := slices.Clone(g.vs.members)
+		for id := range g.vs.learners {
 			to = append(to, id)
 		}
 		sort.Slice(to, func(i, j int) bool { return to[i] < to[j] })
@@ -1215,7 +693,7 @@ func (g *Group) multicast(from ids.ReplicaID, envs []Envelope, hz *Envelope) {
 			continue
 		}
 		msgs := append(make([]Envelope, 0, len(envs)+1), envs...)
-		if hz != nil && !g.isLocal(lk.to) {
+		if hz != nil && !g.vs.local[lk.to] { // local is fixed at NewGroup
 			msgs = append(msgs, *hz)
 		}
 		if len(msgs) > 0 {
@@ -1256,10 +734,10 @@ func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 		// buffering (a recovering donor can still report its frontier).
 		switch e.Kind {
 		case EnvViewReq:
-			g.handleViewReq(e)
+			g.step(evViewReq{req: e, front: g.frontier(), recovering: g.Recovering()})
 			continue
 		case EnvViewAck:
-			g.handleViewAck(e)
+			g.step(evViewAck{e})
 			continue
 		}
 		// Recovery mode: buffer everything else. Injecting live sequenced
@@ -1279,12 +757,11 @@ func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 		case e.Kind == EnvForward:
 			fwds = append(fwds, e)
 		case e.Kind == EnvHorizon || (e.Kind == EnvSequenced && e.Stamp > 0):
-			if !g.observeView(e) {
+			if !g.observe(e) {
 				// Stale view: a deposed sequencer's zombie heartbeat, or a
 				// slot the order moved on without.
 				continue
 			}
-			g.noteStamp(e.Stamp)
 			if e.Stamp > horizon {
 				horizon = e.Stamp
 			}
@@ -1327,18 +804,7 @@ func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 func (g *Group) hostsSequencer() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.localSet[g.seqID]
-}
-
-// noteStamp records the highest stamp/horizon this process has observed;
-// view-sync reports it so a new sequencer's stamps start above every
-// instant any survivor's clock may already have reached.
-func (g *Group) noteStamp(st time.Duration) {
-	g.mu.Lock()
-	if st > g.maxStamp {
-		g.maxStamp = st
-	}
-	g.mu.Unlock()
+	return g.vs.local[g.vs.seq]
 }
 
 // BufferedSeqRange reports the sequenced envelopes buffered while the
@@ -1393,10 +859,7 @@ func (g *Group) ResumeLive(next uint64, tail []Envelope) {
 	buf := g.recBuf
 	g.recBuf = nil
 
-	var node *Node
-	for _, n := range g.nodes {
-		node = n // recovery mode hosts exactly one local member
-	}
+	node := g.nodes[g.vs.self] // recovery mode hosts exactly one local member
 	if node == nil {
 		return
 	}
@@ -1438,7 +901,9 @@ func (g *Group) ResumeLive(next uint64, tail []Envelope) {
 	sortUint64(order)
 
 	if maxStamp > 0 {
-		g.noteStamp(maxStamp)
+		g.mu.Lock() // view-sync reports it: a new sequencer stamps above it
+		g.vs.maxStamp = max(g.vs.maxStamp, maxStamp)
+		g.mu.Unlock()
 		g.vclk.SetHorizon(maxStamp)
 	}
 	node.resumeAt(next)
@@ -1498,9 +963,9 @@ func (g *Group) runTicks() {
 			continue
 		}
 		g.mu.Lock()
-		seqID, view, floor := g.seqID, g.view, g.stampFloor
+		seqID, view, floor := g.vs.seq, g.vs.view, g.vs.floor
 		n := g.nodes[seqID]
-		if n != nil && g.crashed[seqID] {
+		if n != nil && g.vs.down(seqID) {
 			// An ordered removal took this process's member out of the
 			// voter set while it was the sequencer: fall silent so the
 			// survivors' failure detector hands the role to the lowest

@@ -1,6 +1,8 @@
 package gcs
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,9 +58,14 @@ func TestApplyMembership(t *testing.T) {
 		Learners: []ids.ReplicaID{4},
 	})
 	defer g.Close()
+	learners := func() map[ids.ReplicaID]bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return maps.Clone(g.vs.learners)
+	}
 
-	if got := g.Learners(); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("Learners() = %v", got)
+	if got := learners(); len(got) != 1 || !got[4] {
+		t.Fatalf("learners = %v", got)
 	}
 	if got := g.fanOut(1); len(got) != 4 || got[3] != (seqLink{to: 4, key: "seqR1>R4"}) {
 		t.Fatalf("fanOut(1) = %v, want the three voters and learner 4 last", got)
@@ -70,19 +77,19 @@ func TestApplyMembership(t *testing.T) {
 	// AddLearner is idempotent and a no-op for voters.
 	g.AddLearner(4)
 	g.AddLearner(2)
-	if got := g.Learners(); len(got) != 1 {
-		t.Fatalf("Learners() after re-add = %v", got)
+	if got := learners(); len(got) != 1 {
+		t.Fatalf("learners after re-add = %v", got)
 	}
 
 	// Activation: 4 promotes to voter, epoch advances.
 	if !g.ApplyMembership(1, []ids.ReplicaID{1, 2, 3, 4}, true) {
 		t.Fatal("epoch-1 apply rejected")
 	}
-	if got := g.Members(); len(got) != 4 || !containsID(got, 4) {
+	if got := g.Members(); len(got) != 4 || !slices.Contains(got, 4) {
 		t.Fatalf("Members() after promotion = %v", got)
 	}
-	if got := g.Learners(); len(got) != 0 {
-		t.Fatalf("Learners() after promotion = %v", got)
+	if got := learners(); len(got) != 0 {
+		t.Fatalf("learners after promotion = %v", got)
 	}
 	if g.MembershipEpoch() != 1 {
 		t.Fatalf("epoch = %d", g.MembershipEpoch())
@@ -104,7 +111,7 @@ func TestApplyMembership(t *testing.T) {
 	if g.Alive(1) {
 		t.Fatal("ordered-removed member still alive")
 	}
-	if got := g.LiveMembers(); len(got) != 3 || containsID(got, 1) {
+	if got := g.LiveMembers(); len(got) != 3 || slices.Contains(got, 1) {
 		t.Fatalf("LiveMembers() after removal = %v", got)
 	}
 	// The cached fan-out follows the voter set, a new learner and a new
@@ -125,7 +132,7 @@ func TestApplyMembership(t *testing.T) {
 		t.Fatal("epoch-3 apply rejected")
 	}
 	g.mu.Lock()
-	pairOrdered := g.pairOrdered
+	pairOrdered := g.vs.pairOrdered
 	g.mu.Unlock()
 	if !pairOrdered {
 		t.Fatal("ordered 2-voter remainder did not set pairOrdered")

@@ -2,32 +2,21 @@ package gcs
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"detmt/internal/ids"
 	"detmt/internal/ring"
-	"detmt/internal/vclock"
 )
 
 // Node is one group member's endpoint: it can broadcast in total order,
 // send direct messages, and hands incoming messages to the replication
 // layer one at a time through its delivery loop.
 type Node struct {
-	g  *Group
+	endpoint
 	id ids.ReplicaID
-
-	mu      sync.Mutex
-	inbox   []Envelope
-	running bool
-	parker  vclock.Parker
 
 	deliver func(Message)                // total-order deliveries
 	direct  func(from Origin, p Payload) // point-to-point deliveries
-
-	// sender state
-	nextUID uint64
-	pending map[uint64]Payload // broadcasts not yet seen sequenced
 
 	// sequencer state
 	nextAssign uint64
@@ -49,27 +38,20 @@ type Node struct {
 	// a restarted peer can catch up from a checkpoint without replaying
 	// the whole history, indexed by slot.
 	seqLog *ring.Buffer[Envelope]
-	halted bool
 }
 
 func newNode(g *Group, id ids.ReplicaID) *Node {
 	n := &Node{
-		g:           g,
 		id:          id,
-		pending:     map[uint64]Payload{},
 		ordered:     map[Origin]*ids.Runs{},
 		holdback:    map[uint64]Envelope{},
 		nextDeliver: 1,
 		seqLog:      ring.New[Envelope](g.SeqRetention()),
 	}
-	if v, ok := g.cfg.Clock.(*vclock.Virtual); ok {
-		// Deliveries rank just below the core runtime's event pump, and
-		// per-node ranks keep simultaneous deliveries on different
-		// replicas in a fixed (if arbitrary) global order.
-		n.parker = v.NewOrderedParker(fmt.Sprintf("gcs %v", id), ^uint64(0)-1024+uint64(uint16(id)))
-	} else {
-		n.parker = g.cfg.Clock.NewParker()
-	}
+	// Deliveries rank just below the core runtime's event pump, and
+	// per-node ranks keep simultaneous deliveries on different replicas in
+	// a fixed (if arbitrary) global order.
+	n.init(g, Origin{Replica: id}, fmt.Sprintf("gcs %v", id), ^uint64(0)-1024+uint64(uint16(id)), n.handle)
 	return n
 }
 
@@ -101,33 +83,8 @@ func (n *Node) Broadcast(p Payload) error {
 	if !n.g.alive(n.id) {
 		return ErrNoSequencer
 	}
-	n.g.stats.add(0, 1, 0)
-	n.mu.Lock()
-	n.nextUID++
-	uid := n.nextUID
-	n.pending[uid] = p
-	n.mu.Unlock()
-	env := Envelope{
-		Kind:    EnvForward,
-		Origin:  Origin{Replica: n.id},
-		UID:     uid,
-		Payload: p,
-	}
-	return n.sendToSequencer(env)
-}
-
-func (n *Node) sendToSequencer(env Envelope) error {
-	seq := n.g.sequencer()
-	if seq < 0 {
-		return ErrNoSequencer // nobody left alive: do not misroute
-	}
-	key := fmt.Sprintf("%v>%v", env.Origin, seq)
-	if !env.Origin.IsClient && env.Origin.Replica != n.id {
-		// re-forward path (received a forward while not sequencer)
-		key = fmt.Sprintf("fwd%v>%v", n.id, seq)
-	}
-	n.g.transfer(key, Origin{Replica: seq}, env)
-	return nil
+	_, err := n.broadcast(p)
+	return err
 }
 
 // SendDirect sends p to another member outside the total order (FIFO per
@@ -164,99 +121,20 @@ func (n *Node) SendToClient(to ids.ClientID, p Payload) {
 	n.g.transfer(fmt.Sprintf("rep%v>%v", n.id, to), Origin{Client: to, IsClient: true}, env)
 }
 
-// retransmitPending re-sends unsequenced broadcasts to the (new)
-// sequencer after a takeover.
-func (n *Node) retransmitPending() {
-	if !n.g.alive(n.id) {
-		return
-	}
-	n.mu.Lock()
-	uids := make([]uint64, 0, len(n.pending))
-	for uid := range n.pending {
-		uids = append(uids, uid)
-	}
-	payloads := make(map[uint64]Payload, len(uids))
-	for _, uid := range uids {
-		payloads[uid] = n.pending[uid]
-	}
-	n.mu.Unlock()
-	sortUint64(uids)
-	for _, uid := range uids {
-		// A failed send (no live sequencer) keeps the uid pending; the
-		// next view change retries it.
-		_ = n.sendToSequencer(Envelope{
-			Kind:    EnvForward,
-			Origin:  Origin{Replica: n.id},
-			UID:     uid,
-			Payload: payloads[uid],
-		})
-	}
-}
-
 // raiseHighestSeen lifts the slot watermark that the next sequencing
 // assignment resumes above — the takeover view-sync feeds it the highest
 // slot any survivor has seen, so the new sequencer cannot reuse a slot
 // number the old one already published.
 func (n *Node) raiseHighestSeen(v uint64) {
 	n.mu.Lock()
-	if v > n.highestSeen {
-		n.highestSeen = v
-	}
+	n.highestSeen = max(n.highestSeen, v)
 	n.mu.Unlock()
 }
 
-func sortUint64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// enqueue accepts an envelope from the transport and kicks the delivery
-// loop (same start/park discipline as core's event pump).
+// enqueue accepts an envelope from the transport; a crashed member drops it.
 func (n *Node) enqueue(env Envelope) {
-	if !n.g.alive(n.id) {
-		return
-	}
-	n.mu.Lock()
-	if n.halted {
-		n.mu.Unlock()
-		return
-	}
-	n.inbox = append(n.inbox, env)
-	start := !n.running
-	n.running = true
-	n.mu.Unlock()
-	if start {
-		n.g.cfg.Clock.Go(n.loop)
-	} else {
-		n.parker.Unpark()
-	}
-}
-
-// loop hands envelopes to the handlers one at a time, each at a quiescent
-// instant, so deliveries never race with running request threads.
-func (n *Node) loop() {
-	quiesced := false
-	for {
-		n.mu.Lock()
-		if len(n.inbox) == 0 {
-			n.running = false
-			n.mu.Unlock()
-			return
-		}
-		if !quiesced {
-			n.mu.Unlock()
-			woken := n.parker.ParkTimeout(0)
-			quiesced = !woken
-			continue
-		}
-		env := n.inbox[0]
-		n.inbox = n.inbox[1:]
-		n.mu.Unlock()
-		quiesced = false
-		n.handle(env)
+	if n.g.alive(n.id) {
+		n.put(env)
 	}
 }
 
@@ -274,13 +152,15 @@ func (n *Node) handle(env Envelope) {
 }
 
 func (n *Node) handleForward(env Envelope) {
-	if n.g.sequencer() != n.id {
+	if seq := n.g.sequencer(); seq != n.id {
 		// Takeover race: pass it on to the current sequencer.
-		n.sendToSequencer(env)
+		if seq >= 0 {
+			n.g.transfer(fmt.Sprintf("fwd%v>%v", n.id, seq), Origin{Replica: seq}, env)
+		}
 		return
 	}
 	n.g.mu.Lock()
-	view := n.g.view
+	view := n.g.vs.view
 	n.g.mu.Unlock()
 	n.g.multicast(n.id, n.sequence([]Envelope{env}, 0, view), nil)
 }
