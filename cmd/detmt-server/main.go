@@ -81,7 +81,7 @@ func flags(fs *flag.FlagSet) *cli {
 	fs.DurationVar(&o.Tick, "tick", 2*time.Millisecond,
 		"idle heartbeat base interval (virtual = wall): a request is sequenced when it arrives; with none arriving the sequencer multicasts a heartbeat every tick, stretching to 4*tick")
 	fs.DurationVar(&o.Budget, "budget", 5*time.Millisecond, "delivery-deadline budget per sequenced message")
-	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", 0, "broadcast a state checkpoint every N requests (0: never)")
+	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", 0, "take a local deterministic checkpoint at the first quiescent point after every N completed requests (0: never)")
 	fs.IntVar(&o.Workload.Iterations, "iterations", 10, "Fig. 1 loop iterations per request")
 	fs.IntVar(&o.Workload.Mutexes, "mutexes", 100, "Fig. 1 mutex set size")
 	fs.BoolVar(&o.EarlySched, "early-sched", false,

@@ -104,8 +104,17 @@ type Options struct {
 	Tick   time.Duration
 	Budget time.Duration
 
-	PDSWindow       int
-	PDSRelaxed      bool
+	// PDSWindow is the PDS pool size (0: the replica default, 4) and
+	// PDSRelaxed drops PDS's full-pool barrier requirement; both only
+	// matter under scheduler PDS (see replica.Config).
+	PDSWindow  int
+	PDSRelaxed bool
+	// CheckpointEvery takes a local deterministic checkpoint at the first
+	// quiescent point after every N completed requests (0: never). Every
+	// member takes it at the same slot; it is kept (with DataDir, also
+	// persisted) and served to rejoiners. Nothing is broadcast: the server
+	// sets the replica's CheckpointSink, which replaces passive
+	// replication's StateUpdate.
 	CheckpointEvery int
 
 	// Families switches the hosted object to the family-partitioned
@@ -156,14 +165,12 @@ type Options struct {
 	// bit-identical to the survivors'. Requires a running peer.
 	Recover bool
 	// GossipInterval is the period of the consistency-hash gossip used
-	// for divergence detection (0 applies DefaultGossipInterval;
-	// negative disables gossip).
+	// for divergence detection (0 applies DefaultGossipInterval).
 	GossipInterval time.Duration
 
 	// OriginIdleExpiry bounds how long the transport retains the
 	// reply-replay ring of a disconnected client origin (see
-	// wire.Options.OriginIdleExpiry). 0 applies DefaultOriginIdleExpiry;
-	// negative disables expiry.
+	// wire.Options.OriginIdleExpiry). 0 applies DefaultOriginIdleExpiry.
 	OriginIdleExpiry time.Duration
 
 	// Dial overrides the transport dialer (chaos fault injection).
@@ -388,11 +395,8 @@ func New(o Options) (*Server, error) {
 		idByName[id.String()] = id
 	}
 	expiry := o.OriginIdleExpiry
-	if expiry == 0 {
+	if expiry <= 0 {
 		expiry = DefaultOriginIdleExpiry
-	}
-	if expiry < 0 {
-		expiry = 0
 	}
 	tr, err := wire.NewTCP(wire.Options{
 		Name:      o.ID.String(),
@@ -547,10 +551,10 @@ func New(o Options) (*Server, error) {
 		go s.runRecovery()
 	}
 	gossip := o.GossipInterval
-	if gossip == 0 {
+	if gossip <= 0 {
 		gossip = DefaultGossipInterval
 	}
-	if gossip > 0 && len(o.Peers) > 0 {
+	if len(o.Peers) > 0 {
 		go s.runGossip(gossip)
 	}
 	return s, nil

@@ -71,7 +71,7 @@ type Options struct {
 	// then the oldest are dropped (counted, logged once per outage). A
 	// peer that was down long enough to lose frames this way has a gap in
 	// its stream and must rejoin via recovery. 0 applies
-	// DefaultMaxUnacked; negative keeps the queue unbounded.
+	// DefaultMaxUnacked.
 	MaxUnacked int
 	// BackoffMin/BackoffMax bound the exponential reconnect backoff
 	// (defaults 25ms / 1s).
@@ -164,7 +164,7 @@ func NewTCP(o Options) (*TCP, error) {
 	if o.Logf == nil {
 		o.Logf = func(string, ...interface{}) {}
 	}
-	if o.MaxUnacked == 0 {
+	if o.MaxUnacked <= 0 {
 		o.MaxUnacked = DefaultMaxUnacked
 	}
 	t := &TCP{
@@ -741,7 +741,7 @@ func (pl *peerLink) enqueueSeq(f frame) {
 	pl.nextSeq++
 	f.seq = pl.nextSeq
 	pl.queue = append(pl.queue, f)
-	if max := pl.t.o.MaxUnacked; max > 0 && len(pl.queue) > max {
+	if max := pl.t.o.MaxUnacked; len(pl.queue) > max {
 		n := len(pl.queue) - max
 		for i := 0; i < n; i++ {
 			releaseFrameBody(pl.queue[i])
