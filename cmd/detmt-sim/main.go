@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -21,20 +23,42 @@ import (
 	"detmt/internal/workload"
 )
 
+// errUsage reports bad flags (exit status 2).
+var errUsage = errors.New("usage")
+
 func main() {
-	scheduler := flag.String("scheduler", "MAT", "SEQ, SAT, LSA, PDS, MAT, MAT+LLA, or PMAT")
-	clients := flag.Int("clients", 8, "number of concurrent clients")
-	requests := flag.Int("requests", 5, "requests per client")
-	mutexes := flag.Int("mutexes", 100, "size of the object's mutex set")
-	iterations := flag.Int("iterations", 10, "loop iterations per request")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	netLat := flag.Duration("net-latency", 500*time.Microsecond, "one-way network latency")
-	nested := flag.Duration("nested-latency", 12*time.Millisecond, "external service duration")
-	pNested := flag.Float64("p-nested", 0.2, "per-iteration nested invocation probability")
-	pCompute := flag.Float64("p-compute", 0.2, "per-iteration local computation probability")
-	gantt := flag.Bool("gantt", false, "render replica 1's thread timeline (best with few clients)")
-	traceOut := flag.String("trace", "", "write replica 1's scheduler trace as JSON to this file")
-	flag.Parse()
+	switch err := run(os.Stdout, os.Args[1:]); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintf(os.Stderr, "detmt-sim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run simulates the flags' configuration and writes the report to w; a
+// divergence of the replicas' schedules is an error.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("detmt-sim", flag.ContinueOnError)
+	scheduler := fs.String("scheduler", "MAT", "SEQ, SAT, LSA, PDS, MAT, MAT+LLA, or PMAT")
+	clients := fs.Int("clients", 8, "number of concurrent clients")
+	requests := fs.Int("requests", 5, "requests per client")
+	mutexes := fs.Int("mutexes", 100, "size of the object's mutex set")
+	iterations := fs.Int("iterations", 10, "loop iterations per request")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	netLat := fs.Duration("net-latency", 500*time.Microsecond, "one-way network latency")
+	nested := fs.Duration("nested-latency", 12*time.Millisecond, "external service duration")
+	pNested := fs.Float64("p-nested", 0.2, "per-iteration nested invocation probability")
+	pCompute := fs.Float64("p-compute", 0.2, "per-iteration local computation probability")
+	gantt := fs.Bool("gantt", false, "render replica 1's thread timeline (best with few clients)")
+	traceOut := fs.String("trace", "", "write replica 1's scheduler trace as JSON to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 
 	kind := replica.SchedulerKind(*scheduler)
 	valid := false
@@ -45,7 +69,7 @@ func main() {
 	}
 	if !valid {
 		fmt.Fprintf(os.Stderr, "detmt-sim: unknown scheduler %q (want one of %v)\n", *scheduler, replica.AllKinds())
-		os.Exit(2)
+		return errUsage
 	}
 
 	o := harness.DefaultSim()
@@ -72,7 +96,7 @@ func main() {
 	r := harness.RunSim(o)
 	wall := time.Since(start)
 
-	fmt.Printf("scheduler %s, %d replicas, %d clients x %d requests, seed %d\n\n",
+	fmt.Fprintf(w, "scheduler %s, %d replicas, %d clients x %d requests, seed %d\n\n",
 		kind, 3, *clients, *requests, *seed)
 	tb := metrics.NewTable("metric", "value")
 	tb.Row("requests completed", r.Requests)
@@ -87,39 +111,33 @@ func main() {
 	tb.Row("direct messages", r.Directs)
 	tb.Row("object state counter", r.StateTotal)
 	tb.Row("real time to simulate", wall.Round(time.Millisecond).String())
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 
 	if *gantt {
-		fmt.Println("replica 1 timeline ('=' running, '?' lock-blocked, 'w' waiting, 'n' nested, letters = held mutex):")
-		fmt.Println(trace.Gantt{Width: 100}.Render(r.Trace))
+		fmt.Fprintln(w, "replica 1 timeline ('=' running, '?' lock-blocked, 'w' waiting, 'n' nested, letters = held mutex):")
+		fmt.Fprintln(w, trace.Gantt{Width: 100}.Render(r.Trace))
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-sim: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		if err := r.Trace.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-sim: %v\n", err)
-			os.Exit(1)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-sim: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("trace written to %s (%d events)\n", *traceOut, r.Trace.Len())
+		fmt.Fprintf(w, "trace written to %s (%d events)\n", *traceOut, r.Trace.Len())
 	}
 
-	agree := true
 	for _, h := range r.Hashes[1:] {
 		if h != r.Hashes[0] {
-			agree = false
+			fmt.Fprintf(w, "WARNING: replica schedules diverged: %x\n", r.Hashes)
+			return errors.New("replica schedules diverged")
 		}
 	}
-	if agree {
-		fmt.Printf("replica schedules agree (hash %016x)\n", r.Hashes[0])
-	} else {
-		fmt.Printf("WARNING: replica schedules diverged: %x\n", r.Hashes)
-		os.Exit(1)
-	}
+	fmt.Fprintf(w, "replica schedules agree (hash %016x)\n", r.Hashes[0])
+	return nil
 }
