@@ -56,6 +56,11 @@ go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial
 # frame with the heartbeat last, stamps rise from drain to drain (same line
 # as the CI step "Sequencing (race, 20 counts)").
 go test -race -count=20 -run 'TestTickPolicy|TestArrivalDrivenSequencing|TestFollowerIsNotWokenIntoSequencing|TestDrainsAtOneInstantGetIncreasingStamps|TestInjectSchedulesBatchBeforeRaisingHorizon' ./internal/gcs/
+# View changes: the seeded simulator (300 seeds a count under -race; 10 000
+# run in tier-1), the tables of the view machine's decision rules, the
+# quorum table and the takeover and straggler unit tests (same line as
+# the CI step "View changes (race, 20 counts)").
+go test -race -count=20 -run 'TestViewSim|TestRule|TestTakeoverQuorum|TestStaleViewFrameRevivesStraggler|TestSequencerTakeover|TestClientRetransmissionAfterTakeover' ./internal/gcs/ -viewsim.seeds=300
 # The steady state: live heap, dedup sets and retained logs after 40 000
 # requests are where 10 000 left them; the bounded FIFO and the interval set
 # answer what the shifted slice and the map did; no scheduler queue pins a
