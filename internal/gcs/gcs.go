@@ -425,9 +425,8 @@ func (g *Group) sequencer() ids.ReplicaID {
 	return visibleSequencer(g.vs.members, g.vs.crashed, now, g.vs.detect)
 }
 
-// CurrentSequencer exposes the sender-visible sequencer (may be -1 when
-// every member is crash-detected). The replication layer uses it to pick
-// the nested-invocation performer in distributed mode.
+// CurrentSequencer is the sequencer senders address (-1: every member is
+// crash-detected); the replication layer's nested-call performer.
 func (g *Group) CurrentSequencer() ids.ReplicaID { return g.sequencer() }
 
 // alive reports whether a member is still up.
@@ -437,8 +436,7 @@ func (g *Group) alive(id ids.ReplicaID) bool {
 	return !g.vs.down(id)
 }
 
-// Alive reports whether a member is still up (public view for the
-// replication layer, e.g. to pick the nested-invocation performer).
+// Alive reports whether a member is still up.
 func (g *Group) Alive(id ids.ReplicaID) bool { return g.alive(id) }
 
 // LiveMembers returns the live member ids in ascending order.
@@ -557,12 +555,10 @@ func (g *Group) poke() {
 	}
 }
 
-// runMonitor drives the view machine on the wall clock (stamped processes
-// host real goroutines freely — only managed ones obey the virtual clock):
-// a tick every DetectTimeout/4, and one whenever a timer the machine armed
-// runs out. Heartbeats arrive at least every 4·Tick (capped at
-// DetectTimeout/4), so a detect window without stamped traffic means the
-// sequencer (or the candidate expected to replace it) is gone.
+// runMonitor drives the view machine on the wall clock: a tick every
+// DetectTimeout/4, and one whenever a timer the machine armed runs out.
+// Heartbeats come at least every DetectTimeout/4, so a window without
+// stamped traffic means the sequencer (or its expected successor) is gone.
 func (g *Group) runMonitor() {
 	ticker := time.NewTicker(max(g.cfg.DetectTimeout/4, time.Millisecond))
 	defer ticker.Stop()
@@ -586,25 +582,14 @@ func (g *Group) frontier() (f frontier) {
 	return f
 }
 
-// observe filters a stamped envelope against the view and notes its stamp:
-// traffic of an older view is dropped (a deposed sequencer's zombie
-// multicasts must not fork the order), a newer view is adopted on the spot.
-// The current view's traffic — every envelope but a few around a view
-// change — only restarts the silence window.
+// observe filters a stamped envelope against the view (viewState.observe).
 func (g *Group) observe(e Envelope) bool {
 	now := g.now()
 	g.mu.Lock()
-	if e.View == g.vs.view {
-		g.vs.heard = now
-		g.vs.maxStamp = max(g.vs.maxStamp, e.Stamp)
-		g.mu.Unlock()
-		return true
-	}
-	stale := e.View < g.vs.view
-	effs := g.vs.step(evTraffic{e}, now)
+	effs, ok := g.vs.observe(e, now)
 	g.mu.Unlock()
 	g.apply(effs)
-	return !stale
+	return ok
 }
 
 // EnvKind classifies an envelope on the wire.

@@ -106,6 +106,7 @@ type (
 	evAdopt   viewOf                     // a view from outside, or our own takeover's
 )
 
+// viewOf names a view and its sequencer.
 type viewOf struct {
 	view uint64
 	seq  ids.ReplicaID
@@ -141,6 +142,20 @@ type effect struct {
 	after    time.Duration
 	format   string
 	args     []any
+}
+
+// observe filters a stamped envelope against the view and notes its stamp;
+// ok is false for one to drop. Traffic of an older view is dropped (a
+// deposed sequencer's zombie multicasts must not fork the order), a newer
+// view is adopted on the spot. The current view's traffic — every envelope
+// but a few around a view change — only restarts the silence window.
+func (st *viewState) observe(e Envelope, now time.Duration) (effs []effect, ok bool) {
+	if e.View == st.view {
+		st.heard, st.maxStamp = now, max(st.maxStamp, e.Stamp)
+		return nil, true
+	}
+	stale := e.View < st.view
+	return st.step(evTraffic{e}, now), !stale
 }
 
 func logf(format string, args ...any) effect { return effect{kind: effLog, format: format, args: args} }

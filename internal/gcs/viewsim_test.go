@@ -207,16 +207,10 @@ func (s *viewSim) receive(m *simMember, env Envelope) {
 		m.recBuf = append(m.recBuf, env)
 		return
 	}
-	// Group.observe: the current view only restarts the silence window.
-	now := m.clock(s.now)
-	if env.View == m.vs.view {
-		m.vs.heard, m.vs.maxStamp = now, max(m.vs.maxStamp, env.Stamp)
-	} else {
-		stale := env.View < m.vs.view
-		s.step(m, evTraffic{env})
-		if stale {
-			return
-		}
+	effs, ok := m.vs.observe(env, m.clock(s.now))
+	s.apply(m, effs)
+	if !ok {
+		return
 	}
 	own := env.Class == 1 && env.From.Replica == m.id
 	if !own {
