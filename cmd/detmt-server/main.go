@@ -79,7 +79,7 @@ func flags(fs *flag.FlagSet) *cli {
 	fs.DurationVar(&o.BreakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before probing the backend again (0: 2s)")
 	fs.BoolVar(&o.Workload.CatchNested, "catch-nested", false, "workload catches failed nested calls (iserr) instead of aborting the request")
 	fs.DurationVar(&o.Tick, "tick", 2*time.Millisecond,
-		"idle heartbeat base interval (virtual = wall): a request is sequenced when it arrives; with none arriving the sequencer multicasts a heartbeat every tick, stretching to 4*tick")
+		"idle heartbeat interval (virtual = wall): a request is sequenced when it arrives; with none arriving the sequencer multicasts a heartbeat every tick")
 	fs.DurationVar(&o.Budget, "budget", 5*time.Millisecond, "delivery-deadline budget per sequenced message")
 	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", 0, "take a local deterministic checkpoint at the first quiescent point after every N completed requests (0: never)")
 	fs.IntVar(&o.Workload.Iterations, "iterations", 10, "Fig. 1 loop iterations per request")

@@ -1,9 +1,9 @@
 package gcs
 
 import (
-	"fmt"
 	"sync"
 
+	"detmt/internal/ring"
 	"detmt/internal/vclock"
 )
 
@@ -20,11 +20,18 @@ type endpoint struct {
 	mu      sync.Mutex
 	nextUID uint64
 	pending map[uint64]Payload // broadcasts not yet seen sequenced (or acked)
-	inbox   []Envelope
+	inbox   ring.Buffer[Envelope]
 	running bool
 	halted  bool // every envelope from now on is dropped
 	parker  vclock.Parker
 	handle  func(Envelope)
+	keys    map[linkID]string // link names, formatted once (linkKey)
+}
+
+// linkID is a kind of link ("", "dir", "rep", "fwd") and where it leads.
+type linkID struct {
+	kind string
+	to   Origin
 }
 
 // init sets the endpoint up; on a Virtual clock rank orders its deliveries
@@ -32,6 +39,7 @@ type endpoint struct {
 func (e *endpoint) init(g *Group, origin Origin, label string, rank uint64, handle func(Envelope)) {
 	e.g, e.origin, e.handle = g, origin, handle
 	e.pending = map[uint64]Payload{}
+	e.keys = map[linkID]string{}
 	if v, ok := g.cfg.Clock.(*vclock.Virtual); ok {
 		e.parker = v.NewOrderedParker(label, rank)
 	} else {
@@ -62,8 +70,24 @@ func (e *endpoint) send(envs ...Envelope) error {
 	if seq < 0 {
 		return ErrNoSequencer
 	}
-	e.g.transfer(fmt.Sprintf("%v>%v", e.origin, seq), Origin{Replica: seq}, envs...)
+	to := Origin{Replica: seq}
+	e.g.transfer(e.linkKey("", to), to, envs...)
 	return nil
+}
+
+// linkKey names this endpoint's FIFO link of the given kind toward to:
+// "<kind><origin>><to>". The name ranks the link's same-instant deliveries
+// (memTransport), so it is formatted once per link, not per message.
+func (e *endpoint) linkKey(kind string, to Origin) string {
+	id := linkID{kind, to}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	key, ok := e.keys[id]
+	if !ok {
+		key = kind + e.origin.String() + ">" + to.String()
+		e.keys[id] = key
+	}
+	return key
 }
 
 // retransmitPending re-sends every pending broadcast, in uid order, to the
@@ -92,7 +116,7 @@ func (e *endpoint) put(env Envelope) {
 		e.mu.Unlock()
 		return
 	}
-	e.inbox = append(e.inbox, env)
+	e.inbox.Push(env)
 	start := !e.running
 	e.running = true
 	e.mu.Unlock()
@@ -107,7 +131,7 @@ func (e *endpoint) loop() {
 	quiesced := false
 	for {
 		e.mu.Lock()
-		if len(e.inbox) == 0 {
+		if e.inbox.Len() == 0 {
 			e.running = false
 			e.mu.Unlock()
 			return
@@ -118,8 +142,7 @@ func (e *endpoint) loop() {
 			quiesced = !woken
 			continue
 		}
-		env := e.inbox[0]
-		e.inbox = e.inbox[1:]
+		env, _ := e.inbox.Pop()
 		e.mu.Unlock()
 		quiesced = false
 		e.handle(env)

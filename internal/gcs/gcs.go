@@ -99,8 +99,8 @@ type Config struct {
 	// Tick and Budget configure stamped sequencing — a non-nil Transport
 	// on a Virtual clock, whose pacing must be enabled before NewGroup: the
 	// sequencer drains forwards as they arrive (kicksTick) and stamps each
-	// slot with a virtual deadline Budget ahead; Tick is the base interval
-	// of its idle heartbeat (nextTick). Every member injects a slot at its
+	// slot with a virtual deadline Budget ahead; Tick is the interval of its
+	// idle heartbeat. Every member injects a slot at its
 	// stamp and takes the stamps as its clock horizon, so all replicas run
 	// one virtual schedule whatever the network delays.
 	Tick   time.Duration
@@ -281,7 +281,8 @@ func NewGroup(cfg Config) *Group {
 	for _, id := range local {
 		n := newNode(g, id)
 		g.nodes[id] = n
-		g.tr.Bind(Origin{Replica: id}, func(envs ...Envelope) { g.inject(n.enqueue, envs...) })
+		enqueue := n.enqueue // one method value, not one per delivery
+		g.tr.Bind(Origin{Replica: id}, func(envs ...Envelope) { g.inject(enqueue, envs...) })
 	}
 	if g.stamped && len(g.nodes) > 0 {
 		// Every member-hosting process runs the sequencing loop; its body is a
@@ -408,7 +409,8 @@ func (g *Group) NewClientEndpoint(id ids.ClientID) *ClientEndpoint {
 	g.clients[id] = c
 	g.clientList = append(g.clientList, c)
 	g.mu.Unlock()
-	g.tr.Bind(Origin{Client: id, IsClient: true}, func(envs ...Envelope) { g.inject(c.put, envs...) })
+	put := c.put
+	g.tr.Bind(Origin{Client: id, IsClient: true}, func(envs ...Envelope) { g.inject(put, envs...) })
 	return c
 }
 
@@ -628,13 +630,9 @@ type Envelope struct {
 }
 
 // transfer puts envs on the named FIFO link toward to as one atomic
-// unit, counting them. To is stamped in place, so a caller fanning the
-// same envelopes out to several members passes each its own copy.
+// unit, counting them.
 func (g *Group) transfer(key string, to Origin, envs ...Envelope) {
 	g.stats.add(len(envs), 0, 0)
-	for i := range envs {
-		envs[i].To = to
-	}
 	g.tr.Send(key, to, envs...)
 }
 
@@ -668,18 +666,23 @@ func (g *Group) fanOut(from ids.ReplicaID) []seqLink {
 }
 
 // multicast fans sequenced envelopes out to every live recipient, one
-// atomic unit per member. hz, when non-nil, is the drain's horizon
-// heartbeat: it rides behind the envelopes toward every remote member
-// (a local one needs none — the sequenced stamps raise its horizon on
-// injection) and travels alone when the drain sequenced nothing.
+// atomic unit per member; every recipient gets the same slice. hz, when
+// non-nil, is the drain's horizon heartbeat: it rides behind the envelopes
+// toward every remote member (a local one needs none — the sequenced
+// stamps raise its horizon on injection) and travels alone when the drain
+// sequenced nothing.
 func (g *Group) multicast(from ids.ReplicaID, envs []Envelope, hz *Envelope) {
+	remote := envs
+	if hz != nil {
+		remote = append(envs, *hz)
+	}
 	for _, lk := range g.fanOut(from) {
 		if !g.alive(lk.to) {
 			continue
 		}
-		msgs := append(make([]Envelope, 0, len(envs)+1), envs...)
-		if hz != nil && !g.vs.local[lk.to] { // local is fixed at NewGroup
-			msgs = append(msgs, *hz)
+		msgs := remote
+		if g.vs.local[lk.to] { // local is fixed at NewGroup
+			msgs = envs
 		}
 		if len(msgs) > 0 {
 			g.transfer(lk.key, Origin{Replica: lk.to}, msgs...)
@@ -757,7 +760,7 @@ func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 				// order — without the slot rank, same-instant delivery order
 				// (and with it admission-order-sensitive schedulers like PDS)
 				// would differ across replicas.
-				g.vclk.ScheduleAt(env.Stamp, injectOrder+env.Seq, "gcs inject", func() { enqueue(env) })
+				g.vclk.ScheduleAt(env.Stamp, injectOrder+env.Seq, func() { enqueue(env) })
 			}
 		default:
 			enqueue(e)
@@ -899,7 +902,7 @@ func (g *Group) ResumeLive(next uint64, tail []Envelope) {
 		env := seqs[s]
 		if env.Stamp > 0 {
 			env := env
-			g.vclk.ScheduleAt(env.Stamp, injectOrder+env.Seq, "gcs inject", func() { node.enqueue(env) })
+			g.vclk.ScheduleAt(env.Stamp, injectOrder+env.Seq, func() { node.enqueue(env) })
 		} else {
 			node.enqueue(env)
 		}
@@ -918,8 +921,9 @@ func (g *Group) ResumeLive(next uint64, tail []Envelope) {
 // multicasts them with a horizon heartbeat (carrying the current view).
 // Forwards that arrive while a drain and its fan-out are under way ride
 // the next drain, so batches grow exactly when the sequencer is busy.
-// The timer is left with the idle heartbeat that keeps follower clocks
-// and the failure detector fed (nextTick). Stamps rise strictly from
+// The timer is left with the idle heartbeat, one every Tick: between
+// arrivals it is the only thing that raises a follower's clock horizon,
+// and it keeps the failure detector fed. Stamps rise strictly from
 // drain to drain and only the sequencer decides when to drain —
 // followers obey the stamps — so the schedule every replica executes is
 // a function of arrival order and stamps alone. After a takeover the
@@ -935,10 +939,9 @@ func (g *Group) runTicks() {
 	g.fwdMu.Lock()
 	g.tickParker = parker
 	g.fwdMu.Unlock()
-	tick := g.cfg.Tick
 	var last time.Duration // previous drain's stamp
 	for {
-		parker.ParkTimeout(tick)
+		parker.ParkTimeout(g.cfg.Tick)
 		select {
 		case <-g.closed:
 			return
@@ -959,7 +962,6 @@ func (g *Group) runTicks() {
 		}
 		g.mu.Unlock()
 		if n == nil {
-			tick = nextTick(g.cfg.Tick, g.cfg.DetectTimeout, tick, 0)
 			continue // not hosting the sequencer (yet)
 		}
 		g.fwdMu.Lock()
@@ -982,22 +984,7 @@ func (g *Group) runTicks() {
 		last = deadline
 		g.multicast(seqID, n.sequence(batch, deadline, view),
 			&Envelope{Kind: EnvHorizon, View: view, From: Origin{Replica: seqID}, Stamp: deadline})
-		tick = nextTick(g.cfg.Tick, g.cfg.DetectTimeout, tick, len(batch))
 	}
-}
-
-// nextTick is the heartbeat cadence: how long the sequencer parks for
-// when no arrival wakes it, given the base interval, the failure
-// detector's window, the park that just ended and how many forwards the
-// drain after it took. Traffic resets the cadence to the base; idle
-// rounds stretch it geometrically to 4·base — fewer empty heartbeat
-// multicasts — but never past detect/4, so heartbeats keep the failure
-// detector quiet.
-func nextTick(base, detect, cur time.Duration, drained int) time.Duration {
-	if drained > 0 {
-		return base
-	}
-	return max(base, min(2*cur, 4*base, detect/4))
 }
 
 // kicksTick reports whether forwards arriving into the sequencer's queue

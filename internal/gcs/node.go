@@ -95,7 +95,8 @@ func (n *Node) SendDirect(to ids.ReplicaID, p Payload) {
 	}
 	n.g.stats.add(0, 0, 1)
 	env := Envelope{Kind: EnvDirect, From: Origin{Replica: n.id}, Payload: p}
-	n.g.transfer(fmt.Sprintf("dir%v>%v", n.id, to), Origin{Replica: to}, env)
+	dst := Origin{Replica: to}
+	n.g.transfer(n.linkKey("dir", dst), dst, env)
 }
 
 // SendToClient sends p to a client endpoint (replies).
@@ -118,7 +119,8 @@ func (n *Node) SendToClient(to ids.ClientID, p Payload) {
 	}
 	n.g.stats.add(0, 0, 1)
 	env := Envelope{Kind: EnvDirect, From: Origin{Replica: n.id}, Payload: p}
-	n.g.transfer(fmt.Sprintf("rep%v>%v", n.id, to), Origin{Client: to, IsClient: true}, env)
+	dst := Origin{Client: to, IsClient: true}
+	n.g.transfer(n.linkKey("rep", dst), dst, env)
 }
 
 // raiseHighestSeen lifts the slot watermark that the next sequencing
@@ -155,7 +157,8 @@ func (n *Node) handleForward(env Envelope) {
 	if seq := n.g.sequencer(); seq != n.id {
 		// Takeover race: pass it on to the current sequencer.
 		if seq >= 0 {
-			n.g.transfer(fmt.Sprintf("fwd%v>%v", n.id, seq), Origin{Replica: seq}, env)
+			dst := Origin{Replica: seq}
+			n.g.transfer(n.linkKey("fwd", dst), dst, env)
 		}
 		return
 	}
@@ -220,26 +223,47 @@ func (n *Node) handleSequenced(env Envelope) {
 		n.mu.Unlock()
 		return // duplicate of an already delivered slot
 	}
-	n.holdback[env.Seq] = env
+	// The slot the order is waiting for is delivered straight away, the
+	// common case; one behind a gap waits in the hold-back queue.
+	inOrder := env.Seq == n.nextDeliver
+	if inOrder {
+		delete(n.holdback, env.Seq) // a copy held before a resumeAt, if any
+		n.accept(env)
+	} else {
+		n.holdback[env.Seq] = env
+	}
 	var ready []Envelope
-	for {
+	for len(n.holdback) > 0 {
 		e, ok := n.holdback[n.nextDeliver]
 		if !ok {
 			break
 		}
 		delete(n.holdback, n.nextDeliver)
-		n.nextDeliver++
+		n.accept(e)
 		ready = append(ready, e)
-		if n.seqLog.Len() == 0 {
-			n.seqLog.Reset(e.Seq)
-		}
-		n.seqLog.Push(e)
 	}
 	n.mu.Unlock()
+	if inOrder {
+		n.deliverMsg(env)
+	}
 	for _, e := range ready {
-		if n.deliver != nil {
-			n.deliver(Message{Seq: e.Seq, Origin: e.Origin, UID: e.UID, Class: e.Class, Payload: e.Payload})
-		}
+		n.deliverMsg(e)
+	}
+}
+
+// accept moves the delivery frontier past e and retains it for
+// SequencedTail. Call with n.mu held.
+func (n *Node) accept(e Envelope) {
+	n.nextDeliver++
+	if n.seqLog.Len() == 0 {
+		n.seqLog.Reset(e.Seq)
+	}
+	n.seqLog.Push(e)
+}
+
+func (n *Node) deliverMsg(e Envelope) {
+	if n.deliver != nil {
+		n.deliver(Message{Seq: e.Seq, Origin: e.Origin, UID: e.UID, Class: e.Class, Payload: e.Payload})
 	}
 }
 
@@ -302,7 +326,7 @@ func (n *Node) Frontier() (next, highest uint64) {
 func (n *Node) Halt() {
 	n.mu.Lock()
 	n.halted = true
-	n.inbox = nil
+	n.inbox.Reset(0)
 	n.mu.Unlock()
 }
 

@@ -10,34 +10,10 @@ import (
 	"detmt/internal/vclock"
 )
 
-// TestTickPolicy pins the two pure functions left of the sequencing
-// policy: the heartbeat cadence the loop parks for when nothing arrives,
-// and which arrivals wake it.
+// TestTickPolicy pins the pure function left of the sequencing policy:
+// which arrivals wake the loop. With none arriving it parks for one tick
+// (TestIdleHeartbeatEveryTick).
 func TestTickPolicy(t *testing.T) {
-	const (
-		ms     = time.Millisecond
-		base   = 2 * ms
-		detect = 50 * ms
-	)
-	for _, c := range []struct {
-		name              string
-		base, detect, cur time.Duration
-		drained           int
-		want              time.Duration
-	}{
-		{"traffic holds the base", base, detect, base, 1, base},
-		{"traffic ends an idle stretch", base, detect, 8 * ms, 1, base},
-		{"a large drain parks no shorter", base, detect, base, 1000, base},
-		{"idle doubles", base, detect, base, 0, 2 * base},
-		{"idle doubles again", base, detect, 2 * base, 0, 4 * base},
-		{"idle stops at 4x base", base, detect, 4 * base, 0, 4 * base},
-		{"the cap tracks detect/4", base, 20 * ms, 4 * ms, 0, 5 * ms},
-		{"a detect window under 4x base never shrinks the heartbeat", base, 4 * ms, base, 0, base},
-	} {
-		if got := nextTick(c.base, c.detect, c.cur, c.drained); got != c.want {
-			t.Errorf("%s: nextTick(%v, %v, %v, %d) = %v, want %v", c.name, c.base, c.detect, c.cur, c.drained, got, c.want)
-		}
-	}
 	for _, c := range []struct {
 		name            string
 		queued, arrived int
@@ -107,7 +83,7 @@ func TestInjectSchedulesBatchBeforeRaisingHorizon(t *testing.T) {
 	)
 	// The horizon covers the heartbeat's stamp too: a timer there fires.
 	beyond := make(chan struct{})
-	v.ScheduleAt(stamp+time.Millisecond, injectOrder, "probe", func() { close(beyond) })
+	v.ScheduleAt(stamp+time.Millisecond, injectOrder, func() { close(beyond) })
 	select {
 	case <-beyond:
 	case <-time.After(5 * time.Second):
@@ -151,9 +127,10 @@ func (p *countingParker) Unpark() {
 }
 
 // sequencingRig is a two-member group on a paced virtual clock whose
-// process hosts member local; member 1 sequences. Tick and Budget are an
-// hour, so no timer comes due and the clock stays at 0: whatever the loop
-// does, an arrival (or the test) woke it.
+// process hosts member local; member 1 sequences. Budget is an hour, and so
+// is Tick unless a test asks for another: then no timer comes due and the
+// clock stays at 0, so whatever the loop does, an arrival (or the test)
+// woke it.
 type sequencingRig struct {
 	v     *vclock.Virtual
 	tr    *recordingTransport
@@ -162,12 +139,16 @@ type sequencingRig struct {
 }
 
 func newSequencingRig(t *testing.T, local ids.ReplicaID) *sequencingRig {
+	return newTickingRig(t, local, time.Hour)
+}
+
+func newTickingRig(t *testing.T, local ids.ReplicaID, tick time.Duration) *sequencingRig {
 	t.Helper()
 	r := &sequencingRig{v: vclock.NewVirtual(), tr: &recordingTransport{sent: make(chan []Envelope, 4)}}
 	r.v.EnablePacing(local == 1)
 	r.g = NewGroup(Config{
 		Clock: r.v, Members: []ids.ReplicaID{1, 2}, Local: []ids.ReplicaID{local},
-		Transport: r.tr, Tick: time.Hour, Budget: time.Hour, DetectTimeout: time.Minute,
+		Transport: r.tr, Tick: tick, Budget: time.Hour, DetectTimeout: time.Minute,
 	})
 	t.Cleanup(func() { r.g.Close() })
 	r.waitFor(t, "the sequencing loop to start", func() bool { return r.g.tickParker != nil })
@@ -281,6 +262,24 @@ func TestArrivalDrivenSequencing(t *testing.T) {
 	got.QueueWaitP50Ms, got.QueueWaitP99Ms = 0, 0 // wall clock
 	if want := (SequencerStats{Drains: 3, Sequenced: 6, MaxBatch: 4}); got != want {
 		t.Fatalf("sequencer stats %v, want %v", got, want)
+	}
+}
+
+// TestIdleHeartbeatEveryTick: with nothing arriving, the sequencer
+// multicasts a heartbeat every tick and never stretches the interval. The
+// heartbeat is the only thing that raises a follower's clock horizon
+// between arrivals, so a follower whose work ends between two of them
+// waits for the next.
+func TestIdleHeartbeatEveryTick(t *testing.T) {
+	const tick = 2 * time.Millisecond
+	r := newTickingRig(t, 1, tick)
+	prev := r.frame(t)[0].Stamp
+	for i := 0; i < 4; i++ {
+		hb := r.frame(t)[0].Stamp
+		if hb-prev != tick {
+			t.Fatalf("idle heartbeats stamped %v then %v, want %v apart", prev, hb, tick)
+		}
+		prev = hb
 	}
 }
 

@@ -70,8 +70,8 @@ func BenchmarkDeliverSteadyState(b *testing.B) {
 // TestDedupAllocBudget gates the duplicate-suppression path next to the
 // scheduler and trace budgets: past its retention bound a member sequences
 // and delivers a request of a known origin without allocating for the
-// dedup sets or the retained log. What is left are the batches handed on
-// and the hold-back map's cell (an Envelope is too large to sit inline).
+// dedup sets or the retained log. What is left are the batches handed on;
+// an in-order delivery never touches the hold-back map.
 func TestDedupAllocBudget(t *testing.T) {
 	const retention = 64
 	n := steadyNode(retention)
@@ -83,8 +83,8 @@ func TestDedupAllocBudget(t *testing.T) {
 		n.handleSequenced(clientEnv(seq))
 		seq++
 	})
-	if deliver > 2 {
-		t.Errorf("delivering a slot past the retention bound allocates %.2f objects, budget is 2 (hold-back cell, ready batch)", deliver)
+	if deliver > 0 {
+		t.Errorf("delivering the next slot past the retention bound allocates %.2f objects, budget is 0", deliver)
 	}
 
 	s := steadyNode(retention)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"detmt/internal/ring"
 	"detmt/internal/vclock"
 )
 
@@ -20,7 +21,10 @@ type Transport interface {
 	// Send places envs on the FIFO link named key toward to as one atomic
 	// unit, handed to the receiver's deliver callback in a single call —
 	// a burst of forwards sent together stays within one sequencing drain.
-	// Envelopes sent with the same key never overtake each other.
+	// Envelopes sent with the same key never overtake each other. A
+	// transport that carries the recipient in the envelope sets To itself.
+	// Send may keep envs, but must not change them after it returns: a
+	// multicast hands every recipient the same slice.
 	Send(key string, to Origin, envs ...Envelope)
 	// Close releases the transport's resources.
 	Close() error
@@ -61,8 +65,9 @@ func (t *memTransport) Bind(at Origin, deliver func(...Envelope)) {
 func (t *memTransport) Send(key string, to Origin, envs ...Envelope) {
 	lk := t.linkTo(key, to)
 	lk.mu.Lock()
-	// The link keeps the caller's slice: transfer hands every send its own.
-	lk.queue = append(lk.queue, timedEnvs{sentAt: t.g.cfg.Clock.Now(), envs: envs})
+	// The link keeps the caller's slice and only reads it: To stays unset,
+	// the link knows where it leads.
+	lk.queue.Push(timedEnvs{sentAt: t.g.cfg.Clock.Now(), envs: envs})
 	start := !lk.running
 	lk.running = true
 	lk.mu.Unlock()
@@ -79,9 +84,8 @@ type timedEnvs struct {
 }
 
 type link struct {
-	t   *memTransport
-	key string
-	to  Origin
+	t  *memTransport
+	to Origin
 	// order ranks this link's delivery timer among same-instant timers:
 	// derived from the link key, so simultaneous arrivals on different
 	// links are always processed in the same (arbitrary but fixed)
@@ -89,7 +93,7 @@ type link struct {
 	order uint64
 
 	mu      sync.Mutex
-	queue   []timedEnvs
+	queue   ring.Buffer[timedEnvs]
 	running bool
 }
 
@@ -112,7 +116,7 @@ func (t *memTransport) linkTo(key string, to Origin) *link {
 	defer t.mu.Unlock()
 	lk := t.links[key]
 	if lk == nil {
-		lk = &link{t: t, key: key, to: to, order: linkOrderBase + fnv32(key)}
+		lk = &link{t: t, to: to, order: linkOrderBase + fnv32(key)}
 		t.links[key] = lk
 	}
 	return lk
@@ -122,18 +126,15 @@ func (lk *link) drain() {
 	t := lk.t
 	for {
 		lk.mu.Lock()
-		if len(lk.queue) == 0 {
+		te, ok := lk.queue.Pop()
+		if !ok {
 			lk.running = false
 			lk.mu.Unlock()
 			return
 		}
-		te := lk.queue[0]
-		lk.queue = lk.queue[1:]
 		lk.mu.Unlock()
 		arrival := te.sentAt + t.g.cfg.Latency
-		if d := arrival - t.g.cfg.Clock.Now(); d > 0 {
-			vclock.SleepOrdered(t.g.cfg.Clock, d, "link "+lk.key, lk.order)
-		}
+		vclock.SleepOrdered(t.g.cfg.Clock, arrival-t.g.cfg.Clock.Now(), lk.order)
 		t.mu.Lock()
 		deliver := t.binds[lk.to]
 		t.mu.Unlock()

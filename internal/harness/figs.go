@@ -93,12 +93,15 @@ func microRun(src string, sched core.Scheduler, methods ...string) (*trace.Trace
 }
 
 func grantOf(tr *trace.Trace, tid ids.ThreadID) time.Duration {
-	for _, e := range tr.Events() {
+	at := time.Duration(-1)
+	tr.Scan(func(e trace.Event) bool {
 		if e.Kind == trace.KindLockAcq && e.Thread == tid {
-			return e.At
+			at = e.At
+			return false
 		}
-	}
-	return -1
+		return true
+	})
+	return at
 }
 
 // Fig2 reproduces the last-lock handover comparison: plain MAT keeps the

@@ -194,6 +194,12 @@ func RunSim(o SimOptions) *SimResult {
 			NestedLatency: o.NestedLatency,
 		}))
 		rep := reps[len(reps)-1]
+		if len(reps) > 1 {
+			// Only replica 1's events are read back (SimResult.Trace); of
+			// the others RunSim reads the ConsistencyHash, which covers the
+			// whole history however few events a trace keeps.
+			rep.Runtime().Trace().SetRetention(1)
+		}
 		if o.Families != nil {
 			for f := 0; f < o.Families.Families; f++ {
 				rep.Instance().SetField(fmt.Sprintf("state%d", f), int64(0))
@@ -288,11 +294,11 @@ func RunSim(o SimOptions) *SimResult {
 		out.Hashes = append(out.Hashes, r.Runtime().Trace().ConsistencyHash())
 	}
 	out.Trace = reps[0].Runtime().Trace()
-	for _, e := range reps[0].Runtime().Trace().Events() {
-		switch e.Kind.String() {
-		case "lockinfo", "ignore":
+	out.Trace.Scan(func(e trace.Event) bool {
+		if e.Kind == trace.KindLockInfo || e.Kind == trace.KindIgnore {
 			out.BookkeepingEvents++
 		}
-	}
+		return true
+	})
 	return out
 }

@@ -129,7 +129,6 @@ type entry struct {
 // under the scheduler decision lock.
 type ThreadTable struct {
 	entries []entry
-	bySync  map[ids.SyncID][]int // entry indices per syncid
 }
 
 // NewThreadTable makes a fresh table for a thread executing method mi.
@@ -139,21 +138,19 @@ func NewThreadTable(mi *MethodInfo) *ThreadTable {
 	if mi == nil {
 		return nil
 	}
-	tt := &ThreadTable{
-		entries: make([]entry, len(mi.Entries)),
-		bySync:  make(map[ids.SyncID][]int),
-	}
+	tt := &ThreadTable{entries: make([]entry, len(mi.Entries))}
 	for i, se := range mi.Entries {
 		tt.entries[i] = entry{static: se, mutex: ids.NoMutex}
-		tt.bySync[se.Sync] = append(tt.bySync[se.Sync], i)
 	}
 	return tt
 }
 
-// pick returns the first entry for sid that pred accepts, or -1.
+// pick returns the first entry for sid that pred accepts, or -1. A method
+// has a handful of entries, and Predicted and MayLock scan them all anyway,
+// so a scan here costs less than an index built per thread.
 func (tt *ThreadTable) pick(sid ids.SyncID, pred func(*entry) bool) int {
-	for _, i := range tt.bySync[sid] {
-		if pred(&tt.entries[i]) {
+	for i := range tt.entries {
+		if e := &tt.entries[i]; e.static.Sync == sid && pred(e) {
 			return i
 		}
 	}

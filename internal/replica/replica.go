@@ -770,8 +770,7 @@ func (r *Replica) perform(key nestedKey, arg lang.Value, managed bool) {
 		// calls finishing at the same instant in a deterministic
 		// broadcast order (their total-order slots must not depend on a
 		// race).
-		vclock.SleepOrdered(r.cfg.Clock, r.cfg.NestedLatency,
-			fmt.Sprintf("nested %d", uint64(key.req)), uint64(key.req))
+		vclock.SleepOrdered(r.cfg.Clock, r.cfg.NestedLatency, uint64(key.req))
 	}
 	r.performed.Add(1)
 	r.broadcastOutcome(key, out)

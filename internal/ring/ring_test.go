@@ -66,6 +66,17 @@ func (p *pair) trimTo(first uint64) {
 	p.check()
 }
 
+func (p *pair) pop() {
+	v, ok := p.b.Pop()
+	if ok != (len(p.m.s) > 0) || (ok && v != p.m.s[0]) {
+		p.t.Fatalf("Pop() = %v, %v with %d held", v, ok, len(p.m.s))
+	}
+	if ok {
+		p.m.trimTo(p.m.start + 1)
+	}
+	p.check()
+}
+
 func (p *pair) reset(first uint64) {
 	p.b.Reset(first)
 	p.m = shiftLog{start: first, bound: p.m.bound}
@@ -106,23 +117,38 @@ func (p *pair) check() {
 		}
 	}
 	// Nothing outside the live window is referenced.
-	live := map[int]bool{}
-	for k := 0; k < b.n; k++ {
-		live[b.pos(k)] = true
-	}
-	for i, v := range b.buf {
-		if !live[i] && v != nil {
-			p.t.Fatalf("slot %d outside the live window still holds element %d", i, *v)
+	s, storage := b.seg(), len(b.spare)
+	for _, v := range b.spare {
+		if v != nil {
+			p.t.Fatalf("the spare segment still holds element %d", *v)
 		}
 	}
-	// Never allocated ahead of its contents, never beyond its bound.
-	if limit := max(8, 2*p.peak); len(b.buf) > limit || (b.bound > 0 && len(b.buf) > b.bound) {
-		p.t.Fatalf("storage for %d elements with at most %d ever held (bound %d)", len(b.buf), p.peak, b.bound)
+	for i, sg := range b.segs {
+		storage += len(sg)
+		if i < len(b.segs)-1 && len(sg) != s {
+			p.t.Fatalf("segment %d of %d has %d slots, want %d", i, len(b.segs), len(sg), s)
+		}
+		for j, v := range sg {
+			if o := i*s + j; (o < b.head || o >= b.head+b.n) && v != nil {
+				p.t.Fatalf("slot %d outside the live window still holds element %d", o, *v)
+			}
+		}
+	}
+	// Never allocated ahead of its contents: a young buffer's one segment
+	// doubles with what it held, an older one spans its window rounded out
+	// to whole segments, plus one spare.
+	limit := b.n + 3*s
+	if len(b.segs) <= 1 && b.spare == nil {
+		limit = max(8, 2*p.peak)
+	}
+	if storage > limit || (b.bound > 0 && s > b.bound) {
+		p.t.Fatalf("storage for %d elements in segments of %d, with %d held and at most %d ever (bound %d)",
+			storage, s, b.n, p.peak, b.bound)
 	}
 }
 
 // TestBufferMatchesShiftedSlice is the seeded property: any mix of pushes,
-// trims and resets leaves the buffer with the contents and the absolute
+// pops, trims and resets leaves the buffer with the contents and the absolute
 // indexes of the slice-shifting log it replaces.
 func TestBufferMatchesShiftedSlice(t *testing.T) {
 	for seed := 1; seed <= 60; seed++ {
@@ -134,8 +160,10 @@ func TestBufferMatchesShiftedSlice(t *testing.T) {
 		}
 		for op := 0; op < 600; op++ {
 			switch r := rng.Intn(100); {
-			case r < 90:
+			case r < 80:
 				p.push()
+			case r < 88:
+				p.pop()
 			case r < 97:
 				p.trimTo(p.b.First() + uint64(rng.Intn(p.b.Len()+3)))
 			default:
@@ -189,9 +217,46 @@ func TestDroppedElementsAreCollectable(t *testing.T) {
 	}
 }
 
+// A log that only grows allocates what it holds plus less than two
+// segments (the young first one doubles up to full size), and a log at its
+// bound, or a queue that is pushed and popped, allocates nothing more.
+func TestBufferAllocatesWhatItHolds(t *testing.T) {
+	type entry struct{ a, b, c, d uint64 }
+	const held = 100 * segSize
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := New[entry](0)
+	for i := 0; i < held; i++ {
+		b.Push(entry{a: uint64(i)})
+	}
+	runtime.ReadMemStats(&after)
+	size := uint64(32) // bytes per entry
+	if got, limit := after.TotalAlloc-before.TotalAlloc, (held+2*segSize)*size+4096; got > limit {
+		t.Errorf("growing to %d elements allocated %d bytes, limit %d", held, got, limit)
+	}
+	runtime.KeepAlive(b)
+
+	bounded := New[entry](10 * segSize)
+	for i := 0; i < 20*segSize; i++ {
+		bounded.Push(entry{})
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { bounded.Push(entry{}) }); allocs != 0 {
+		t.Errorf("a push at the bound allocates %.2f objects", allocs)
+	}
+	var queue Buffer[entry]
+	if allocs := testing.AllocsPerRun(1000, func() {
+		queue.Push(entry{})
+		queue.Push(entry{})
+		queue.Pop()
+		queue.Pop()
+	}); allocs != 0 {
+		t.Errorf("a push and a pop allocate %.2f objects", allocs)
+	}
+}
+
 // FuzzBufferMatchesShiftedSlice lets the fuzzer pick the bound and the
-// operations: a byte below 200 pushes, the others trim or reset by the
-// amount the byte encodes.
+// operations: a byte below 180 pushes, one below 200 pops, the others trim
+// or reset by the amount the byte encodes.
 func FuzzBufferMatchesShiftedSlice(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 0, 0, 0, 0, 0, 201, 0, 0, 250, 0, 0, 0, 0, 0})
 	f.Add(uint8(0), []byte{0, 0, 0, 210, 0, 255, 0})
@@ -203,8 +268,10 @@ func FuzzBufferMatchesShiftedSlice(f *testing.F) {
 		p := newPair(t, int(bound))
 		for _, op := range ops {
 			switch {
-			case op < 200:
+			case op < 180:
 				p.push()
+			case op < 200:
+				p.pop()
 			case op < 250:
 				p.trimTo(p.b.First() + uint64(op-200))
 			default:

@@ -40,17 +40,6 @@ type ThreadLane struct {
 // Lanes extracts per-thread interval lanes from a trace, ordered by
 // thread id, together with the trace's end time (at least 1ns).
 func Lanes(tr *Trace) ([]ThreadLane, time.Duration) {
-	events := tr.Events()
-	var end time.Duration
-	for _, e := range events {
-		if e.At > end {
-			end = e.At
-		}
-	}
-	if end == 0 {
-		end = 1
-	}
-
 	type state struct {
 		admitted, started, exited   time.Duration
 		hasAdmit, hasStart, hasExit bool
@@ -69,7 +58,9 @@ func Lanes(tr *Trace) ([]ThreadLane, time.Duration) {
 		return s
 	}
 
-	for _, e := range events {
+	var end time.Duration
+	tr.Scan(func(e Event) bool {
+		end = max(end, e.At)
 		s := get(e.Thread)
 		switch e.Kind {
 		case KindAdmit:
@@ -114,6 +105,10 @@ func Lanes(tr *Trace) ([]ThreadLane, time.Duration) {
 				s.hasNest = false
 			}
 		}
+		return true
+	})
+	if end == 0 {
+		end = 1
 	}
 
 	var lanes []ThreadLane

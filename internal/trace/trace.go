@@ -288,19 +288,30 @@ func (t *Trace) Events() []Event {
 	return out
 }
 
-// Filter returns the retained events satisfying pred, in order. The
-// scan runs under the trace lock without first copying the whole log.
-func (t *Trace) Filter(pred func(Event) bool) []Event {
+// Scan calls fn with every retained event, in order, until fn returns
+// false. It runs under the trace lock without copying the log, so fn must
+// not call back into the trace.
+func (t *Trace) Scan(fn func(Event) bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Event
 	for _, c := range t.chunks {
 		for _, e := range c {
-			if pred(e) {
-				out = append(out, e)
+			if !fn(e) {
+				return
 			}
 		}
 	}
+}
+
+// Filter returns the retained events satisfying pred, in order.
+func (t *Trace) Filter(pred func(Event) bool) []Event {
+	var out []Event
+	t.Scan(func(e Event) bool {
+		if pred(e) {
+			out = append(out, e)
+		}
+		return true
+	})
 	return out
 }
 

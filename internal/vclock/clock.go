@@ -47,12 +47,9 @@ type Clock interface {
 // registration order. Fully deterministic simulations must use it for
 // any sleep whose wake order can influence a decision (e.g. which of two
 // simultaneous broadcasts gets the earlier total-order slot).
-func SleepOrdered(c Clock, d time.Duration, label string, order uint64) {
-	if d <= 0 {
-		return
-	}
+func SleepOrdered(c Clock, d time.Duration, order uint64) {
 	if v, ok := c.(*Virtual); ok {
-		v.NewOrderedParker(label, order).ParkTimeout(d)
+		v.sleep(d, order)
 		return
 	}
 	c.Sleep(d)

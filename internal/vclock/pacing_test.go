@@ -55,7 +55,7 @@ func TestScheduleAtInjectsAtExactInstant(t *testing.T) {
 	v := NewVirtual()
 	v.EnablePacing(false)
 	got := make(chan time.Duration, 1)
-	v.ScheduleAt(5*time.Millisecond, DefaultOrder, "inject", func() {
+	v.ScheduleAt(5*time.Millisecond, DefaultOrder, func() {
 		got <- v.Now()
 	})
 	v.SetHorizon(5 * time.Millisecond)

@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -25,6 +24,7 @@ type Virtual struct {
 	seq        uint64
 	parkedSet  map[*vparker]struct{}
 	onDeadlock func(dump string)
+	sleepers   []*vparker // parkers of finished sleeps, for the next (see sleep)
 
 	// Pacing state (see EnablePacing). While paced, a future timer fires
 	// only once both the externally promised horizon and wall time have
@@ -125,16 +125,14 @@ func (v *Virtual) SetHorizon(h time.Duration) {
 // from the moment ScheduleAt returns, so unmanaged goroutines (e.g.
 // network readers) can inject stamped events without racing the
 // advancement loop.
-func (v *Virtual) ScheduleAt(at time.Duration, order uint64, label string, fn func()) {
+func (v *Virtual) ScheduleAt(at time.Duration, order uint64, fn func()) {
 	v.Enter()
 	go func() {
 		defer v.Exit()
 		v.mu.Lock()
 		d := at - v.now
 		v.mu.Unlock()
-		if d > 0 {
-			v.newParker(label, order).ParkTimeout(d)
-		}
+		v.sleep(d, order)
 		fn()
 	}()
 }
@@ -174,12 +172,30 @@ func (v *Virtual) Go(fn func()) {
 }
 
 // Sleep suspends the calling goroutine for d of virtual time.
-func (v *Virtual) Sleep(d time.Duration) {
+func (v *Virtual) Sleep(d time.Duration) { v.sleep(d, DefaultOrder) }
+
+// sleep parks the caller for d, ranked by order among same-instant timers.
+// Nothing else can unpark a sleeper, so every sleep ends by its timeout and
+// its parker is free again: the next sleep reuses it. A sleeper has a
+// pending timer, so it never appears in a deadlock dump and needs no label.
+func (v *Virtual) sleep(d time.Duration, order uint64) {
 	if d <= 0 {
 		return
 	}
-	p := v.newParker("sleep", DefaultOrder)
+	v.mu.Lock()
+	var p *vparker
+	if k := len(v.sleepers); k > 0 {
+		p, v.sleepers = v.sleepers[k-1], v.sleepers[:k-1]
+	}
+	v.mu.Unlock()
+	if p == nil {
+		p = v.newParker("", order)
+	}
+	p.order = order
 	p.ParkTimeout(d)
+	v.mu.Lock()
+	v.sleepers = append(v.sleepers, p)
+	v.mu.Unlock()
 }
 
 // DefaultOrder is the firing-order rank of parkers created without an
@@ -267,7 +283,7 @@ func (p *vparker) ParkTimeout(d time.Duration) bool {
 	p.timedOut = false
 	p.gen++
 	v.seq++
-	heap.Push(&v.timers, timer{at: v.now + d, order: p.order, seq: v.seq, p: p, gen: p.gen})
+	v.timers.push(timer{at: v.now + d, order: p.order, seq: v.seq, p: p, gen: p.gen})
 	v.runnable--
 	v.parkedSet[p] = struct{}{}
 	v.advanceLocked()
@@ -303,10 +319,10 @@ func (v *Virtual) advanceLocked() {
 	if v.runnable > 0 {
 		return
 	}
-	for v.timers.Len() > 0 {
+	for len(v.timers) > 0 {
 		t := v.timers[0] // peek: a paced clock may not be allowed to fire yet
 		if t.gen != t.p.gen || !t.p.parked {
-			heap.Pop(&v.timers)
+			v.timers.pop()
 			continue // stale entry: sleeper was unparked early
 		}
 		if v.paced && t.at > v.now {
@@ -318,7 +334,7 @@ func (v *Virtual) advanceLocked() {
 				return
 			}
 		}
-		heap.Pop(&v.timers)
+		v.timers.pop()
 		if t.at > v.now {
 			v.now = t.at
 		}
@@ -389,10 +405,12 @@ type timer struct {
 	gen   uint64
 }
 
+// timerHeap is a binary min-heap of timers by (at, order, seq), a total
+// order, so the firing sequence does not depend on the heap's layout.
+// Typed sift-up and sift-down keep a push and a pop free of allocations.
 type timerHeap []timer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
@@ -401,12 +419,42 @@ func (h timerHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(timer)) }
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	*h = old[:n-1]
+
+func (h *timerHeap) push(t timer) {
+	*h = append(*h, t)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !s.less(i, up) {
+			break
+		}
+		s[i], s[up] = s[up], s[i]
+		i = up
+	}
+}
+
+// pop removes the earliest timer.
+func (h *timerHeap) pop() timer {
+	s := *h
+	n := len(s) - 1
+	t := s[0]
+	s[0] = s[n]
+	s[n] = timer{} // the backing array must not keep the parker reachable
+	s = s[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && s.less(r, m) {
+			m = r
+		}
+		if !s.less(m, i) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
 	return t
 }

@@ -1,7 +1,8 @@
 package vclock
 
 import (
-	"container/heap"
+	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,16 +105,53 @@ func TestTimerHeapFIFOAtSameDeadline(t *testing.T) {
 	// Entries with equal deadlines pop in registration (seq) order.
 	var h timerHeap
 	for i := 0; i < 5; i++ {
-		heap.Push(&h, timer{at: 5 * time.Millisecond, seq: uint64(i)})
+		h.push(timer{at: 5 * time.Millisecond, seq: uint64(i)})
 	}
-	heap.Push(&h, timer{at: time.Millisecond, seq: 99})
-	if got := heap.Pop(&h).(timer); got.seq != 99 {
+	h.push(timer{at: time.Millisecond, seq: 99})
+	if got := h.pop(); got.seq != 99 {
 		t.Fatalf("earliest deadline not first: %+v", got)
 	}
 	for i := 0; i < 5; i++ {
-		got := heap.Pop(&h).(timer)
+		got := h.pop()
 		if got.seq != uint64(i) {
 			t.Fatalf("same-deadline pop order broken: got seq %d want %d", got.seq, i)
+		}
+	}
+}
+
+// The heap pops every timer in (at, order, seq) order, pushes and pops
+// interleaved, and holds no reference past its length.
+func TestTimerHeapPopsInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h timerHeap
+	var want []timer
+	seq := uint64(0)
+	p := &vparker{}
+	for round := 0; round < 200; round++ {
+		for k := rng.Intn(8); k > 0; k-- {
+			seq++
+			tm := timer{at: time.Duration(rng.Intn(6)), order: uint64(rng.Intn(3)), seq: seq, p: p}
+			h.push(tm)
+			want = append(want, tm)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			if a.order != b.order {
+				return a.order < b.order
+			}
+			return a.seq < b.seq
+		})
+		for k := rng.Intn(6); k > 0 && len(want) > 0; k-- {
+			if got := h.pop(); got != want[0] {
+				t.Fatalf("popped %+v, want %+v", got, want[0])
+			}
+			want = want[1:]
+			if tail := h[len(h):cap(h)]; len(tail) > 0 && tail[0].p != nil {
+				t.Fatal("a popped slot still references its parker")
+			}
 		}
 	}
 }
@@ -397,7 +435,7 @@ func TestSleepOrderedDeterministicTies(t *testing.T) {
 			for _, rank := range []int{3, 1, 2} {
 				rank := rank
 				g.Go(func() {
-					SleepOrdered(v, 5*time.Millisecond, "tie", uint64(rank))
+					SleepOrdered(v, 5*time.Millisecond, uint64(rank))
 					mu.Lock()
 					order = append(order, rank)
 					mu.Unlock()
@@ -413,7 +451,7 @@ func TestSleepOrderedDeterministicTies(t *testing.T) {
 
 func TestSleepOrderedZeroReturnsImmediately(t *testing.T) {
 	run(t, func(v *Virtual) {
-		SleepOrdered(v, 0, "noop", 1)
+		SleepOrdered(v, 0, 1)
 		if v.Now() != 0 {
 			t.Errorf("time advanced: %v", v.Now())
 		}
@@ -423,7 +461,7 @@ func TestSleepOrderedZeroReturnsImmediately(t *testing.T) {
 func TestSleepOrderedRealClock(t *testing.T) {
 	r := NewReal()
 	start := time.Now()
-	SleepOrdered(r, time.Millisecond, "real", 1)
+	SleepOrdered(r, time.Millisecond, 1)
 	if time.Since(start) < time.Millisecond {
 		t.Fatal("real ordered sleep returned early")
 	}

@@ -293,10 +293,13 @@ func (t *TCP) helloFrameLocked() frame {
 	return frame{kind: frameHello, body: helloBody(t.o.Name, t.o.Epoch, origins, t.o.Group)}
 }
 
-// Send implements gcs.Transport: envs travel in one frame and are handed
-// to the receiver's deliver callback in a single call. The link key is
-// unused: per-peer connection FIFO subsumes per-link FIFO.
+// Send implements gcs.Transport: envs travel in one frame, addressed to
+// to, and are handed to the receiver's deliver callback in a single call.
+// The link key is unused: per-peer connection FIFO subsumes per-link FIFO.
 func (t *TCP) Send(_ string, to gcs.Origin, envs ...gcs.Envelope) {
+	for i := range envs {
+		envs[i].To = to // the receiving process binds by it
+	}
 	t.mu.Lock()
 	if deliver := t.binds[to]; deliver != nil {
 		t.mu.Unlock()

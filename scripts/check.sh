@@ -53,9 +53,10 @@ go test -race -shuffle=on $short ./...
 go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial|TestSchedulersCompleteAllThreads' ./internal/core/
 # The arrival-driven sequencer on a virtual clock no timer moves: one
 # forward is sequenced at once, arrivals behind a held fan-out leave in one
-# frame with the heartbeat last, stamps rise from drain to drain (same line
-# as the CI step "Sequencing (race, 20 counts)").
-go test -race -count=20 -run 'TestTickPolicy|TestArrivalDrivenSequencing|TestFollowerIsNotWokenIntoSequencing|TestDrainsAtOneInstantGetIncreasingStamps|TestInjectSchedulesBatchBeforeRaisingHorizon' ./internal/gcs/
+# frame with the heartbeat last, stamps rise from drain to drain; an idle
+# sequencer beats every tick (same line as the CI step "Sequencing (race,
+# 20 counts)").
+go test -race -count=20 -run 'TestTickPolicy|TestIdleHeartbeatEveryTick|TestArrivalDrivenSequencing|TestFollowerIsNotWokenIntoSequencing|TestDrainsAtOneInstantGetIncreasingStamps|TestInjectSchedulesBatchBeforeRaisingHorizon' ./internal/gcs/
 # View changes: the seeded simulator (300 seeds a count under -race; 10 000
 # run in tier-1), the tables of the view machine's decision rules, the
 # quorum table and the takeover and straggler unit tests (same line as
@@ -67,6 +68,11 @@ go test -race -count=20 -run 'TestViewSim|TestRule|TestTakeoverQuorum|TestStaleV
 # thread that left it; checkpoints keep coming (same line as the CI step
 # "Steady state (race, 5 counts)").
 go test -race -count=5 -run 'TestSteadyStateIsFlat|TestCheckpointsKeepComing|TestRunsMatchMap|TestBufferMatchesShiftedSlice|TestDroppedElementsAreCollectable|TestQueuesDoNotPinFinishedThreads|TestDedupAllocBudget' ./internal/replica/ ./internal/ids/ ./internal/ring/ ./internal/core/ ./internal/gcs/
+# What a simulated request allocates: PDS and LSA within 10 % of their
+# measured bytes and objects per request, and a finished RunSim leaves no
+# goroutine and no live heap behind; not under -race (same line as the CI
+# step "Simulator allocation budget").
+go test -count=1 -run 'TestSimAllocBudget|TestRunSimLeavesNothingBehind' -v ./internal/harness/
 # The classification goldens, the classifier's soundness property, the
 # interference table and the detmt-analyze reports whatever $short says,
 # then ten seconds of the interval fuzz target (same lines as the CI step
