@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,6 +131,173 @@ func TestTCPReconnectDedup(t *testing.T) {
 			t.Fatalf("position %d: uid %d (out of order or duplicated)", i, uid)
 		}
 	}
+}
+
+// gate is a deliver callback that records UIDs and parks inside the first
+// delivery of UID hold until release is closed.
+type gate struct {
+	sink
+	hold    uint64
+	entered chan struct{} // closed once the callback is parked on hold
+	release chan struct{}
+	once    sync.Once
+}
+
+func newGate(hold uint64) *gate {
+	return &gate{hold: hold, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+// parked reports whether the callback is parked on hold (or was).
+func (g *gate) parked() bool {
+	select {
+	case <-g.entered:
+		return true
+	default:
+		return false
+	}
+}
+
+// open lets the parked delivery return; later calls do nothing.
+func (g *gate) open() {
+	select {
+	case <-g.release:
+	default:
+		close(g.release)
+	}
+}
+
+func (g *gate) deliver(envs ...gcs.Envelope) {
+	for _, e := range envs {
+		if e.UID == g.hold {
+			g.once.Do(func() {
+				close(g.entered)
+				<-g.release
+			})
+		}
+	}
+	g.sink.deliver(envs...)
+}
+
+// unacked reports the seqnos a client still holds for peer 2, oldest first.
+func unacked(cli *TCP) []uint64 {
+	cli.mu.Lock()
+	pl := cli.peers[2]
+	cli.mu.Unlock()
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	seqs := make([]uint64, len(pl.queue))
+	for i, f := range pl.queue {
+		seqs[i] = f.seq
+	}
+	return seqs
+}
+
+// ackedBefore reports whether the client holds no seqno below k for peer 2.
+func ackedBefore(cli *TCP, k uint64) bool {
+	q := unacked(cli)
+	return len(q) == 0 || q[0] >= k
+}
+
+// exactlyInOrder fails unless s received UIDs 1..n, once each, in order.
+func exactlyInOrder(t *testing.T, s *sink, n int) {
+	t.Helper()
+	waitFor(t, "all envelopes", func() bool { return len(s.snapshot()) >= n })
+	time.Sleep(50 * time.Millisecond) // give a duplicate time to show up
+	got := s.snapshot()
+	if len(got) != n {
+		t.Fatalf("got %d envelopes, want exactly %d", len(got), n)
+	}
+	for i, uid := range got {
+		if uid != uint64(i+1) {
+			t.Fatalf("position %d: uid %d (out of order or duplicated)", i, uid)
+		}
+	}
+}
+
+// TestTCPAckFollowsDelivery parks the receiver's deliver callback on frame
+// k: the frames before it are acknowledged, but the sender keeps k queued
+// for retransmission until the callback returns — an acked frame is a
+// delivered frame.
+func TestTCPAckFollowsDelivery(t *testing.T) {
+	ln := listenerFor(t)
+	srv, err := NewTCP(Options{Name: "B", Listener: ln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const n, k = 20, 8
+	g := newGate(k)
+	defer g.open() // before srv.Close, which waits for the parked reader
+	srv.Bind(gcs.Origin{Replica: 2}, g.deliver)
+
+	cli, err := NewTCP(Options{Name: "A", Peers: map[ids.ReplicaID]string{2: ln.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	to := gcs.Origin{Replica: 2}
+	for i := 1; i <= n; i++ {
+		// One envelope a frame, and the client sends nothing else: UID i
+		// travels as seqno i.
+		cli.Send("k", to, gcs.Envelope{UID: uint64(i), To: to, Payload: "x"})
+	}
+	waitFor(t, "delivery of frame k", g.parked)
+	waitFor(t, "acks for the frames before k", func() bool { return ackedBefore(cli, k) })
+	time.Sleep(50 * time.Millisecond) // room for a premature ack to land
+	if q := unacked(cli); len(q) == 0 || q[0] != k {
+		t.Fatalf("frame %d acknowledged while its delivery is still running: unacked %v", k, q)
+	}
+	g.open()
+	exactlyInOrder(t, &g.sink, n)
+	waitFor(t, "every frame acknowledged", func() bool { return len(unacked(cli)) == 0 })
+}
+
+// TestTCPOverlappingInboundKeepsOrder severs the sender's connection while
+// the receiver is still delivering frame k on it. The sender redials and
+// replays from k on a second inbound connection, which overlaps the first
+// until the callback returns; delivery must still be exactly once and in
+// seqno order.
+func TestTCPOverlappingInboundKeepsOrder(t *testing.T) {
+	ln := listenerFor(t)
+	srv, err := NewTCP(Options{Name: "B", Listener: ln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const n, k = 40, 10
+	g := newGate(k)
+	defer g.open()
+	srv.Bind(gcs.Origin{Replica: 2}, g.deliver)
+
+	var dials atomic.Int32
+	cli, err := NewTCP(Options{
+		Name:       "A",
+		Peers:      map[ids.ReplicaID]string{2: ln.Addr().String()},
+		BackoffMin: time.Millisecond,
+		BackoffMax: 5 * time.Millisecond,
+		Dial: func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if err == nil {
+				dials.Add(1)
+			}
+			return c, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	to := gcs.Origin{Replica: 2}
+	for i := 1; i <= n; i++ {
+		cli.Send("k", to, gcs.Envelope{UID: uint64(i), To: to, Payload: "x"})
+	}
+	waitFor(t, "delivery of frame k", g.parked)
+	waitFor(t, "acks for the frames before k", func() bool { return ackedBefore(cli, k) })
+	cli.DropPeer(2)
+	waitFor(t, "the sender to redial", func() bool { return dials.Load() == 2 })
+	time.Sleep(20 * time.Millisecond) // let the replay from k reach the receiver
+	g.open()
+	exactlyInOrder(t, &g.sink, n)
 }
 
 // TestTCPClientReplyRouting checks that a hello-announced client origin
