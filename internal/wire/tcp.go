@@ -114,9 +114,7 @@ type TCP struct {
 	replay   map[gcs.Origin]*ring.Buffer[gcs.Envelope] // recent client-bound envelopes, replayed on route change
 	owner    map[gcs.Origin]string                     // sender name that announced each origin (replay-ring GC)
 	orphaned map[gcs.Origin]time.Time                  // origins whose route died, awaiting reattach or expiry
-	lastSeen map[string]uint64                         // highest dedup seqno delivered, per sender name
-	epochs   map[string]uint64                         // highest restart epoch seen, per sender name
-	pipes    map[string]*decodePipe                    // per-sender-name decode pipelines
+	senders  map[string]*sender                        // dedup watermark and restart epoch, per sender name
 	inbounds map[*inboundConn]struct{}
 	ctl      map[uint64]chan controlResult // Control calls awaiting their reply, by request id
 	nextCtl  uint64
@@ -141,11 +139,17 @@ const DefaultMaxUnacked = 32768
 // that a long-lived server's memory stays flat.
 const clientReplayBuf = 256
 
-// pipelineDepth bounds each per-sender decode pipeline: deep enough that
-// a tick's worth of group-committed frames never stalls the socket
-// reader, bounded so a slow replica exerts backpressure instead of
-// buffering without limit.
-const pipelineDepth = 512
+// sender is what a receiver keeps of one sender name across its
+// connections. An inbound reader holds mu from the seqno watermark check
+// through delivery to enqueueing the ack, so an old and a new connection
+// of one sender, overlapping across a reconnect, deliver each seqno once
+// and in order, and an acked frame is always a delivered frame. Lock
+// order: a sender's mu before t.mu, never the reverse.
+type sender struct {
+	mu       sync.Mutex
+	epoch    uint64 // highest restart epoch seen
+	lastSeen uint64 // highest dedup seqno delivered
+}
 
 // NewTCP creates the endpoint, starts its listener (if any) and begins
 // dialing every configured peer.
@@ -175,9 +179,7 @@ func NewTCP(o Options) (*TCP, error) {
 		routes:   map[gcs.Origin]*inboundConn{},
 		replay:   map[gcs.Origin]*ring.Buffer[gcs.Envelope]{},
 		owner:    map[gcs.Origin]string{},
-		lastSeen: map[string]uint64{},
-		epochs:   map[string]uint64{},
-		pipes:    map[string]*decodePipe{},
+		senders:  map[string]*sender{},
 		orphaned: map[gcs.Origin]time.Time{},
 		inbounds: map[*inboundConn]struct{}{},
 		ctl:      map[uint64]chan controlResult{},
@@ -466,10 +468,6 @@ func (t *TCP) Close() error {
 	for ic := range t.inbounds {
 		ins = append(ins, ic)
 	}
-	pipes := make([]*decodePipe, 0, len(t.pipes))
-	for _, p := range t.pipes {
-		pipes = append(pipes, p)
-	}
 	t.mu.Unlock()
 	if t.ln != nil {
 		t.ln.Close()
@@ -479,9 +477,6 @@ func (t *TCP) Close() error {
 	}
 	for _, ic := range ins {
 		ic.close()
-	}
-	for _, p := range pipes {
-		p.close()
 	}
 	t.wg.Wait()
 	return nil
@@ -493,149 +488,54 @@ func (t *TCP) isClosed() bool {
 	return t.closed
 }
 
-// ---- per-sender decode pipeline ----
+// ---- receiving ----
 
-// pipedFrame is one received batch frame queued for decoding:
-// the frame (its body is a fresh per-frame allocation from readFrame,
-// safe to hand across goroutines), the sender identity captured at read
-// time, and the connection to ack on (nil for dialed-link frames, whose
-// deliveries carry no seqno).
-type pipedFrame struct {
-	f     frame
-	name  string
-	epoch uint64
-	ic    *inboundConn
-}
-
-// decodePipe serializes decode+deliver for all frames from one sender
-// name while the socket readers run ahead. A single worker per name
-// preserves the per-sender FIFO that the dedup watermark and the gcs
-// holdback queue rely on; the bounded queue turns a slow replica into
-// reader backpressure instead of unbounded buffering. Acks are enqueued
-// by the worker after delivery, so an acked frame is always a delivered
-// frame — the reconnect replay path depends on that.
-type decodePipe struct {
-	t       *TCP
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []pipedFrame
-	running bool
-	closed  bool
-}
-
-// pipe returns (creating on first use) the sender's decode pipeline.
-func (t *TCP) pipe(name string) *decodePipe {
+// senderFor returns (creating on first use) the record of a sender name.
+func (t *TCP) senderFor(name string) *sender {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := t.pipes[name]
-	if p == nil {
-		p = &decodePipe{t: t}
-		p.cond = sync.NewCond(&p.mu)
-		if t.closed {
-			p.closed = true
-		}
-		t.pipes[name] = p
+	s := t.senders[name]
+	if s == nil {
+		s = &sender{}
+		t.senders[name] = s
 	}
-	return p
+	return s
 }
 
-// push queues a frame for the pipeline worker, blocking (backpressure
-// on the socket reader) while the pipe is at pipelineDepth.
-func (p *decodePipe) push(pf pipedFrame) {
-	p.mu.Lock()
-	for len(p.queue) >= pipelineDepth && !p.closed {
-		p.cond.Wait()
+// receive delivers a batch frame that arrived on an inbound connection,
+// then acks it, both under s.mu (see sender). A seqno at or below the
+// watermark is a redelivery after a reconnect: acked, not delivered again.
+// name and epoch are what the connection's hello announced (epoch 0:
+// unenforced); the result is false when that incarnation is stale and the
+// connection must go.
+func (ic *inboundConn) receive(s *sender, name string, epoch uint64, f frame) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if epoch != 0 && epoch < s.epoch {
+		ic.t.o.Logf("wire: dropping frame from stale incarnation of %s (epoch %d < %d)", name, epoch, s.epoch)
+		return false
 	}
-	if p.closed {
-		p.mu.Unlock()
-		return
+	if f.seq == 0 || f.seq > s.lastSeen {
+		s.lastSeen = max(s.lastSeen, f.seq)
+		ic.t.deliverFrame(name, f)
 	}
-	p.queue = append(p.queue, pf)
-	start := !p.running
-	p.running = true
-	p.mu.Unlock()
-	if start {
-		p.t.wg.Add(1)
-		go p.drain()
+	if f.seq != 0 {
+		eb := pooledBody()
+		ic.enqueue(frame{kind: frameAck, body: enc.AppendU64(eb.b, f.seq), buf: eb})
 	}
+	return true
 }
 
-// drain is the pipeline worker: one frame at a time, in arrival order,
-// exiting when the queue runs dry (push restarts it).
-func (p *decodePipe) drain() {
-	defer p.t.wg.Done()
-	for {
-		p.mu.Lock()
-		if len(p.queue) == 0 || p.closed {
-			p.running = false
-			p.mu.Unlock()
-			return
-		}
-		pf := p.queue[0]
-		p.queue[0] = pipedFrame{}
-		p.queue = p.queue[1:]
-		if len(p.queue) == 0 {
-			p.queue = nil // let the backing array go once a burst drains
-		}
-		p.cond.Broadcast() // a reader may be blocked on the depth bound
-		p.mu.Unlock()
-		if !p.t.deliverFrame(pf.name, pf.epoch, pf.f) {
-			// Stale incarnation: tear the connection down (the reader then
-			// exits); frames already queued behind this one are dropped by
-			// the same epoch check inside deliverFrame.
-			if pf.ic != nil {
-				pf.ic.close()
-			}
-			continue
-		}
-		if pf.f.seq != 0 && pf.ic != nil {
-			eb := pooledBody()
-			body := enc.AppendU64(eb.b, pf.f.seq)
-			pf.ic.enqueue(frame{kind: frameAck, body: body, buf: eb})
-		}
-	}
-}
-
-func (p *decodePipe) close() {
-	p.mu.Lock()
-	p.closed = true
-	p.queue = nil
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// deliverFrame routes a received batch frame to its binding,
-// applying duplicate suppression for seqno-carrying frames. from is the
-// sender's stable name ("" if it never said hello — only possible on
-// dialed connections, where the peer id provides the name). fromEpoch is
-// the epoch the sender's connection announced (0: unenforced); the
-// return value is false when the frame came from a stale incarnation and
-// the connection should be torn down.
-func (t *TCP) deliverFrame(from string, fromEpoch uint64, f frame) bool {
-	if fromEpoch != 0 || f.seq != 0 {
-		t.mu.Lock()
-		if fromEpoch != 0 && fromEpoch < t.epochs[from] {
-			t.mu.Unlock()
-			t.o.Logf("wire: dropping frame from stale incarnation of %s (epoch %d < %d)",
-				from, fromEpoch, t.epochs[from])
-			return false
-		}
-		if f.seq != 0 {
-			if f.seq <= t.lastSeen[from] {
-				t.mu.Unlock()
-				return true // duplicate redelivery after a reconnect
-			}
-			t.lastSeen[from] = f.seq
-		}
-		t.mu.Unlock()
-	}
+// deliverFrame decodes a batch frame and hands its envelopes to their
+// binding; from names the sender in diagnostics.
+func (t *TCP) deliverFrame(from string, f frame) {
 	envs, err := DecodeBatch(f.body)
 	if err != nil {
 		t.o.Logf("wire: bad batch from %s: %v", from, err)
-		return true
+		return
 	}
 	if len(envs) == 0 {
-		return true
+		return
 	}
 	// All envelopes in a batch share a destination (one frame per link).
 	t.mu.Lock()
@@ -643,10 +543,9 @@ func (t *TCP) deliverFrame(from string, fromEpoch uint64, f frame) bool {
 	t.mu.Unlock()
 	if deliver == nil {
 		t.o.Logf("wire: no binding for %v, dropping %d envelope(s)", envs[0].To, len(envs))
-		return true
+		return
 	}
 	deliver(envs...)
-	return true
 }
 
 // handleControl answers one control request on the connection it arrived
@@ -913,8 +812,9 @@ func (pl *peerLink) serveConn(conn net.Conn) bool {
 			case frameControlChunk, frameControlReply:
 				t.controlReply(parts, f)
 			case frameBatch:
-				name := pl.id.String()
-				t.pipe(name).push(pipedFrame{f: f, name: name})
+				// Replies on a dialed link carry seq 0, and serveConn waits
+				// for this reader before it redials: no sender record needed.
+				t.deliverFrame(pl.id.String(), f)
 			}
 		}
 	}()
@@ -1019,8 +919,6 @@ type inboundConn struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	name   string // peer's stable name, from its hello
-	epoch  uint64 // peer's restart epoch, from its hello (0: unenforced)
 	queue  []frame
 	spare  []frame // drained batch buffer, recycled by the write loop
 	closed bool
@@ -1082,6 +980,13 @@ func (ic *inboundConn) readLoop() {
 	if err := writePreamble(ic.conn); err != nil {
 		return
 	}
+	// The peer's stable name and restart epoch (0: unenforced), from its
+	// hello, and the record kept under that name.
+	var (
+		name  string
+		epoch uint64
+		snd   *sender
+	)
 	for {
 		f, err := readFrame(br)
 		if err != nil {
@@ -1089,7 +994,9 @@ func (ic *inboundConn) readLoop() {
 		}
 		switch f.kind {
 		case frameHello:
-			name, epoch, origins, group, err := parseHello(f.body)
+			var origins []gcs.Origin
+			var group string
+			name, epoch, origins, group, err = parseHello(f.body)
 			if err != nil {
 				return
 			}
@@ -1100,27 +1007,25 @@ func (ic *inboundConn) readLoop() {
 				t.o.Logf("wire: rejecting %s from group %q (this is group %q)", name, group, t.o.Group)
 				return
 			}
+			snd = t.senderFor(name)
+			snd.mu.Lock()
+			if cur := snd.epoch; epoch != 0 && epoch < cur {
+				snd.mu.Unlock()
+				t.o.Logf("wire: rejecting stale incarnation of %s (epoch %d < %d)", name, epoch, cur)
+				return
+			}
 			t.mu.Lock()
-			if epoch != 0 {
-				cur := t.epochs[name]
-				if epoch < cur {
-					t.mu.Unlock()
-					t.o.Logf("wire: rejecting stale incarnation of %s (epoch %d < %d)", name, epoch, cur)
-					return
-				}
-				if epoch > cur {
-					// New incarnation: its seqno space restarts at 1, so the
-					// dedup watermark from the previous life must go, or every
-					// frame the restarted peer sends would be suppressed. The
-					// previous life's client origins are gone for good, so
-					// their replay rings go too.
-					t.epochs[name] = epoch
-					delete(t.lastSeen, name)
-					for o, own := range t.owner {
-						if own == name {
-							delete(t.replay, o)
-							delete(t.owner, o)
-						}
+			if epoch > snd.epoch {
+				// New incarnation: its seqno space restarts at 1, so the
+				// dedup watermark from the previous life must go, or every
+				// frame the restarted peer sends would be suppressed. The
+				// previous life's client origins are gone for good, so
+				// their replay rings go too.
+				snd.epoch, snd.lastSeen = epoch, 0
+				for o, own := range t.owner {
+					if own == name {
+						delete(t.replay, o)
+						delete(t.owner, o)
 					}
 				}
 			}
@@ -1139,15 +1044,12 @@ func (ic *inboundConn) readLoop() {
 				}
 			}
 			t.mu.Unlock()
+			snd.mu.Unlock()
 			if len(replayed) > 0 {
 				if g, err := envFrame(replayed); err == nil {
 					ic.enqueue(g)
 				}
 			}
-			ic.mu.Lock()
-			ic.name = name
-			ic.epoch = epoch
-			ic.mu.Unlock()
 			// The peer is demonstrably up: if our own dialed link to it is
 			// sitting in reconnect backoff (it just restarted), retry now —
 			// a restarted sequencer's heartbeats must resume before the
@@ -1163,12 +1065,12 @@ func (ic *inboundConn) readLoop() {
 				t.o.OnPeerUp(name)
 			}
 		case frameBatch:
-			ic.mu.Lock()
-			name, epoch := ic.name, ic.epoch
-			ic.mu.Unlock()
-			// Hand off to the per-sender decode worker and go read the next
-			// frame; the worker acks after delivery.
-			t.pipe(name).push(pipedFrame{f: f, name: name, epoch: epoch, ic: ic})
+			if snd == nil {
+				snd = t.senderFor(name) // no hello yet: the nameless sender
+			}
+			if !ic.receive(snd, name, epoch, f) {
+				return
+			}
 		case frameControl:
 			t.handleControl(ic, f)
 		case frameAck:

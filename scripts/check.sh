@@ -82,8 +82,11 @@ go test -run '^$' -fuzz FuzzIntervalSound -fuzztime 10s ./internal/analysis/
 # The v8 wire goldens and the recovery fetches over a real socket, then ten
 # seconds of every decoder fuzz target and of the two container models (same
 # lines as the CI steps "Wire v8 golden frames and recovery fetches" and
-# "Decoder and model fuzz").
+# "Decoder and model fuzz"). The two delivery tests park a receiver inside
+# deliver: an ack must wait for it, and a second inbound connection of the
+# same sender must not overtake it; 20 counts under -race vary the overlap.
 go test -race -count=1 -run 'TestGoldenBytes|TestGoldenHelloFrames|TestEnvelopeRoundTrip|TestFrameRoundTrip|TestTCPControl' ./internal/wire/
+go test -race -count=20 -run 'TestTCPAckFollowsDelivery|TestTCPOverlappingInboundKeepsOrder' ./internal/wire/
 go test -race -count=1 -run 'TestRecoveryFetches|TestCloseTail' ./internal/server/
 go test -run '^$' -fuzz FuzzDecodeEnvelope -fuzztime 10s ./internal/wire/
 go test -run '^$' -fuzz FuzzFrameBodies -fuzztime 10s ./internal/wire/
