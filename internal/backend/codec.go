@@ -31,7 +31,9 @@ const (
 	bkOK  = byte(0)
 	bkErr = byte(1)
 
-	// maxBkFrame bounds one frame (16 MiB) against corrupt prefixes.
+	// maxBkFrame bounds one frame (16 MiB); bkReadFrame allocates as the
+	// bytes arrive (enc.ReadN), so a corrupt prefix costs what the stream
+	// delivers, not what it claims.
 	maxBkFrame = 16 << 20
 )
 
@@ -129,8 +131,8 @@ func bkReadFrame(r io.Reader) (bkFrame, error) {
 	if n < 9 || n > maxBkFrame {
 		return bkFrame{}, fmt.Errorf("backend: bad frame length %d", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	b, err := enc.ReadN(r, int(n))
+	if err != nil {
 		return bkFrame{}, err
 	}
 	return bkFrame{kind: b[0], id: binary.BigEndian.Uint64(b[1:9]), body: b[9:]}, nil

@@ -2,9 +2,11 @@ package backend
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/hex"
+	"runtime"
 	"testing"
+
+	"detmt/internal/enc"
 )
 
 // FuzzFrames reads arbitrary bytes as a backend connection's frames and
@@ -23,14 +25,10 @@ func FuzzFrames(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// bkReadFrame allocates as the bytes arrive, so a length beyond the
+		// input costs what the input holds: every prefix is read as it is.
 		r := bytes.NewReader(data)
 		for r.Len() >= 4 {
-			// bkReadFrame trusts a length up to maxBkFrame before the bytes
-			// arrive (it cannot know what a socket will deliver); here the
-			// input is all there is, so skip lengths it cannot hold.
-			if n := binary.BigEndian.Uint32(data[len(data)-r.Len():]); int64(n) > int64(r.Len()) {
-				return
-			}
 			fr, err := bkReadFrame(r)
 			if err != nil {
 				return
@@ -51,4 +49,23 @@ func FuzzFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadFrameAllocatesAsBytesArrive: a length prefix that claims the
+// largest frame and is followed by the end of the stream costs one read
+// step, not the 16 MiB it declared.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	prefix := enc.AppendU32(nil, maxBkFrame)
+	const calls = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := bkReadFrame(bytes.NewReader(prefix)); err == nil {
+			t.Fatal("read a frame none of whose bytes arrived")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > 2*enc.ReadStep {
+		t.Fatalf("a %d-byte claim with nothing behind it allocated %d bytes, want at most %d", maxBkFrame, per, 2*enc.ReadStep)
+	}
 }

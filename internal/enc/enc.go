@@ -8,6 +8,7 @@ package enc
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"detmt/internal/lang"
 )
@@ -184,5 +185,34 @@ func (r *Reader) Value() lang.Value {
 			r.Err = fmt.Errorf("%s: unknown value tag %d", r.f.Name, tag)
 		}
 		return nil
+	}
+}
+
+// ReadStep is what ReadN allocates before any byte of a block has arrived.
+const ReadStep = 64 << 10
+
+// ReadN reads the n bytes a length prefix declared. It allocates one step
+// up front and doubles its buffer only when the bytes that arrived fill it,
+// so it holds at most twice what the stream delivered, or one step: a
+// prefix that claims more than the stream holds costs what the stream
+// holds, not the claim. A block of up to one step is one allocation of n
+// bytes.
+func ReadN(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, min(n, ReadStep))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, b[got:])
+		got += m
+		if err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF // the stream ended inside the block
+			}
+			return nil, err
+		}
+		if got == n {
+			return b, nil
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, b)
+		b = grown
 	}
 }

@@ -1,7 +1,9 @@
 package enc
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"detmt/internal/lang"
@@ -69,6 +71,34 @@ func TestCount(t *testing.T) {
 		r := testFormat.Reader(in)
 		if got := r.Count(min); got != want || (want == 0) != (r.Err == errShort) {
 			t.Errorf("Count(%d) of 3 elements in 12 bytes = %d, err %v", min, got, r.Err)
+		}
+	}
+}
+
+// TestReadN reads blocks below, at and above one step back whole, and a
+// block the stream ends inside as a truncation.
+func TestReadN(t *testing.T) {
+	for _, n := range []int{0, 1, ReadStep, ReadStep + 1, 3*ReadStep + 5} {
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i * 7)
+		}
+		got, err := ReadN(bytes.NewReader(append(want, 0xff)), n)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes: read %d bytes back, err %v", n, len(got), err)
+		}
+	}
+	for _, c := range []struct {
+		have, claim int
+		want        error
+	}{
+		{0, 10, io.EOF},
+		{5, 10, io.ErrUnexpectedEOF},
+		{ReadStep, 2 * ReadStep, io.ErrUnexpectedEOF},
+		{ReadStep + 1, 2 * ReadStep, io.ErrUnexpectedEOF},
+	} {
+		if _, err := ReadN(bytes.NewReader(make([]byte, c.have)), c.claim); err != c.want {
+			t.Errorf("%d of %d bytes: err %v, want %v", c.have, c.claim, err, c.want)
 		}
 	}
 }

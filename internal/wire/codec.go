@@ -81,8 +81,9 @@ const (
 	tagConfigChange  = byte(8) // v7: membership change riding the total order
 )
 
-// maxFrameLen bounds a single frame (64 MiB) so a corrupt length prefix
-// cannot trigger an unbounded allocation.
+// maxFrameLen bounds a single frame (64 MiB). readFrame allocates as the
+// bytes arrive (enc.ReadN), so a corrupt length prefix costs what the
+// stream delivers, not what it claims.
 const maxFrameLen = 64 << 20
 
 var (
@@ -508,8 +509,8 @@ func readFrame(r io.Reader) (frame, error) {
 	if n < 9 || n > maxFrameLen {
 		return frame{}, fmt.Errorf("wire: bad frame length %d", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	b, err := enc.ReadN(r, int(n))
+	if err != nil {
 		return frame{}, err
 	}
 	return frame{kind: b[0], seq: binary.BigEndian.Uint64(b[1:9]), body: b[9:]}, nil

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -226,6 +227,25 @@ func TestFrameRoundTrip(t *testing.T) {
 		if f.kind != w.kind || f.seq != w.seq || !bytes.Equal(f.body, w.body) {
 			t.Fatalf("frame %d mismatch: %+v vs %+v", i, f, w)
 		}
+	}
+}
+
+// TestReadFrameAllocatesAsBytesArrive: a length prefix that claims the
+// largest frame and is followed by the end of the stream costs one read
+// step, not the 64 MiB it declared.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	prefix := enc.AppendU32(nil, maxFrameLen)
+	const calls = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := readFrame(bytes.NewReader(prefix)); err == nil {
+			t.Fatal("read a frame none of whose bytes arrived")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > 2*enc.ReadStep {
+		t.Fatalf("a %d-byte claim with nothing behind it allocated %d bytes, want at most %d", maxFrameLen, per, 2*enc.ReadStep)
 	}
 }
 
