@@ -830,9 +830,9 @@ func (g *Group) Recovering() bool {
 // (deduplicated by slot, ascending) and injected at their original
 // virtual stamps, so the replayed schedule is bit-identical to the one
 // the survivors executed. The horizon is raised to the highest stamp
-// first — that anchors the paced clock's wall offset at roughly
-// cluster-now, so the whole tail is wall-overdue and replays at full
-// speed instead of in real time.
+// first — that raises the paced clock's wall offset to at least that
+// stamp, so the whole tail is wall-overdue and replays at full speed
+// instead of in real time.
 //
 // next is the first total-order slot the node still has to deliver
 // (checkpoint seq + 1). Tail entries and buffered slots below it are

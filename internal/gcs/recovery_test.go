@@ -137,7 +137,7 @@ func (n *nullTransport) deliverTo(at Origin, envs ...Envelope) {
 // dropped.
 func TestRecoveryBuffersThenReplays(t *testing.T) {
 	v := vclock.NewVirtual()
-	v.EnablePacing(false) // follower: wall offset anchors at first SetHorizon
+	v.EnablePacing(false) // follower: each SetHorizon may raise the wall offset
 	tr := &nullTransport{}
 	g := NewGroup(Config{
 		Clock:      v,

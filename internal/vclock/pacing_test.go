@@ -27,6 +27,91 @@ func TestPacedLeaderTracksWall(t *testing.T) {
 	}
 }
 
+// TestPacedLeaderIgnoresHorizons: a leader's horizon is already
+// unbounded, so a horizon far ahead must not move its wall anchor — if
+// it did, the sequencer's stamps would run ahead of wall time.
+func TestPacedLeaderIgnoresHorizons(t *testing.T) {
+	v := NewVirtual()
+	v.EnablePacing(true)
+	done := make(chan time.Duration, 1)
+	start := time.Now()
+	v.Go(func() {
+		v.Sleep(30 * time.Millisecond)
+		done <- v.Now()
+	})
+	time.Sleep(5 * time.Millisecond)
+	v.SetHorizon(time.Hour)
+	select {
+	case now := <-done:
+		if now != 30*time.Millisecond {
+			t.Fatalf("virtual now = %v, want 30ms", now)
+		}
+		if el := time.Since(start); el < 25*time.Millisecond {
+			t.Fatalf("paced sleep returned after only %v of wall time", el)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("paced sleep never fired")
+	}
+}
+
+// TestFollowerAnchorsOnFastestHorizon: a slow first horizon must not
+// hold every later delivery back by its excess transit. The 5 ms
+// horizon arrives 60 ms after pacing starts; anchored there, the 100 ms
+// delivery would wait about 95 ms of wall time after its own horizon.
+func TestFollowerAnchorsOnFastestHorizon(t *testing.T) {
+	v := NewVirtual()
+	v.EnablePacing(false)
+	time.Sleep(60 * time.Millisecond)
+	v.SetHorizon(5 * time.Millisecond)
+	got := make(chan time.Duration, 1)
+	start := time.Now()
+	v.ScheduleAt(100*time.Millisecond, DefaultOrder, func() {
+		got <- v.Now()
+	})
+	v.SetHorizon(100 * time.Millisecond)
+	select {
+	case now := <-got:
+		if now != 100*time.Millisecond {
+			t.Fatalf("delivered at %v, want 100ms", now)
+		}
+		if el := time.Since(start); el > 30*time.Millisecond {
+			t.Fatalf("delivery waited %v of wall time behind its horizon", el)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("delivery never ran")
+	}
+}
+
+// TestFollowerAnchorNeverMovesBack: a horizon slower than the fastest
+// one seen must not lower the anchor. On a follower the horizon gate
+// already holds every timer the anchor would, so the kept anchor shows
+// once the follower is promoted: a timer due under the fast anchor must
+// fire at once, where the slower one would hold it about 85 ms.
+func TestFollowerAnchorNeverMovesBack(t *testing.T) {
+	v := NewVirtual()
+	v.EnablePacing(false)
+	v.SetHorizon(200 * time.Millisecond) // fast: offset ≈ 200ms
+	time.Sleep(100 * time.Millisecond)
+	v.SetHorizon(205 * time.Millisecond) // slow: h − elapsed ≈ 105ms
+	v.PromoteLeader()
+	got := make(chan time.Duration, 1)
+	start := time.Now()
+	v.ScheduleAt(290*time.Millisecond, DefaultOrder, func() {
+		got <- v.Now()
+	})
+	select {
+	case now := <-got:
+		if now != 290*time.Millisecond {
+			t.Fatalf("fired at %v, want 290ms", now)
+		}
+		if el := time.Since(start); el > 30*time.Millisecond {
+			t.Fatalf("timer due under the fastest anchor waited %v", el)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("timer never fired")
+	}
+}
+
 func TestFollowerGatedByHorizon(t *testing.T) {
 	v := NewVirtual()
 	v.EnablePacing(false)

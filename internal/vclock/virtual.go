@@ -32,7 +32,7 @@ type Virtual struct {
 	paced     bool
 	horizon   time.Duration
 	wallStart time.Time
-	offset    time.Duration // wallStart+offset anchors virtual zero
+	offset    time.Duration // wall anchor: time.Since(wallStart)+offset; fastest horizon seen on a follower
 	offsetSet bool
 	wallTimer *time.Timer
 }
@@ -63,11 +63,15 @@ func (v *Virtual) SetDeadlockHandler(h func(dump string)) {
 // timer can fire before an externally stamped message that precedes it.
 //
 // A leader (the process that originates the time stamps) runs with an
-// unbounded horizon and a wall anchor fixed at the call; a follower
-// starts with horizon zero and anchors its wall offset when the first
-// horizon arrives, so late-joining processes do not stall. While paced,
-// a fully parked system with no eligible timer is idle — external input
-// may still arrive — rather than deadlocked.
+// unbounded horizon and a wall anchor fixed at the call. A follower
+// starts with horizon zero, and every horizon h that arrives raises its
+// wall offset to at least h minus the wall time elapsed: the anchor is
+// the fastest horizon seen (a minimum-transit filter), so late-joining
+// processes do not stall and a slow first frame does not delay every
+// later delivery. The horizon is the only gate that orders events; the
+// wall clock only sets their rate. While paced, a fully parked system
+// with no eligible timer is idle — external input may still arrive —
+// rather than deadlocked.
 //
 // Call EnablePacing before any managed goroutines exist.
 func (v *Virtual) EnablePacing(leader bool) {
@@ -83,10 +87,10 @@ func (v *Virtual) EnablePacing(leader bool) {
 
 // PromoteLeader turns a paced follower into the pacing leader at
 // runtime (sequencer takeover): the horizon opens fully, so timers run
-// at wall pace from here on. The wall offset anchored while following
-// is kept, preserving the virtual-to-wall mapping; a follower that
-// never received a horizon anchors at its current instant. Safe to
-// call from unmanaged goroutines.
+// at wall pace from here on. The wall offset raised by the fastest
+// horizon seen while following is kept and stops moving, preserving the
+// virtual-to-wall mapping; a follower that never received a horizon
+// anchors at its current instant. Safe to call from unmanaged goroutines.
 func (v *Virtual) PromoteLeader() {
 	v.mu.Lock()
 	if v.paced && v.horizon < horizonMax {
@@ -102,8 +106,11 @@ func (v *Virtual) PromoteLeader() {
 
 // SetHorizon raises the externally promised horizon: a guarantee that no
 // future stamped event will carry an instant at or below h. Lower or
-// equal horizons are ignored (the horizon is monotone). Safe to call
-// from unmanaged goroutines.
+// equal horizons are ignored (the horizon is monotone). On a follower a
+// new horizon also raises the wall offset to h minus the wall time
+// elapsed if that is higher, so the wall gate never holds a timer the
+// horizon admits; a leader's horizon is already unbounded, so this is a
+// no-op there. Safe to call from unmanaged goroutines.
 func (v *Virtual) SetHorizon(h time.Duration) {
 	v.mu.Lock()
 	if !v.paced || h <= v.horizon {
@@ -111,9 +118,8 @@ func (v *Virtual) SetHorizon(h time.Duration) {
 		return
 	}
 	v.horizon = h
-	if !v.offsetSet {
-		v.offset = h - time.Since(v.wallStart)
-		v.offsetSet = true
+	if off := h - time.Since(v.wallStart); !v.offsetSet || off > v.offset {
+		v.offset, v.offsetSet = off, true
 	}
 	v.advanceLocked()
 	v.mu.Unlock()

@@ -57,6 +57,12 @@ go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial
 # sequencer beats every tick (same line as the CI step "Sequencing (race,
 # 20 counts)").
 go test -race -count=20 -run 'TestTickPolicy|TestIdleHeartbeatEveryTick|TestArrivalDrivenSequencing|TestFollowerIsNotWokenIntoSequencing|TestDrainsAtOneInstantGetIncreasingStamps|TestInjectSchedulesBatchBeforeRaisingHorizon' ./internal/gcs/
+# The paced clock: a follower is gated by the horizon and anchored on the
+# fastest horizon it has seen, a leader ignores horizons, and a real-socket
+# cluster still reaches the pinned ConsistencyHash (same lines as the CI
+# step "Paced clock (race, 20 counts)").
+go test -race -count=20 -run 'TestPaced|TestFollower|TestScheduleAt|TestHorizon' ./internal/vclock/
+go test -race -count=5 -run 'TestReconnectDeterminism|TestGroupCommitScheduleTransparency' ./internal/server/
 # View changes: the seeded simulator (300 seeds a count under -race; 10 000
 # run in tier-1), the tables of the view machine's decision rules, the
 # quorum table and the takeover and straggler unit tests (same line as
