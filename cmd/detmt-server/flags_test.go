@@ -122,7 +122,7 @@ func TestRetiredFlagsAreUsageErrors(t *testing.T) {
 	for _, name := range []string{
 		"adaptive-tick", "min-tick", "max-tick", "batch-threshold", "no-group-commit", "pipeline-depth",
 		"nested-retries", "nested-backoff", "pds-window", "pds-relaxed", "kv-buckets", "epoch",
-		"seq-retention", "gossip", "vnodes",
+		"seq-retention", "gossip", "vnodes", "budget",
 	} {
 		fs := flag.NewFlagSet("detmt-server", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

@@ -63,8 +63,8 @@ type cli struct {
 // flags registers every detmt-server flag on fs. The rule for what is a
 // flag: a test, script, README/DESIGN/EXPERIMENTS walkthrough, harness
 // experiment or bench/ passes it (flags_test.go audits both directions);
-// -tick and -budget are the two link-dependent sequencing parameters
-// everything else on the sequencing path is derived from.
+// -tick is the one link-dependent sequencing parameter everything else
+// on the sequencing path is derived from.
 func flags(fs *flag.FlagSet) *cli {
 	c := &cli{opts: server.Options{Workload: workload.DefaultFig1()}}
 	o := &c.opts
@@ -80,7 +80,6 @@ func flags(fs *flag.FlagSet) *cli {
 	fs.BoolVar(&o.Workload.CatchNested, "catch-nested", false, "workload catches failed nested calls (iserr) instead of aborting the request")
 	fs.DurationVar(&o.Tick, "tick", 2*time.Millisecond,
 		"idle heartbeat interval (virtual = wall): a request is sequenced when it arrives; with none arriving the sequencer multicasts a heartbeat every tick")
-	fs.DurationVar(&o.Budget, "budget", 5*time.Millisecond, "delivery-deadline budget per sequenced message")
 	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", 0, "take a local deterministic checkpoint at the first quiescent point after every N completed requests (0: never)")
 	fs.IntVar(&o.Workload.Iterations, "iterations", 10, "Fig. 1 loop iterations per request")
 	fs.IntVar(&o.Workload.Mutexes, "mutexes", 100, "Fig. 1 mutex set size")

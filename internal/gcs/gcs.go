@@ -96,15 +96,14 @@ type Config struct {
 	// AddReplica change's delivery and activation lists itself here (and
 	// in Local); established processes learn of learners via AddLearner.
 	Learners []ids.ReplicaID
-	// Tick and Budget configure stamped sequencing — a non-nil Transport
-	// on a Virtual clock, whose pacing must be enabled before NewGroup: the
+	// Tick configures stamped sequencing — a non-nil Transport on a
+	// Virtual clock, whose pacing must be enabled before NewGroup: the
 	// sequencer drains forwards as they arrive (kicksTick) and stamps each
-	// slot with a virtual deadline Budget ahead; Tick is the interval of its
-	// idle heartbeat. Every member injects a slot at its
-	// stamp and takes the stamps as its clock horizon, so all replicas run
-	// one virtual schedule whatever the network delays.
-	Tick   time.Duration
-	Budget time.Duration
+	// slot just above the instant its own clock shows; Tick is the interval
+	// of its idle heartbeat. Every member injects a slot at its stamp and
+	// takes the stamps as its clock horizon, so all replicas run one
+	// virtual schedule whatever the network delays.
+	Tick time.Duration
 
 	// FetchGap, when set (stamped mode), fetches up to max sequenced slots
 	// from slot from on that this process missed, from member donor: a
@@ -141,6 +140,12 @@ type Config struct {
 // donor, a longer outage needs a newer checkpoint (taken continuously, so
 // in practice this bounds donor memory, not recoverability).
 const DefaultSeqRetention = 16384
+
+// takeoverMargin lifts a new sequencer's first stamp above the highest
+// stamp or horizon any survivor reported to it (planHeal's floor): the
+// deposed sequencer may have published a little higher to a member that
+// did not answer.
+const takeoverMargin = 5 * time.Millisecond
 
 // Stats counts network traffic, for the message-overhead comparisons of
 // experiments E5/E6.
@@ -217,9 +222,6 @@ func NewGroup(cfg Config) *Group {
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Millisecond
 	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = 5 * time.Millisecond
-	}
 	members := append([]ids.ReplicaID(nil), cfg.Members...)
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 	cfg.Members = members
@@ -242,7 +244,7 @@ func NewGroup(cfg Config) *Group {
 	}
 	g.stamped = cfg.Transport != nil && g.vclk != nil
 	g.recovering = cfg.Recovering && g.stamped
-	g.vs = viewState{self: -1, local: map[ids.ReplicaID]bool{}, detect: cfg.DetectTimeout, budget: cfg.Budget,
+	g.vs = viewState{self: -1, local: map[ids.ReplicaID]bool{}, detect: cfg.DetectTimeout, margin: takeoverMargin,
 		canFetch: cfg.FetchGap != nil && g.stamped, oracle: !g.stamped, seq: members[0],
 		crashed: map[ids.ReplicaID]time.Duration{}, members: members, learners: map[ids.ReplicaID]bool{}}
 	for _, id := range local {
@@ -509,6 +511,17 @@ func (g *Group) apply(effs []effect) {
 			envs, _, ok := g.nodes[e.id].SequencedTail(e.from, e.max)
 			if !ok {
 				continue
+			}
+			// The takeover's fetched slots lie above our horizon, so they
+			// are scheduled here but not delivered, and in no tail yet. A
+			// peer that lacks them too would meet the gap only behind the
+			// new view's heartbeats, with its clock past their stamps.
+			next, end := e.from+uint64(len(envs)), e.from+uint64(e.max)
+			for _, env := range e.envs {
+				if env.Seq >= next && env.Seq < end {
+					envs = append(envs, env)
+					next = env.Seq + 1
+				}
 			}
 			key := fmt.Sprintf("seq%v>%v", e.id, e.to)
 			for _, env := range envs {
@@ -917,8 +930,8 @@ func (g *Group) ResumeLive(next uint64, tail []Envelope) {
 // hosts the sequencer, so a takeover activates it without restarting
 // anything. The loop is arrival-driven: the first forward into an empty
 // queue wakes it (kicksTick), it takes everything queued, assigns the
-// total-order slots under one shared virtual delivery deadline and
-// multicasts them with a horizon heartbeat (carrying the current view).
+// total-order slots under one shared stamp and multicasts them with a
+// horizon heartbeat (carrying the current view).
 // Forwards that arrive while a drain and its fan-out are under way ride
 // the next drain, so batches grow exactly when the sequencer is busy.
 // The timer is left with the idle heartbeat, one every Tick: between
@@ -927,8 +940,18 @@ func (g *Group) ResumeLive(next uint64, tail []Envelope) {
 // drain to drain and only the sequencer decides when to drain —
 // followers obey the stamps — so the schedule every replica executes is
 // a function of arrival order and stamps alone. After a takeover the
-// stamp floor keeps new deadlines above every horizon the previous
+// stamp floor keeps new stamps above every horizon the previous
 // sequencer published.
+//
+// A stamp is the sequencer's current instant plus 1ns, so its own replica
+// runs the drain at once, gated by wall time only, and usually answers
+// first. The invariant is that a stamp lies strictly above every instant
+// the sequencer's clock has reached. It holds because the clock cannot
+// move between Now and the multicast: this loop is a runnable managed
+// goroutine, and a virtual clock advances only when none is runnable; the
+// transport hands the local member its copy inside the multicast
+// (ScheduleAt), which keeps the clock from passing the stamp before the
+// delivery runs. Followers still obey stamps and horizons alone.
 //
 // Group commit: a drain's sequenced envelopes — which all share one
 // stamp and deliver in slot order — travel as a single multi-envelope
@@ -976,14 +999,14 @@ func (g *Group) runTicks() {
 		g.fwdMu.Unlock()
 		// Strictly above the previous drain's stamp: a drain happens at the
 		// instant the clock shows, consecutive drains usually share that
-		// instant, and a follower already executing the first batch at
-		// now+Budget would admit a second batch of the same stamp behind
-		// work this process — which schedules both before the instant
-		// arrives — runs after it.
-		deadline := max(g.cfg.Clock.Now()+g.cfg.Budget, floor, last+1)
-		last = deadline
-		g.multicast(seqID, n.sequence(batch, deadline, view),
-			&Envelope{Kind: EnvHorizon, View: view, From: Origin{Replica: seqID}, Stamp: deadline})
+		// instant, and a follower already executing the first batch at its
+		// stamp would admit a second batch of the same stamp behind work
+		// this process — which schedules both before the instant arrives —
+		// runs after it.
+		stamp := max(g.cfg.Clock.Now()+1, floor, last+1)
+		last = stamp
+		g.multicast(seqID, n.sequence(batch, stamp, view),
+			&Envelope{Kind: EnvHorizon, View: view, From: Origin{Replica: seqID}, Stamp: stamp})
 	}
 }
 

@@ -220,6 +220,51 @@ func TestRecoveryBuffersThenReplays(t *testing.T) {
 	}
 }
 
+// TestTakeoverPushCarriesFetchedSlots: a takeover candidate fetches the
+// slots only a donor holds and schedules them at their stamps, above its
+// horizon, so they are in no tail yet when it pushes its tail to a peer
+// that lacks them too. The push must carry them: that peer would otherwise
+// meet the gap only behind the new view's heartbeats, with its clock past
+// their stamps, and wedge.
+func TestTakeoverPushCarriesFetchedSlots(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.EnablePacing(false)
+	tr := &recordingTransport{sent: make(chan []Envelope, 4)} // records sends toward member 2
+	g := NewGroup(Config{
+		Clock: v, Members: []ids.ReplicaID{1, 2, 3}, Local: []ids.ReplicaID{3},
+		Transport: tr, DetectTimeout: time.Minute,
+	})
+	defer g.Close()
+	delivered := make(chan uint64, 2)
+	g.Node(3).SetDeliver(func(m Message) { delivered <- m.Seq })
+	seq := Origin{Replica: 1}
+	slot := func(n uint64) Envelope {
+		return Envelope{Kind: EnvSequenced, Seq: n, Origin: seq, UID: n, From: seq, Stamp: time.Duration(n) * time.Millisecond, Payload: "p"}
+	}
+
+	// Slot 1 and its heartbeat arrived; slot 2 reached only the donor.
+	tr.deliverTo(Origin{Replica: 3}, slot(1), Envelope{Kind: EnvHorizon, From: seq, Stamp: time.Millisecond})
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("slot 1 was not delivered")
+	}
+	fetched := []Envelope{slot(2)}
+	g.apply([]effect{
+		{kind: effInject, id: 3, envs: fetched},
+		{kind: effPush, id: 3, to: 2, from: 1, max: 2, envs: fetched},
+	})
+	var pushed []uint64
+	for len(tr.sent) > 0 {
+		for _, e := range <-tr.sent {
+			pushed = append(pushed, e.Seq)
+		}
+	}
+	if len(pushed) != 2 || pushed[0] != 1 || pushed[1] != 2 {
+		t.Fatalf("pushed slots %v to the lagging peer, want [1 2]", pushed)
+	}
+}
+
 // TestStaleViewFrameRevivesStraggler pins the split-healing rule: a
 // member still emitting frames of an older view (a sequencer that
 // stalled through its own deposition — alive, but crash-marked by the

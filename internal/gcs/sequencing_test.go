@@ -127,10 +127,11 @@ func (p *countingParker) Unpark() {
 }
 
 // sequencingRig is a two-member group on a paced virtual clock whose
-// process hosts member local; member 1 sequences. Budget is an hour, and so
-// is Tick unless a test asks for another: then no timer comes due and the
-// clock stays at 0, so whatever the loop does, an arrival (or the test)
-// woke it.
+// process hosts member local; member 1 sequences. The recording transport
+// drops the sequencer's copy for its own member, so no drain schedules a
+// delivery here, and Tick is an hour unless a test asks for another: then
+// no timer comes due and the clock stays at 0, so whatever the loop does,
+// an arrival (or the test) woke it.
 type sequencingRig struct {
 	v     *vclock.Virtual
 	tr    *recordingTransport
@@ -148,7 +149,7 @@ func newTickingRig(t *testing.T, local ids.ReplicaID, tick time.Duration) *seque
 	r.v.EnablePacing(local == 1)
 	r.g = NewGroup(Config{
 		Clock: r.v, Members: []ids.ReplicaID{1, 2}, Local: []ids.ReplicaID{local},
-		Transport: r.tr, Tick: tick, Budget: time.Hour, DetectTimeout: time.Minute,
+		Transport: r.tr, Tick: tick, DetectTimeout: time.Minute,
 	})
 	t.Cleanup(func() { r.g.Close() })
 	r.waitFor(t, "the sequencing loop to start", func() bool { return r.g.tickParker != nil })
@@ -225,8 +226,8 @@ func TestArrivalDrivenSequencing(t *testing.T) {
 	// (a) ONE forward is sequenced and fanned out with no timer coming due.
 	r.forward(1, 1, 1)
 	first := r.frame(t, 1)
-	if first[0].Stamp != time.Hour {
-		t.Fatalf("stamp %v, want now+Budget = %v", first[0].Stamp, time.Hour)
+	if first[0].Stamp != time.Nanosecond {
+		t.Fatalf("stamp %v, want now+1ns = %v", first[0].Stamp, time.Nanosecond)
 	}
 
 	// (b) Forwards that arrive while the fan-out of a drain is held up leave
@@ -307,11 +308,11 @@ func TestFollowerIsNotWokenIntoSequencing(t *testing.T) {
 // TestDrainsAtOneInstantGetIncreasingStamps pins stamp monotonicity
 // across drains. A drain happens at whatever virtual instant the
 // sequencer's clock shows, and with one drain per arrival consecutive
-// drains share an instant as a rule; were they to share now+Budget as
-// their stamp, a follower that had already executed the first batch at
-// that instant would admit the second behind work the sequencer itself —
-// which saw both batches before the instant arrived — ran after it, and
-// the replicas' lock orders fork.
+// drains share an instant as a rule; were they to share now+1ns as their
+// stamp, a follower that had already executed the first batch at that
+// instant would admit the second behind work the sequencer itself — which
+// saw both batches before the instant arrived — ran after it, and the
+// replicas' lock orders fork.
 func TestDrainsAtOneInstantGetIncreasingStamps(t *testing.T) {
 	r := newSequencingRig(t, 1)
 	drain := func(firstUID uint64, n int) time.Duration {
@@ -327,7 +328,59 @@ func TestDrainsAtOneInstantGetIncreasingStamps(t *testing.T) {
 	if now := r.v.Now(); now != 0 {
 		t.Fatalf("the clock moved to %v; the drains were not at one instant", now)
 	}
-	if first != time.Hour || second <= first || third <= second {
-		t.Fatalf("stamps %v, %v, %v: want %v and then strictly later ones", first, second, third, time.Hour)
+	if first != time.Nanosecond || second <= first || third <= second {
+		t.Fatalf("stamps %v, %v, %v: want %v and then strictly later ones", first, second, third, time.Nanosecond)
+	}
+}
+
+// loopbackTransport hands a send toward a member bound in this process
+// straight to it, as the wire transport does, and records the virtual
+// instant of the first sequenced send: the instant the drain happened.
+type loopbackTransport struct {
+	nullTransport
+	v         *vclock.Virtual
+	mu        sync.Mutex
+	drainedAt time.Duration
+	drained   bool
+}
+
+func (l *loopbackTransport) Send(_ string, to Origin, envs ...Envelope) {
+	l.mu.Lock()
+	if !l.drained && len(envs) > 0 && envs[0].Kind == EnvSequenced {
+		l.drainedAt, l.drained = l.v.Now(), true
+	}
+	l.mu.Unlock()
+	l.deliverTo(to, envs...)
+}
+
+// TestSequencerRunsItsDrainAtOnce: the sequencer's own replica receives a
+// drained request at the next instant of its clock, so it starts the
+// request as soon as wall time allows and its reply can be the first
+// the client gets. The stamp stays strictly above the drain's instant, so the
+// replica still runs the slot at its stamp.
+func TestSequencerRunsItsDrainAtOnce(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.EnablePacing(true)
+	tr := &loopbackTransport{v: v}
+	g := NewGroup(Config{
+		Clock: v, Members: []ids.ReplicaID{1, 2}, Local: []ids.ReplicaID{1},
+		Transport: tr, Tick: time.Hour, DetectTimeout: time.Minute,
+	})
+	defer g.Close()
+	got := make(chan time.Duration, 1)
+	g.Node(1).SetDeliver(func(Message) { got <- v.Now() })
+	(&sequencingRig{g: g}).waitFor(t, "the sequencing loop to start", func() bool { return g.tickParker != nil })
+
+	tr.deliverTo(Origin{Replica: 1}, Envelope{Kind: EnvForward, Origin: Origin{Client: 7, IsClient: true}, UID: 1, To: Origin{Replica: 1}, Payload: "req"})
+	select {
+	case at := <-got:
+		tr.mu.Lock()
+		drainedAt := tr.drainedAt
+		tr.mu.Unlock()
+		if gap := at - drainedAt; gap <= 0 || gap >= time.Microsecond {
+			t.Fatalf("drained at %v, delivered to the sequencer's member at %v: gap %v, want above 0 and below 1µs", drainedAt, at, gap)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sequencer's member never received the drained forward")
 	}
 }

@@ -21,7 +21,7 @@ type viewState struct {
 	self     ids.ReplicaID          // the one member this process hosts (-1: none, or the simulator's all)
 	local    map[ids.ReplicaID]bool // every member this process hosts
 	detect   time.Duration          // the failure detector's silence window
-	budget   time.Duration          // the sequencer's stamp budget
+	margin   time.Duration          // a new sequencer's stamps start this far above the highest reported
 	canFetch bool                   // a gap can be fetched from a peer (Config.FetchGap)
 	oracle   bool                   // the simulator: crash marks are ground truth, no traffic is watched
 
@@ -119,7 +119,7 @@ const (
 	effSend    effectKind = iota // transfer env to member to on link key
 	effFetch                     // fetch [from, from+max) from member to into member id; step the result as evFetched
 	effInject                    // inject envs into member id's delivery path
-	effPush                      // re-send member id's retained slots [from, from+max) to member to
+	effPush                      // re-send member id's retained slots [from, from+max), then those of envs it has not delivered yet, to member to
 	effRaise                     // raise member id's highest slot seen to from
 	effPromote                   // make the paced clock the pacing leader
 	effInstall                   // step evAdopt{view, id}: our takeover opens its view
@@ -386,7 +386,7 @@ func (st *viewState) decide(front frontier, now time.Duration) []effect {
 	case takeoverShort:
 		why = fmt.Sprintf("%d acks is short of a majority of %d", len(r.acks), len(st.members))
 	default:
-		p := planHeal(front.next, front.highest, st.maxStamp, st.budget, r.acks, st.canFetch)
+		p := planHeal(front.next, front.highest, st.maxStamp, st.margin, r.acks, st.canFetch)
 		if r.plan = &p; p.donor >= 0 {
 			return []effect{{kind: effFetch, id: r.cand, to: p.donor, from: p.fetchFrom, max: p.fetchMax, takeover: true}}
 		}
@@ -397,10 +397,10 @@ func (st *viewState) decide(front frontier, now time.Duration) []effect {
 }
 
 // install finishes a decided round (guard 3, heal-before-promote): fetched
-// slots first (their stamps lie above our horizon), our retained tail to
-// lagging peers ahead of the new view's first heartbeat, assignment past
-// the highest slot reported, stamps above the highest stamp; only then
-// the paced clock's promotion and the view.
+// slots first (their stamps lie above our horizon), our retained tail and
+// the fetched slots to lagging peers ahead of the new view's first
+// heartbeat, assignment past the highest slot reported, stamps above the
+// highest stamp; only then the paced clock's promotion and the view.
 func (st *viewState) install(fetched []Envelope) []effect {
 	r, p := st.round, st.round.plan
 	st.round = nil
@@ -409,7 +409,7 @@ func (st *viewState) install(fetched []Envelope) []effect {
 		effs = append(effs, effect{kind: effInject, id: r.cand, envs: fetched})
 	}
 	for _, push := range p.pushes {
-		effs = append(effs, effect{kind: effPush, id: r.cand, to: push.to, from: push.from, max: push.max})
+		effs = append(effs, effect{kind: effPush, id: r.cand, to: push.to, from: push.from, max: push.max, envs: fetched})
 	}
 	st.floor = max(st.floor, p.floor)
 	return append(effs, effect{kind: effRaise, id: r.cand, from: p.resume}, effect{kind: effPromote},
@@ -669,7 +669,7 @@ type healPlan struct {
 	fetchMax  int
 	pushes    []tailPush    // lagging peers, ascending
 	resume    uint64        // the highest slot anyone reported: assignment resumes past it
-	floor     time.Duration // the highest stamp anyone reported, plus the budget
+	floor     time.Duration // the highest stamp anyone reported, plus the takeover margin
 }
 
 // planHeal computes the plan from the candidate's frontier (next, highest),
@@ -677,7 +677,7 @@ type healPlan struct {
 // its frontier in UID, its highest stamp in Stamp). The donor is the peer
 // that reported the most slots (ties to the lowest id), fetched from only
 // when fetching is possible at all.
-func planHeal(next, highest uint64, maxStamp, budget time.Duration, acks map[ids.ReplicaID]Envelope, canFetch bool) healPlan {
+func planHeal(next, highest uint64, maxStamp, margin time.Duration, acks map[ids.ReplicaID]Envelope, canFetch bool) healPlan {
 	peers := make([]ids.ReplicaID, 0, len(acks))
 	for id := range acks {
 		peers = append(peers, id)
@@ -702,6 +702,6 @@ func planHeal(next, highest uint64, maxStamp, budget time.Duration, acks map[ids
 			p.pushes = append(p.pushes, tailPush{to: id, from: from, max: int(p.resume-from) + 1})
 		}
 	}
-	p.floor = maxStamp + budget
+	p.floor = maxStamp + margin
 	return p
 }

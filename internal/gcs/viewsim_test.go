@@ -17,7 +17,7 @@ import (
 // links with latency that faults can hold and release, with crashes,
 // recovering restarts, an ordered removal, stalls and skewed clocks. A
 // minimal slot model rides on it: the sequencer of a view assigns
-// consecutive slots above its resume point, stamps them max(now+Budget,
+// consecutive slots above its resume point, stamps them max(now+1ns,
 // floor, last+1) and fans them out with a heartbeat; members accept only
 // traffic of their current view. The invariants are checked after every
 // step. A failing seed prints the one-line test that replays it.
@@ -30,7 +30,6 @@ var (
 const (
 	simDetect  = 40 * time.Millisecond
 	simTick    = simDetect / 4
-	simBudget  = 5 * time.Millisecond
 	simLatency = 2 * time.Millisecond // the most a link delays a message it does not hold
 	simFaults  = 10 * simDetect       // faults happen before this...
 	simSettle  = 8 * simDetect        // ...and the cluster settles within this of the last heal
@@ -326,7 +325,7 @@ func newState(id ids.ReplicaID, voters []ids.ReplicaID, learners map[ids.Replica
 	for l := range learners {
 		ls[l] = true
 	}
-	return viewState{self: id, local: map[ids.ReplicaID]bool{id: true}, detect: simDetect, budget: simBudget,
+	return viewState{self: id, local: map[ids.ReplicaID]bool{id: true}, detect: simDetect, margin: takeoverMargin,
 		canFetch: true, seq: voters[0], crashed: map[ids.ReplicaID]time.Duration{},
 		members: append([]ids.ReplicaID(nil), voters...), learners: ls}
 }
@@ -348,7 +347,7 @@ func (s *viewSim) drain(m *simMember) {
 	if m.vs.view < s.topView {
 		zombie = 1
 	}
-	m.last = max(m.clock(s.now)+simBudget, m.vs.floor, m.last+1)
+	m.last = max(m.clock(s.now)+1, m.vs.floor, m.last+1)
 	hz := Envelope{Kind: EnvHorizon, View: m.vs.view, From: Origin{Replica: m.id}, Stamp: m.last, Class: zombie}
 	var slot []Envelope
 	if s.rng.Intn(2) == 0 {

@@ -110,7 +110,6 @@ func recoverOnce(checkpointEvery, missedPerClient int) (*recoverOutcome, error) 
 			Workload:        wl,
 			NestedLatency:   2 * time.Millisecond,
 			Tick:            2 * time.Millisecond,
-			Budget:          5 * time.Millisecond,
 			CheckpointEvery: checkpointEvery,
 			Epoch:           epoch,
 			Recover:         rec,

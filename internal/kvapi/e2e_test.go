@@ -71,7 +71,6 @@ func mkKVMember(t *testing.T, id ids.ReplicaID, listen string, peers map[ids.Rep
 			KV:             &workload.KVConfig{Buckets: 16},
 			NestedLatency:  2 * time.Millisecond,
 			Tick:           2 * time.Millisecond,
-			Budget:         5 * time.Millisecond,
 			GossipInterval: 100 * time.Millisecond,
 			Logf:           debugLogf,
 		},

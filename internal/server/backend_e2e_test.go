@@ -195,7 +195,6 @@ func performerKillMidCall(t *testing.T, kind replica.SchedulerKind, mut func(i i
 		Workload:        testWorkload(),
 		NestedLatency:   2 * time.Millisecond,
 		Tick:            2 * time.Millisecond,
-		Budget:          5 * time.Millisecond,
 		Backend:         be.Addr(),
 		NestedTimeout:   5 * time.Second,
 		CheckpointEvery: 2,

@@ -54,7 +54,6 @@ func startCluster(t *testing.T, n int, kind replica.SchedulerKind) ([]*Server, m
 			Workload:      testWorkload(),
 			NestedLatency: 2 * time.Millisecond,
 			Tick:          2 * time.Millisecond,
-			Budget:        5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

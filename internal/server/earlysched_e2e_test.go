@@ -57,7 +57,6 @@ func startEarlyCluster(t *testing.T, n int, kind replica.SchedulerKind, fam work
 			Lanes:         4,
 			NestedLatency: 2 * time.Millisecond,
 			Tick:          2 * time.Millisecond,
-			Budget:        5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

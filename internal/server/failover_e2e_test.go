@@ -41,7 +41,6 @@ func restartServer(t *testing.T, id ids.ReplicaID, kind replica.SchedulerKind,
 		Workload:        testWorkload(),
 		NestedLatency:   2 * time.Millisecond,
 		Tick:            2 * time.Millisecond,
-		Budget:          5 * time.Millisecond,
 		CheckpointEvery: 2,
 		Epoch:           epoch,
 		Recover:         true,

@@ -72,7 +72,6 @@ func TestRecoveryFetches(t *testing.T) {
 		Workload:        testWorkload(),
 		NestedLatency:   2 * time.Millisecond,
 		Tick:            2 * time.Millisecond,
-		Budget:          5 * time.Millisecond,
 		CheckpointEvery: 2,
 	})
 	if err != nil {

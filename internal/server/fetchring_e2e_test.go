@@ -23,7 +23,6 @@ func mkMember(t *testing.T, id ids.ReplicaID, listen string, peers map[ids.Repli
 			Workload:       testWorkload(),
 			NestedLatency:  2 * time.Millisecond,
 			Tick:           2 * time.Millisecond,
-			Budget:         5 * time.Millisecond,
 			GossipInterval: 100 * time.Millisecond,
 			Logf:           debugLogf,
 		},

@@ -184,7 +184,7 @@ func startTagged(t *testing.T, mod func(*Options)) (*Server, shard.RingConfig) {
 	o := Options{
 		ID: 1, Listener: ln, Group: "g0", Scheduler: replica.KindMAT,
 		Workload: testWorkload(), NestedLatency: 2 * time.Millisecond,
-		Tick: 2 * time.Millisecond, Budget: 5 * time.Millisecond,
+		Tick: 2 * time.Millisecond,
 	}
 	if mod != nil {
 		mod(&o)

@@ -37,7 +37,6 @@ func startLearner(t *testing.T, id ids.ReplicaID, voters map[ids.ReplicaID]strin
 		Workload:        testWorkload(),
 		NestedLatency:   2 * time.Millisecond,
 		Tick:            2 * time.Millisecond,
-		Budget:          5 * time.Millisecond,
 		Learner:         true,
 		Epoch:           1,
 		CheckpointEvery: 2,

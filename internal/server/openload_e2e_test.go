@@ -40,7 +40,6 @@ func startClusterOpts(t *testing.T, n int, kind replica.SchedulerKind, mod func(
 			Workload:      testWorkload(),
 			NestedLatency: 2 * time.Millisecond,
 			Tick:          2 * time.Millisecond,
-			Budget:        5 * time.Millisecond,
 		}
 		if mod != nil {
 			mod(&o)

@@ -241,14 +241,14 @@ type tailSource interface {
 // process on their own reconnect backoff, so their fan-out may simply not
 // have arrived yet; and the sequencer fans out to this process only from
 // the moment it sees our hello and revives us, so slots it assigned just
-// before — in flight at the donor for up to Budget, hence in no tail yet —
-// reach us by neither path. A process that went live now would meet them
-// later, behind a clock its heartbeats have moved past, and wedge. So an
-// empty buffer closes the tail only on evidence: a heartbeat that arrived
-// after a fetch began shows the sequencer's link up and, by link FIFO,
-// everything it fanned out before that heartbeat buffered; one more fetch,
-// a pause later, covers what it assigned while we were still marked
-// crashed.
+// before — in flight to the donor, or waiting there for their stamp,
+// hence in no tail yet — reach us by neither path. A process that went
+// live now would meet them later, behind a clock its heartbeats have moved
+// past, and wedge. So an empty buffer closes the tail only on evidence: a
+// heartbeat that arrived after a fetch began shows the sequencer's link up
+// and, by link FIFO, everything it fanned out before that heartbeat
+// buffered; one more fetch, a pause later, covers what it assigned while
+// we were still marked crashed.
 func closeTail(next uint64, src tailSource) ([]gcs.Envelope, error) {
 	var tail []gcs.Envelope
 	linkUp := false
@@ -301,7 +301,7 @@ func (d *donorTail) buffered() (uint64, int) {
 func (d *donorTail) heartbeats() uint64 { return d.s.beats.Load() }
 
 func (d *donorTail) pause() {
-	time.Sleep(max(50*time.Millisecond, 2*d.s.o.Budget))
+	time.Sleep(50 * time.Millisecond)
 }
 
 // fanOutOwed: a LEARNER receives no fan-out until its AddReplica is staged

@@ -45,7 +45,6 @@ func startClusterWith(t *testing.T, n int, kind replica.SchedulerKind,
 			Workload:      testWorkload(),
 			NestedLatency: 2 * time.Millisecond,
 			Tick:          2 * time.Millisecond,
-			Budget:        5 * time.Millisecond,
 		}
 		if mut != nil {
 			mut(i, &o)

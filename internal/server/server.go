@@ -100,9 +100,8 @@ type Options struct {
 	// breaker (defaults: 5 consecutive transport failures, 2s cooldown).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Tick and Budget configure stamped sequencing (see gcs.Config).
-	Tick   time.Duration
-	Budget time.Duration
+	// Tick configures stamped sequencing (see gcs.Config).
+	Tick time.Duration
 
 	// PDSWindow is the PDS pool size (0: the replica default, 4) and
 	// PDSRelaxed drops PDS's full-pool barrier requirement; both only
@@ -454,7 +453,6 @@ func New(o Options) (*Server, error) {
 		Transport:     transport,
 		Local:         []ids.ReplicaID{o.ID},
 		Tick:          o.Tick,
-		Budget:        o.Budget,
 		Recovering:    o.Recover,
 		DetectTimeout: o.DetectTimeout,
 		Learners:      learners,

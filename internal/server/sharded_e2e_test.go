@@ -104,7 +104,6 @@ func TestShardedMultiSmoke(t *testing.T) {
 			NestedLatency: 2 * time.Millisecond,
 			NestedTimeout: 15 * time.Second,
 			Tick:          2 * time.Millisecond,
-			Budget:        5 * time.Millisecond,
 			Logf:          debugLogf,
 		},
 		Shards:   shards,
@@ -235,7 +234,6 @@ func TestShardedClusterHashIdentity(t *testing.T) {
 				Workload:       testWorkload(),
 				NestedLatency:  2 * time.Millisecond,
 				Tick:           2 * time.Millisecond,
-				Budget:         5 * time.Millisecond,
 				GossipInterval: 100 * time.Millisecond,
 				Logf:           debugLogf,
 			},
@@ -315,7 +313,6 @@ func TestCrossShardPerformerKillExactlyOnce(t *testing.T) {
 		Workload:      testWorkload(),
 		NestedLatency: 2 * time.Millisecond,
 		Tick:          2 * time.Millisecond,
-		Budget:        5 * time.Millisecond,
 		Logf:          debugLogf,
 	})
 	if err != nil {
@@ -395,7 +392,6 @@ func TestCrossShardPerformerKillExactlyOnce(t *testing.T) {
 		Workload:        testWorkload(),
 		NestedLatency:   2 * time.Millisecond,
 		Tick:            2 * time.Millisecond,
-		Budget:          5 * time.Millisecond,
 		Backend:         gw.Addr(),
 		NestedTimeout:   10 * time.Second,
 		CheckpointEvery: 2,

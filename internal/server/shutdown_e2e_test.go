@@ -39,7 +39,6 @@ func TestCleanShutdownNoBreakerTrips(t *testing.T) {
 			NestedLatency: 5 * time.Millisecond,
 			NestedTimeout: 15 * time.Second,
 			Tick:          2 * time.Millisecond,
-			Budget:        5 * time.Millisecond,
 			Logf:          debugLogf,
 		},
 		Shards:   shards,

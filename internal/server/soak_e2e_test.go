@@ -127,7 +127,6 @@ func TestMixedChaosSoak(t *testing.T) {
 		NestedTimeout:   2 * time.Second,
 		NestedLatency:   2 * time.Millisecond,
 		Tick:            2 * time.Millisecond,
-		Budget:          5 * time.Millisecond,
 		CheckpointEvery: 2,
 		Epoch:           2,
 		Recover:         true,

@@ -42,7 +42,6 @@ func TestServeFacade(t *testing.T) {
 			Scheduler: detmt.MAT, Workload: wl,
 			NestedLatency: time.Millisecond,
 			Tick:          2 * time.Millisecond,
-			Budget:        5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
