@@ -1,10 +1,6 @@
 package gcs
 
-import (
-	"fmt"
-
-	"detmt/internal/ids"
-)
+import "detmt/internal/ids"
 
 // ClientEndpoint lets a client submit requests into the group's total
 // order and receive direct replies from replicas. Replication logic on
@@ -17,7 +13,7 @@ type ClientEndpoint struct {
 
 func newClientEndpoint(g *Group, id ids.ClientID) *ClientEndpoint {
 	c := &ClientEndpoint{id: id}
-	c.init(g, Origin{Client: id, IsClient: true}, fmt.Sprintf("gcs client %v", id), ^uint64(0)-4096+uint64(uint16(id)),
+	c.init(g, Origin{Client: id, IsClient: true}, ^uint64(0)-4096+uint64(uint16(id)),
 		func(env Envelope) {
 			if c.onReply != nil {
 				c.onReply(env.From.Replica, env.Payload)

@@ -127,16 +127,6 @@ func TestOriginKeyDistinguishesClientsAndReplicas(t *testing.T) {
 	}
 }
 
-func TestSortUint64(t *testing.T) {
-	s := []uint64{5, 1, 4, 1, 3}
-	sortUint64(s)
-	for i := 1; i < len(s); i++ {
-		if s[i] < s[i-1] {
-			t.Fatalf("not sorted: %v", s)
-		}
-	}
-}
-
 func TestFnv32Stable(t *testing.T) {
 	if fnv32("a>b") != fnv32("a>b") {
 		t.Fatal("hash not stable")

@@ -51,7 +51,7 @@ func ReplayDetached(clock vclock.Clock, cfg Config, log []LogEntry) *Replica {
 
 // feedLog re-delivers a recorded log with the live system's exact
 // discipline: original inter-message delays, and each message applied
-// only at a quiescent instant (the per-node delivery loops do the same),
+// only at a quiescent instant (gcs deliveries on a virtual clock do too),
 // so the replayed admissions land at the same points relative to thread
 // progress as they originally did.
 func feedLog(clock vclock.Clock, r *Replica, log []LogEntry) {

@@ -145,12 +145,12 @@ func TestTimerHeapPopsInOrder(t *testing.T) {
 			return a.seq < b.seq
 		})
 		for k := rng.Intn(6); k > 0 && len(want) > 0; k-- {
-			if got := h.pop(); got != want[0] {
+			if got := h.pop(); got.seq != want[0].seq { // seq is unique
 				t.Fatalf("popped %+v, want %+v", got, want[0])
 			}
 			want = want[1:]
-			if tail := h[len(h):cap(h)]; len(tail) > 0 && tail[0].p != nil {
-				t.Fatal("a popped slot still references its parker")
+			if tail := h[len(h):cap(h)]; len(tail) > 0 && (tail[0].p != nil || tail[0].fn != nil) {
+				t.Fatal("a popped slot still references its parker or callback")
 			}
 		}
 	}

@@ -55,13 +55,18 @@ go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial
 # forward is sequenced at once, arrivals behind a held fan-out leave in one
 # frame with the heartbeat last, stamps rise from drain to drain; an idle
 # sequencer beats every tick; the sequencer's own member gets a drain less
-# than 1µs of virtual time after it (same line as the CI step "Sequencing
-# (race, 20 counts)").
-go test -race -count=20 -run 'TestTickPolicy|TestIdleHeartbeatEveryTick|TestArrivalDrivenSequencing|TestFollowerIsNotWokenIntoSequencing|TestDrainsAtOneInstantGetIncreasingStamps|TestInjectSchedulesBatchBeforeRaisingHorizon|TestSequencerRunsItsDrainAtOnce' ./internal/gcs/
+# than 1µs of virtual time after it; deliveries are clock events in endpoint
+# rank order, FIFO, one per quiescent point and dropped by Halt, and on a
+# real clock a reply handler has run when put returns (same line as the CI
+# step "Sequencing (race, 20 counts)").
+go test -race -count=20 -run 'TestTickPolicy|TestIdleHeartbeatEveryTick|TestArrivalDrivenSequencing|TestFollowerIsNotWokenIntoSequencing|TestDrainsAtOneInstantGetIncreasingStamps|TestInjectSchedulesBatchBeforeRaisingHorizon|TestSequencerRunsItsDrainAtOnce|TestEndpointDeliveryOrder|TestRealClockReplyRunsOnCaller' ./internal/gcs/
 # The paced clock: a follower is gated by the horizon and anchored on the
-# fastest horizon it has seen, a leader ignores horizons, and a real-socket
-# cluster still reaches the pinned ConsistencyHash (same lines as the CI
-# step "Paced clock (race, 20 counts)").
+# fastest horizon it has seen, a leader ignores horizons, ScheduleAt runs
+# callbacks at one (instant, rank) in call order and one at or before now
+# once every runnable goroutine has blocked (TestScheduleAtFIFOAtOneKey,
+# matched by the TestScheduleAt pattern), and a real-socket cluster still
+# reaches the pinned ConsistencyHash (same lines as the CI step "Paced
+# clock (race, 20 counts)").
 go test -race -count=20 -run 'TestPaced|TestFollower|TestScheduleAt|TestHorizon' ./internal/vclock/
 go test -race -count=5 -run 'TestReconnectDeterminism|TestGroupCommitScheduleTransparency' ./internal/server/
 # View changes: the seeded simulator (300 seeds a count under -race; 10 000
@@ -89,9 +94,11 @@ go test -run '^$' -fuzz FuzzIntervalSound -fuzztime 10s ./internal/analysis/
 # The v8 wire goldens and the recovery fetches over a real socket, then ten
 # seconds of every decoder fuzz target and of the two container models (same
 # lines as the CI steps "Wire v8 golden frames and recovery fetches" and
-# "Decoder and model fuzz"). The two delivery tests park a receiver inside
-# deliver: an ack must wait for it, and a second inbound connection of the
-# same sender must not overtake it; 20 counts under -race vary the overlap.
+# "Decoder and model fuzz"), the DSL parser's included (whole objects are
+# slow to minimise, so a new input gets 2 s of it). The two delivery tests
+# park a receiver inside deliver: an ack must wait for it, and a second
+# inbound connection of the same sender must not overtake it; 20 counts
+# under -race vary the overlap.
 go test -race -count=1 -run 'TestGoldenBytes|TestGoldenHelloFrames|TestEnvelopeRoundTrip|TestFrameRoundTrip|TestTCPControl' ./internal/wire/
 go test -race -count=20 -run 'TestTCPAckFollowsDelivery|TestTCPOverlappingInboundKeepsOrder' ./internal/wire/
 go test -race -count=1 -run 'TestRecoveryFetches|TestCloseTail' ./internal/server/
@@ -101,6 +108,7 @@ go test -run '^$' -fuzz FuzzControlReply -fuzztime 10s ./internal/wire/
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/recovery/
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/shard/
 go test -run '^$' -fuzz FuzzFrames -fuzztime 10s ./internal/backend/
+go test -run '^$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 2s ./internal/lang/
 go test -run '^$' -fuzz FuzzBufferMatchesShiftedSlice -fuzztime 10s ./internal/ring/
 go test -run '^$' -fuzz FuzzRunsMatchMap -fuzztime 10s ./internal/ids/
 # bench/ is a module of its own (replace detmt => ../): build, vet and test
