@@ -344,7 +344,7 @@ func TestReconfigAcrossViewChange(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("survivors and joiner did not converge: %+v", sts)
+			t.Fatalf("survivors and joiner did not converge (the load sent %d, %d errors): %+v", sent, errors, sts)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

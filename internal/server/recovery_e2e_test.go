@@ -229,17 +229,29 @@ func chaosSoak(t *testing.T, kind replica.SchedulerKind, seed uint64, mut func(i
 			Addrs:        peerAddrs,
 		}, stop)
 	}
-	// Guarantee at least one sever regardless of the plan's draws.
+	// Guarantee a fault under load regardless of the plan's draws: a
+	// light load can finish within one plan step, so it starts only once a
+	// sever has cut a live peer link (they are still being dialed at
+	// first), and two more severs follow.
+	severAll := func() (n int) {
+		for _, inj := range injs {
+			n += inj.SeverAll()
+		}
+		return n
+	}
+	for deadline := time.Now().Add(10 * time.Second); severAll() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no peer link came up to sever")
+		}
+	}
 	go func() {
-		for k := 0; k < 3; k++ {
+		for k := 0; k < 2; k++ {
 			select {
 			case <-stop:
 				return
 			case <-time.After(30 * time.Millisecond):
 			}
-			for _, inj := range injs {
-				inj.SeverAll()
-			}
+			severAll()
 		}
 	}()
 
