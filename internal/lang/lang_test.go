@@ -134,6 +134,21 @@ func TestPrintRoundTrip(t *testing.T) {
 // run executes a method on a SEQ-scheduled runtime under a virtual clock.
 func run(t *testing.T, obj *Object, calls func(in *Instance, exec func(method string, args ...Value) Value)) *Instance {
 	t.Helper()
+	return runE(t, obj, func(in *Instance, execE func(string, ...Value) (Value, error)) {
+		calls(in, func(method string, args ...Value) Value {
+			v, err := execE(method, args...)
+			if err != nil {
+				t.Errorf("exec %s: %v", method, err)
+			}
+			return v
+		})
+	})
+}
+
+// runE is run with the method's error handed to the caller: each call
+// runs on a fresh thread of one SEQ runtime on a virtual clock.
+func runE(t *testing.T, obj *Object, calls func(in *Instance, exec func(method string, args ...Value) (Value, error))) *Instance {
+	t.Helper()
 	v := vclock.NewVirtual()
 	rt := core.NewRuntime(core.Options{Clock: v, Scheduler: core.NewSEQ(), NestedDelay: time.Millisecond})
 	in := NewInstance(obj, 0)
@@ -142,20 +157,20 @@ func run(t *testing.T, obj *Object, calls func(in *Instance, exec func(method st
 	v.Go(func() {
 		defer close(done)
 		g := vclock.NewGroup(v)
-		exec := func(method string, args ...Value) Value {
+		exec := func(method string, args ...Value) (Value, error) {
 			tid++
 			var result Value
 			var execErr error
 			g.Add(1)
-			th := rt.Submit(ids.ThreadID(tid), obj.Lookup(method).ID, func(th *core.Thread) {
+			var mid ids.MethodID
+			if m := obj.Lookup(method); m != nil {
+				mid = m.ID
+			}
+			rt.Submit(ids.ThreadID(tid), mid, func(th *core.Thread) {
 				result, execErr = in.Exec(th, method, args)
 			}, g.Done)
-			_ = th
 			g.Wait()
-			if execErr != nil {
-				t.Errorf("exec %s: %v", method, execErr)
-			}
-			return result
+			return result, execErr
 		}
 		calls(in, exec)
 	})
