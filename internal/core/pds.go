@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 )
 
 // PDS is the preemptive deterministic scheduling algorithm (Basile et
@@ -125,11 +125,13 @@ func (s *PDS) ClassStats() ClassStats { return s.snapshot(s.rt) }
 
 func (s *PDS) laneOf(t *Thread) *pdsLane { return s.lanes.of(t.Class()) }
 
+// join inserts t where its admission index puts it: members stay in
+// admission order, and admission indices are unique.
 func (l *pdsLane) join(t *Thread) {
-	l.members = append(l.members, t)
-	sort.SliceStable(l.members, func(i, j int) bool {
-		return l.members[i].admitIdx < l.members[j].admitIdx
+	i, _ := slices.BinarySearchFunc(l.members, t.admitIdx, func(u *Thread, idx uint64) int {
+		return cmp.Compare(u.admitIdx, idx)
 	})
+	l.members = slices.Insert(l.members, i, t)
 }
 
 func (l *pdsLane) leave(t *Thread) {

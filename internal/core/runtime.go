@@ -489,6 +489,10 @@ func (rt *Runtime) exitThread(t *Thread) {
 		}
 		rt.record(t, trace.KindExit, ids.NoSync, ids.NoMutex, 0)
 		rt.sched.Exit(t)
+		// The scheduler has let go of t, and the thread locks nothing
+		// more: its table goes back for the next thread to reuse.
+		t.table.Release()
+		t.table = nil
 	})
 }
 

@@ -30,6 +30,7 @@
 package lang
 
 import (
+	"sync"
 	"time"
 
 	"detmt/internal/ids"
@@ -40,6 +41,9 @@ type Object struct {
 	Name    string
 	Fields  []*FieldDecl
 	Methods []*Method
+
+	resolveOnce sync.Once
+	plain       []string // distinct plain-field names: an instance's value slots
 }
 
 // FieldKind distinguishes the three field flavours.
@@ -70,6 +74,9 @@ type Method struct {
 	Name   string
 	Params []string
 	Body   *Block
+
+	slots      int   // frame size: one slot per distinct parameter or local name
+	paramSlots []int // the slot each parameter position binds
 }
 
 // Lookup finds a method by name, or nil.
@@ -106,6 +113,8 @@ type Block struct {
 type VarDecl struct {
 	Name string
 	Init Expr
+
+	slot int
 }
 
 // Assign writes to a local, a field, or a monitor-array element.
@@ -132,6 +141,8 @@ type Repeat struct {
 	Var   string
 	Count Expr
 	Body  *Block
+
+	slot int
 }
 
 // Sync is a synchronized block on the monitor that Param evaluates to.
@@ -166,6 +177,8 @@ type Compute struct {
 type NestedCall struct {
 	Arg    Expr   // argument passed to the external service (may be nil)
 	Result string // local to bind the reply to ("" to discard)
+
+	slot int // Result's slot
 }
 
 // CallStmt invokes a helper method for effect.
@@ -259,15 +272,21 @@ type IntLit struct {
 // NullLit is the null literal.
 type NullLit struct{}
 
-// VarRef names a parameter, local, or field (resolved at evaluation).
+// VarRef names a parameter, local, or field: a local once its binding
+// has run in this call, else a parameter, else a field.
 type VarRef struct {
 	Name string
+
+	slot  int // -1 when no parameter or local has this name
+	field fieldRef
 }
 
 // Index subscripts a monitor-array field.
 type Index struct {
 	Base  string
 	Index Expr
+
+	array int // declaration index of the array, -1 when Base names none
 }
 
 // Binary is a binary operation: + - * / % == != < <= > >= && ||.
@@ -280,6 +299,9 @@ type Binary struct {
 type CallExpr struct {
 	Name string
 	Args []Expr
+
+	callee  *Method // nil for a builtin or an unknown name
+	builtin builtin
 }
 
 func (*IntLit) expr()   {}

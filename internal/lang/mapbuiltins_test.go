@@ -9,7 +9,7 @@ import (
 )
 
 // The map builtins back the KV facade workload: a namespaced integer
-// key/value store living in the instance's plain-field map, so snapshots
+// key/value store stored beside the instance's plain fields, so snapshots
 // and checkpoints cover it exactly like declared fields.
 
 const mapSrc = `
@@ -66,7 +66,7 @@ func TestMapBuiltins(t *testing.T) {
 			t.Errorf("mapget after del = %v, want null", got)
 		}
 	})
-	// Map entries live in the plain-field map under un-declarable names,
+	// Map entries sit beside the plain fields under un-declarable names,
 	// so Snapshot (and therefore checkpoints) carries them for free.
 	snap := in.Snapshot()
 	if v, ok := snap["kv0:-3"]; !ok || v != int64(9) {

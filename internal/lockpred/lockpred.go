@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"detmt/internal/ids"
 )
@@ -131,18 +132,36 @@ type ThreadTable struct {
 	entries []entry
 }
 
-// NewThreadTable makes a fresh table for a thread executing method mi.
-// A nil mi yields a nil table, on which all queries are conservatively
-// pessimistic (never predicted, may lock anything).
+// tablePool holds the tables of finished threads for NewThreadTable to
+// reinitialise. A table is plain data, so which one a thread receives
+// cannot reach a schedule.
+var tablePool = sync.Pool{New: func() interface{} { return new(ThreadTable) }}
+
+// NewThreadTable makes a fresh table for a thread executing method mi,
+// reusing a released one when it can. A nil mi yields a nil table, on
+// which all queries are conservatively pessimistic (never predicted, may
+// lock anything).
 func NewThreadTable(mi *MethodInfo) *ThreadTable {
 	if mi == nil {
 		return nil
 	}
-	tt := &ThreadTable{entries: make([]entry, len(mi.Entries))}
+	tt := tablePool.Get().(*ThreadTable)
+	if cap(tt.entries) < len(mi.Entries) {
+		tt.entries = make([]entry, len(mi.Entries))
+	}
+	tt.entries = tt.entries[:len(mi.Entries)]
 	for i, se := range mi.Entries {
 		tt.entries[i] = entry{static: se, mutex: ids.NoMutex}
 	}
 	return tt
+}
+
+// Release hands the table of a finished thread back to NewThreadTable.
+// Nothing may use tt afterwards. Releasing a nil table does nothing.
+func (tt *ThreadTable) Release() {
+	if tt != nil {
+		tablePool.Put(tt)
+	}
 }
 
 // pick returns the first entry for sid that pred accepts, or -1. A method
