@@ -9,17 +9,20 @@ import (
 )
 
 // TestSimAllocBudget holds the simulator to what a simulated request
-// allocates once the virtual execution path allocates nothing per event:
-// bytes and objects per request for the two heaviest schedulers on 16
-// clients x 18 requests, with 10 % headroom. (The race detector changes
-// what is allocated, hence the build tag.)
+// allocates once the virtual execution path allocates nothing per event
+// and the interpreter resolves names once per method: bytes and objects
+// per request on 16 clients x 18 requests, with 10 % headroom, for the
+// two heaviest schedulers and for MAT, the scheduler the socket workloads
+// deploy. (The race detector changes what is allocated, hence the build
+// tag.)
 func TestSimAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		kind           replica.SchedulerKind
 		bytes, objects float64 // per request, measured
 	}{
-		{replica.KindPDS, 24800, 298.5},
-		{replica.KindLSA, 21500, 258.5},
+		{replica.KindPDS, 19600, 242.5},
+		{replica.KindLSA, 17600, 249.0},
+		{replica.KindMAT, 12900, 157.3},
 	} {
 		simCell(c.kind, 16, 18, 7) // the analysis cache fills once per process
 		bytes, objects := simAllocs(c.kind, 16, 18, 1)

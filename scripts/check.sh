@@ -80,11 +80,12 @@ go test -race -count=20 -run 'TestViewSim|TestRule|TestTakeoverQuorum|TestStaleV
 # thread that left it; checkpoints keep coming (same line as the CI step
 # "Steady state (race, 5 counts)").
 go test -race -count=5 -run 'TestSteadyStateIsFlat|TestCheckpointsKeepComing|TestRunsMatchMap|TestBufferMatchesShiftedSlice|TestDroppedElementsAreCollectable|TestQueuesDoNotPinFinishedThreads|TestDedupAllocBudget' ./internal/replica/ ./internal/ids/ ./internal/ring/ ./internal/core/ ./internal/gcs/
-# What a simulated request allocates: PDS and LSA within 10 % of their
-# measured bytes and objects per request, and a finished RunSim leaves no
-# goroutine and no live heap behind; not under -race (same line as the CI
-# step "Simulator allocation budget").
-go test -count=1 -run 'TestSimAllocBudget|TestRunSimLeavesNothingBehind' -v ./internal/harness/
+# What a simulated request allocates: PDS, LSA and MAT within 10 % of
+# their measured bytes and objects per request, and a finished RunSim
+# leaves no goroutine and no live heap behind; the interpreter's name
+# resolution and the golden over every shipped object; not under -race
+# (same line as the CI step "Simulator allocation budget").
+go test -count=1 -run 'TestSimAllocBudget|TestRunSimLeavesNothingBehind|TestNameResolution|TestShippedObjectsGolden' -v ./internal/harness/ ./internal/lang/
 # The classification goldens, the classifier's soundness property, the
 # interference table and the detmt-analyze reports whatever $short says,
 # then ten seconds of the interval fuzz target (same lines as the CI step
