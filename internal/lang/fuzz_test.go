@@ -14,8 +14,9 @@ import (
 )
 
 // FuzzParse feeds the DSL parser arbitrary text: it returns an object or
-// an error and never panics, and an object it returns prints to source
-// that parses back to the same printed text. The corpus starts from the
+// an error and never panics, an object it returns prints to source that
+// parses back to the same printed text, and resolving the object's names
+// (its first instance) does not panic either. The corpus starts from the
 // workload generators' objects and the examples' sources.
 func FuzzParse(f *testing.F) {
 	// Two iterations and a few monitors show every construct the
@@ -30,8 +31,8 @@ func FuzzParse(f *testing.F) {
 	fam.Families, fam.PerFamily, fam.Iterations = 2, 2, 2
 	f.Add(workload.FamiliesSource(fam))
 	f.Add(workload.KVSource(workload.KVConfig{Buckets: 4}))
-	for _, src := range exampleSources(f) {
-		f.Add(src)
+	for _, ex := range exampleSources(f) {
+		f.Add(ex.src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		o, err := lang.Parse(src)
@@ -46,17 +47,21 @@ func FuzzParse(f *testing.F) {
 		if reprinted := lang.Print(again); reprinted != printed {
 			t.Fatalf("print/parse round trip changed the text:\n%s\nbecame\n%s", printed, reprinted)
 		}
+		lang.NewInstance(o, 0)
 	})
 }
 
-// exampleSources returns the raw string literals in examples/*/main.go
-// that declare an object.
-func exampleSources(tb testing.TB) []string {
+// exampleSource is a raw string literal in examples/<dir>/main.go that
+// declares an object.
+type exampleSource struct{ dir, src string }
+
+// exampleSources returns the examples' object sources in directory order.
+func exampleSources(tb testing.TB) []exampleSource {
 	files, err := filepath.Glob("../../examples/*/main.go")
 	if err != nil || len(files) == 0 {
 		tb.Fatalf("no example sources found (%v)", err)
 	}
-	var srcs []string
+	var srcs []exampleSource
 	fset := token.NewFileSet()
 	for _, name := range files {
 		file, err := parser.ParseFile(fset, name, nil, 0)
@@ -69,7 +74,7 @@ func exampleSources(tb testing.TB) []string {
 				return true
 			}
 			if s, err := strconv.Unquote(lit.Value); err == nil && strings.Contains(s, "object ") {
-				srcs = append(srcs, s)
+				srcs = append(srcs, exampleSource{filepath.Base(filepath.Dir(name)), s})
 			}
 			return true
 		})
