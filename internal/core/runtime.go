@@ -208,6 +208,14 @@ func (rt *Runtime) SubmitClassed(tid ids.ThreadID, method ids.MethodID, class ui
 		if done != nil {
 			done()
 		}
+		if v, ok := rt.clock.(*vclock.Virtual); ok {
+			// The scheduler wakes only waiting threads, and t waits for
+			// nothing more: no Unpark can still be on its way, so the
+			// parker goes back for the next thread to reuse. done may
+			// submit that thread itself, hence not before done returns.
+			v.ReleaseParker(t.parker)
+			t.parker = nil
+		}
 	})
 	return t
 }

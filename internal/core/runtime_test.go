@@ -367,3 +367,24 @@ func TestScheduleNestedResumeExternal(t *testing.T) {
 		t.Fatalf("resumed at %v", v.Now())
 	}
 }
+
+// TestThreadKeepsItsParkerUntilDone: on a virtual clock a finished
+// thread's parker goes back for the next thread to reuse, but only once
+// its done callback has returned. A done that submits the next request,
+// as a closed-loop client does, must not hand that thread the parker of
+// the thread still running done.
+func TestThreadKeepsItsParkerUntilDone(t *testing.T) {
+	var first, second vclock.Parker
+	scenario(t, NewSEQ(), nil, func(e *env) {
+		e.g.Add(1)
+		e.rt.Submit(1, 0, func(th *Thread) { first = th.parker }, func() {
+			e.g.Add(1)
+			e.rt.Submit(2, 0, func(th *Thread) { second = th.parker }, e.g.Done)
+			e.g.Done()
+		})
+		e.g.Wait()
+	})
+	if first == nil || second == nil || first == second {
+		t.Fatalf("thread 2 got parker %p while thread 1 (parker %p) still ran done", second, first)
+	}
+}

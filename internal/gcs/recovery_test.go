@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -61,6 +62,50 @@ func TestSequencedTailRetentionTrims(t *testing.T) {
 	envs, more, ok := n.SequencedTail(7, 10)
 	if !ok || more || len(envs) != 4 || envs[0].Seq != 7 {
 		t.Fatalf("tail(7): ok=%v more=%v envs=%v", ok, more, envs)
+	}
+}
+
+// TestSequencedTailRebuildsEnvelopes: the sequenced log keeps a compact
+// slot, not the envelope, and SequencedTail rebuilds from it envelopes
+// equal in every field a receiver reads to the ones delivered. To is not
+// among them: a transport sets it on every send.
+func TestSequencedTailRebuildsEnvelopes(t *testing.T) {
+	v := vclock.NewVirtual()
+	g := NewGroup(Config{Clock: v, Members: []ids.ReplicaID{1, 2}, Latency: time.Millisecond})
+	n := g.Node(2)
+	n.SetDeliver(func(Message) {})
+	var sent []Envelope
+	for seq := uint64(1); seq <= 6; seq++ {
+		e := Envelope{
+			Kind:    EnvSequenced,
+			Seq:     seq,
+			View:    seq / 3,
+			Origin:  Origin{Replica: ids.ReplicaID(seq % 3)},
+			UID:     100 + seq,
+			From:    Origin{Replica: 1 + ids.ReplicaID(seq/4)},
+			To:      Origin{Replica: 2}, // as the TCP transport sets it
+			Stamp:   time.Duration(seq) * time.Millisecond,
+			Class:   uint32(seq % 4),
+			Payload: fmt.Sprint("p", seq),
+		}
+		if seq%2 == 0 {
+			e.Origin = Origin{Client: ids.ClientID(seq), IsClient: true}
+		}
+		sent = append(sent, e)
+		n.handleSequenced(e)
+	}
+	for _, from := range []uint64{1, 4} {
+		envs, _, ok := n.SequencedTail(from, 0)
+		if !ok || len(envs) != len(sent)-int(from)+1 {
+			t.Fatalf("tail(%d): ok=%v, %d envelopes", from, ok, len(envs))
+		}
+		for i, got := range envs {
+			want := sent[int(from)-1+i]
+			want.To = Origin{}
+			if got != want {
+				t.Errorf("tail(%d) slot %d:\n got  %+v\n want %+v", from, want.Seq, got, want)
+			}
+		}
 	}
 }
 

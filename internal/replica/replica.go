@@ -286,11 +286,7 @@ func (r *Replica) buildScheduler() core.Scheduler {
 				}
 				r.decLog.Push(d)
 				r.decMu.Unlock()
-				for _, m := range r.cfg.Group.Members() {
-					if m != r.cfg.ID {
-						r.node.SendDirect(m, d)
-					}
-				}
+				r.node.SendDirectToPeers(d)
 			})
 		}
 		r.follower = core.NewLSAFollower()

@@ -466,3 +466,110 @@ func TestSleepOrderedRealClock(t *testing.T) {
 		t.Fatal("real ordered sleep returned early")
 	}
 }
+
+// TestParkerReuse: a released parker comes back to the next owner as if
+// new. A wakeup buffered for the previous owner is gone, a timeout the
+// previous owner armed and abandoned never fires it, and it carries the
+// new owner's rank and label. Releasing a parked parker panics.
+func TestParkerReuse(t *testing.T) {
+	t.Run("no wakeup or timeout of the previous owner", func(t *testing.T) {
+		run(t, func(v *Virtual) {
+			p := v.NewOrderedParkerNum("thread", 1, 1)
+			g := NewGroup(v)
+			g.Go(func() {
+				v.Sleep(5 * time.Millisecond)
+				p.Unpark()
+			})
+			if !p.ParkTimeout(10 * time.Millisecond) { // woken at 5ms; the 10ms timer is abandoned
+				t.Error("previous owner timed out, want woken")
+			}
+			g.Wait()
+			p.Unpark() // a wakeup the previous owner never consumes
+			v.ReleaseParker(p)
+
+			q := v.NewOrderedParkerNum("thread", 2, 2)
+			if q.(*vparker) != p.(*vparker) {
+				t.Fatal("the released parker was not reused")
+			}
+			start := v.Now()
+			if q.ParkTimeout(20 * time.Millisecond) {
+				t.Error("new owner woken by the previous owner's wakeup")
+			}
+			if got := v.Now() - start; got != 20*time.Millisecond {
+				t.Errorf("new owner's 20ms timeout ended after %v", got)
+			}
+		})
+	})
+
+	t.Run("the new owner's rank", func(t *testing.T) {
+		var woke []string
+		run(t, func(v *Virtual) {
+			old := v.NewOrderedParker("old", 1)
+			v.ReleaseParker(old)
+			reused := v.NewOrderedParker("reused", 9)
+			fresh := v.NewOrderedParker("fresh", 5)
+			g := NewGroup(v)
+			for name, p := range map[string]Parker{"reused": reused, "fresh": fresh} {
+				g.Go(func() {
+					p.ParkTimeout(time.Millisecond)
+					woke = append(woke, name) // one goroutine runs at a time: the other is parked
+				})
+			}
+			g.Wait()
+		})
+		if len(woke) != 2 || woke[0] != "fresh" {
+			t.Fatalf("same-deadline wake order %v, want fresh (rank 5) before reused (rank 9)", woke)
+		}
+	})
+
+	t.Run("the new owner's label", func(t *testing.T) {
+		v := NewVirtual()
+		dumps := make(chan string, 1)
+		v.SetDeadlockHandler(func(dump string) { dumps <- dump })
+		v.ReleaseParker(v.NewOrderedParkerNum("thread", 1, 1))
+		q := v.NewNamedParker("site")
+		done := make(chan struct{})
+		v.Go(func() {
+			defer close(done)
+			q.Park()
+		})
+		var dump string
+		select {
+		case dump = <-dumps:
+		case <-time.After(5 * time.Second):
+			t.Fatal("deadlock handler never ran")
+		}
+		if !contains(dump, "site") || contains(dump, "thread") {
+			t.Errorf("deadlock dump %q, want the new label site only", dump)
+		}
+		q.Unpark()
+		<-done
+	})
+
+	t.Run("releasing a parked parker panics", func(t *testing.T) {
+		v := NewVirtual()
+		parked := make(chan string, 1)
+		v.SetDeadlockHandler(func(dump string) { parked <- dump })
+		p := v.NewNamedParker("parked")
+		done := make(chan struct{})
+		v.Go(func() {
+			defer close(done)
+			p.Park()
+		})
+		select {
+		case <-parked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the parker never parked")
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("releasing a parked parker did not panic")
+				}
+			}()
+			v.ReleaseParker(p)
+		}()
+		p.Unpark()
+		<-done
+	})
+}
