@@ -10,7 +10,8 @@ import (
 
 // TestSimAllocBudget holds the simulator to what a simulated request
 // allocates once the virtual execution path allocates nothing per event
-// and the interpreter resolves names once per method: bytes and objects
+// and the interpreter resolves names once per method, the trace stores
+// encoded events and finished threads' parkers are reused: bytes and objects
 // per request on 16 clients x 18 requests, with 10 % headroom, for the
 // two heaviest schedulers and for MAT, the scheduler the socket workloads
 // deploy. (The race detector changes what is allocated, hence the build
@@ -20,9 +21,9 @@ func TestSimAllocBudget(t *testing.T) {
 		kind           replica.SchedulerKind
 		bytes, objects float64 // per request, measured
 	}{
-		{replica.KindPDS, 19600, 242.5},
-		{replica.KindLSA, 17600, 249.0},
-		{replica.KindMAT, 12900, 157.3},
+		{replica.KindPDS, 13600, 223.9},
+		{replica.KindLSA, 11650, 213.0},
+		{replica.KindMAT, 8920, 151.4},
 	} {
 		simCell(c.kind, 16, 18, 7) // the analysis cache fills once per process
 		bytes, objects := simAllocs(c.kind, 16, 18, 1)
