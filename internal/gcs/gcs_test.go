@@ -161,7 +161,7 @@ func TestDirectMessagesFIFO(t *testing.T) {
 	tg.drive(t, func() {
 		// Same-instant sends on one link must not be reordered.
 		for i := 0; i < 10; i++ {
-			tg.g.Node(1).SendDirect(2, i)
+			tg.g.Node(1).SendDirectToPeers(i)
 		}
 	})
 	if len(got) != 10 {
@@ -302,15 +302,15 @@ func TestStatsCounting(t *testing.T) {
 	tg := newTestGroup(t)
 	tg.drive(t, func() {
 		tg.g.Node(1).Broadcast("x")
-		tg.g.Node(1).SendDirect(2, "y")
+		tg.g.Node(1).SendDirectToPeers("y")
 	})
 	transfers, broadcasts, directs := tg.g.Stats().Snapshot()
-	if broadcasts != 1 || directs != 1 {
+	if broadcasts != 1 || directs != 2 {
 		t.Fatalf("broadcasts=%d directs=%d", broadcasts, directs)
 	}
-	// broadcast: 1 forward + 3 sequenced; direct: 1 transfer.
-	if transfers != 5 {
-		t.Fatalf("transfers=%d, want 5", transfers)
+	// broadcast: 1 forward + 3 sequenced; direct: 1 transfer to each of 2 peers.
+	if transfers != 6 {
+		t.Fatalf("transfers=%d, want 6", transfers)
 	}
 }
 
