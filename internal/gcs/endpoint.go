@@ -112,9 +112,10 @@ func (e *endpoint) retransmitPending() {
 // runnable goroutine has blocked and hands over the oldest envelope in the
 // inbox; no handler parks on the clock, so envelopes run one per quiescent
 // point. On a real clock the handler runs on the caller's goroutine (a
-// wire reader or a memTransport link), and handling serialises callers on
-// different links. Nothing re-enters it: a real clock never hosts a member
-// on a real transport, so no handler reaches TCP.Send's local short-circuit.
+// wire reader or a memTransport arrival), and handling serialises callers
+// on different links. Nothing re-enters it: a real clock never hosts a
+// member on a real transport, so no handler reaches TCP.Send's local
+// short-circuit.
 func (e *endpoint) put(env Envelope) {
 	if v := e.g.vclk; v != nil {
 		e.mu.Lock()

@@ -108,11 +108,12 @@ func TestApplyMembership(t *testing.T) {
 	if !g.ApplyMembership(2, []ids.ReplicaID{2, 3, 4}, true) {
 		t.Fatal("epoch-2 apply rejected")
 	}
-	if g.Alive(1) {
+	if g.alive(1) {
 		t.Fatal("ordered-removed member still alive")
 	}
-	if got := g.LiveMembers(); len(got) != 3 || slices.Contains(got, 1) {
-		t.Fatalf("LiveMembers() after removal = %v", got)
+	if !g.alive(2) || !g.alive(3) || !g.alive(4) || g.Performer() != 2 {
+		t.Fatalf("after removal: members 2, 3, 4 alive %v %v %v, performer %v; want all alive and 2",
+			g.alive(2), g.alive(3), g.alive(4), g.Performer())
 	}
 	// The cached fan-out follows the voter set, a new learner and a new
 	// sequencer.

@@ -33,23 +33,24 @@ type Node struct {
 	holdback    map[uint64]Envelope
 	highestSeen uint64
 
-	// sequenced-log retention: the tail of delivered slots kept around so
-	// a restarted peer can catch up from a checkpoint without replaying
-	// the whole history, indexed by slot.
+	// sequenced-log retention: the tail of delivered slots, indexed by
+	// slot, that a restarted peer catches up from after its checkpoint
+	// (SequencedTail) and a passive backup fails over from (Delivered).
 	seqLog *ring.Buffer[seqSlot]
 }
 
-// seqSlot is what the sequenced log keeps of a delivered envelope, 80
+// seqSlot is what the sequenced log keeps of a delivered envelope, 88
 // bytes where an Envelope is 136: its Seq is the slot's index in the
 // log, its Kind always EnvSequenced, its sender (From) always a replica,
 // and To is set by the transport on every send. SequencedTail rebuilds
-// the envelope from it.
+// the envelope from it. At is the instant this node delivered it.
 type seqSlot struct {
 	View    uint64
 	Origin  Origin
 	UID     uint64
 	From    ids.ReplicaID
 	Stamp   time.Duration
+	At      time.Duration
 	Class   uint32
 	Payload Payload
 }
@@ -157,11 +158,27 @@ func (n *Node) raiseHighestSeen(v uint64) {
 	n.mu.Unlock()
 }
 
-// enqueue accepts an envelope from the transport; a crashed member drops it.
+// enqueue accepts an envelope from the transport; a crashed member drops
+// it. A stamped slot goes to deliverAt, everything else through put.
 func (n *Node) enqueue(env Envelope) {
-	if n.g.alive(n.id) {
+	if n.g.stamped && env.Kind == EnvSequenced && env.Stamp > 0 {
+		n.deliverAt(env)
+	} else if n.g.alive(n.id) {
 		n.put(env)
 	}
+}
+
+// deliverAt makes a stamped slot one clock event at its stamp, ranked by
+// the node and then by slot, that hands it to handleSequenced unless the
+// node has crashed or halted by then. Same-stamp slots arrive in real-time
+// order across readers (a live drain, a takeover's push, ResumeLive); the
+// slot rank delivers them in sequencing order on every replica.
+func (n *Node) deliverAt(env Envelope) {
+	n.g.vclk.ScheduleSlot(env.Stamp, n.rank, env.Seq, func() {
+		if n.g.alive(n.id) && !n.Halted() {
+			n.handleSequenced(env)
+		}
+	})
 }
 
 func (n *Node) handle(env Envelope) {
@@ -235,6 +252,7 @@ func (n *Node) sequence(envs []Envelope, stamp time.Duration, view uint64) []Env
 }
 
 func (n *Node) handleSequenced(env Envelope) {
+	now := n.g.cfg.Clock.Now()
 	n.mu.Lock()
 	n.orderedOf(env.Origin).Add(env.UID)
 	if env.Seq > n.highestSeen {
@@ -252,7 +270,7 @@ func (n *Node) handleSequenced(env Envelope) {
 	inOrder := env.Seq == n.nextDeliver
 	if inOrder {
 		delete(n.holdback, env.Seq) // a copy held before a resumeAt, if any
-		n.accept(env)
+		n.accept(env, now)
 	} else {
 		n.holdback[env.Seq] = env
 	}
@@ -263,7 +281,7 @@ func (n *Node) handleSequenced(env Envelope) {
 			break
 		}
 		delete(n.holdback, n.nextDeliver)
-		n.accept(e)
+		n.accept(e, now)
 		ready = append(ready, e)
 	}
 	n.mu.Unlock()
@@ -275,15 +293,15 @@ func (n *Node) handleSequenced(env Envelope) {
 	}
 }
 
-// accept moves the delivery frontier past e and retains it for
-// SequencedTail. Call with n.mu held.
-func (n *Node) accept(e Envelope) {
+// accept moves the delivery frontier past e, delivered at instant at, and
+// retains it for SequencedTail and Delivered. Call with n.mu held.
+func (n *Node) accept(e Envelope, at time.Duration) {
 	n.nextDeliver++
 	if n.seqLog.Len() == 0 {
 		n.seqLog.Reset(e.Seq)
 	}
 	n.seqLog.Push(seqSlot{View: e.View, Origin: e.Origin, UID: e.UID, From: e.From.Replica,
-		Stamp: e.Stamp, Class: e.Class, Payload: e.Payload})
+		Stamp: e.Stamp, At: at, Class: e.Class, Payload: e.Payload})
 }
 
 func (n *Node) deliverMsg(e Envelope) {
@@ -317,6 +335,28 @@ func (n *Node) SequencedTail(from uint64, max int) (envs []Envelope, more, ok bo
 			From: Origin{Replica: s.From}, Stamp: s.Stamp, Class: s.Class, Payload: s.Payload})
 	}
 	return envs, end < n.seqLog.End(), true
+}
+
+// Delivery is a total-order message and the instant a node delivered it.
+type Delivery struct {
+	At  time.Duration
+	Msg Message
+}
+
+// Delivered returns, in slot order, every retained delivered slot above
+// after: the replay log a passive backup fails over from.
+func (n *Node) Delivered(after uint64) (out []Delivery) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	from := max(after+1, n.seqLog.First())
+	for seq := from; seq < n.seqLog.End(); seq++ {
+		if out == nil {
+			out = make([]Delivery, 0, n.seqLog.End()-from)
+		}
+		s := n.seqLog.At(seq)
+		out = append(out, Delivery{s.At, Message{Seq: seq, Origin: s.Origin, UID: s.UID, Class: s.Class, Payload: s.Payload}})
+	}
+	return out
 }
 
 // Held reports what the node holds on to between messages, so that a test

@@ -152,12 +152,11 @@ func TestSendDirectToCrashedTargetDropped(t *testing.T) {
 	if delivered != 0 {
 		t.Fatal("message delivered to a crashed node")
 	}
-	if !g.Alive(1) || g.Alive(2) {
+	if !g.alive(1) || g.alive(2) {
 		t.Fatal("Alive view wrong")
 	}
-	live := g.LiveMembers()
-	if len(live) != 1 || live[0] != 1 {
-		t.Fatalf("live members %v", live)
+	if p := g.Performer(); p != 1 {
+		t.Fatalf("performer %v, want the one live member 1", p)
 	}
 }
 

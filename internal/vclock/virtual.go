@@ -26,6 +26,7 @@ type Virtual struct {
 	onDeadlock func(dump string)
 	sleepers   []*vparker // parkers of finished sleeps, for the next (see sleep)
 	released   []*vparker // parkers handed back by ReleaseParker, for newParker
+	fired      uint64     // ScheduleAt callbacks started (Fired)
 
 	// Pacing state (see EnablePacing). While paced, a future timer fires
 	// only once both the externally promised horizon and wall time have
@@ -133,11 +134,25 @@ func (v *Virtual) SetHorizon(h time.Duration) {
 // callbacks at one (at, order) run in call order. fn's goroutine starts
 // when the timer fires. Safe to call from unmanaged goroutines.
 func (v *Virtual) ScheduleAt(at time.Duration, order uint64, fn func()) {
+	v.ScheduleSlot(at, order, 0, fn)
+}
+
+// ScheduleSlot is ScheduleAt with a third rank: among callbacks at one
+// (at, order), lower slots run first whatever the call order (ScheduleAt's
+// are slot 0). gcs delivers a stamped total-order slot with it.
+func (v *Virtual) ScheduleSlot(at time.Duration, order, slot uint64, fn func()) {
 	v.mu.Lock()
 	v.seq++
-	v.timers.push(timer{at: max(at, v.now), order: order, seq: v.seq, fn: fn})
+	v.timers.push(timer{at: max(at, v.now), order: order, slot: slot, seq: v.seq, fn: fn})
 	v.advanceLocked()
 	v.mu.Unlock()
+}
+
+// Fired returns how many ScheduleAt and ScheduleSlot callbacks have started.
+func (v *Virtual) Fired() uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.fired
 }
 
 // Now returns the current virtual time.
@@ -375,6 +390,7 @@ func (v *Virtual) advanceLocked() {
 		}
 		v.runnable++
 		if fn := t.fn; fn != nil {
+			v.fired++
 			go func() {
 				defer v.Exit()
 				fn()
@@ -442,14 +458,15 @@ func (v *Virtual) dumpLocked() string {
 type timer struct {
 	at    time.Duration
 	order uint64 // deterministic same-deadline rank (parker order)
-	seq   uint64 // FIFO tiebreak among identical (at, order)
+	slot  uint64 // rank among identical (at, order) (ScheduleSlot)
+	seq   uint64 // FIFO tiebreak among identical (at, order, slot)
 	p     *vparker
 	gen   uint64
 	fn    func() // a ScheduleAt callback (p is nil)
 }
 
-// timerHeap is a binary min-heap of timers by (at, order, seq), a total
-// order, so the firing sequence does not depend on the heap's layout.
+// timerHeap is a binary min-heap of timers by (at, order, slot, seq), a
+// total order, so the firing sequence does not depend on the heap's layout.
 // Typed sift-up and sift-down keep a push and a pop free of allocations.
 type timerHeap []timer
 
@@ -459,6 +476,9 @@ func (h timerHeap) less(i, j int) bool {
 	}
 	if h[i].order != h[j].order {
 		return h[i].order < h[j].order
+	}
+	if h[i].slot != h[j].slot {
+		return h[i].slot < h[j].slot
 	}
 	return h[i].seq < h[j].seq
 }
