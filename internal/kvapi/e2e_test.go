@@ -3,12 +3,14 @@ package kvapi
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -58,11 +60,55 @@ func reserveBasePorts(t *testing.T, n int) int {
 	return 0
 }
 
+// bootKVMembers boots the three members of a 2-shard deployment on a
+// fresh block of base ports and returns their base addresses. The block
+// is free when reserveBasePorts probes it but released before the members
+// bind it, so another process can take a port in between: when a member's
+// listen fails with EADDRINUSE, the members already started are closed
+// and the boot starts over on a fresh block, at most five times.
+func bootKVMembers(t *testing.T) (bases []string, ms []*server.MultiServer) {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		base := reserveBasePorts(t, 6)
+		bases = make([]string, 3)
+		for i := range bases {
+			bases[i] = fmt.Sprintf("127.0.0.1:%d", base+2*i)
+		}
+		ms = ms[:0]
+		var err error
+		for i := range bases {
+			peers := map[ids.ReplicaID]string{}
+			for j, a := range bases {
+				if j != i {
+					peers[ids.ReplicaID(j+1)] = a
+				}
+			}
+			var m *server.MultiServer
+			if m, err = mkKVMember(ids.ReplicaID(i+1), bases[i], peers); err != nil {
+				break
+			}
+			ms = append(ms, m)
+		}
+		if err == nil {
+			for _, m := range ms {
+				t.Cleanup(func() { m.Close() })
+			}
+			return bases, ms
+		}
+		for _, m := range ms {
+			m.Close()
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || attempt == 5 {
+			t.Fatalf("starting member %d: %v", len(ms)+1, err)
+		}
+		t.Logf("boot attempt %d: member %d: %v; booting again on a fresh port block", attempt, len(ms)+1, err)
+	}
+}
+
 // mkKVMember boots one member of a 2-shard deployment hosting the
 // replicated KV object.
-func mkKVMember(t *testing.T, id ids.ReplicaID, listen string, peers map[ids.ReplicaID]string) *server.MultiServer {
-	t.Helper()
-	m, err := server.NewMulti(server.MultiOptions{
+func mkKVMember(id ids.ReplicaID, listen string, peers map[ids.ReplicaID]string) (*server.MultiServer, error) {
+	return server.NewMulti(server.MultiOptions{
 		Template: server.Options{
 			ID:             id,
 			Listen:         listen,
@@ -77,11 +123,6 @@ func mkKVMember(t *testing.T, id ids.ReplicaID, listen string, peers map[ids.Rep
 		Shards:   2,
 		RingSeed: 11,
 	})
-	if err != nil {
-		t.Fatalf("starting member %d: %v", id, err)
-	}
-	t.Cleanup(func() { m.Close() })
-	return m
 }
 
 // doKV performs one facade request and decodes the reply document.
@@ -120,25 +161,8 @@ func TestGatewayE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket sharded test")
 	}
-	base := reserveBasePorts(t, 6)
-	bases := make([]string, 3)
-	peers := map[ids.ReplicaID]string{}
-	for i := range bases {
-		bases[i] = fmt.Sprintf("127.0.0.1:%d", base+2*i)
-		peers[ids.ReplicaID(i+1)] = bases[i]
-	}
-	mk := func(id ids.ReplicaID) *server.MultiServer {
-		p := map[ids.ReplicaID]string{}
-		for pid, a := range peers {
-			if pid != id {
-				p[pid] = a
-			}
-		}
-		return mkKVMember(t, id, bases[id-1], p)
-	}
-	m1 := mk(1)
-	m2 := mk(2)
-	m3 := mk(3)
+	bases, ms := bootKVMembers(t)
+	m1, m2, m3 := ms[0], ms[1], ms[2]
 
 	ring, err := server.FetchRing(bases, 5*time.Second, nil, debugLogf)
 	if err != nil {

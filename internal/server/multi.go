@@ -134,7 +134,7 @@ func NewMulti(o MultiOptions) (*MultiServer, error) {
 				Logf:     t.Logf,
 			})
 			if err != nil {
-				return fail(fmt.Errorf("multi: gateway for shard %d: %v", k, err))
+				return fail(fmt.Errorf("multi: gateway for shard %d: %w", k, err))
 			}
 			m.gateways[k] = gw
 		}
@@ -162,7 +162,7 @@ func NewMulti(o MultiOptions) (*MultiServer, error) {
 		}
 		srv, err := New(to)
 		if err != nil {
-			return fail(fmt.Errorf("multi: shard %d: %v", k, err))
+			return fail(fmt.Errorf("multi: shard %d: %w", k, err))
 		}
 		m.mu.Lock()
 		m.tenants = append(m.tenants, srv)
