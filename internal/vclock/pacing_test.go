@@ -262,3 +262,47 @@ func TestScheduleAtFIFOAtOneKey(t *testing.T) {
 		}
 	})
 }
+
+// ScheduleSlot ranks callbacks at one (at, order) by slot whatever the
+// call order, keeps call order among equal slots, puts ScheduleAt's
+// callbacks (slot 0) first and never lets a slot outrank a lower order or
+// an earlier instant; Fired counts every callback that started.
+func TestScheduleSlotRanksBySlot(t *testing.T) {
+	run(t, func(v *Virtual) {
+		var mu sync.Mutex
+		var got []string
+		rec := func(s string) func() {
+			return func() {
+				mu.Lock()
+				got = append(got, s)
+				mu.Unlock()
+			}
+		}
+		before := v.Fired()
+		at := 5 * time.Millisecond
+		v.ScheduleSlot(at, 7, 3, rec("s3"))
+		v.ScheduleSlot(at, 7, 1, rec("s1a"))
+		v.ScheduleSlot(at, 8, 0, rec("order8"))
+		v.ScheduleSlot(at, 7, 2, rec("s2"))
+		v.ScheduleSlot(at, 7, 1, rec("s1b"))
+		v.ScheduleAt(at, 7, rec("plain"))
+		v.ScheduleSlot(at-time.Millisecond, 9, 9, rec("earlier"))
+		v.Sleep(10 * time.Millisecond)
+		mu.Lock()
+		defer mu.Unlock()
+		want := []string{"earlier", "plain", "s1a", "s1b", "s2", "s3", "order8"}
+		if len(got) != len(want) {
+			t.Errorf("ran %v, want %v", got, want)
+			return
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("ran %v, want %v", got, want)
+				return
+			}
+		}
+		if fired := v.Fired() - before; fired != uint64(len(want)) {
+			t.Errorf("Fired counts %d callbacks, %d ran", fired, len(want))
+		}
+	})
+}
