@@ -265,6 +265,60 @@ func TestRecoveryBuffersThenReplays(t *testing.T) {
 	}
 }
 
+// TestResumeLiveSchedulesTailBeforeRaisingHorizon: ResumeLive runs on the
+// rejoiner's recovery goroutine, not on the clock's, so the horizon may
+// open only once the last slot of the tail is on the timeline. Work
+// already waiting on the clock below the last stamp, as a replayed
+// thread's next step would be, must not run before the slots stamped
+// ahead of it: every slot is delivered at exactly its stamp.
+func TestResumeLiveSchedulesTailBeforeRaisingHorizon(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.EnablePacing(false) // follower: nothing fires beyond the horizon
+	g := NewGroup(Config{
+		Clock:         v,
+		Members:       []ids.ReplicaID{1, 2},
+		Local:         []ids.ReplicaID{2},
+		Transport:     &nullTransport{},
+		Recovering:    true,
+		Tick:          time.Hour, // no heartbeat timer on the clock
+		DetectTimeout: time.Hour,
+	})
+	defer g.Close()
+	const slots = 50
+	stamp := func(s int) time.Duration { return time.Duration(s) * time.Millisecond }
+	var mu sync.Mutex
+	var at []time.Duration
+	all := make(chan struct{})
+	g.Node(2).SetDeliver(func(m Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		at = append(at, v.Now())
+		if len(at) == slots {
+			close(all)
+		}
+	})
+	v.ScheduleAt(stamp(slots)-time.Microsecond, vclock.DefaultOrder, func() {})
+	me, seq := Origin{Replica: 2}, Origin{Replica: 1}
+	tail := make([]Envelope, slots)
+	for i := range tail {
+		s := uint64(i + 1)
+		tail[i] = Envelope{Kind: EnvSequenced, Seq: s, Origin: seq, UID: s, From: seq, To: me, Stamp: stamp(i + 1), Payload: s}
+	}
+	g.ResumeLive(1, tail)
+	select {
+	case <-all:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the tail was not delivered")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, a := range at {
+		if a != stamp(i+1) {
+			t.Fatalf("slot %d delivered at %v, want its stamp %v", i+1, a, stamp(i+1))
+		}
+	}
+}
+
 // TestTakeoverPushCarriesFetchedSlots: a takeover candidate fetches the
 // slots only a donor holds and schedules them at their stamps, above its
 // horizon, so they are in no tail yet when it pushes its tail to a peer
