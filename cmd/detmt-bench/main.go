@@ -1,6 +1,7 @@
 // Command detmt-bench regenerates the figures and tables of the paper's
-// evaluation (see DESIGN.md's experiment index). Each experiment runs on
-// deterministic virtual-clock simulations and prints its series as text.
+// evaluation (see DESIGN.md's experiment index) and prints each as text.
+// The virtual-clock experiments are deterministic simulations; the socket
+// experiments boot real detmt-server processes on loopback.
 //
 // Usage:
 //
@@ -9,36 +10,99 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"detmt/internal/harness"
 )
 
+// experiment is one report of the suite.
+type experiment struct {
+	name string
+	// sockets: it boots real processes on loopback and paces them in wall
+	// time, so "all" leaves it out.
+	sockets bool
+	run     func(harness.Fig1Options) harness.Result
+}
+
+// fixed adapts an experiment that takes no options.
+func fixed(f func() harness.Result) func(harness.Fig1Options) harness.Result {
+	return func(harness.Fig1Options) harness.Result { return f() }
+}
+
+// openLoop adapts a throughput experiment, which runs at its defaults.
+func openLoop(f func(harness.OpenLoopOptions) harness.Result) func(harness.Fig1Options) harness.Result {
+	return func(harness.Fig1Options) harness.Result { return f(harness.DefaultOpenLoopOptions()) }
+}
+
+// experiments is every experiment, in the order "all" runs the virtual
+// ones. The -experiment help text and the golden test read it.
+var experiments = []experiment{
+	{"fig1", false, harness.Fig1},
+	{"fig1tput", false, harness.Fig1Throughput},
+	{"fig2", false, fixed(harness.Fig2)},
+	{"fig3", false, fixed(harness.Fig3)},
+	{"fig4", false, fixed(harness.Fig4)},
+	{"table1", false, fixed(harness.Comparison)},
+	{"wan", false, fixed(harness.WanSweep)},
+	{"overhead", false, fixed(harness.PredictionOverhead)},
+	{"pds", false, fixed(harness.PDSDummies)},
+	{"replay", false, fixed(harness.Replay)},
+	{"determinism", false, fixed(harness.Determinism)},
+	{"advisor", false, fixed(harness.Advisor)},
+	{"scaling", false, fixed(harness.ReplicaScaling)},
+	{"scenarios", false, fixed(harness.Scenarios)},
+	{"earlysched", false, fixed(func() harness.Result { return harness.EarlySched(harness.DefaultEarlySchedOptions()) })},
+	{"recovery", true, fixed(harness.Recovery)},
+	{"openloop", true, openLoop(harness.OpenLoop)},
+	{"ceiling", true, openLoop(harness.Ceiling)},
+	{"sharded", true, openLoop(harness.Sharded)},
+	{"kvfacade", true, openLoop(harness.KVFacade)},
+}
+
+// cli is what the command line sets.
+type cli struct {
+	experiment string
+	clients    string
+	requests   int
+	seed       uint64
+	cpuProfile string
+	memProfile string
+}
+
+func flags(fs *flag.FlagSet) *cli {
+	var virtual, sockets []string
+	for _, e := range experiments {
+		if e.sockets {
+			sockets = append(sockets, e.name)
+		} else {
+			virtual = append(virtual, e.name)
+		}
+	}
+	c := &cli{}
+	fs.StringVar(&c.experiment, "experiment", "all",
+		"comma-separated experiments to run in order: "+strings.Join(virtual, ", ")+
+			", all (every one before it), or "+strings.Join(sockets, ", ")+" (real sockets, not in all)")
+	fs.StringVar(&c.clients, "clients", "1,2,4,8,16,32,48", "client counts for the fig1 sweep")
+	fs.IntVar(&c.requests, "requests", 4, "requests per client")
+	fs.Uint64Var(&c.seed, "seed", 1, "workload seed")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile at exit to this file")
+	return c
+}
+
 func main() {
-	experiment := flag.String("experiment", "all",
-		"which experiment to run: fig1, fig1tput, fig2, fig3, fig4, table1, wan, overhead, pds, replay, determinism, advisor, scaling, scenarios, hotpath, earlysched, recovery, openloop, ceiling, sharded, kvfacade (real sockets, not in 'all'), or all")
-	clients := flag.String("clients", "1,2,4,8,16,32,48", "client counts for the fig1 sweep")
-	requests := flag.Int("requests", 4, "requests per client")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	duration := flag.Duration("duration", 0,
-		"openloop/ceiling/sharded/kvfacade: measured window per run (0: experiment default 1.5s)")
-	warmup := flag.Duration("warmup", 0,
-		"openloop/ceiling/sharded/kvfacade: warmup before each measured window (0: experiment default 300ms)")
-	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of text")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
+	c := flags(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "detmt-bench: -cpuprofile: %v\n", err)
 			os.Exit(1)
@@ -52,9 +116,9 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *memProfile != "" {
+	if c.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(c.memProfile)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "detmt-bench: -memprofile: %v\n", err)
 				return
@@ -67,99 +131,62 @@ func main() {
 		}()
 	}
 
-	opts := harness.DefaultFig1Options()
-	opts.Sim.RequestsPerClient = *requests
-	opts.Sim.Seed = *seed
-	if cs, err := parseInts(*clients); err != nil {
-		fmt.Fprintf(os.Stderr, "detmt-bench: bad -clients: %v\n", err)
+	if err := c.run(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "detmt-bench: %v\n", err)
 		os.Exit(2)
-	} else {
-		opts.Clients = cs
 	}
+}
 
-	// Comma-separated experiment lists run in order and concatenate
-	// their results into one array (e.g. -experiment openloop,ceiling
-	// for the committed throughput snapshot).
-	var results []harness.Result
-	for _, name := range strings.Split(*experiment, ",") {
-		results = append(results, runExperiment(strings.TrimSpace(name), opts, *duration, *warmup)...)
+// run prints each named experiment's report to w, one Write a report.
+// Every name is checked before the first experiment runs.
+func (c *cli) run(w io.Writer) error {
+	opts := harness.DefaultFig1Options()
+	opts.Sim.RequestsPerClient = c.requests
+	opts.Sim.Seed = c.seed
+	cs, err := parseInts(c.clients)
+	if err != nil {
+		return fmt.Errorf("bad -clients: %v", err)
 	}
+	opts.Clients = cs
 
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "detmt-bench: %v\n", err)
-			os.Exit(1)
+	var todo []experiment
+	for _, name := range strings.Split(c.experiment, ",") {
+		exps, err := lookup(strings.TrimSpace(name))
+		if err != nil {
+			return err
 		}
-		return
+		todo = append(todo, exps...)
 	}
-	for _, r := range results {
-		fmt.Print(render(r))
+	for _, e := range todo {
+		if _, err := io.WriteString(w, render(e.run(opts))); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// lookup returns the experiments one name stands for.
+func lookup(name string) ([]experiment, error) {
+	if name == "all" {
+		var all []experiment
+		for _, e := range experiments {
+			if !e.sockets {
+				all = append(all, e)
+			}
+		}
+		return all, nil
+	}
+	for _, e := range experiments {
+		if e.name == name {
+			return []experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q", name)
 }
 
 // render is an experiment's text report.
 func render(r harness.Result) string {
 	return fmt.Sprintf("==== %s: %s ====\n\n%s\n", r.ID, r.Title, r.Text)
-}
-
-func runExperiment(name string, opts harness.Fig1Options, duration, warmup time.Duration) []harness.Result {
-	switch name {
-	case "fig1":
-		return []harness.Result{harness.Fig1(opts)}
-	case "fig1tput":
-		return []harness.Result{harness.Fig1Throughput(opts)}
-	case "fig2":
-		return []harness.Result{harness.Fig2()}
-	case "fig3":
-		return []harness.Result{harness.Fig3()}
-	case "fig4":
-		return []harness.Result{harness.Fig4()}
-	case "table1":
-		return []harness.Result{harness.Comparison()}
-	case "wan":
-		return []harness.Result{harness.WanSweep()}
-	case "overhead":
-		return []harness.Result{harness.PredictionOverhead()}
-	case "pds":
-		return []harness.Result{harness.PDSDummies()}
-	case "replay":
-		return []harness.Result{harness.Replay()}
-	case "determinism":
-		return []harness.Result{harness.Determinism()}
-	case "advisor":
-		return []harness.Result{harness.Advisor()}
-	case "scaling":
-		return []harness.Result{harness.ReplicaScaling()}
-	case "scenarios":
-		return []harness.Result{harness.Scenarios()}
-	case "hotpath":
-		return []harness.Result{harness.HotPath()}
-	case "earlysched":
-		return []harness.Result{harness.EarlySched(harness.DefaultEarlySchedOptions())}
-	case "recovery":
-		return []harness.Result{harness.Recovery()}
-	case "openloop", "ceiling", "sharded", "kvfacade":
-		oo := harness.DefaultOpenLoopOptions()
-		if duration > 0 {
-			oo.Duration = duration
-		}
-		if warmup > 0 {
-			oo.Warmup = warmup
-		}
-		run := map[string]func(harness.OpenLoopOptions) harness.Result{
-			"openloop": harness.OpenLoop, "ceiling": harness.Ceiling,
-			"sharded": harness.Sharded, "kvfacade": harness.KVFacade,
-		}[name]
-		return []harness.Result{run(oo)}
-	case "all":
-		return harness.All()
-	default:
-		fmt.Fprintf(os.Stderr, "detmt-bench: unknown experiment %q\n", name)
-		os.Exit(2)
-		return nil
-	}
 }
 
 func parseInts(s string) ([]int, error) {

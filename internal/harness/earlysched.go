@@ -102,7 +102,6 @@ func EarlySched(o EarlySchedOptions) Result {
 	}
 	tb := metrics.NewTable("conflict %", "serial [req/s]", "lanes [req/s]", "speedup",
 		"escalated", "parallel %", "merge stalls", "hash")
-	ms := map[string]float64{}
 	for _, pct := range o.ConflictPcts {
 		serial := EarlySchedCell(o, pct, false)
 		laneSim := earlySchedSim(o, pct, true)
@@ -141,14 +140,6 @@ func EarlySched(o EarlySchedOptions) Result {
 		}
 		tb.Row(pct, fmt.Sprintf("%.1f", st), fmt.Sprintf("%.1f", lt),
 			fmt.Sprintf("%.2fx", speedup), escal, fmt.Sprintf("%.0f", parallel), stalls, hash)
-		ms[fmt.Sprintf("tput_serial_c%d", pct)] = st
-		ms[fmt.Sprintf("tput_lanes_c%d", pct)] = lt
-		ms[fmt.Sprintf("speedup_c%d", pct)] = speedup
-		ms[fmt.Sprintf("escalations_c%d", pct)] = float64(escal)
-		ms[fmt.Sprintf("parallel_ratio_c%d", pct)] = parallel / 100
-		if !hashOK {
-			ms[fmt.Sprintf("hash_diverged_c%d", pct)] = 1
-		}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Conflict-class early scheduling: %s serial vs. %d-lane class-parallel admission\n",
@@ -158,5 +149,5 @@ func EarlySched(o EarlySchedOptions) Result {
 	b.WriteString(tb.String())
 	b.WriteString("\nExpected shape: near-linear speedup at 0% conflict (disjoint classes fill\nall lanes), degrading gracefully to ~1x at 100% (every request escalates to\nthe global class and the merge barrier serialises admission).\n")
 	return Result{ID: "earlysched", Title: "Conflict-class early scheduling — serial vs. class-parallel",
-		Text: b.String(), Metrics: ms}
+		Text: b.String()}
 }

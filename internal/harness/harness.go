@@ -29,10 +29,6 @@ type Result struct {
 	ID    string // experiment id from DESIGN.md (e.g. "fig1")
 	Title string
 	Text  string
-	// Metrics carries machine-readable series for experiments that emit
-	// them (key -> value); `detmt-bench -json` output can then be diffed
-	// across commits by scripts/bench.sh without parsing Text.
-	Metrics map[string]float64 `json:"Metrics,omitempty"`
 }
 
 // SimOptions parameterises one simulated cluster run.

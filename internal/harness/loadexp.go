@@ -28,7 +28,8 @@ import (
 // the Go runtime with the generator, which flatters closed-loop latency by
 // several milliseconds per hop.
 //
-// None is part of All(): real processes, real sockets, real seconds.
+// None is part of `detmt-bench -experiment all`: real processes, real
+// sockets, real seconds.
 
 // OpenLoopOptions sizes the throughput experiments. The windows are
 // deliberately short — every run pays warmup+duration+drain of wall time
@@ -303,7 +304,6 @@ func ladder(b *strings.Builder, o OpenLoopOptions, spec clusterSpec, gen workloa
 // load. The sustained-rate search is the companion 'ceiling' experiment.
 func OpenLoop(o OpenLoopOptions) Result {
 	var b strings.Builder
-	metricsOut := map[string]float64{}
 	gen := workload.Fig1Gen(openLoopWorkload(), false)
 	// Every run gets a fresh cluster: residual backlog from a saturating
 	// rate would otherwise bleed into the next cell's warmup and delay its
@@ -326,10 +326,10 @@ func OpenLoop(o OpenLoopOptions) Result {
 	// bound, just with a larger numerator.
 	for _, cl := range []struct {
 		clients, requests int
-		key, label        string
+		label             string
 	}{
-		{1, 400, "closedloop_rps", "Closed-loop baseline (1 client, one outstanding request)"},
-		{4, 250, "closedloop4_rps", "Closed-loop, 4 lock-step clients"},
+		{1, 400, "Closed-loop baseline (1 client, one outstanding request)"},
+		{4, 250, "Closed-loop, 4 lock-step clients"},
 	} {
 		res, err := run(server.RunOptions{
 			Clients: cl.clients, RequestsPerClient: cl.requests,
@@ -340,7 +340,6 @@ func OpenLoop(o OpenLoopOptions) Result {
 			continue
 		}
 		fmt.Fprintf(&b, "%s: %.0f req/s, p50 %.2f ms\n", cl.label, res.Achieved, msf(res.Service.Percentile(50)))
-		metricsOut[cl.key] = res.Achieved
 	}
 
 	// The grid: offered vs achieved vs intent latency, and the sequencer
@@ -373,30 +372,20 @@ func OpenLoop(o OpenLoopOptions) Result {
 		batch := float64(sq.Sequenced) / max(1, float64(sq.Drains))
 		fmt.Fprintf(&b, "%10.0f %12.0f %10.2f %10.2f %8d %8.2f %8d %12.3f %12.3f%s\n", rate, res.Achieved, msf(q[0]), msf(q[1]), res.Shed,
 			batch, sq.MaxBatch, sq.QueueWaitP50Ms, sq.QueueWaitP99Ms, note)
-		metricsOut[fmt.Sprintf("rate_%.0f_achieved_rps", rate)] = res.Achieved
-		metricsOut[fmt.Sprintf("rate_%.0f_p50_ms", rate)] = msf(q[0])
-		metricsOut[fmt.Sprintf("rate_%.0f_p99_ms", rate)] = msf(q[1])
-		metricsOut[fmt.Sprintf("rate_%.0f_mean_batch", rate)] = batch
-		metricsOut[fmt.Sprintf("rate_%.0f_queue_wait_p50_ms", rate)] = sq.QueueWaitP50Ms
-		if rate == o.Rates[0] {
-			metricsOut["lowrate_p50_ms"] = msf(q[0])
-		}
 	}
 
 	b.WriteString("\nThe closed-loop baseline is concurrency-bound: each client waits a\nfull round-trip per request. Open-loop arrivals pipeline through the\nsequencing window, so the ceiling is set by sequencer drain + wire\ncost (see the 'ceiling' experiment for the sustained-rate search).\n")
 	return Result{
-		ID:      "openloop",
-		Title:   "E15: open-loop sequencer throughput (offered-rate grid, real detmt-server processes)",
-		Text:    b.String(),
-		Metrics: metricsOut,
+		ID:    "openloop",
+		Title: "E15: open-loop sequencer throughput (offered-rate grid, real detmt-server processes)",
+		Text:  b.String(),
 	}
 }
 
-// Ceiling runs only the ceiling search — the regression probe the bench
-// gate compares against the committed baseline.
+// Ceiling runs only E15's ceiling search, the sustained rate of one
+// three-member group.
 func Ceiling(o OpenLoopOptions) Result {
 	var b strings.Builder
-	metricsOut := map[string]float64{}
 	b.WriteString("Ceiling search (SLO p99 <= 100ms):\n")
 	res, err := ladder(&b, o, clusterSpec{members: 3},
 		workload.Fig1Gen(openLoopWorkload(), false), 1000, nil)
@@ -404,15 +393,11 @@ func Ceiling(o OpenLoopOptions) Result {
 		fmt.Fprintf(&b, "FAILED: %v\n", err)
 	} else {
 		fmt.Fprintf(&b, "sustained ceiling: %.0f req/s\n", res.Ceiling)
-		if res.Ceiling > 0 {
-			metricsOut["ceiling_rps"] = res.Ceiling
-		}
 	}
 	return Result{
-		ID:      "ceiling",
-		Title:   "Sequencer throughput ceiling (real detmt-server processes)",
-		Text:    b.String(),
-		Metrics: metricsOut,
+		ID:    "ceiling",
+		Title: "Sequencer throughput ceiling (real detmt-server processes)",
+		Text:  b.String(),
 	}
 }
 
@@ -421,18 +406,15 @@ func Ceiling(o OpenLoopOptions) Result {
 // groups (N = 1, 2, 4) behind the consistent-hash ring, then walks the
 // AGGREGATE offered rate from 1000 req/s per shard until the deployment
 // stops sustaining it at the same p99 SLO as the single-group ceiling
-// search. The headline metric, aggregate_ceiling_rps, is the largest
-// rung's ceiling — the acceptance bar is >= 3x the committed single-group
-// ceiling_rps.
+// search. The headline is the largest rung's sustained aggregate
+// ceiling; the acceptance bar is >= 3x the single-group ceiling.
 //
 // The rungs use ONE replica per shard (the cheap soak configuration);
 // cross-replica ConsistencyHash identity per shard is therefore proven
 // separately by the multi-member sharded e2e tests, not here.
 func Sharded(o OpenLoopOptions) Result {
 	var b strings.Builder
-	metricsOut := map[string]float64{}
 	b.WriteString("Aggregate ceiling vs shard count (one process, one replica per\nshard, SLO p99 <= 100ms):\n\n")
-	var last float64
 	for _, n := range []int{1, 2, 4} {
 		fmt.Fprintf(&b, "-- %d shard(s) --\n", n)
 		res, err := ladder(&b, o, clusterSpec{members: 1, shards: n, flags: []string{"-ring-seed", "42"}},
@@ -442,21 +424,12 @@ func Sharded(o OpenLoopOptions) Result {
 			continue
 		}
 		fmt.Fprintf(&b, "sustained aggregate ceiling: %.0f req/s (imbalance %.3f)\n\n", res.Ceiling, res.Imbalance)
-		if res.Ceiling > 0 {
-			metricsOut[fmt.Sprintf("aggregate_ceiling_rps_%d", n)] = res.Ceiling
-			metricsOut[fmt.Sprintf("ceiling_imbalance_%d", n)] = res.Imbalance
-			last = res.Ceiling
-		}
-	}
-	if last > 0 {
-		metricsOut["aggregate_ceiling_rps"] = last
 	}
 	b.WriteString("Shards are independent sequencer groups: no cross-shard ordering,\nso the aggregate ceiling grows with the shard count until the box\nitself (cores, loopback) saturates. One replica per shard keeps the\nsoak cheap; per-shard cross-replica hash identity is covered by the\nmulti-member sharded e2e tests.\n")
 	return Result{
-		ID:      "sharded_ceiling",
-		Title:   "E16: sharded aggregate throughput ceiling (multi-tenant detmt-server process)",
-		Text:    b.String(),
-		Metrics: metricsOut,
+		ID:    "sharded_ceiling",
+		Title: "E16: sharded aggregate throughput ceiling (multi-tenant detmt-server process)",
+		Text:  b.String(),
 	}
 }
 
@@ -469,12 +442,11 @@ func Sharded(o OpenLoopOptions) Result {
 //   - gateway: an in-process kvapi.Gateway serves real HTTP on a
 //     loopback socket and the engine walks the same ladder through it.
 //
-// The headline metric is gateway_overhead_pct — the ceiling the facade
-// gives up to HTTP framing, JSON bodies, and the extra hop. The
+// The headline is the facade overhead — the share of the direct ceiling
+// the facade gives up to HTTP framing, JSON bodies, and the extra hop. The
 // acceptance bar is <= 30%.
 func KVFacade(o OpenLoopOptions) Result {
 	var b strings.Builder
-	metricsOut := map[string]float64{}
 	fmt.Fprintf(&b, "HTTP facade overhead, 2 shards, one replica per shard, KV object\n(%.0f%% reads over %d keys), SLO p99 <= 100ms:\n\n",
 		facadePGet*100, facadeKeys)
 	spec := clusterSpec{members: 1, shards: 2, flags: []string{"-kv", "-ring-seed", "42"}}
@@ -513,22 +485,14 @@ func KVFacade(o OpenLoopOptions) Result {
 	}
 	dc := best("direct", "wire protocol", nil)
 	gc := best("gateway", "HTTP facade", gateway)
-	if dc > 0 {
-		metricsOut["direct_ceiling_rps"] = dc
-	}
-	if gc > 0 {
-		metricsOut["gateway_ceiling_rps"] = gc
-	}
 	if dc > 0 && gc > 0 {
 		overhead := (dc - gc) / dc * 100
-		metricsOut["gateway_overhead_pct"] = overhead
 		fmt.Fprintf(&b, "facade overhead: %.1f%% of the direct ceiling (bar: <= 30%%)\n", overhead)
 	}
 	b.WriteString("\nThe gateway is stateless: every request still routes through the\nsame ring and pays the same sequencing cost, so the gap is purely\nHTTP framing, JSON, and one extra loopback hop per request.\n")
 	return Result{
-		ID:      "kv_facade",
-		Title:   "E17: HTTP/KV facade ceiling vs direct wire protocol",
-		Text:    b.String(),
-		Metrics: metricsOut,
+		ID:    "kv_facade",
+		Title: "E17: HTTP/KV facade ceiling vs direct wire protocol",
+		Text:  b.String(),
 	}
 }

@@ -28,11 +28,11 @@ import (
 //     it the catch-up time — grows with how much the replica slept
 //     through.
 //
-// Not part of All(): it binds sockets and burns wall-clock time pacing
-// real clusters, so it runs only when asked for explicitly.
+// Not part of `detmt-bench -experiment all`: it binds sockets and burns
+// wall-clock time pacing real clusters, so it runs only when asked for
+// explicitly.
 func Recovery() Result {
 	var b strings.Builder
-	metricsOut := map[string]float64{}
 
 	b.WriteString("Checkpoint-cadence sweep (2 clients x 5 missed requests):\n")
 	fmt.Fprintf(&b, "%-18s %14s %14s %12s\n", "checkpoint-every", "catchup-ms", "replayed-tail", "ckpt-slot")
@@ -43,8 +43,6 @@ func Recovery() Result {
 			continue
 		}
 		fmt.Fprintf(&b, "%-18d %14.1f %14d %12d\n", ck, r.catchupMs, r.tail, r.ckptSlot)
-		metricsOut[fmt.Sprintf("ckpt_%d_catchup_ms", ck)] = r.catchupMs
-		metricsOut[fmt.Sprintf("ckpt_%d_replayed_tail", ck)] = float64(r.tail)
 	}
 
 	b.WriteString("\nMissed-load sweep (no checkpoints: full-history replay):\n")
@@ -56,16 +54,13 @@ func Recovery() Result {
 			continue
 		}
 		fmt.Fprintf(&b, "%-18d %14.1f %14d\n", 2*miss, r.catchupMs, r.tail)
-		metricsOut[fmt.Sprintf("tail_%d_catchup_ms", 2*miss)] = r.catchupMs
-		metricsOut[fmt.Sprintf("tail_%d_replayed", 2*miss)] = float64(r.tail)
 	}
 
 	b.WriteString("\nCheckpoints bound the replayed tail: a rejoiner restarts from the\ndonor's last checkpoint slot instead of replaying the full history,\ntrading hot-path snapshot work for faster crash recovery.\n")
 	return Result{
-		ID:      "recovery",
-		Title:   "Crash recovery: time-to-catch-up vs checkpoint cadence and tail length (real TCP cluster)",
-		Text:    b.String(),
-		Metrics: metricsOut,
+		ID:    "recovery",
+		Title: "Crash recovery: time-to-catch-up vs checkpoint cadence and tail length (real TCP cluster)",
+		Text:  b.String(),
 	}
 }
 

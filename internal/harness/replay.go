@@ -106,29 +106,3 @@ func Replay() Result {
 	b.WriteString(tb.String())
 	return Result{ID: "replay", Title: "E8 — passive replication replay", Text: b.String()}
 }
-
-// All runs the complete experiment suite in DESIGN.md order.
-func All() []Result {
-	o := DefaultFig1Options()
-	// A lighter sweep for the bundled run; cmd flags can widen it.
-	o.Clients = []int{1, 2, 4, 8, 16}
-	o.Sim.RequestsPerClient = 3
-	return []Result{
-		Fig1(o),
-		Fig1Throughput(o),
-		Fig2(),
-		Fig3(),
-		Fig4(),
-		Comparison(),
-		WanSweep(),
-		PredictionOverhead(),
-		PDSDummies(),
-		Replay(),
-		Determinism(),
-		Advisor(),
-		ReplicaScaling(),
-		Scenarios(),
-		HotPath(),
-		EarlySched(DefaultEarlySchedOptions()),
-	}
-}

@@ -6,12 +6,6 @@
 #                             and the sharded-binary smoke)
 #   scripts/check.sh -short   what CI runs: skips the loopback-TCP tests
 #                             and the sharded-binary smoke
-#   scripts/check.sh -bench   full gate + the throughput regression gates
-#                             (reruns the single-group ceiling search, the
-#                             sharded aggregate ceiling and the HTTP facade
-#                             ceilings and fails on a >10% drop vs the
-#                             committed BENCH_PR22.json; wall timing-sensitive,
-#                             so not part of the default run)
 #   scripts/check.sh -soak    the long mixed-chaos soak only: seeded
 #                             transport partitions + a replica kill/rejoin +
 #                             a backend error-rate episode + one live
@@ -22,12 +16,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 short=""
-bench=""
 if [ "${1:-}" = "-short" ]; then
 	short="-short"
-fi
-if [ "${1:-}" = "-bench" ]; then
-	bench="yes"
 fi
 if [ "${1:-}" = "-soak" ]; then
 	echo "check.sh: mixed-chaos soak (DETMT_SOAK_SECS=${DETMT_SOAK_SECS:-20})" >&2
@@ -48,6 +38,11 @@ fi
 # harness TestEarlySchedChaosSoak and the real-socket
 # TestClusterEarlySchedChaos in internal/server.
 go test -race -shuffle=on $short ./...
+# The text of every virtual-clock experiment, the paper's figures
+# included, as `detmt-bench -experiment all` prints it at the default
+# flags: not under -race, whatever $short says (same line as the CI step
+# "Experiment goldens").
+go test -count=1 -run TestExperimentGoldens -v ./cmd/detmt-bench/
 # The scheduler determinism property, 20 counts under -race whatever
 # $short says (same line as the CI step of that name).
 go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial|TestSchedulersCompleteAllThreads' ./internal/core/
@@ -183,7 +178,4 @@ if [ -z "$short" ]; then
 	wait "$srv" "$gwp" 2>/dev/null || true
 	rm -rf "$tmpdir"
 	trap - EXIT
-fi
-if [ -n "$bench" ]; then
-	scripts/bench.sh -gate
 fi
