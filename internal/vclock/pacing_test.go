@@ -194,6 +194,21 @@ func TestHorizonIsMonotone(t *testing.T) {
 	}
 }
 
+// A fired ScheduleAt callback starts on a goroutine without a closure or
+// any other allocation: a delivery is one such event, so a closure per
+// fire is garbage per delivered message.
+func TestScheduleAtFireAllocatesNothing(t *testing.T) {
+	v := NewVirtual()
+	ran := make(chan struct{}, 1)
+	fn := func() { ran <- struct{}{} }
+	if n := testing.AllocsPerRun(1000, func() {
+		v.ScheduleAt(0, DefaultOrder, fn)
+		<-ran
+	}); n != 0 {
+		t.Fatalf("a ScheduleAt fire allocates %v objects, want 0", n)
+	}
+}
+
 // ScheduleAt puts its timer in the heap before it returns: callbacks with
 // equal (at, order) run in call order, one goroutine calling it many times
 // over included, and an instant at or before now means this instant, once

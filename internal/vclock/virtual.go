@@ -28,6 +28,13 @@ type Virtual struct {
 	released   []*vparker // parkers handed back by ReleaseParker, for newParker
 	fired      uint64     // ScheduleAt callbacks started (Fired)
 
+	// ready is the fired callback runReady (runOne, bound once) starts.
+	// advanceLocked sets it with runnable raised for the new goroutine, and
+	// no timer fires again until that goroutine has read it: the handover
+	// needs no lock.
+	ready    func()
+	runReady func()
+
 	// Pacing state (see EnablePacing). While paced, a future timer fires
 	// only once both the externally promised horizon and wall time have
 	// reached its deadline, and an empty system is idle, not deadlocked.
@@ -44,7 +51,9 @@ const horizonMax = time.Duration(1) << 62
 
 // NewVirtual returns a virtual clock positioned at time zero.
 func NewVirtual() *Virtual {
-	return &Virtual{parkedSet: make(map[*vparker]struct{})}
+	v := &Virtual{parkedSet: make(map[*vparker]struct{})}
+	v.runReady = v.runOne
+	return v
 }
 
 // SetDeadlockHandler replaces the default panic-on-deadlock behaviour.
@@ -389,12 +398,10 @@ func (v *Virtual) advanceLocked() {
 			v.now = t.at
 		}
 		v.runnable++
-		if fn := t.fn; fn != nil {
+		if t.fn != nil {
 			v.fired++
-			go func() {
-				defer v.Exit()
-				fn()
-			}()
+			v.ready = t.fn
+			go v.runReady()
 			return
 		}
 		t.p.parked = false
@@ -415,6 +422,15 @@ func (v *Virtual) advanceLocked() {
 		panic("vclock: deadlock — all managed goroutines parked with no pending timer\n" + dump)
 	}
 	// Nothing runnable, nothing parked: the simulation simply finished.
+}
+
+// runOne runs the fired callback advanceLocked left in ready, on the
+// managed goroutine started for it.
+func (v *Virtual) runOne() {
+	fn := v.ready
+	v.ready = nil
+	defer v.Exit()
+	fn()
 }
 
 // wallWaitLocked returns how much real time must pass before the paced
