@@ -14,10 +14,10 @@
 // plus the paper's proposed extensions MAT+LLA (last-lock analysis) and
 // PMAT (full lock prediction).
 //
-// Everything runs on a discrete-event virtual clock by default, so
-// experiments are deterministic and complete in microseconds of real
-// time; pass a vclock.Real to drive the very same code with wall-clock
-// delays.
+// Everything runs on a discrete-event virtual clock, so experiments are
+// deterministic and complete in microseconds of real time; pass a virtual
+// clock paced against wall time (vclock.Virtual.EnablePacing) to drive
+// the very same code with wall-clock delays, as a deployment does.
 //
 // # Quick start
 //
@@ -91,15 +91,15 @@ type Options struct {
 	// PDSWindow and PDSRelaxed tune the PDS strategy.
 	PDSWindow  int
 	PDSRelaxed bool
-	// Clock overrides the time substrate (default: fresh virtual clock).
-	Clock vclock.Clock
+	// Clock overrides the virtual clock (default: a fresh one); a paced
+	// leader clock runs the cluster at wall pace.
+	Clock *vclock.Virtual
 }
 
 // Cluster is a group of replicas hosting one replicated object.
 type Cluster struct {
 	opts     Options
-	clock    vclock.Clock
-	virtual  *vclock.Virtual // nil when running on a real clock
+	clock    *vclock.Virtual
 	group    *gcs.Group
 	analysis *analysis.Result
 	replicas map[ids.ReplicaID]*replica.Replica
@@ -136,15 +136,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 		analysis: res,
 		replicas: map[ids.ReplicaID]*replica.Replica{},
 	}
-	if opts.Clock != nil {
-		c.clock = opts.Clock
-	} else {
-		v := vclock.NewVirtual()
-		c.clock = v
-		c.virtual = v
-	}
-	if v, ok := c.clock.(*vclock.Virtual); ok {
-		c.virtual = v
+	c.clock = opts.Clock
+	if c.clock == nil {
+		c.clock = vclock.NewVirtual()
 	}
 	for i := 0; i < opts.Replicas; i++ {
 		c.members = append(c.members, ids.ReplicaID(i+1))

@@ -8,7 +8,13 @@ import (
 	"detmt/internal/vclock"
 )
 
-func vclockReal() vclock.Clock { return vclock.NewReal() }
+// pacedLeader returns a virtual clock paced against wall time with an
+// unbounded horizon: the clock a deployment's sequencer runs.
+func pacedLeader() *vclock.Virtual {
+	v := vclock.NewVirtual()
+	v.EnablePacing(true)
+	return v
+}
 
 const counterSource = `
 object Counter {
@@ -138,13 +144,13 @@ func TestClusterRunsInVirtualTime(t *testing.T) {
 	}
 }
 
-func TestClusterOnRealClock(t *testing.T) {
-	// The same stack drives wall-clock time: a smoke test that nothing
-	// depends on virtual-clock internals. Durations are kept tiny.
+func TestClusterOnPacedClock(t *testing.T) {
+	// The same stack runs at wall pace on a paced leader clock, as a
+	// deployment does. Durations are kept tiny.
 	cluster, err := NewCluster(Options{
 		Source:        counterSource,
 		Scheduler:     MAT,
-		Clock:         vclockReal(),
+		Clock:         pacedLeader(),
 		NetLatency:    100 * time.Microsecond,
 		NestedLatency: time.Millisecond,
 	})
@@ -164,11 +170,11 @@ func TestClusterOnRealClock(t *testing.T) {
 		t.Fatalf("count %v", got)
 	}
 	if !cluster.Converged() {
-		t.Fatal("replicas diverged on the real clock")
+		t.Fatal("replicas diverged on the paced clock")
 	}
-	// Run includes a 2s drain sleep on the real clock; sanity-bound it.
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("real-clock run took %v", elapsed)
+	// Run ends with a 2s drain sleep, paid in wall time; sanity-bound it.
+	if elapsed := time.Since(start); elapsed < 2*time.Second || elapsed > 30*time.Second {
+		t.Fatalf("paced run took %v, want the 2s drain and not much more", elapsed)
 	}
 }
 

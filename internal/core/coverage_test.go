@@ -232,26 +232,3 @@ func TestNopSchedulerPredictionChanged(t *testing.T) {
 	var n NopScheduler
 	n.PredictionChanged(nil) // must not panic
 }
-
-func TestPumpLessOrdering(t *testing.T) {
-	t1 := &Thread{ID: 1}
-	t2 := &Thread{ID: 2}
-	cases := []struct {
-		a, b  pumpEvent
-		aWins bool
-	}{
-		{pumpEvent{at: 1, thread: t1}, pumpEvent{at: 2, thread: t1}, true},
-		{pumpEvent{at: 1, thread: t1}, pumpEvent{at: 1, thread: t2}, true},
-		{pumpEvent{at: 1, thread: t1, kind: pumpNestedResume}, pumpEvent{at: 1, thread: t1, kind: pumpWaitTimeout}, true},
-		{pumpEvent{at: 1, thread: t1, kind: pumpWaitTimeout, seq: 1}, pumpEvent{at: 1, thread: t1, kind: pumpWaitTimeout, seq: 2}, true},
-	}
-	for i, c := range cases {
-		a, b := c.a, c.b
-		if !pumpLess(&a, &b) {
-			t.Errorf("case %d: a should come first", i)
-		}
-		if pumpLess(&b, &a) {
-			t.Errorf("case %d: ordering not antisymmetric", i)
-		}
-	}
-}

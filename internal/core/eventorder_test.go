@@ -143,3 +143,79 @@ func TestSameInstantEventOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestNestedResumeIsOneClockEvent: every nested resume, simulated or
+// delivered through ScheduleNestedResume, and every wait timeout is one
+// fired clock event, and nothing else the runtime does is.
+func TestNestedResumeIsOneClockEvent(t *testing.T) {
+	const calls = 7
+	for _, c := range []struct {
+		name   string
+		nested NestedHandler
+	}{
+		{"simulated", nil},
+		{"external", func(rt *Runtime, th *Thread, arg interface{}) {
+			rt.Clock().Sleep(time.Millisecond)
+			rt.ScheduleNestedResume(th, arg)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v := vclock.NewVirtual()
+			rt := NewRuntime(Options{Clock: v, Scheduler: NewMAT(false), Nested: c.nested, NestedDelay: time.Millisecond})
+			done := make(chan struct{})
+			v.Go(func() {
+				defer close(done)
+				g := vclock.NewGroup(v)
+				for tid := ids.ThreadID(1); tid <= 2; tid++ {
+					g.Add(1)
+					rt.Submit(tid, 0, func(th *Thread) {
+						for i := 0; i < calls; i++ {
+							th.Compute(time.Millisecond)
+							th.Nested(i)
+						}
+						th.Lock(ids.NoSync, 1)
+						th.WaitTimeout(1, time.Millisecond)
+						th.Unlock(ids.NoSync, 1)
+					}, g.Done)
+				}
+				g.Wait()
+			})
+			<-done
+			if got, want := v.Fired(), uint64(2*calls+2); got != want {
+				t.Fatalf("%d fired clock events for %d nested resumes and 2 wait timeouts", got, want-2)
+			}
+		})
+	}
+}
+
+// TestEventSlotPacking: eventSlot keeps (thread id, kind) order for every
+// thread id the replication layer makes. Request thread ids are
+// client<<32|seq with client ids below 2^22, so below 2^54; dummy thread
+// ids are 1<<62|seq, below 2^63. The packing holds up to 2^63-1.
+func TestEventSlotPacking(t *testing.T) {
+	tids := []ids.ThreadID{
+		0, 1, 2,
+		ids.ThreadID(ids.MakeRequestID(1<<22-1, ^uint32(0))), // the largest request thread id, 2^54-1
+		1 << 62, 1<<62 | 1, // the first dummy thread ids
+		1<<63 - 1, // the bound
+	}
+	if got := uint64(tids[3]); got != 1<<54-1 {
+		t.Fatalf("largest request thread id %#x, want 2^54-1", got)
+	}
+	var prev uint64
+	for i, tid := range tids {
+		for kind := uint64(eventResume); kind <= eventTimeout; kind++ {
+			slot := eventSlot(tid, kind)
+			if (i > 0 || kind > 0) && slot <= prev {
+				t.Fatalf("slot of (%v, %d) is %#x, not above the previous %#x", tid, kind, slot, prev)
+			}
+			if slot>>1 != uint64(tid) || slot&1 != kind {
+				t.Fatalf("slot %#x of (%v, %d) does not unpack", slot, tid, kind)
+			}
+			prev = slot
+		}
+	}
+	if eventSlot(1<<63, eventResume) > eventSlot(1<<63-1, eventTimeout) {
+		t.Fatal("the packing bound is not 2^63: thread id 2^63 still orders after 2^63-1")
+	}
+}

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"detmt/internal/ids"
 	"detmt/internal/vclock"
@@ -78,33 +76,4 @@ func BenchmarkHotPathSubmitExit(b *testing.B) {
 		rt.Submit(ids.ThreadID(i+1), 0, func(t *Thread) {}, func() { close(done) })
 		<-done
 	}
-}
-
-// BenchmarkHotPathPump measures the event pump's schedule+deliver cycle
-// with a queue of 64 pending timeouts per drain — the pattern of many
-// concurrent timed waits on a busy server.
-func BenchmarkHotPathPump(b *testing.B) {
-	_, rt := benchRuntime()
-	th := &Thread{ID: 1, rt: rt}
-	m := &Mutex{ID: 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := rt.clock.Now()
-		for j := 0; j < 64; j++ {
-			rt.events.schedule(now+time.Duration(j)*time.Microsecond,
-				pumpEvent{thread: th, kind: pumpWaitTimeout, mutex: m})
-		}
-		for !rt.events.drained() {
-			runtime.Gosched()
-		}
-	}
-}
-
-// drained reports whether the pump queue is empty and its goroutine has
-// exited (benchmark helper).
-func (p *pump) drained() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return !p.running
 }

@@ -67,12 +67,12 @@ type PDS struct {
 	// schedule is deterministic only if that order is. On the replica
 	// path it is: the virtual clock fires same-instant timers by rank —
 	// thread computations in thread-id order, then group-communication
-	// deliveries (admissions), then the event pump (nested replies and
-	// wait timeouts, in thread-id order) — and each runs its cascade to
-	// completion before the next fires. A driver that admits from a
-	// goroutine racing the threads it already started (a unit-test
-	// spawner) has no such order and must gate the thread bodies behind
-	// the last admission.
+	// deliveries (admissions), then the runtime's events (nested replies
+	// and wait timeouts, in thread-id order; DESIGN §6 lists every rank) —
+	// and each runs its cascade to completion before the next fires. A
+	// driver that admits from a goroutine racing the threads it already
+	// started (a unit-test spawner) has no such order and must gate the
+	// thread bodies behind the last admission.
 	RequireFullPool bool
 
 	lanes laneSet[pdsLane]

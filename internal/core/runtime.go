@@ -21,9 +21,9 @@ type NestedHandler func(rt *Runtime, t *Thread, arg interface{})
 
 // Options configures a Runtime.
 type Options struct {
-	// Clock is the time substrate (virtual for experiments, real for
-	// demos). Required.
-	Clock vclock.Clock
+	// Clock is the time substrate: a virtual clock, paced against wall
+	// time in a deployment. Required.
+	Clock *vclock.Virtual
 	// Scheduler is the deterministic scheduling strategy. Required.
 	Scheduler Scheduler
 	// Static is the static-analysis result used to initialise per-thread
@@ -34,8 +34,8 @@ type Options struct {
 	Trace *trace.Trace
 	// Nested handles nested invocations. When nil, the runtime simulates
 	// the external call itself: the thread resumes after NestedDelay with
-	// its own argument echoed as the reply, scheduled through the
-	// deterministic event pump.
+	// its own argument echoed as the reply, one clock event (see
+	// scheduleEvent).
 	Nested NestedHandler
 	// NestedDelay is the simulated duration of a nested invocation when
 	// Nested is nil.
@@ -46,13 +46,12 @@ type Options struct {
 // table, the managed threads, and the decision lock through which every
 // synchronisation operation is serialised.
 type Runtime struct {
-	clock         vclock.Clock
+	clock         *vclock.Virtual
 	sched         Scheduler
 	static        *lockpred.StaticInfo
 	tr            *trace.Trace
 	nestedHandler NestedHandler
 	nestedDelay   time.Duration
-	events        *pump
 
 	mu          sync.Mutex // decision lock
 	threads     map[ids.ThreadID]*Thread
@@ -91,13 +90,12 @@ func NewRuntime(o Options) *Runtime {
 		threads:       make(map[ids.ThreadID]*Thread),
 		mutexes:       make(map[ids.MutexID]*Mutex),
 	}
-	rt.events = newPump(rt)
 	rt.sched.Attach(rt)
 	return rt
 }
 
 // Clock returns the runtime's clock.
-func (rt *Runtime) Clock() vclock.Clock { return rt.clock }
+func (rt *Runtime) Clock() *vclock.Virtual { return rt.clock }
 
 // Trace returns the runtime's event trace.
 func (rt *Runtime) Trace() *trace.Trace { return rt.tr }
@@ -180,15 +178,11 @@ func (rt *Runtime) SubmitClassed(tid ids.ThreadID, method ids.MethodID, class ui
 		table:  lockpred.NewThreadTable(rt.static.Method(method)),
 	}
 	t.held = t.heldBuf[:0]
-	if v, ok := rt.clock.(*vclock.Virtual); ok {
-		// Ordered by thread id so that same-instant wakeups (e.g. two
-		// computations finishing together) always fire in id order. The
-		// numbered label avoids formatting a name on the submit path;
-		// deadlock dumps render it as "thread <id>" on demand.
-		t.parker = v.NewOrderedParkerNum("thread", uint64(tid), uint64(tid))
-	} else {
-		t.parker = rt.clock.NewParker()
-	}
+	// Ordered by thread id so that same-instant wakeups (e.g. two
+	// computations finishing together) always fire in id order. The
+	// numbered label avoids formatting a name on the submit path; deadlock
+	// dumps render it as "thread <id>" on demand.
+	t.parker = rt.clock.NewOrderedParkerNum("thread", uint64(tid), uint64(tid))
 	rt.enter(nil, func() {
 		if _, dup := rt.threads[tid]; dup {
 			panic(fmt.Sprintf("core: duplicate thread id %s", tid))
@@ -208,14 +202,12 @@ func (rt *Runtime) SubmitClassed(tid ids.ThreadID, method ids.MethodID, class ui
 		if done != nil {
 			done()
 		}
-		if v, ok := rt.clock.(*vclock.Virtual); ok {
-			// The scheduler wakes only waiting threads, and t waits for
-			// nothing more: no Unpark can still be on its way, so the
-			// parker goes back for the next thread to reuse. done may
-			// submit that thread itself, hence not before done returns.
-			v.ReleaseParker(t.parker)
-			t.parker = nil
-		}
+		// The scheduler wakes only waiting threads, and t waits for nothing
+		// more: no Unpark can still be on its way, so the parker goes back
+		// for the next thread to reuse. done may submit that thread itself,
+		// hence not before done returns.
+		rt.clock.ReleaseParker(t.parker)
+		t.parker = nil
 	})
 	return t
 }
@@ -374,7 +366,7 @@ func (rt *Runtime) wait(t *Thread, mid ids.MutexID, timeout time.Duration) bool 
 		rt.sched.WaitPark(t, m)
 	})
 	if timeout > 0 {
-		rt.events.schedule(rt.clock.Now()+timeout, pumpEvent{thread: t, kind: pumpWaitTimeout, mutex: m})
+		rt.scheduleEvent(rt.clock.Now()+timeout, t, eventTimeout, func() { rt.waitTimeout(t, m) })
 	}
 	t.parker.Park()
 	return t.notified
@@ -447,21 +439,49 @@ func (rt *Runtime) nested(t *Thread, arg interface{}) interface{} {
 	if h := rt.nestedHandler; h != nil {
 		rt.clock.Go(func() { h(rt, t, arg) })
 	} else {
-		// Simulated external call: echo the argument after NestedDelay,
-		// via the deterministic event pump.
-		rt.events.schedule(rt.clock.Now()+rt.nestedDelay,
-			pumpEvent{thread: t, kind: pumpNestedResume, reply: arg})
+		// Simulated external call: echo the argument after NestedDelay.
+		rt.scheduleEvent(rt.clock.Now()+rt.nestedDelay, t, eventResume, func() { rt.NestedResume(t, arg) })
 	}
 	t.parker.Park()
 	return t.nestedReply
 }
 
-// ScheduleNestedResume routes an externally produced nested reply through
-// the deterministic event pump, so that replies racing with running
-// threads are serialised identically on every replica. The replication
-// layer should prefer this over calling NestedResume directly.
+// ScheduleNestedResume delivers an externally produced nested reply as a
+// clock event at the current instant (see scheduleEvent), so that replies
+// racing with running threads are serialised identically on every
+// replica. The replication layer should prefer this over calling
+// NestedResume directly.
 func (rt *Runtime) ScheduleNestedResume(t *Thread, reply interface{}) {
-	rt.events.schedule(rt.clock.Now(), pumpEvent{thread: t, kind: pumpNestedResume, reply: reply})
+	rt.scheduleEvent(0, t, eventResume, func() { rt.NestedResume(t, reply) })
+}
+
+// The kinds of runtime event: for one thread at one instant a nested
+// resume runs before a wait timeout.
+const (
+	eventResume  = 0
+	eventTimeout = 1
+)
+
+// eventRank is the rank of runtime events among same-instant timers: the
+// last, after thread timers, sleeps, link arrivals, deliveries and the
+// replay feeder (DESIGN §6 lists every rank).
+const eventRank = ^uint64(0)
+
+// eventSlot orders runtime events at one instant by thread id, then kind.
+// The packing keeps that order for every thread id below 2^63: request
+// thread ids are client<<32|seq with client ids below 2^22 (the largest
+// shipped client base is 1<<21), so below 2^54, and dummy thread ids are
+// 1<<62|seq, below 2^63.
+func eventSlot(tid ids.ThreadID, kind uint64) uint64 { return uint64(tid)<<1 | kind }
+
+// scheduleEvent runs fn at virtual instant at (at or before now: now) as
+// one clock event keyed (at, eventRank, eventSlot(t, kind), call order).
+// A clock event fires only once every runnable goroutine has blocked, so
+// each event's cascade settles before the next, same-instant ones
+// included, and the order of a nested reply or a timeout against running
+// threads is the same on every replica.
+func (rt *Runtime) scheduleEvent(at time.Duration, t *Thread, kind uint64, fn func()) {
+	rt.clock.ScheduleSlot(at, eventRank, eventSlot(t.ID, kind), fn)
 }
 
 // External runs fn under the decision lock and delivers any wakeups it

@@ -305,17 +305,20 @@ func TestNotifyWakesFIFO(t *testing.T) {
 	}
 }
 
-func TestRuntimeOnRealClock(t *testing.T) {
-	// The pump, nested simulation, and wait timeouts must also work on a
-	// wall clock (poll-style ParkTimeout(0) semantics).
-	r := vclock.NewReal()
-	rt := NewRuntime(Options{Clock: r, Scheduler: NewMAT(false), NestedDelay: time.Millisecond})
+// TestRuntimeOnPacedClock: nested simulation and wait timeouts, clock
+// events both, also run on a clock paced against wall time, as every
+// deployment's is, and take the wall time their virtual instants name.
+func TestRuntimeOnPacedClock(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.EnablePacing(true)
+	rt := NewRuntime(Options{Clock: v, Scheduler: NewMAT(false), NestedDelay: time.Millisecond})
 	done := make(chan struct{})
 	var reply interface{}
 	var notified = true
-	r.Go(func() {
+	start := time.Now()
+	v.Go(func() {
 		defer close(done)
-		g := vclock.NewGroup(r)
+		g := vclock.NewGroup(v)
 		g.Add(1)
 		rt.Submit(1, 0, func(th *Thread) {
 			th.Compute(time.Millisecond)
@@ -329,7 +332,7 @@ func TestRuntimeOnRealClock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(15 * time.Second):
-		t.Fatal("real-clock runtime timed out")
+		t.Fatal("paced runtime timed out")
 	}
 	if reply != "wall" {
 		t.Fatalf("nested reply %v", reply)
@@ -337,11 +340,14 @@ func TestRuntimeOnRealClock(t *testing.T) {
 	if notified {
 		t.Fatal("timed wait reported a notify that never happened")
 	}
+	if now, wall := v.Now(), time.Since(start); now != 4*time.Millisecond || wall < now {
+		t.Fatalf("ended at virtual %v after %v of wall time, want 4ms and at least that much wall time", now, wall)
+	}
 }
 
 func TestScheduleNestedResumeExternal(t *testing.T) {
-	// The replication layer resumes threads via ScheduleNestedResume;
-	// the pump delivers at a deterministic quiescent instant.
+	// The replication layer resumes threads via ScheduleNestedResume, a
+	// clock event at a deterministic quiescent instant.
 	v := vclock.NewVirtual()
 	rt := NewRuntime(Options{Clock: v, Scheduler: NewSAT(), Nested: func(rt *Runtime, th *Thread, arg interface{}) {
 		// Simulate the replication layer: resume 3ms later, externally.

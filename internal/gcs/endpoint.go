@@ -111,11 +111,10 @@ func (e *endpoint) retransmitPending() {
 // one at the current instant, ranked by the endpoint, fires once every
 // runnable goroutine has blocked and hands over the oldest envelope in the
 // inbox; no handler parks on the clock, so envelopes run one per quiescent
-// point. On a real clock the handler runs on the caller's goroutine (a
-// wire reader or a memTransport arrival), and handling serialises callers
-// on different links. Nothing re-enters it: a real clock never hosts a
-// member on a real transport, so no handler reaches TCP.Send's local
-// short-circuit.
+// point. On a real clock (a client-only process) the handler runs on the
+// caller's goroutine, a wire reader, and handling serialises callers on
+// different links. Nothing re-enters it: a real clock hosts no member, so
+// no handler reaches TCP.Send's local short-circuit.
 func (e *endpoint) put(env Envelope) {
 	if v := e.g.vclk; v != nil {
 		e.mu.Lock()

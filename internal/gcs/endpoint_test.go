@@ -115,12 +115,20 @@ func TestEndpointDeliveryOrder(t *testing.T) {
 	})
 }
 
+// nopTransport carries nothing: a client-only group on a real clock over
+// it is what a load generator or gateway builds on the wire transport.
+type nopTransport struct{}
+
+func (nopTransport) Bind(Origin, func(...Envelope))   {}
+func (nopTransport) Send(string, Origin, ...Envelope) {}
+func (nopTransport) Close() error                     { return nil }
+
 // On a real clock put runs the handler on the caller's goroutine: a
 // client's reply handler has run by the time put returns, with no
 // goroutine started on the way, and callers on several links still hand
 // over one envelope at a time.
 func TestRealClockReplyRunsOnCaller(t *testing.T) {
-	g := NewGroup(Config{Clock: vclock.NewReal(), Members: []ids.ReplicaID{1, 2, 3}, Local: []ids.ReplicaID{}})
+	g := NewGroup(Config{Clock: vclock.NewReal(), Members: []ids.ReplicaID{1, 2, 3}, Local: []ids.ReplicaID{}, Transport: nopTransport{}})
 	c := g.NewClientEndpoint(1)
 	var mu sync.Mutex
 	last := -1
@@ -161,4 +169,14 @@ func TestRealClockReplyRunsOnCaller(t *testing.T) {
 	if n := overlaps.Load(); n > 0 {
 		t.Fatalf("%d handler calls overlapped another", n)
 	}
+}
+
+// The in-memory transport runs on a virtual clock only.
+func TestMemTransportNeedsVirtualClock(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewGroup built the in-memory transport on a real clock")
+		}
+	}()
+	NewGroup(Config{Clock: vclock.NewReal(), Members: []ids.ReplicaID{1}, Local: []ids.ReplicaID{}})
 }

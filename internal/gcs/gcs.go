@@ -7,8 +7,8 @@
 // Total order comes from a fixed sequencer: nodes and clients forward
 // payloads to it, it assigns slots and multicasts, and receivers deliver
 // in slot order through a hold-back queue, one message at a time (a clock
-// event at a quiescent instant on a virtual clock, core's event-pump
-// discipline; the receiving goroutine on a real one), suppressing
+// event at a quiescent instant on a virtual clock, the discipline of core's
+// nested resumes; the receiving goroutine on a real one), suppressing
 // duplicates by (origin, uid). The view change — failure detection, the
 // objection- and quorum-guarded election, membership and gap healing — is
 // one pure state machine (view.go), driven under the group lock by the
@@ -86,8 +86,9 @@ type Config struct {
 	DetectTimeout time.Duration
 
 	// Transport carries envelopes between endpoints. nil selects the
-	// in-memory virtual-latency transport (the simulator). A distributed
-	// deployment passes the TCP transport from internal/wire.
+	// in-memory virtual-latency transport (the simulator), which needs a
+	// *vclock.Virtual Clock. A distributed deployment passes the TCP
+	// transport from internal/wire.
 	Transport Transport
 	// Local lists the member ids hosted in this process. nil means all
 	// members are local (the simulator); an empty non-nil slice means
@@ -242,6 +243,9 @@ func NewGroup(cfg Config) *Group {
 	g.vclk, _ = cfg.Clock.(*vclock.Virtual)
 	g.tr = cfg.Transport
 	if g.tr == nil {
+		if g.vclk == nil {
+			panic("gcs: the in-memory transport needs a *vclock.Virtual clock (pace it for a wall-clock run)")
+		}
 		g.tr = newMemTransport(g)
 	}
 	g.stamped = cfg.Transport != nil && g.vclk != nil
@@ -716,7 +720,7 @@ func (g *Group) inject(enqueue func(Envelope), envs ...Envelope) {
 	var fwds []Envelope
 	// The clock horizon rises once, after the whole batch is scheduled, to
 	// the highest stamp in it. A drain's batch shares one stamp: raised after
-	// the first envelope, the horizon lets the pump deliver that envelope —
+	// the first envelope, the horizon lets the clock deliver that envelope —
 	// a nested outcome, say, resuming its thread — before this goroutine
 	// has scheduled the same-instant request behind it, and the replica
 	// grants a shared mutex in an order no other replica sees.

@@ -63,9 +63,10 @@ func newNode(g *Group, id ids.ReplicaID) *Node {
 		nextDeliver: 1,
 		seqLog:      ring.New[seqSlot](g.SeqRetention()),
 	}
-	// Deliveries rank just below the core runtime's event pump, and
-	// per-node ranks keep simultaneous deliveries on different replicas in
-	// a fixed (if arbitrary) global order.
+	// Deliveries rank below the replay feeder and the core runtime's
+	// events, and per-node ranks keep simultaneous deliveries on different
+	// replicas in a fixed (if arbitrary) global order (DESIGN §6 lists
+	// every rank).
 	n.init(g, Origin{Replica: id}, ^uint64(0)-1024+uint64(uint16(id)), n.handle)
 	return n
 }

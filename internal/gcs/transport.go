@@ -2,7 +2,6 @@ package gcs
 
 import (
 	"sync"
-	"time"
 
 	"detmt/internal/ring"
 )
@@ -36,10 +35,11 @@ var _ Transport = (*memTransport)(nil)
 // memTransport models point-to-point links with a fixed one-way latency
 // and FIFO ordering: messages sent on the same link never overtake each
 // other, even when their send instants coincide. Send queues the batch on
-// its link and arms one arrival Latency later: a ScheduleAt event ranked
-// by the link on a Virtual clock, a time.AfterFunc on any other. An
-// arrival hands over the link's oldest batch, so a link delivers FIFO and
-// never a batch before its latency has passed.
+// its link and arms one arrival Latency later, a ScheduleAt event ranked
+// by the link. An arrival hands over the link's oldest batch, so a link
+// delivers FIFO and never a batch before its latency has passed. It runs
+// only on a Virtual clock (NewGroup panics otherwise): a wall-paced run
+// uses a paced one.
 type memTransport struct {
 	g *Group
 
@@ -69,11 +69,8 @@ func (t *memTransport) Send(key string, to Origin, envs ...Envelope) {
 	// the link knows where it leads.
 	lk.queue.Push(envs)
 	lk.mu.Unlock()
-	if v := t.g.vclk; v != nil {
-		v.ScheduleAt(v.Now()+t.g.cfg.Latency, lk.order, lk.arrival)
-	} else {
-		time.AfterFunc(t.g.cfg.Latency, lk.arrival)
-	}
+	v := t.g.vclk
+	v.ScheduleAt(v.Now()+t.g.cfg.Latency, lk.order, lk.arrival)
 }
 
 func (t *memTransport) Close() error { return nil }
@@ -90,11 +87,11 @@ type link struct {
 
 	mu    sync.Mutex
 	queue ring.Buffer[[]Envelope]
-	out   sync.Mutex // one arrival at a time: real-clock timers fire concurrently
 }
 
 // linkOrderBase places link timers between thread timers (small ids) and
-// the per-node delivery/pump parkers (top of the range).
+// the node deliveries, replay feeder and core runtime events (top of the
+// range).
 const linkOrderBase = uint64(1) << 62
 
 func fnv32(s string) uint64 {
@@ -120,10 +117,9 @@ func (t *memTransport) linkTo(key string, to Origin) *link {
 }
 
 // arrive is one arrival: it hands the link's oldest batch to the bound
-// endpoint.
+// endpoint. Arrivals never overlap: an arrival parks nowhere, so the next
+// clock event fires only once it has returned.
 func (lk *link) arrive() {
-	lk.out.Lock()
-	defer lk.out.Unlock()
 	lk.mu.Lock()
 	envs, _ := lk.queue.Pop() // one batch was pushed for every arrival armed
 	lk.mu.Unlock()

@@ -21,7 +21,7 @@ import (
 // clock run to quiescence before inspecting the state. LSA logs cannot be
 // replayed (the leader's decision stream is not part of the total order);
 // use a deterministic scheduler kind.
-func Replay(clock vclock.Clock, res *analysis.Result, kind SchedulerKind, pdsWindow int, log []LogEntry) *Replica {
+func Replay(clock *vclock.Virtual, res *analysis.Result, kind SchedulerKind, pdsWindow int, log []LogEntry) *Replica {
 	return ReplayDetached(clock, Config{
 		Analysis:  res,
 		Kind:      kind,
@@ -36,7 +36,7 @@ func Replay(clock vclock.Clock, res *analysis.Result, kind SchedulerKind, pdsWin
 // cluster replays on a serial replica (and vice versa), which is how the
 // hash-equivalence tests compare the two schedules over an identical
 // total order. ID, Clock, Group and Role are overridden.
-func ReplayDetached(clock vclock.Clock, cfg Config, log []LogEntry) *Replica {
+func ReplayDetached(clock *vclock.Virtual, cfg Config, log []LogEntry) *Replica {
 	if cfg.Kind == KindLSA {
 		panic("replica: LSA logs are not replayable without the decision stream")
 	}
@@ -45,34 +45,53 @@ func ReplayDetached(clock vclock.Clock, cfg Config, log []LogEntry) *Replica {
 	cfg.Group = nil // detached: no network, replies discarded
 	cfg.Role = RoleActive
 	r := New(cfg)
-	clock.Go(func() { feedLog(clock, r, log) })
+	feedLog(clock, r, log)
 	return r
 }
 
-// feedLog re-delivers a recorded log with the live system's exact
-// discipline: original inter-message delays, and each message applied
-// only at a quiescent instant (gcs deliveries on a virtual clock do too),
-// so the replayed admissions land at the same points relative to thread
-// progress as they originally did.
-func feedLog(clock vclock.Clock, r *Replica, log []LogEntry) {
-	var gate vclock.Parker
-	if v, ok := clock.(*vclock.Virtual); ok {
-		gate = v.NewOrderedParker("replay feeder", ^uint64(0)-512)
-	} else {
-		gate = clock.NewParker()
+// feederRank is the rank of replayed entries among same-instant timers:
+// after thread timers, sleeps, link arrivals and deliveries, before the
+// runtime's nested resumes and wait timeouts (DESIGN §6 lists every rank).
+const feederRank = ^uint64(0) - 512
+
+// feeder re-delivers a recorded log with the live system's exact
+// discipline: each entry is one clock event at its original offset from
+// the first, ranked feederRank, so it is applied only at a quiescent
+// instant (gcs deliveries on a virtual clock are too) and the replayed
+// admissions land at the same points relative to thread progress as they
+// originally did. Each event schedules the next, so entries at one
+// instant apply in log order.
+type feeder struct {
+	clock *vclock.Virtual
+	r     *Replica
+	log   []LogEntry
+	start time.Duration // the clock's instant of the log's first entry
+	next  func()        // apply, bound once so an entry allocates no event
+}
+
+// feedLog schedules the replay of log on r, starting at the clock's
+// current instant.
+func feedLog(clock *vclock.Virtual, r *Replica, log []LogEntry) {
+	if len(log) == 0 {
+		return
 	}
-	var base, prev time.Duration
-	if len(log) > 0 {
-		base = log[0].At
-	}
-	for _, e := range log {
-		rel := e.At - base
-		if d := rel - prev; d > 0 {
-			clock.Sleep(d)
-		}
-		prev = rel
-		gate.ParkTimeout(0) // returns at the next quiescent instant
-		r.apply(e.Msg)
+	f := &feeder{clock: clock, r: r, log: log, start: clock.Now() - log[0].At}
+	f.next = f.apply
+	f.schedule()
+}
+
+func (f *feeder) schedule() {
+	f.clock.ScheduleAt(f.start+f.log[0].At, feederRank, f.next)
+}
+
+// apply is one clock event: it applies the log's next entry and schedules
+// the one after it.
+func (f *feeder) apply() {
+	e := f.log[0]
+	f.log = f.log[1:]
+	f.r.apply(e.Msg)
+	if len(f.log) > 0 {
+		f.schedule()
 	}
 }
 
@@ -80,7 +99,7 @@ func feedLog(clock vclock.Clock, r *Replica, log []LogEntry) {
 // fresh replica starts from the backup's latest checkpoint snapshot and
 // replays only the log tail — the incremental-update scheme the paper
 // attributes to passive replication systems.
-func ReplayFailover(clock vclock.Clock, res *analysis.Result, kind SchedulerKind, pdsWindow int, backup *Replica) *Replica {
+func ReplayFailover(clock *vclock.Virtual, res *analysis.Result, kind SchedulerKind, pdsWindow int, backup *Replica) *Replica {
 	snapshot, tail := backup.FailoverData()
 	r := New(Config{
 		ID:        1,
@@ -92,6 +111,6 @@ func ReplayFailover(clock vclock.Clock, res *analysis.Result, kind SchedulerKind
 	for k, v := range snapshot {
 		r.in.SetField(k, v)
 	}
-	clock.Go(func() { feedLog(clock, r, tail) })
+	feedLog(clock, r, tail)
 	return r
 }

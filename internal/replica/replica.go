@@ -54,8 +54,10 @@ const (
 
 // Config parameterises one replica.
 type Config struct {
-	ID    ids.ReplicaID
-	Clock vclock.Clock
+	ID ids.ReplicaID
+	// Clock is the replica's virtual clock, paced against wall time in a
+	// deployment.
+	Clock *vclock.Virtual
 	Group *gcs.Group
 	// Analysis is the shared static-analysis result (transformed object
 	// plus bookkeeping tables); all replicas must use the same one.

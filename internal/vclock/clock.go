@@ -3,15 +3,18 @@
 // The paper's evaluation ran on a LAN testbed with millisecond-scale
 // delays (12 ms nested invocations, 1.5 ms computations). Reproducing
 // those experiments with wall-clock sleeps would be slow and noisy, so
-// this package offers two interchangeable clocks:
+// this package offers two clocks behind one interface:
 //
 //   - Virtual: a discrete-event clock. All managed goroutines register
 //     their blocking points; when every managed goroutine is blocked the
 //     clock jumps to the next timer. Experiments run in microseconds of
 //     real time, produce bit-identical timings on every run, and any true
-//     deadlock is detected and reported instead of hanging.
-//   - Real: thin wrappers over the wall clock, for demos and for checking
-//     that shapes survive on real hardware.
+//     deadlock is detected and reported instead of hanging. Every replica
+//     runs on one: a deployment paces it against wall time
+//     (EnablePacing), and the same events then fire at wall pace.
+//   - Real: thin wrappers over the wall clock, for client-only processes
+//     that host no replica: the load generator, the gateway and the
+//     benchmark's wire clients.
 //
 // The contract for code running under a Virtual clock: every blocking
 // operation must be expressed either as Clock.Sleep or as a Parker

@@ -233,9 +233,6 @@ const DefaultOrder = ^uint64(0) / 2
 // NewParker returns a Parker bound to this clock.
 func (v *Virtual) NewParker() Parker { return v.newParker("", DefaultOrder) }
 
-// NewNamedParker returns a Parker whose label appears in deadlock dumps.
-func (v *Virtual) NewNamedParker(label string) Parker { return v.newParker(label, DefaultOrder) }
-
 // NewOrderedParker returns a Parker whose timeout timers fire in `order`
 // rank among timers with the same deadline (ties broken by registration
 // sequence). Deterministic simulations use this so that simultaneous
@@ -325,8 +322,7 @@ func (p *vparker) Park() {
 // ParkTimeout parks with a deadline. A non-positive d parks on an
 // immediate timer: the goroutine is woken (with woken=false) as soon as
 // every other managed goroutine is blocked, without advancing virtual
-// time. Low-order parkers use this to run "after everything due now has
-// settled" — the event pump in package core depends on it.
+// time: a low-order parker runs "after everything due now has settled".
 func (p *vparker) ParkTimeout(d time.Duration) bool {
 	if d < 0 {
 		d = 0

@@ -266,7 +266,7 @@ func TestDeadlockDetection(t *testing.T) {
 	v := NewVirtual()
 	got := make(chan string, 1)
 	v.SetDeadlockHandler(func(dump string) { got <- dump })
-	release := v.NewNamedParker("stuck-site")
+	release := v.NewOrderedParker("stuck-site", DefaultOrder)
 	done := make(chan struct{})
 	v.Go(func() {
 		defer close(done)
@@ -527,7 +527,7 @@ func TestParkerReuse(t *testing.T) {
 		dumps := make(chan string, 1)
 		v.SetDeadlockHandler(func(dump string) { dumps <- dump })
 		v.ReleaseParker(v.NewOrderedParkerNum("thread", 1, 1))
-		q := v.NewNamedParker("site")
+		q := v.NewOrderedParker("site", DefaultOrder)
 		done := make(chan struct{})
 		v.Go(func() {
 			defer close(done)
@@ -550,7 +550,7 @@ func TestParkerReuse(t *testing.T) {
 		v := NewVirtual()
 		parked := make(chan string, 1)
 		v.SetDeadlockHandler(func(dump string) { parked <- dump })
-		p := v.NewNamedParker("parked")
+		p := v.NewOrderedParker("parked", DefaultOrder)
 		done := make(chan struct{})
 		v.Go(func() {
 			defer close(done)
