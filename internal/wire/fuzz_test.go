@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"detmt/internal/enc"
 	"detmt/internal/gcs"
 )
 
@@ -115,6 +117,39 @@ func FuzzFrameBodies(f *testing.F) {
 			if err != nil || n2 != name || e2 != epoch || g2 != group || !reflect.DeepEqual(o2, origins) {
 				t.Fatalf("hello does not survive its encoder: %q %d %v %q -> %q %d %v %q, %v", name, epoch, origins, group, n2, e2, o2, g2, err)
 			}
+		}
+	})
+}
+
+// FuzzReadFrame reads one frame off arbitrary bytes: an error or a frame,
+// never a panic; an error for any length prefix below 9 (kind and seq) or
+// above maxFrameLen; and a frame it accepts re-encodes, through
+// appendFrame, to exactly the bytes it consumed.
+func FuzzReadFrame(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add(appendFrame(nil, frame{kind: frameControlReply, seq: 7, body: []byte("body")}))
+	f.Add(appendFrame(nil, frame{kind: 1}))
+	f.Add(append(enc.AppendU32(nil, 8), make([]byte, 8)...))
+	f.Add(append(enc.AppendU32(nil, maxFrameLen+1), make([]byte, 9)...))
+	f.Add(append(enc.AppendU32(nil, maxFrameLen), 1, 2, 3))
+	for _, h := range goldenEnvelopes {
+		b, _ := hex.DecodeString(h)
+		f.Add(appendFrame(nil, frame{kind: 1, seq: 3, body: b}))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		fr, err := readFrame(r)
+		if len(data) >= 4 {
+			if n := binary.BigEndian.Uint32(data); (n < 9 || n > maxFrameLen) && err == nil {
+				t.Fatalf("accepted a frame whose length prefix is %d", n)
+			}
+		}
+		if err != nil {
+			return
+		}
+		read := data[:len(data)-r.Len()]
+		if again := appendFrame(nil, fr); !bytes.Equal(again, read) {
+			t.Fatalf("frame read from %x re-encodes to %x", read, again)
 		}
 	})
 }
