@@ -11,9 +11,10 @@ import (
 // TestSimAllocBudget holds the simulator to what a simulated request
 // allocates once the virtual execution path allocates nothing per event
 // and the interpreter resolves names once per method, the trace stores
-// encoded events, finished threads' parkers are reused and a node's
-// sequenced log is the only replay log: bytes and objects
-// per request on 16 clients x 18 requests, with 10 % headroom, for the
+// encoded events, finished threads' parkers are reused, a node's
+// sequenced log is the only replay log and a fired clock event starts
+// without allocating: bytes and objects per request on 16 clients x 18
+// requests, with 10 % headroom, for the
 // two heaviest schedulers and for MAT, the scheduler the socket workloads
 // deploy. (The race detector changes what is allocated, hence the build
 // tag.)
@@ -22,9 +23,9 @@ func TestSimAllocBudget(t *testing.T) {
 		kind           replica.SchedulerKind
 		bytes, objects float64 // per request, measured
 	}{
-		{replica.KindPDS, 12210, 207.2},
-		{replica.KindLSA, 11250, 213.0}, // objects not re-recorded: 220.0 measured, link arrivals are events
-		{replica.KindMAT, 8060, 140.9},
+		{replica.KindPDS, 11240, 159.2},
+		{replica.KindLSA, 9670, 147.2},
+		{replica.KindMAT, 7490, 110.4},
 	} {
 		simCell(c.kind, 16, 18, 7) // the analysis cache fills once per process
 		bytes, objects := simAllocs(c.kind, 16, 18, 1)
