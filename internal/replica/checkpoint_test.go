@@ -152,11 +152,9 @@ func TestFailoverWithoutCheckpointFallsBackToFullReplay(t *testing.T) {
 // CheckpointEvery-th completion for as long as requests arrive. A request
 // still counted in flight after it had finished (its thread-table entry was
 // stored after its done callback had removed it) made the quiescence guard
-// false for good, and checkpoints silently stopped. That needs a body that
-// finishes before SubmitClassed returns: the test once forced it with a
-// clock whose Go ran its function to the end first, which a replica's
-// *vclock.Virtual no longer admits, so here it is left to the goroutine
-// scheduler.
+// false for good, and checkpoints silently stopped. The defect shows only
+// when a body finishes before SubmitClassed returns, which the goroutine
+// scheduler decides.
 func TestCheckpointsKeepComing(t *testing.T) {
 	const every, rounds = 5, 100
 	var mu sync.Mutex

@@ -1,8 +1,6 @@
 package replica
 
 import (
-	"time"
-
 	"detmt/internal/analysis"
 	"detmt/internal/vclock"
 )
@@ -54,45 +52,28 @@ func ReplayDetached(clock *vclock.Virtual, cfg Config, log []LogEntry) *Replica 
 // runtime's nested resumes and wait timeouts (DESIGN §6 lists every rank).
 const feederRank = ^uint64(0) - 512
 
-// feeder re-delivers a recorded log with the live system's exact
-// discipline: each entry is one clock event at its original offset from
-// the first, ranked feederRank, so it is applied only at a quiescent
-// instant (gcs deliveries on a virtual clock are too) and the replayed
-// admissions land at the same points relative to thread progress as they
-// originally did. Each event schedules the next, so entries at one
-// instant apply in log order.
-type feeder struct {
-	clock *vclock.Virtual
-	r     *Replica
-	log   []LogEntry
-	start time.Duration // the clock's instant of the log's first entry
-	next  func()        // apply, bound once so an entry allocates no event
-}
-
-// feedLog schedules the replay of log on r, starting at the clock's
-// current instant.
+// feedLog re-delivers a recorded log, from the clock's current instant on,
+// with the live system's exact discipline: each entry is one clock event at
+// its original offset from the first, ranked feederRank, so it is applied
+// only at a quiescent instant (gcs deliveries on a virtual clock are too)
+// and the replayed admissions land at the same points relative to thread
+// progress as they originally did. Each event schedules the next, so
+// entries at one instant apply in log order.
 func feedLog(clock *vclock.Virtual, r *Replica, log []LogEntry) {
 	if len(log) == 0 {
 		return
 	}
-	f := &feeder{clock: clock, r: r, log: log, start: clock.Now() - log[0].At}
-	f.next = f.apply
-	f.schedule()
-}
-
-func (f *feeder) schedule() {
-	f.clock.ScheduleAt(f.start+f.log[0].At, feederRank, f.next)
-}
-
-// apply is one clock event: it applies the log's next entry and schedules
-// the one after it.
-func (f *feeder) apply() {
-	e := f.log[0]
-	f.log = f.log[1:]
-	f.r.apply(e.Msg)
-	if len(f.log) > 0 {
-		f.schedule()
+	start := clock.Now() - log[0].At
+	var next func()
+	next = func() {
+		e := log[0]
+		log = log[1:]
+		r.apply(e.Msg)
+		if len(log) > 0 {
+			clock.ScheduleAt(start+log[0].At, feederRank, next)
+		}
 	}
+	clock.ScheduleAt(start+log[0].At, feederRank, next)
 }
 
 // ReplayFailover performs a checkpoint-aware failover from a backup: the
