@@ -172,8 +172,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 }
 
 // Run executes body in a managed goroutine, then lets the simulation
-// drain in-flight work. Under a virtual clock the call returns once the
-// system is quiescent; the whole run consumes virtual, not real, time.
+// drain in-flight work for two seconds of virtual time. On an unpaced
+// clock the whole run consumes virtual, not real, time; on a paced one it
+// takes the wall time its virtual instants name.
 func (c *Cluster) Run(body func(*Session)) {
 	done := make(chan struct{})
 	c.clock.Go(func() {

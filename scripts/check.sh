@@ -43,31 +43,37 @@ go test -race -shuffle=on $short ./...
 # flags: not under -race, whatever $short says (same line as the CI step
 # "Experiment goldens").
 go test -count=1 -run TestExperimentGoldens -v ./cmd/detmt-bench/
-# The scheduler determinism property, 20 counts under -race whatever
-# $short says (same line as the CI step of that name).
-go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial|TestSchedulersCompleteAllThreads' ./internal/core/
+# The scheduler determinism property, and the order and census of the
+# runtime's clock events, 20 counts under -race whatever $short says (same
+# line as the CI step of that name).
+go test -race -count=20 -run 'TestSchedulersAreDeterministic|TestOneLaneIsSerial|TestSchedulersCompleteAllThreads|TestSameInstantEventOrder|TestNestedResumeIsOneClockEvent|TestEventSlotPacking' ./internal/core/
 # The arrival-driven sequencer on a virtual clock no timer moves: one
 # forward is sequenced at once, arrivals behind a held fan-out leave in one
 # frame with the heartbeat last, stamps rise from drain to drain; an idle
 # sequencer beats every tick; the sequencer's own member gets a drain less
 # than 1µs of virtual time after it; deliveries are clock events in endpoint
 # rank order, FIFO, one per quiescent point and dropped by Halt, and on a
-# real clock a reply handler has run when put returns; a simulator link
-# delivers one Latency after the send, FIFO and by link rank; a stamped slot
-# is one clock event; a rejoin tail is scheduled before its horizon opens; a
-# passive backup's replay log is pinned entry by entry
+# client-only real clock a reply handler has run when put returns; a
+# simulator link delivers one Latency after the send, FIFO and by link
+# rank, on a virtual clock only; a stamped slot is one clock event; a
+# rejoin tail is scheduled before its horizon opens; a passive backup's
+# replay log is pinned entry by entry, and a replay of one instant's
+# entries applies them in log order
 # (same lines as the CI step "Sequencing (race, 20 counts)").
-go test -race -count=20 -run 'TestTickPolicy|TestIdleHeartbeatEveryTick|TestArrivalDrivenSequencing|TestFollowerIsNotWokenIntoSequencing|TestDrainsAtOneInstantGetIncreasingStamps|TestInjectSchedulesBatchBeforeRaisingHorizon|TestSequencerRunsItsDrainAtOnce|TestEndpointDeliveryOrder|TestRealClockReplyRunsOnCaller|TestMemTransportLinkOrder|TestStampedSlotIsOneClockEvent|TestResumeLiveSchedulesTailBeforeRaisingHorizon' ./internal/gcs/
-go test -race -count=20 -run 'TestLogAndFailoverDataPinned' ./internal/replica/
+go test -race -count=20 -run 'TestTickPolicy|TestIdleHeartbeatEveryTick|TestArrivalDrivenSequencing|TestFollowerIsNotWokenIntoSequencing|TestDrainsAtOneInstantGetIncreasingStamps|TestInjectSchedulesBatchBeforeRaisingHorizon|TestSequencerRunsItsDrainAtOnce|TestEndpointDeliveryOrder|TestRealClockReplyRunsOnCaller|TestMemTransportLinkOrder|TestStampedSlotIsOneClockEvent|TestResumeLiveSchedulesTailBeforeRaisingHorizon|TestMemTransportNeedsVirtualClock' ./internal/gcs/
+go test -race -count=20 -run 'TestLogAndFailoverDataPinned|TestReplayEqualInstants' ./internal/replica/
 # The paced clock: a follower is gated by the horizon and anchored on the
 # fastest horizon it has seen, a leader ignores horizons, ScheduleAt runs
 # callbacks at one (instant, rank) in call order and one at or before now
 # once every runnable goroutine has blocked (TestScheduleAtFIFOAtOneKey,
-# matched by the TestScheduleAt pattern), ScheduleSlot ranks callbacks at
-# one (instant, rank) by slot, and a real-socket cluster still
-# reaches the pinned ConsistencyHash (same lines as the CI step "Paced
-# clock (race, 20 counts)").
+# matched by the TestScheduleAt pattern, as is the check that a fired
+# callback starts without allocating), ScheduleSlot ranks callbacks at
+# one (instant, rank) by slot, a runtime's nested call and timed wait run
+# on a paced leader clock, and a real-socket cluster still reaches the
+# pinned ConsistencyHash (same lines as the CI step "Paced clock (race,
+# 20 counts)").
 go test -race -count=20 -run 'TestPaced|TestFollower|TestScheduleAt|TestScheduleSlot|TestHorizon' ./internal/vclock/
+go test -race -count=20 -run 'TestRuntimeOnPacedClock' ./internal/core/
 go test -race -count=5 -run 'TestReconnectDeterminism|TestGroupCommitScheduleTransparency' ./internal/server/
 # View changes: the seeded simulator (300 seeds a count under -race; 10 000
 # run in tier-1), the tables of the view machine's decision rules, the
@@ -111,6 +117,7 @@ go test -race -count=1 -run 'TestRecoveryFetches|TestCloseTail' ./internal/serve
 go test -run '^$' -fuzz FuzzDecodeEnvelope -fuzztime 10s ./internal/wire/
 go test -run '^$' -fuzz FuzzFrameBodies -fuzztime 10s ./internal/wire/
 go test -run '^$' -fuzz FuzzControlReply -fuzztime 10s ./internal/wire/
+go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire/
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/recovery/
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/shard/
 go test -run '^$' -fuzz FuzzFrames -fuzztime 10s ./internal/backend/
