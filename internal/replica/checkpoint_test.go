@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"detmt/internal/core"
 	"detmt/internal/ids"
 	"detmt/internal/lang"
 	"detmt/internal/vclock"
@@ -153,10 +154,13 @@ func TestFailoverWithoutCheckpointFallsBackToFullReplay(t *testing.T) {
 // still counted in flight after it had finished (its thread-table entry was
 // stored after its done callback had removed it) made the quiescence guard
 // false for good, and checkpoints silently stopped. The defect shows only
-// when a body finishes before SubmitClassed returns, which the goroutine
-// scheduler decides.
+// when a body finishes before SubmitClassed returns, so the test makes that
+// certain instead of rare: each submission waits until the thread's done
+// callback has run, or 2 ms of wall time if the body blocks.
 func TestCheckpointsKeepComing(t *testing.T) {
 	const every, rounds = 5, 100
+	submitThread = eagerSubmit
+	defer func() { submitThread = (*core.Runtime).SubmitClassed }()
 	var mu sync.Mutex
 	last := map[ids.ReplicaID]uint64{}
 	count := map[ids.ReplicaID]int{}
@@ -189,4 +193,23 @@ func TestCheckpointsKeepComing(t *testing.T) {
 				id, count[id], last[id], rounds, r.LastSeq())
 		}
 	}
+}
+
+// eagerSubmit submits like Runtime.SubmitClassed, then returns only once the
+// thread has exited and run its done callback, whenever it can finish
+// without blocking. A request thread whose body computes nothing therefore
+// exits before the delivery goroutine that submitted it takes its next step.
+func eagerSubmit(rt *core.Runtime, tid ids.ThreadID, method ids.MethodID, class uint32, body func(*core.Thread), done func()) *core.Thread {
+	finished := make(chan struct{})
+	th := rt.SubmitClassed(tid, method, class, body, func() {
+		if done != nil {
+			done()
+		}
+		close(finished)
+	})
+	select {
+	case <-finished:
+	case <-time.After(2 * time.Millisecond): // it blocked: carry on beside it
+	}
+	return th
 }

@@ -448,7 +448,7 @@ func (r *Replica) applyRequest(req Request, class uint32) {
 	}
 	tid := ids.ThreadID(req.Req)
 	r.submitted()
-	r.rt.SubmitClassed(tid, method.ID, class, func(th *core.Thread) {
+	submitThread(r.rt, tid, method.ID, class, func(th *core.Thread) {
 		v, err := r.in.Exec(th, req.Method, req.Args)
 		errStr := ""
 		if err != nil {
@@ -492,6 +492,13 @@ func (r *Replica) submitted() {
 	r.mu.Unlock()
 }
 
+// submitThread hands a request or dummy thread to the runtime. It is a
+// variable so that TestCheckpointsKeepComing can make a body finish, and
+// run its done callback, before the call returns: the interleaving
+// submitted guards against, certain instead of left to the goroutine
+// scheduler.
+var submitThread = (*core.Runtime).SubmitClassed
+
 func (r *Replica) reply(req Request, v lang.Value, errStr string) {
 	if r.node == nil {
 		return // detached replay: no clients to answer
@@ -528,7 +535,7 @@ func (r *Replica) applyDummy(d Dummy, class uint32) {
 	// a dummy's lock events were mid-flight would split those events
 	// across the snapshot boundary and diverge a rejoiner's trace hash.
 	r.submitted()
-	r.rt.SubmitClassed(tid, 0, class, func(th *core.Thread) {
+	submitThread(r.rt, tid, 0, class, func(th *core.Thread) {
 		// The standard dummy profile: one lock acquisition on a reserved
 		// mutex, so PDS barriers complete.
 		th.Lock(ids.NoSync, DummyMutex)
